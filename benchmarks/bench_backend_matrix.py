@@ -6,13 +6,16 @@ effective bandwidth (GB/s) and generation throughput (samples/s) per
 cell.  Two consumers:
 
 * ``pytest benchmarks/ --benchmark-only`` — prints the matrix next to the
-  other paper tables and refreshes ``reports/BENCH_backend.json``;
+  other paper tables;
 * ``make bench-gate`` (``python benchmarks/bench_backend_matrix.py``) —
   re-measures, compares each cell against the committed
   ``BENCH_backend.json``, and exits non-zero if any cell regressed by
   more than the tolerance (the ``backend_gbs`` per-metric tolerance from
-  ``summarize_reports.py``, or ``--tolerance``).  On a pass the baseline
-  is refreshed so drift is tracked incrementally.
+  ``summarize_reports.py``, or ``--tolerance``).
+
+Neither path rewrites the baseline: a gate that refreshed it on every
+pass would let slow drift ratchet it down unnoticed.  Re-record it
+deliberately with ``python benchmarks/bench_backend_matrix.py --record``.
 
 "Effective bytes" follows the paper's traffic accounting for the
 on-the-fly kernels: the sparse operand (values + indices) plus the
@@ -129,9 +132,9 @@ def compare_to_baseline(baseline: dict, current: dict,
     return failures
 
 
-def _write_baseline(payload: dict) -> None:
-    GATE_PATH.parent.mkdir(exist_ok=True)
-    GATE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True))
+def _write_baseline(payload: dict, path: Path = GATE_PATH) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _report_rows(payload: dict) -> list[list]:
@@ -164,7 +167,6 @@ def test_backend_matrix_report(benchmark):
         _report_rows(payload),
         notes="\n".join(notes),
     )
-    _write_baseline(payload)
     assert all(e["gbs"] > 0 for e in entries.values())
 
 
@@ -182,26 +184,30 @@ if __name__ == "__main__":
                              "(default: the backend_gbs per-metric "
                              "tolerance; see summarize_reports.py)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument("--force-update", action="store_true",
-                        help="refresh the baseline even on regression")
+    parser.add_argument("--record", action="store_true",
+                        help="write this run to the baseline file instead "
+                             "of gating against it")
     args = parser.parse_args()
 
     current = measure_backend_matrix(args.repeats)
     for row in _report_rows(current):
         print("  ".join(str(c) for c in row))
     baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        failures = compare_to_baseline(baseline, current, args.tolerance)
-        if failures:
-            print("\nbench-gate: PERFORMANCE REGRESSION", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            if not args.force_update:
-                sys.exit(1)
-        else:
-            print(f"\nbench-gate: OK ({len(current['entries'])} cells, "
-                  f"tolerance {args.tolerance:.0%})")
-    else:
-        print(f"\nbench-gate: no baseline at {baseline_path}; recording one")
-    _write_baseline(current)
+    if args.record:
+        _write_baseline(current, baseline_path)
+        print(f"\nbench-gate: recorded {len(current['entries'])} cells "
+              f"to {baseline_path}")
+        sys.exit(0)
+    if not baseline_path.exists():
+        print(f"\nbench-gate: no baseline at {baseline_path}; "
+              "run with --record to make one", file=sys.stderr)
+        sys.exit(1)
+    baseline = json.loads(baseline_path.read_text())
+    failures = compare_to_baseline(baseline, current, args.tolerance)
+    if failures:
+        print("\nbench-gate: PERFORMANCE REGRESSION", file=sys.stderr)
+        for line in failures:
+            print(f"  {line}", file=sys.stderr)
+        sys.exit(1)
+    print(f"\nbench-gate: OK ({len(current['entries'])} cells, "
+          f"tolerance {args.tolerance:.0%})")

@@ -24,6 +24,8 @@ report alongside time (the "sample time" columns of Tables III and V).
 from __future__ import annotations
 
 import abc
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from ..errors import ConfigError
 from ..utils.validation import check_nonnegative_int, check_positive_int
 from .distributions import Distribution, get_distribution
 from .philox import PHILOX_DEFAULT_ROUNDS, key_from_seed, philox_uint64
+from .scratch import Scratch
 from .threefry import THREEFRY_DEFAULT_ROUNDS, key_pair_from_seed, threefry_uint64
 from .xoshiro import DEFAULT_LANES, checkpoint_bits
 
@@ -41,7 +44,63 @@ __all__ = [
     "XoshiroSketchRNG",
     "JunkRNG",
     "make_rng",
+    "CHUNK_LANES",
 ]
+
+#: Entries (``k * d1 * column-chunk``) generated per pass of the sampling
+#: loop.  Every stage from counter to sample works on chunk-sized buffers
+#: reused from chunk to chunk (:mod:`repro.rng.scratch`), so the working
+#: set stays in cache instead of streaming panel-sized temporaries
+#: through DRAM, while each NumPy call still covers enough entries to
+#: amortize its dispatch cost.  Chunking is bitwise-invisible: every
+#: family keys its output on coordinates (or per-``(r, j)``
+#: checkpoints), never on call boundaries.
+CHUNK_LANES = 32768
+
+
+def check_block(r, d1, js) -> tuple[int, int, np.ndarray]:
+    """Validate and normalize the ``(r, d1, js)`` block address."""
+    r = check_nonnegative_int(r, "r")
+    d1 = check_positive_int(d1, "d1")
+    js = np.asarray(js, dtype=np.int64)
+    if js.ndim != 1:
+        raise ConfigError(f"js must be 1-D, got ndim={js.ndim}")
+    return r, d1, js
+
+
+def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
+                   dist: Distribution, lead: tuple[int, ...],
+                   js: np.ndarray, step_lanes: int = 0) -> np.ndarray:
+    """The sampling loop: entries of shape ``lead + (len(js),)``.
+
+    Walks ``js`` in chunks of about :data:`CHUNK_LANES` entries; for each
+    chunk ``bits_of(cols, scratch)`` returns the raw bits of shape
+    ``lead + (len(cols),)`` and the distribution transform writes them
+    straight into one preallocated output.  Both stages draw their
+    temporaries from one :class:`~repro.rng.scratch.Scratch`, so every
+    chunk after the first reuses the same buffers.
+
+    A stepped generator (xoshiro) advances ``step_lanes`` states per
+    column with each of its sequential steps, one NumPy call per
+    operation of a step.  Its bits are fetched for groups of columns
+    wide enough that a step covers :data:`CHUNK_LANES` states, so those
+    calls stay wide however tall the block is, and transformed a chunk
+    at a time.
+    """
+    g = int(js.size)
+    out = np.empty(lead + (g,), dtype=np.float64)
+    chunk = max(1, CHUNK_LANES // max(1, math.prod(lead)))
+    group = max(chunk, CHUNK_LANES // step_lanes) if step_lanes else chunk
+    scratch = Scratch()
+    for glo in range(0, g, group):
+        bits = bits_of(js[glo:glo + group], scratch)
+        width = bits.shape[-1]
+        for lo in range(0, width, chunk):
+            hi = min(width, lo + chunk)
+            dist.sample_from_bits(bits[..., lo:hi],
+                                  out=out[..., glo + lo:glo + hi],
+                                  scratch=scratch)
+    return out
 
 
 class SketchingRNG(abc.ABC):
@@ -66,8 +125,12 @@ class SketchingRNG(abc.ABC):
     # -- core access ------------------------------------------------------
 
     @abc.abstractmethod
-    def _bits_block(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        """Raw ``uint64`` bits of shape ``(d1, len(js))`` for block ``(r, js)``."""
+    def _bits_block(self, r: int, d1: int, js: np.ndarray,
+                    scratch: Scratch | None = None) -> np.ndarray:
+        """Raw ``uint64`` bits of shape ``(d1, len(js))`` for block ``(r, js)``.
+
+        With a *scratch*, the result may live in one of its buffers.
+        """
 
     def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
         """Entries ``S[r:r+d1, js]`` as a dense ``(d1, len(js))`` array.
@@ -76,20 +139,22 @@ class SketchingRNG(abc.ABC):
         not be sorted or unique.  This is the batched form of Algorithm 3
         lines 7-8 — the workhorse call of the vectorized kernels.
         """
-        r = check_nonnegative_int(r, "r")
-        d1 = check_positive_int(d1, "d1")
-        js = np.asarray(js, dtype=np.int64)
-        if js.ndim != 1:
-            raise ConfigError(f"js must be 1-D, got ndim={js.ndim}")
-        bits = self._bits_block(r, d1, js)
-        self.samples_generated += int(bits.size)
-        return self.dist.sample_from_bits(bits)
+        r, d1, js = check_block(r, d1, js)
+        out = sample_chunked(
+            lambda cols, scratch: self._bits_block(r, d1, cols, scratch),
+            self.dist, (d1,), js, self._step_lanes)
+        self.samples_generated += int(out.size)
+        return out
 
     def column_block(self, r: int, d1: int, j: int) -> np.ndarray:
         """Entries ``S[r:r+d1, j]`` — the scalar ``set_state`` / ``get_samples``."""
         return self.column_block_batch(r, d1, np.array([j]))[:, 0]
 
     # -- properties ---------------------------------------------------------
+
+    #: States advanced per column by one sequential step of the generator
+    #: (0: counter-based, no steps); see :func:`sample_chunked`.
+    _step_lanes: int = 0
 
     @property
     @abc.abstractmethod
@@ -144,10 +209,11 @@ class PhiloxSketchRNG(SketchingRNG):
         self.rounds = check_positive_int(rounds, "rounds")
         self._key = key_from_seed(self.seed)
 
-    def _bits_block(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
+    def _bits_block(self, r: int, d1: int, js: np.ndarray,
+                    scratch: Scratch | None = None) -> np.ndarray:
         rows = np.arange(r, r + d1, dtype=np.uint64)[:, None]
         cols = js.astype(np.uint64)[None, :]
-        return philox_uint64(rows, cols, self._key, rounds=self.rounds)
+        return philox_uint64(rows, cols, self._key, self.rounds, scratch)
 
     @property
     def blocking_independent(self) -> bool:
@@ -171,10 +237,11 @@ class ThreefrySketchRNG(SketchingRNG):
         self.rounds = check_positive_int(rounds, "rounds")
         self._key = key_pair_from_seed(self.seed)
 
-    def _bits_block(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
+    def _bits_block(self, r: int, d1: int, js: np.ndarray,
+                    scratch: Scratch | None = None) -> np.ndarray:
         rows = np.arange(r, r + d1, dtype=np.uint64)[:, None]
         cols = js.astype(np.uint64)[None, :]
-        return threefry_uint64(rows, cols, self._key, rounds=self.rounds)
+        return threefry_uint64(rows, cols, self._key, self.rounds, scratch)
 
     @property
     def blocking_independent(self) -> bool:
@@ -197,8 +264,13 @@ class XoshiroSketchRNG(SketchingRNG):
         super().__init__(seed, dist)
         self.n_lanes = check_positive_int(n_lanes, "n_lanes")
 
-    def _bits_block(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        return checkpoint_bits(self.seed, r, js, d1, n_lanes=self.n_lanes)
+    def _bits_block(self, r: int, d1: int, js: np.ndarray,
+                    scratch: Scratch | None = None) -> np.ndarray:
+        return checkpoint_bits(self.seed, r, js, d1, self.n_lanes, scratch)
+
+    @property
+    def _step_lanes(self) -> int:
+        return self.n_lanes
 
     @property
     def blocking_independent(self) -> bool:
@@ -220,13 +292,11 @@ class JunkRNG(SketchingRNG):
     def __init__(self, seed: int = 0, dist: str | Distribution = "uniform") -> None:
         super().__init__(seed, dist)
 
-    def _bits_block(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def _bits_block(self, r, d1, js, scratch=None):  # pragma: no cover
         raise NotImplementedError("JunkRNG bypasses the bits path")
 
     def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        r = check_nonnegative_int(r, "r")
-        d1 = check_positive_int(d1, "d1")
-        js = np.asarray(js, dtype=np.int64)
+        r, d1, js = check_block(r, d1, js)
         rows = np.arange(r, r + d1, dtype=np.int64)[:, None]
         vals = ((rows + 3 * js[None, :]) % 7 - 3) / 3.0
         self.samples_generated += int(vals.size)

@@ -29,25 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..utils.validation import check_nonnegative_int, check_positive_int
 from .base import (PhiloxSketchRNG, SketchingRNG, ThreefrySketchRNG,
-                   XoshiroSketchRNG, make_rng)
+                   XoshiroSketchRNG, check_block, make_rng, sample_chunked)
 from .philox import philox_uint64
+from .scratch import Scratch
 from .threefry import threefry_uint64
 from .xoshiro import checkpoint_bits_stacked
 
 __all__ = ["BatchedSketchRNG", "make_batched_rng"]
-
-#: Target number of stacked lanes (``batch * d1 * column-chunk``) per RNG
-#: call.  The round pipelines allocate a dozen same-sized intermediates,
-#: so the chunk is sized to keep that working set inside the last-level
-#: cache — the micro-tile that makes the batched tier *faster* per
-#: element than huge single-sketch panels (which spill to DRAM) while
-#: still amortizing the fixed NumPy dispatch cost of each pipeline pass
-#: across the whole batch.  Chunking is bitwise-invisible: every family
-#: keys its output on coordinates, never on call boundaries.
-BATCH_CHUNK_LANES = 32768
-
 
 class BatchedSketchRNG:
     """``k`` sketching generators evaluated as one stacked pipeline.
@@ -92,22 +81,15 @@ class BatchedSketchRNG:
         """
         k = len(self.members)
         first = self.members[0]
-        if type(first) is PhiloxSketchRNG and all(
-                type(m) is PhiloxSketchRNG and m.rounds == first.rounds
-                for m in self.members):
-            k0 = np.array([m._key[0] for m in self.members],
-                          dtype=np.uint32).reshape(k, 1, 1)
-            k1 = np.array([m._key[1] for m in self.members],
-                          dtype=np.uint32).reshape(k, 1, 1)
-            return ("philox", (k0, k1), first.rounds)
-        if type(first) is ThreefrySketchRNG and all(
-                type(m) is ThreefrySketchRNG and m.rounds == first.rounds
-                for m in self.members):
-            k0 = np.array([m._key[0] for m in self.members],
-                          dtype=np.uint64).reshape(k, 1, 1)
-            k1 = np.array([m._key[1] for m in self.members],
-                          dtype=np.uint64).reshape(k, 1, 1)
-            return ("threefry", (k0, k1), first.rounds)
+        for cls, kind, dtype in ((PhiloxSketchRNG, "philox", np.uint32),
+                                 (ThreefrySketchRNG, "threefry", np.uint64)):
+            if type(first) is cls and all(
+                    type(m) is cls and m.rounds == first.rounds
+                    for m in self.members):
+                keys = tuple(np.array([m._key[w] for m in self.members],
+                                      dtype=dtype).reshape(k, 1, 1)
+                             for w in (0, 1))
+                return (kind, keys, first.rounds)
         if type(first) is XoshiroSketchRNG and all(
                 type(m) is XoshiroSketchRNG and m.n_lanes == first.n_lanes
                 for m in self.members):
@@ -141,23 +123,18 @@ class BatchedSketchRNG:
 
     # -- core access ---------------------------------------------------------
 
-    def _bits_chunk(self, r: int, d1: int, js_chunk: np.ndarray) -> np.ndarray:
+    def _bits_chunk(self, r: int, d1: int, js_chunk: np.ndarray,
+                    scratch: Scratch | None = None) -> np.ndarray:
         """Raw ``uint64`` bits of shape ``(k, d1, len(js_chunk))``."""
         kind, key, param = self._stacked
         if kind == "xoshiro":
-            return checkpoint_bits_stacked(key, r, js_chunk, d1,
-                                           n_lanes=param)
+            return checkpoint_bits_stacked(key, r, js_chunk, d1, param,
+                                           scratch)
         rows = np.arange(r, r + d1, dtype=np.uint64)[:, None]
         cols = js_chunk.astype(np.uint64)[None, :]
-        if kind == "philox":
-            bits = philox_uint64(rows, cols, key, rounds=param)
-        else:
-            bits = threefry_uint64(rows, cols, key, rounds=param)
-        # Scalar-key calls return (d1, g); the stacked key broadcasts the
-        # leading batch axis in.  A batch of one stays 2-D — lift it.
-        if bits.ndim == 2:
-            bits = bits[None, :, :]
-        return bits
+        # The (k, 1, 1) keys broadcast the batch axis in, even for k = 1.
+        bits_of = philox_uint64 if kind == "philox" else threefry_uint64
+        return bits_of(rows, cols, key, param, scratch)
 
     def column_block_stack(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
         """Entries ``S_t[r:r+d1, js]`` for every member ``t`` as ``(k, d1, g)``.
@@ -166,31 +143,23 @@ class BatchedSketchRNG:
         ``members[t].column_block_batch(r, d1, js)`` — the stacked
         pipeline is elementwise over the batch axis, the distribution
         transform is elementwise too, and the cache-sized column
-        chunking (see :data:`BATCH_CHUNK_LANES`) only changes where call
-        boundaries fall, never which coordinate produces which bits.
+        chunking (:func:`~repro.rng.base.sample_chunked`, shared with the
+        single-sketch path) only changes where call boundaries fall,
+        never which coordinate produces which bits.
         """
-        r = check_nonnegative_int(r, "r")
-        d1 = check_positive_int(d1, "d1")
-        js = np.asarray(js, dtype=np.int64)
-        if js.ndim != 1:
-            raise ConfigError(f"js must be 1-D, got ndim={js.ndim}")
-        k = len(self.members)
-        g = int(js.size)
+        r, d1, js = check_block(r, d1, js)
         if self._stacked is None:
             # Fallback: per-member loop (mixed parameters, or families
             # without a stacked pipeline such as the junk probe).
-            out = np.empty((k, d1, g), dtype=np.float64)
-            for t, m in enumerate(self.members):
-                out[t] = m.column_block_batch(r, d1, js)
-            return out
-        out = np.empty((k, d1, g), dtype=np.float64)
-        chunk = max(1, BATCH_CHUNK_LANES // max(1, k * d1))
-        for lo in range(0, g, chunk):
-            hi = min(g, lo + chunk)
-            bits = self._bits_chunk(r, d1, js[lo:hi])
-            out[:, :, lo:hi] = self.dist.sample_from_bits(bits)
+            return np.stack([m.column_block_batch(r, d1, js)
+                             for m in self.members])
+        k = len(self.members)
+        kind, _, param = self._stacked
+        out = sample_chunked(
+            lambda cols, scratch: self._bits_chunk(r, d1, cols, scratch),
+            self.dist, (k, d1), js, k * param if kind == "xoshiro" else 0)
         for m in self.members:
-            m.samples_generated += d1 * g
+            m.samples_generated += d1 * int(js.size)
         return out
 
 

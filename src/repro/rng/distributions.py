@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from .detmath import det_cos_2pi, det_log
+from .scratch import Scratch
 
 __all__ = [
     "Distribution",
@@ -47,37 +48,64 @@ __all__ = [
 
 _TWO31 = float(2**31)
 _TWO32 = float(2**32)
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+# Every transform has the signature ``(bits, out=None, scratch=None)``:
+# the entries go into *out* (a new array when None; any float64 view of
+# ``bits.shape``, e.g. a column slice of a larger block) and the
+# temporaries come from *scratch* (see :mod:`repro.rng.scratch`), so the
+# sampling loop reuses one set of chunk-sized buffers.  *bits* is never
+# modified.
 
 
-def _bits_to_uniform(bits: np.ndarray) -> np.ndarray:
+def _signed_low32(bits: np.ndarray, scratch: Scratch | None) -> np.ndarray:
+    """The low 32 bits of each word as a signed integer (``int64``)."""
+    sc = scratch if scratch is not None else Scratch()
+    low = np.left_shift(bits, _32, out=sc.take("dist.u64", bits.shape,
+                                                np.uint64))
+    low = low.view(np.int64)
+    low >>= np.int64(32)  # arithmetic shift sign-extends bit 31
+    return low
+
+
+def _bits_to_uniform(bits: np.ndarray, out: np.ndarray | None = None,
+                     scratch: Scratch | None = None) -> np.ndarray:
     """Map uint64 bits to uniform(-1, 1): signed low 32 bits divided by 2^31."""
-    i32 = (bits & np.uint64(0xFFFFFFFF)).astype(np.uint32).view(np.int32)
-    return i32.astype(np.float64) / _TWO31
+    return np.divide(_signed_low32(bits, scratch), _TWO31, out=out)
 
 
-def _bits_to_uniform_scaled(bits: np.ndarray) -> np.ndarray:
+def _bits_to_uniform_scaled(bits: np.ndarray, out: np.ndarray | None = None,
+                            scratch: Scratch | None = None) -> np.ndarray:
     """The scaling trick: the raw signed 32-bit integers as float64.
 
     Callers must multiply the final product by ``post_scale = 2**-31``
     (equivalently, pre-scale ``A``); the integer-valued entries make the
     transform a plain dtype conversion.
     """
-    i32 = (bits & np.uint64(0xFFFFFFFF)).astype(np.uint32).view(np.int32)
-    return i32.astype(np.float64)
+    return np.positive(_signed_low32(bits, scratch), out=out,
+                       dtype=np.float64)
 
 
-def _bits_to_rademacher(bits: np.ndarray) -> np.ndarray:
+def _bits_to_rademacher(bits: np.ndarray, out: np.ndarray | None = None,
+                        scratch: Scratch | None = None) -> np.ndarray:
     """Map uint64 bits to {-1.0, +1.0} from a single bit.
 
     Bit 33 is used rather than bit 0 because the low bits of some
     multiplicative generators are the weakest; for Philox/xoshiro** any bit
     is fine, so the choice is just a fixed convention.
     """
-    sign_bit = ((bits >> np.uint64(33)) & np.uint64(1)).astype(np.float64)
-    return 2.0 * sign_bit - 1.0
+    sc = scratch if scratch is not None else Scratch()
+    sign_bit = np.right_shift(bits, np.uint64(33),
+                              out=sc.take("dist.u64", bits.shape, np.uint64))
+    sign_bit &= np.uint64(1)
+    out = np.multiply(sign_bit, 2.0, out=out)
+    out -= 1.0
+    return out
 
 
-def _bits_to_gaussian(bits: np.ndarray) -> np.ndarray:
+def _bits_to_gaussian(bits: np.ndarray, out: np.ndarray | None = None,
+                      scratch: Scratch | None = None) -> np.ndarray:
     """Map uint64 bits to N(0, 1) via Box–Muller on the two 32-bit halves.
 
     ``u1`` is offset by half an ulp so it is strictly positive (the log is
@@ -90,11 +118,17 @@ def _bits_to_gaussian(bits: np.ndarray) -> np.ndarray:
     hosts, which would break the kernel backends' bit-identity contract
     (JIT-compiled kernels evaluate the transform one scalar at a time).
     """
-    hi = (bits >> np.uint64(32)).astype(np.float64)
-    lo = (bits & np.uint64(0xFFFFFFFF)).astype(np.float64)
-    u1 = (hi + 0.5) / _TWO32
-    u2 = (lo + 0.5) / _TWO32
-    return np.sqrt(-2.0 * det_log(u1)) * det_cos_2pi(u2)
+    sc = scratch if scratch is not None else Scratch()
+    u1 = np.right_shift(bits, _32, out=sc.take("gauss.u1", bits.shape))
+    u1 += 0.5
+    u1 /= _TWO32
+    u2 = np.bitwise_and(bits, _LO32, out=sc.take("gauss.u2", bits.shape))
+    u2 += 0.5
+    u2 /= _TWO32
+    radius = det_log(u1, out=u1, scratch=sc)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    return np.multiply(radius, det_cos_2pi(u2, out=u2, scratch=sc), out=out)
 
 
 @dataclass(frozen=True)
@@ -106,7 +140,8 @@ class Distribution:
     name:
         Registry key (``"uniform"``, ``"rademacher"``, …).
     transform:
-        Elementwise map ``uint64 ndarray -> float64 ndarray``.
+        Elementwise map ``uint64 ndarray -> float64 ndarray``, called as
+        ``transform(bits, out=None, scratch=None)``.
     variance:
         Variance of one entry *after* ``post_scale`` is applied; used to
         normalize sketches (``S / sqrt(d * variance)`` has unit expected
@@ -133,9 +168,11 @@ class Distribution:
     post_scale: float = 1.0
     bits_per_entry: int = 32
 
-    def sample_from_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Apply the transform to an array of raw bits."""
-        return self.transform(bits)
+    def sample_from_bits(self, bits: np.ndarray,
+                         out: np.ndarray | None = None,
+                         scratch: Scratch | None = None) -> np.ndarray:
+        """Apply the transform to an array of raw bits (into *out* if given)."""
+        return self.transform(bits, out=out, scratch=scratch)
 
     def normalization(self, d: int) -> float:
         """Factor making a ``d``-row sketch an (approximate) isometry.

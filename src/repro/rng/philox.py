@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scratch import Scratch
 from .splitmix import splitmix64
 
 __all__ = ["PHILOX_DEFAULT_ROUNDS", "philox4x32", "philox_uint64", "key_from_seed"]
@@ -32,9 +33,10 @@ PHILOX_DEFAULT_ROUNDS = 10
 
 _MUL_A = np.uint64(0xD2511F53)
 _MUL_B = np.uint64(0xCD9E8D57)
-_WEYL_A = np.uint32(0x9E3779B9)
-_WEYL_B = np.uint32(0xBB67AE85)
+_WEYL_A = np.uint64(0x9E3779B9)
+_WEYL_B = np.uint64(0xBB67AE85)
 _LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 
 def key_from_seed(seed: int) -> tuple[np.uint32, np.uint32]:
@@ -47,16 +49,46 @@ def key_from_seed(seed: int) -> tuple[np.uint32, np.uint32]:
     return np.uint32(mixed & 0xFFFFFFFF), np.uint32((mixed >> 32) & 0xFFFFFFFF)
 
 
-def _mulhilo32(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """32x32 -> 64 bit multiply returning (hi, lo) 32-bit words.
+def _philox_words(c0, c1, c2, c3, key, rounds: int,
+                  scratch: Scratch | None = None) -> list[np.ndarray]:
+    """Philox4x32 rounds on counter words held in ``uint64`` lanes.
 
-    *b* is a ``uint32`` array; the product is formed in ``uint64`` (exact,
-    since both operands fit in 32 bits).
+    Each 32-bit word lives in the low half of a ``uint64``, so the
+    32x32 -> 64 multiply is exact without casts (the layout of the scalar
+    twin :func:`repro.rng.jit.philox_u64`).  Every round updates the four
+    lanes in place in buffers taken from *scratch*; the returned lanes
+    alias them.
     """
-    prod = a * b.astype(np.uint64)
-    hi = (prod >> np.uint64(32)).astype(np.uint32)
-    lo = (prod & _LO32).astype(np.uint32)
-    return hi, lo
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    cs = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
+    k0 = np.asarray(key[0], dtype=np.uint64)
+    k1 = np.asarray(key[1], dtype=np.uint64)
+    shape = np.broadcast_shapes(*(c.shape for c in cs), k0.shape, k1.shape)
+    sc = scratch if scratch is not None else Scratch()
+    x0, x1, x2, x3 = x = [sc.take(f"philox.x{w}", shape, np.uint64)
+                          for w in range(4)]
+    for xw, c in zip(x, cs):
+        xw[...] = c
+    p0 = sc.take("philox.p0", shape, np.uint64)
+    p1 = sc.take("philox.p1", shape, np.uint64)
+    for _ in range(rounds):
+        np.multiply(x0, _MUL_A, out=p0)
+        np.multiply(x2, _MUL_B, out=p1)
+        # Philox round permutation (Salmon et al., Table 2):
+        # x0 <- hi(p1) ^ x1 ^ k0, x1 <- lo(p1), x2 <- hi(p0) ^ x3 ^ k1,
+        # x3 <- lo(p0).
+        np.right_shift(p1, _32, out=x0)
+        x0 ^= x1
+        x0 ^= k0
+        np.bitwise_and(p1, _LO32, out=x1)
+        np.right_shift(p0, _32, out=x2)
+        x2 ^= x3
+        x2 ^= k1
+        np.bitwise_and(p0, _LO32, out=x3)
+        k0 = (k0 + _WEYL_A) & _LO32
+        k1 = (k1 + _WEYL_B) & _LO32
+    return x
 
 
 def philox4x32(
@@ -89,32 +121,9 @@ def philox4x32(
     Four ``uint32`` arrays of the common broadcast shape: the random output
     words ``x0..x3`` for each lane.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    x0, x1, x2, x3 = (
-        np.broadcast_arrays(
-            np.asarray(c0, dtype=np.uint32),
-            np.asarray(c1, dtype=np.uint32),
-            np.asarray(c2, dtype=np.uint32),
-            np.asarray(c3, dtype=np.uint32),
-        )
-    )
-    x0 = x0.copy(); x1 = x1.copy(); x2 = x2.copy(); x3 = x3.copy()
-    k0 = np.asarray(key[0], dtype=np.uint32)
-    k1 = np.asarray(key[1], dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        for _ in range(rounds):
-            hi0, lo0 = _mulhilo32(_MUL_A, x0)
-            hi1, lo1 = _mulhilo32(_MUL_B, x2)
-            # Philox round permutation (Salmon et al., Table 2):
-            new_x0 = hi1 ^ x1 ^ k0
-            new_x1 = lo1
-            new_x2 = hi0 ^ x3 ^ k1
-            new_x3 = lo0
-            x0, x1, x2, x3 = new_x0, new_x1, new_x2, new_x3
-            k0 = k0 + _WEYL_A
-            k1 = k1 + _WEYL_B
-    return x0, x1, x2, x3
+    words = _philox_words(*(np.asarray(c, dtype=np.uint32)
+                            for c in (c0, c1, c2, c3)), key, rounds)
+    return tuple(w.astype(np.uint32) for w in words)
 
 
 def philox_uint64(
@@ -122,6 +131,7 @@ def philox_uint64(
     cols: np.ndarray,
     key: tuple[np.uint32, np.uint32],
     rounds: int = PHILOX_DEFAULT_ROUNDS,
+    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """One ``uint64`` of random bits per ``(row, col)`` coordinate.
 
@@ -131,13 +141,13 @@ def philox_uint64(
     64-bit row index into words (c0, c1) and the column index into (c2, c3),
     so any coordinates up to 2^63 are collision-free.
 
-    Returns the low two output words packed as ``x0 | (x1 << 32)``.
+    Returns the low two output words packed as ``x0 | (x1 << 32)``; with a
+    *scratch*, the result lives in one of its buffers.
     """
     r = np.asarray(rows, dtype=np.uint64)
     c = np.asarray(cols, dtype=np.uint64)
-    c0 = (r & _LO32).astype(np.uint32)
-    c1 = (r >> np.uint64(32)).astype(np.uint32)
-    c2 = (c & _LO32).astype(np.uint32)
-    c3 = (c >> np.uint64(32)).astype(np.uint32)
-    x0, x1, _, _ = philox4x32(c0, c1, c2, c3, key, rounds=rounds)
-    return x0.astype(np.uint64) | (x1.astype(np.uint64) << np.uint64(32))
+    x0, x1, _, _ = _philox_words(r & _LO32, r >> _32, c & _LO32, c >> _32,
+                                 key, rounds, scratch)
+    x1 <<= _32
+    x0 |= x1
+    return x0

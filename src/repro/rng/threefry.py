@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scratch import Scratch
 from .splitmix import splitmix64
 
 __all__ = ["THREEFRY_DEFAULT_ROUNDS", "threefry2x64", "threefry_uint64",
@@ -39,16 +40,12 @@ def key_pair_from_seed(seed: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(k0), np.uint64(k1)
 
 
-def _rotl64(x: np.ndarray, k: int) -> np.ndarray:
-    kk = np.uint64(k)
-    return (x << kk) | (x >> (np.uint64(64) - kk))
-
-
 def threefry2x64(
     c0: np.ndarray,
     c1: np.ndarray,
     key: tuple[np.uint64, np.uint64],
     rounds: int = THREEFRY_DEFAULT_ROUNDS,
+    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run Threefry2x64 on arrays of counter words.
 
@@ -65,6 +62,9 @@ def threefry2x64(
     rounds:
         Number of mix rounds; 20 is the crush-resistant standard, 13 the
         common fast variant.
+    scratch:
+        Buffers for the two lanes and the rotate temporary; every round
+        updates them in place, and the outputs alias them.
 
     Returns
     -------
@@ -76,19 +76,29 @@ def threefry2x64(
     k1 = np.asarray(key[1], dtype=np.uint64)
     k2 = _PARITY ^ k0 ^ k1
     ks = (k0, k1, k2)
-    x0, x1 = np.broadcast_arrays(np.asarray(c0, dtype=np.uint64),
-                                 np.asarray(c1, dtype=np.uint64))
+    c0 = np.asarray(c0, dtype=np.uint64)
+    c1 = np.asarray(c1, dtype=np.uint64)
+    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape, k1.shape)
+    sc = scratch if scratch is not None else Scratch()
+    x0 = sc.take("threefry.x0", shape, np.uint64)
+    x1 = sc.take("threefry.x1", shape, np.uint64)
+    tmp = sc.take("threefry.tmp", shape, np.uint64)
     with np.errstate(over="ignore"):
-        x0 = x0 + ks[0]
-        x1 = x1 + ks[1]
+        np.add(c0, k0, out=x0)
+        np.add(c1, k1, out=x1)
         for r in range(rounds):
-            x0 = x0 + x1
-            x1 = _rotl64(x1, _ROTATIONS[r % 8])
-            x1 = x1 ^ x0
+            x0 += x1
+            rot = _ROTATIONS[r % 8]
+            # x1 <- rotl64(x1, rot) ^ x0
+            np.left_shift(x1, np.uint64(rot), out=tmp)
+            x1 >>= np.uint64(64 - rot)
+            x1 |= tmp
+            x1 ^= x0
             if (r + 1) % 4 == 0:
                 inject = (r + 1) // 4
-                x0 = x0 + ks[inject % 3]
-                x1 = x1 + ks[(inject + 1) % 3] + np.uint64(inject)
+                x0 += ks[inject % 3]
+                x1 += ks[(inject + 1) % 3]
+                x1 += np.uint64(inject)
     return x0, x1
 
 
@@ -97,6 +107,7 @@ def threefry_uint64(
     cols: np.ndarray,
     key: tuple[np.uint64, np.uint64],
     rounds: int = THREEFRY_DEFAULT_ROUNDS,
+    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """One ``uint64`` of random bits per ``(row, col)`` coordinate.
 
@@ -104,7 +115,4 @@ def threefry_uint64(
     :func:`repro.rng.philox_uint64`: the row index is counter word 0, the
     column index word 1, and the first output word is returned.
     """
-    x0, _ = threefry2x64(np.asarray(rows, dtype=np.uint64),
-                         np.asarray(cols, dtype=np.uint64),
-                         key, rounds=rounds)
-    return x0
+    return threefry2x64(rows, cols, key, rounds, scratch)[0]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scratch import Scratch
 from .splitmix import GOLDEN_GAMMA, mix_key, splitmix64
 
 __all__ = ["DEFAULT_LANES", "seed_states", "xoshiro_next", "checkpoint_bits",
@@ -70,16 +71,16 @@ def seed_states(keys: np.ndarray) -> np.ndarray:
     return state
 
 
-def xoshiro_next(state: np.ndarray) -> np.ndarray:
+def xoshiro_next(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Advance every lane of *state* one step; return the lane outputs.
 
     *state* has shape ``(4,) + lane_shape`` and is updated in place.  The
     output is the xoshiro256** scrambler ``rotl(s1 * 5, 7) * 9`` of shape
-    ``lane_shape``.
+    ``lane_shape``, written into *out* when given.
     """
     s0, s1, s2, s3 = state[0], state[1], state[2], state[3]
     with np.errstate(over="ignore"):
-        result = _rotl(s1 * _FIVE, _R7) * _NINE
+        result = np.multiply(_rotl(s1 * _FIVE, _R7), _NINE, out=out)
         t = s1 << _R17
         s2 ^= s0
         s3 ^= s1
@@ -97,6 +98,7 @@ def checkpoint_bits(
     js: np.ndarray,
     count: int,
     n_lanes: int = DEFAULT_LANES,
+    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """Random bits for the checkpoints ``(r, j)`` for every ``j`` in *js*.
 
@@ -106,7 +108,8 @@ def checkpoint_bits(
     ``g.set_state(r, j); g.get_samples(v)`` pair (Algorithm 3 lines 7-8 /
     Algorithm 4 lines 6-7), vectorized across both the sample index and the
     sparse rows so a whole block's worth of sketch columns is produced with
-    a handful of wide NumPy operations.
+    a handful of wide NumPy operations.  With a *scratch*, the result
+    lives in one of its buffers.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -123,9 +126,10 @@ def checkpoint_bits(
         keys = splitmix64(base ^ (lanes * GOLDEN_GAMMA + np.uint64(1)))
     state = seed_states(keys)  # (4, n_lanes, ncols)
     steps = -(-count // n_lanes)
-    out = np.empty((steps, n_lanes, ncols), dtype=np.uint64)
+    sc = scratch if scratch is not None else Scratch()
+    out = sc.take("xoshiro.out", (steps, n_lanes, ncols), np.uint64)
     for t in range(steps):
-        out[t] = xoshiro_next(state)
+        xoshiro_next(state, out=out[t])
     return out.reshape(steps * n_lanes, ncols)[:count]
 
 
@@ -135,6 +139,7 @@ def checkpoint_bits_stacked(
     js: np.ndarray,
     count: int,
     n_lanes: int = DEFAULT_LANES,
+    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """:func:`checkpoint_bits` for several seeds through one pipeline.
 
@@ -162,8 +167,8 @@ def checkpoint_bits_stacked(
         keys = splitmix64(base ^ (lanes * GOLDEN_GAMMA + np.uint64(1)))
     state = seed_states(keys)  # (4, k, n_lanes, ncols)
     steps = -(-count // n_lanes)
-    out = np.empty((steps, k, n_lanes, ncols), dtype=np.uint64)
+    sc = scratch if scratch is not None else Scratch()
+    out = sc.take("xoshiro.out", (k, steps, n_lanes, ncols), np.uint64)
     for t in range(steps):
-        out[t] = xoshiro_next(state)
-    return (out.transpose(1, 0, 2, 3)
-               .reshape(k, steps * n_lanes, ncols)[:, :count])
+        xoshiro_next(state, out=out[:, t])
+    return out.reshape(k, steps * n_lanes, ncols)[:, :count]

@@ -66,6 +66,26 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
+    # Responses are small and written whole, so a delayed ACK on the
+    # client must never hold one back (Nagle).
+    disable_nagle_algorithm = True
+
+    def _send(self, status: int, content_type: str, body: bytes,
+              headers: dict | None = None) -> None:
+        """Write status line, headers and body with one ``wfile.write``."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # Queue the blank line and the body behind the buffered headers
+        # (end_headers() would flush the headers on their own).
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
+
     def _send_json(self, status: int, doc: dict,
                    headers: dict | None = None,
                    delay: float = 0.0) -> None:
@@ -74,22 +94,11 @@ class _Handler(BaseHTTPRequestHandler):
             # Chaos hook slow_client: the response is written late, on
             # this connection thread only — executors are long gone.
             time.sleep(delay)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json", body, headers)
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; charset=utf-8") -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, content_type, text.encode("utf-8"))
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         daemon: "ServeDaemon" = self.server.daemon_ref

@@ -48,10 +48,10 @@ class TestBatchedRNG:
             assert np.array_equal(stack[t], solo)
 
     def test_chunking_is_bitwise_invisible(self, monkeypatch):
-        import repro.rng.batched as rb
+        import repro.rng.base as rb
         js = np.arange(0, 40, dtype=np.int64)
         whole = make_batched_rng("philox", SEEDS).column_block_stack(0, 32, js)
-        monkeypatch.setattr(rb, "BATCH_CHUNK_LANES", 7)
+        monkeypatch.setattr(rb, "CHUNK_LANES", 7)
         tiny = make_batched_rng("philox", SEEDS).column_block_stack(0, 32, js)
         assert np.array_equal(whole, tiny)
 

@@ -1,0 +1,131 @@
+"""The sampling loop's chunking and in-place transforms change no bit.
+
+Single and batched sketches walk their columns in chunks of
+``repro.rng.base.CHUNK_LANES`` entries (xoshiro fetches its bits in
+wider column groups and transforms them chunk by chunk), with every
+stage working on reused scratch buffers.  Whatever the chunk size, the
+result must equal one unchunked ``_bits_block`` (or ``_bits_chunk``)
+plus one transform, and the sample count must not move.  The in-place ``detmath`` functions
+must also still equal their scalar twins in ``repro.rng.jit`` at every
+branch edge.
+"""
+
+import numpy as np
+import pytest
+
+import repro.rng.base as rb
+from repro.rng import jit as rj
+from repro.rng.base import make_rng
+from repro.rng.batched import make_batched_rng
+from repro.rng.detmath import _PI_OVER_2, det_cos_2pi, det_log
+from repro.rng.distributions import DISTRIBUTIONS, GAUSSIAN
+
+FAMILIES = ("philox", "threefry", "xoshiro")
+SEEDS = (5, 6, 7)
+R = 3
+JS = np.array([9, 0, 31, 4, 4, 17, 2, 63, 8, 11, 25, 1, 40, 12, 7, 3, 99,
+               5, 18, 6, 21, 13, 50, 10, 30], dtype=np.int64)
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+# 1000 lanes with d1 = 150 gives xoshiro column groups (1000 // 64 = 15
+# columns) wider than a transform chunk (1000 // 150 = 6 columns).
+@pytest.fixture(params=[1, 7, 1000, rb.CHUNK_LANES], ids=lambda n: f"lanes{n}")
+def chunk_lanes(request, monkeypatch):
+    monkeypatch.setattr(rb, "CHUNK_LANES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("d1", [40, 150])
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("family", FAMILIES)
+class TestChunkBoundaries:
+    def test_single_matches_unchunked(self, family, dist, d1, chunk_lanes):
+        rng = make_rng(family, 42, dist)
+        got = rng.column_block_batch(R, d1, JS)
+        assert rng.samples_generated == d1 * JS.size
+        whole = rng.dist.sample_from_bits(rng._bits_block(R, d1, JS))
+        assert _bits_equal(got, whole)
+
+    def test_batched_matches_unchunked(self, family, dist, d1, chunk_lanes):
+        brng = make_batched_rng(family, SEEDS, dist)
+        got = brng.column_block_stack(R, d1, JS)
+        assert got.flags.c_contiguous
+        for m in brng.members:
+            assert m.samples_generated == d1 * JS.size
+        whole = brng.dist.sample_from_bits(brng._bits_chunk(R, d1, JS))
+        assert _bits_equal(got, whole)
+        for t, seed in enumerate(SEEDS):
+            assert _bits_equal(
+                got[t], make_rng(family, seed, dist).column_block_batch(
+                    R, d1, JS))
+
+
+def _around(x, ulps=2):
+    """*x* and its neighbours up to *ulps* units in the last place."""
+    vals = [float(x)]
+    for direction in (np.inf, -np.inf):
+        v = float(x)
+        for _ in range(ulps):
+            v = float(np.nextafter(v, direction))
+            vals.append(v)
+    return vals
+
+
+def _twin_equal(vectorized, scalar, xs):
+    xs = np.asarray(sorted(set(xs)), dtype=np.float64)
+    want = np.array([scalar(float(x)) for x in xs], dtype=np.float64)
+    assert _bits_equal(vectorized(xs), want)
+    # Same bits when the result lands in a strided view, in place.
+    buf = np.zeros((2, xs.size))
+    vectorized(xs.copy(), out=buf[1])
+    assert _bits_equal(buf[1], want)
+
+
+class TestDetmathBranchEdges:
+    def test_cos_quadrant_edges(self):
+        # u = k/4 +- 1 ulp: the quadrant index n changes there.
+        us = [v for k in range(5) for v in _around(k / 4, ulps=1)]
+        us = [u for u in us if 0.0 <= u < 1.0]
+        _twin_equal(det_cos_2pi, rj.cos_2pi_det, us)
+
+    def test_cos_qx_edges(self):
+        # |theta| = 0.3 and 0.78125 switch the k_cos qx correction; reach
+        # them from every quadrant, on both sides of each edge.
+        us = []
+        for edge in (0.3, 0.78125):
+            g = edge / _PI_OVER_2
+            for k in range(4):
+                for sign in (1.0, -1.0):
+                    u = (k + sign * g) / 4.0
+                    if 0.0 <= u < 1.0:
+                        us.extend(_around(u, ulps=3))
+        theta = np.abs((4.0 * np.array(us) - np.floor(4.0 * np.array(us)
+                                                      + 0.5)) * _PI_OVER_2)
+        for edge in (0.3, 0.78125):
+            assert (theta < edge).any() and (theta > edge).any()
+        _twin_equal(det_cos_2pi, rj.cos_2pi_det, us)
+
+    def test_log_edges(self):
+        # u1 = 0.5 / 2**32 is the smallest Box-Muller input; sqrt(1/2)
+        # moves m into the doubled branch; powers of two are exact.
+        xs = (_around(0.5 / 2**32) + _around(0.70710678118654752440)
+              + _around(0.5) + _around(0.25) + _around(1.0 - 2**-33))
+        _twin_equal(det_log, rj.log_det, xs)
+
+    def test_gaussian_extreme_bits(self):
+        # hi = 0 gives u1 = 0.5 / 2**32 (the largest radius); lo spans the
+        # quadrant edges of u2.
+        los = [0, 1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 3 * 2**30,
+               2**32 - 1]
+        his = [0, 1, 2**31, 2**32 - 1]
+        bits = np.array([(h << 32) | lo for h in his for lo in los],
+                        dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            want = np.array([rj.u64_to_gaussian(b) for b in bits])
+        assert _bits_equal(GAUSSIAN.sample_from_bits(bits), want)

@@ -8,8 +8,11 @@ must be deliberate.
 """
 
 import numpy as np
+import pytest
 
-from repro.rng import PhiloxSketchRNG, ThreefrySketchRNG, XoshiroSketchRNG
+from repro.persist.checksum import checksum_bytes
+from repro.rng import (PhiloxSketchRNG, ThreefrySketchRNG, XoshiroSketchRNG,
+                       make_rng)
 from repro.rng.philox import key_from_seed, philox_uint64
 from repro.rng.splitmix import splitmix64_stream
 from repro.rng.threefry import key_pair_from_seed, threefry_uint64
@@ -79,3 +82,51 @@ class TestGoldenSamples:
         assert checksum == np.float64(Ahat.sum())  # deterministic platform-wide
         # Value captured at v1.0.0:
         np.testing.assert_allclose(checksum, -20.54257487446298, rtol=0, atol=0)
+
+
+class TestGoldenGaussian:
+    """Box–Muller through ``detmath`` for every generator family."""
+
+    @pytest.mark.parametrize("cls, expected", [
+        (PhiloxSketchRNG, [-1.1041133714128886, 0.46898401143525476,
+                           0.14790944731005123, 0.008751609604264025]),
+        (ThreefrySketchRNG, [-0.3696998880890572, -0.5156338053838206,
+                             -0.6730048588201428, -1.1551387266279238]),
+        (XoshiroSketchRNG, [-0.25835626590210164, -0.7760834304430744,
+                            -0.30756953078904226, 0.12594949675219186]),
+    ])
+    def test_gaussian_seed42(self, cls, expected):
+        np.testing.assert_array_equal(
+            cls(42, "gaussian").column_block(0, 4, 0), np.array(expected))
+
+
+#: CRC-32 of the canonical little-endian float64 bytes (what
+#: ``repro.serve.sketch_digest`` hashes; the algorithm is pinned so the
+#: vector does not depend on whether xxhash is installed) of
+#: ``column_block_batch(0, 240, js)`` with 600 scattered columns — a
+#: block of 144000 entries, several sampling chunks wide.
+_MULTI_CHUNK_CRC32 = {
+    ("philox", "uniform"): "22b355aa",
+    ("philox", "uniform_scaled"): "a32c24dc",
+    ("philox", "rademacher"): "c72f67a5",
+    ("philox", "gaussian"): "23b928de",
+    ("threefry", "uniform"): "70efb587",
+    ("threefry", "uniform_scaled"): "943f7713",
+    ("threefry", "rademacher"): "614ed225",
+    ("threefry", "gaussian"): "c0b130f2",
+    ("xoshiro", "uniform"): "70b803d4",
+    ("xoshiro", "uniform_scaled"): "49e53121",
+    ("xoshiro", "rademacher"): "f797e14f",
+    ("xoshiro", "gaussian"): "602caeeb",
+}
+
+
+@pytest.mark.parametrize("family, dist", sorted(_MULTI_CHUNK_CRC32))
+def test_multi_chunk_block_digest_seed42(family, dist):
+    js = (np.arange(600, dtype=np.int64) * 7919) % 5003
+    rng = make_rng(family, 42, dist)
+    block = rng.column_block_batch(0, 240, js)
+    canonical = np.ascontiguousarray(block, dtype="<f8").tobytes()
+    assert checksum_bytes(canonical, "crc32") == \
+        _MULTI_CHUNK_CRC32[(family, dist)]
+    assert rng.samples_generated == 240 * 600
