@@ -21,7 +21,9 @@ Conventions
 from __future__ import annotations
 
 import functools
+import json
 import os
+import sys
 import time
 from pathlib import Path
 from typing import Callable
@@ -193,3 +195,32 @@ def paper_scale_crossover(case: MatrixCase, *, b_d: int = 3000,
 def shape_check(condition: bool, message: str) -> str:
     """Return an OK/WARNING line for a shape expectation (never raises)."""
     return f"[shape OK] {message}" if condition else f"[shape WARNING] {message}"
+
+
+def record_or_gate(label: str, payload: dict, baseline: Path, record: bool,
+                   failures: Callable[[dict], list[str]], ok: str) -> None:
+    """The command-line tail every bench gate shares; always exits.
+
+    With *record*, *payload* becomes the baseline at *baseline* and the
+    process exits 0.  Otherwise the run is gated: a missing baseline
+    exits 1, and so does any line ``failures(baseline_payload)`` returns;
+    a pass prints *ok*.  Only an explicit ``--record`` writes the
+    baseline, so a gate cannot ratchet it down with slow drift.
+    """
+    if record:
+        baseline.parent.mkdir(exist_ok=True)
+        baseline.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        print(f"\n{label}: recorded the baseline to {baseline}")
+        sys.exit(0)
+    if not baseline.exists():
+        print(f"\n{label}: no baseline at {baseline}; run with --record "
+              "to make one", file=sys.stderr)
+        sys.exit(1)
+    lines = failures(json.loads(baseline.read_text()))
+    if lines:
+        print(f"\n{label}: FAILED", file=sys.stderr)
+        for line in lines:
+            print(f"  {line}", file=sys.stderr)
+        sys.exit(1)
+    print(f"\n{label}: {ok}")
+    sys.exit(0)

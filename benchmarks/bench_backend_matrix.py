@@ -26,14 +26,13 @@ work, not on how much scratch they happen to stream.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, shape_check
+from _harness import REPEATS, emit_report, record_or_gate, shape_check
 
 from repro.kernels import KernelWorkspace, available_backends, get_backend
 from repro.kernels.blocking import sketch_spmm
@@ -132,11 +131,6 @@ def compare_to_baseline(baseline: dict, current: dict,
     return failures
 
 
-def _write_baseline(payload: dict, path: Path = GATE_PATH) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 def _report_rows(payload: dict) -> list[list]:
     return [[e["kernel"], e["backend"], e["distribution"],
              round(e["seconds"], 5), round(e["gbs"], 3),
@@ -172,7 +166,6 @@ def test_backend_matrix_report(benchmark):
 
 if __name__ == "__main__":
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="Backend perf-regression gate (compare against the "
@@ -192,22 +185,8 @@ if __name__ == "__main__":
     current = measure_backend_matrix(args.repeats)
     for row in _report_rows(current):
         print("  ".join(str(c) for c in row))
-    baseline_path = Path(args.baseline)
-    if args.record:
-        _write_baseline(current, baseline_path)
-        print(f"\nbench-gate: recorded {len(current['entries'])} cells "
-              f"to {baseline_path}")
-        sys.exit(0)
-    if not baseline_path.exists():
-        print(f"\nbench-gate: no baseline at {baseline_path}; "
-              "run with --record to make one", file=sys.stderr)
-        sys.exit(1)
-    baseline = json.loads(baseline_path.read_text())
-    failures = compare_to_baseline(baseline, current, args.tolerance)
-    if failures:
-        print("\nbench-gate: PERFORMANCE REGRESSION", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        sys.exit(1)
-    print(f"\nbench-gate: OK ({len(current['entries'])} cells, "
-          f"tolerance {args.tolerance:.0%})")
+    record_or_gate(
+        "bench-gate", current, Path(args.baseline), args.record,
+        lambda base: compare_to_baseline(base, current, args.tolerance),
+        f"OK ({len(current['entries'])} cells, tolerance "
+        f"{args.tolerance:.0%})")

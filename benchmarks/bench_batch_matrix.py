@@ -10,12 +10,14 @@ batched stack is *bit-identical* slice-by-slice to the independent runs
 
 Two consumers:
 
-* ``pytest benchmarks/ --benchmark-only`` — prints the matrix and
-  refreshes ``reports/BENCH_batch.json``;
+* ``pytest benchmarks/ --benchmark-only`` — prints the matrix;
 * ``make batch-smoke`` (``python benchmarks/bench_batch_matrix.py``) —
   re-measures and fails when any cell that met the 1.5x bar in the
   committed baseline drops below it (minus the noise tolerance), or when
-  bit-identity breaks.  On a pass the baseline is refreshed.
+  bit-identity breaks.
+
+Neither path rewrites the baseline; re-record it deliberately with
+``python benchmarks/bench_batch_matrix.py --record``.
 
 The headline number is the *best* cell's ratio: the batching win is an
 amortization of per-call RNG pipeline setup and of A's traversal, so its
@@ -25,13 +27,12 @@ sustain >= 1.5x — that floor is the gate.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, shape_check
+from _harness import REPEATS, emit_report, record_or_gate, shape_check
 
 from repro.kernels import KernelWorkspace, get_backend
 from repro.kernels.blocking import sketch_spmm, sketch_spmm_batched
@@ -156,11 +157,6 @@ def compare_to_baseline(baseline: dict, current: dict,
     return failures
 
 
-def _write_baseline(payload: dict) -> None:
-    GATE_PATH.parent.mkdir(exist_ok=True)
-    GATE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 def _report_rows(payload: dict) -> list[list]:
     return [[e["kernel"], e["rng"], e["batch"],
              round(e["sequential_seconds"], 4),
@@ -187,13 +183,11 @@ def test_batch_matrix_report(benchmark):
         _report_rows(payload),
         notes="\n".join(notes),
     )
-    _write_baseline(payload)
     assert all(e["bit_identical"] for e in entries.values())
 
 
 if __name__ == "__main__":
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="Batched-sketching perf gate (compare against the "
@@ -205,27 +199,16 @@ if __name__ == "__main__":
                              "(default: the batch_ratio per-metric "
                              "tolerance; see summarize_reports.py)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument("--force-update", action="store_true",
-                        help="refresh the baseline even on regression")
+    parser.add_argument("--record", action="store_true",
+                        help="write this run to the baseline file instead "
+                             "of gating against it")
     args = parser.parse_args()
 
     current = measure_batch_matrix(args.repeats)
     for row in _report_rows(current):
         print("  ".join(str(c) for c in row))
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        failures = compare_to_baseline(baseline, current, args.tolerance)
-        if failures:
-            print("\nbatch-gate: FAILED", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            if not args.force_update:
-                sys.exit(1)
-        else:
-            print(f"\nbatch-gate: OK ({len(current['entries'])} cells, "
-                  f"best {current['best_ratio']:.2f}x, "
-                  f"bar {TARGET_RATIO}x)")
-    else:
-        print(f"\nbatch-gate: no baseline at {baseline_path}; recording one")
-    _write_baseline(current)
+    record_or_gate(
+        "batch-gate", current, Path(args.baseline), args.record,
+        lambda base: compare_to_baseline(base, current, args.tolerance),
+        f"OK ({len(current['entries'])} cells, best "
+        f"{current['best_ratio']:.2f}x, bar {TARGET_RATIO}x)")

@@ -7,15 +7,19 @@ directory, then against the directory the cold run populated.  Two
 consumers:
 
 * ``pytest benchmarks/ --benchmark-only`` — prints the comparison next to
-  the paper tables and refreshes ``reports/BENCH_cache.json``;
+  the paper tables;
 * ``make cache-smoke`` (``python benchmarks/bench_cache_warm.py``) —
   re-measures and fails unless the warm run (a) issued **zero** autotune
   probes and **zero** blocked-CSR conversions (asserted through the
   cache's per-artifact miss counters and the run's
   ``blocked_csr_source``), (b) beat the cold run by at least
   ``REPRO_CACHE_GATE_MIN_SPEEDUP`` (default 2x), and (c) produced a
-  bit-identical sketch.  When a committed baseline exists the warm
-  speedup is also gated against it with ``REPRO_BENCH_GATE_TOL``.
+  bit-identical sketch.  The warm speedup is also gated against the
+  committed baseline with ``REPRO_BENCH_GATE_TOL``; a missing baseline
+  fails the gate.
+
+Neither path rewrites the baseline; re-record it deliberately with
+``python benchmarks/bench_cache_warm.py --record``.
 
 Every timed run constructs a fresh :class:`ArtifactCache` so the warm
 legs exercise the disk path (checksum verification included), not the
@@ -24,7 +28,6 @@ in-process memo.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import statistics
@@ -33,7 +36,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, shape_check
+from _harness import REPEATS, emit_report, record_or_gate, shape_check
 
 from repro.cache import ArtifactCache, CachePolicy
 from repro.core import SketchConfig
@@ -157,11 +160,6 @@ def compare_to_baseline(baseline: dict, current: dict,
     return []
 
 
-def _write_baseline(payload: dict) -> None:
-    GATE_PATH.parent.mkdir(exist_ok=True)
-    GATE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 def _report_rows(payload: dict) -> list[list]:
     return [
         ["cold", round(payload["cold_seconds"], 4), "1.0x",
@@ -192,7 +190,6 @@ def test_cache_warm_report(benchmark):
         _report_rows(payload),
         notes="\n".join(notes),
     )
-    _write_baseline({k: v for k, v in payload.items() if k != "sketch"})
     # Correctness is a hard assertion even in the soft-shape bench leg.
     assert payload["sketch_identical"]
     assert payload["plan_digest_stable"]
@@ -200,7 +197,6 @@ def test_cache_warm_report(benchmark):
 
 if __name__ == "__main__":
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="Warm-cache regression gate (zero probes, zero "
@@ -216,27 +212,17 @@ if __name__ == "__main__":
                         help="hard floor on cold/warm speedup (default "
                              "from REPRO_CACHE_GATE_MIN_SPEEDUP or 2.0)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument("--force-update", action="store_true",
-                        help="refresh the baseline even on failure")
+    parser.add_argument("--record", action="store_true",
+                        help="write this run to the baseline file instead "
+                             "of gating against it")
     args = parser.parse_args()
 
     current = measure_cache_warm(args.repeats)
     for row in _report_rows(current):
         print("  ".join(str(c) for c in row))
-    failures = structural_failures(current, args.min_speedup)
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        failures += compare_to_baseline(
-            json.loads(baseline_path.read_text()), current, args.tolerance)
-    else:
-        print(f"\ncache-smoke: no baseline at {baseline_path}; recording one")
-    if failures:
-        print("\ncache-smoke: FAILED", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        if not args.force_update:
-            sys.exit(1)
-    else:
-        print(f"\ncache-smoke: OK (warm {current['warm_speedup']:.2f}x, "
-              f"zero probes, zero conversions, bit-identical)")
-    _write_baseline(current)
+    record_or_gate(
+        "cache-smoke", current, Path(args.baseline), args.record,
+        lambda base: (structural_failures(current, args.min_speedup)
+                      + compare_to_baseline(base, current, args.tolerance)),
+        f"OK (warm {current['warm_speedup']:.2f}x, zero probes, zero "
+        f"conversions, bit-identical)")

@@ -9,15 +9,19 @@ scaling simulator (:func:`repro.parallel.simulate_strong_scaling` with
 is free.  Two consumers:
 
 * ``pytest benchmarks/ --benchmark-only`` — prints the sharded-vs-
-  unsharded comparison and refreshes ``reports/BENCH_shard.json``;
+  unsharded comparison;
 * ``make shard-smoke`` (``python benchmarks/bench_shard_scaling.py``) —
   re-measures on the supervised **process pool** and fails unless
   (a) every sharded sketch is **bit-identical** to the unsharded one,
   (b) the run executed the requested shard count, and (c) the
   simulator's predicted sharded/unsharded time ratio is within
   ``REPRO_SHARD_GATE_TOL`` (absolute, default 0.5) of the measured
-  ratio.  When a committed baseline exists the measured ratio is also
-  gated against it with ``REPRO_BENCH_GATE_TOL``.
+  ratio.  The measured ratio is also gated against the committed
+  baseline with ``REPRO_BENCH_GATE_TOL``; a missing baseline fails the
+  gate.
+
+Neither path rewrites the baseline; re-record it deliberately with
+``python benchmarks/bench_shard_scaling.py --record``.
 
 The ratio — not absolute seconds — is what transfers across hosts: both
 simulator and measurement agree the sharded run costs the unsharded run
@@ -26,14 +30,13 @@ plus a merge term, and the gate pins that agreement.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, shape_check
+from _harness import REPEATS, emit_report, record_or_gate, shape_check
 
 from repro.core import SketchConfig
 from repro.model import LAPTOP
@@ -165,11 +168,6 @@ def compare_to_baseline(baseline: dict, current: dict,
     return []
 
 
-def _write_baseline(payload: dict) -> None:
-    GATE_PATH.parent.mkdir(exist_ok=True)
-    GATE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
 def _report_rows(payload: dict) -> list[list]:
     return [
         ["unsharded", round(payload["unsharded_seconds"], 4), "1.000",
@@ -205,14 +203,12 @@ def test_shard_scaling_report(benchmark):
         _report_rows(payload),
         notes="\n".join(notes),
     )
-    _write_baseline({k: v for k, v in payload.items() if k != "sketch"})
     # Correctness is a hard assertion even in the soft-shape bench leg.
     assert payload["sketch_identical"]
 
 
 if __name__ == "__main__":
     import argparse
-    import sys
 
     parser = argparse.ArgumentParser(
         description="Sharded-execution regression gate (bit-identical "
@@ -230,29 +226,18 @@ if __name__ == "__main__":
                              "allowed (default from REPRO_SHARD_GATE_TOL "
                              "or 0.5)")
     parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument("--force-update", action="store_true",
-                        help="refresh the baseline even on failure")
+    parser.add_argument("--record", action="store_true",
+                        help="write this run to the baseline file instead "
+                             "of gating against it")
     args = parser.parse_args()
 
     current = measure_shard_scaling(args.repeats)
     for row in _report_rows(current):
         print("  ".join(str(c) for c in row))
-    failures = structural_failures(current, args.ratio_tolerance)
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        failures += compare_to_baseline(
-            json.loads(baseline_path.read_text()), current, args.tolerance)
-    else:
-        print(f"\nshard-smoke: no baseline at {baseline_path}; recording one")
-    if failures:
-        print("\nshard-smoke: FAILED", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        if not args.force_update:
-            sys.exit(1)
-    else:
-        print(f"\nshard-smoke: OK (ratio measured "
-              f"{current['measured_ratio']:.3f} vs predicted "
-              f"{current['predicted_ratio']:.3f}, bit-identical, "
-              f"{current['shards_executed']} shards)")
-    _write_baseline(current)
+    record_or_gate(
+        "shard-smoke", current, Path(args.baseline), args.record,
+        lambda base: (structural_failures(current, args.ratio_tolerance)
+                      + compare_to_baseline(base, current, args.tolerance)),
+        f"OK (ratio measured {current['measured_ratio']:.3f} vs "
+        f"predicted {current['predicted_ratio']:.3f}, bit-identical, "
+        f"{current['shards_executed']} shards)")

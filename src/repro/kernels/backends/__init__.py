@@ -23,10 +23,10 @@ Bit-identity contract: every backend produces the exact same
 counter→sample mapping (see :mod:`repro.rng.jit`), and the ``numba``
 backend reproduces the *reference* kernels' accumulation order exactly,
 so its output is bit-identical to :func:`algo3_block_reference` /
-:func:`algo4_block_reference`.  The vectorized ``numpy`` kernels reorder
-floating-point accumulation (matmul/segment sums), so across backends the
-accumulated entries agree to a few ulps while the generated samples agree
-bit-for-bit; ``docs/performance.md`` spells out the guarantee.
+:func:`algo4_block_reference`.  So is ``numpy``'s Algorithm 4, which keeps
+the reference order (``tests/kernels/test_algo4.py``); its Algorithm 3
+reorders accumulation (matmul/segment sums) and agrees to a few ulps,
+with bit-identical samples; ``docs/performance.md`` spells this out.
 """
 
 from __future__ import annotations

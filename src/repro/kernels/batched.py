@@ -10,16 +10,20 @@ kernels hoist all of that shared work out of the per-sketch loop:
   every sketch of the batch (counter construction and the vectorized
   Philox/Threefry rounds amortize; see
   :class:`~repro.rng.batched.BatchedSketchRNG`);
-* the CSC group boundaries (Algorithm 3) and the concatenated
-  cols/vals/owner gather pattern (Algorithm 4) are computed once and
-  reused for all ``k`` accumulations.
+* the CSC group boundaries (Algorithm 3) and the row structure
+  (Algorithm 4, :func:`~repro.kernels.algo4.algo4_row_plan`) are
+  computed once and reused for all ``k`` accumulations.
 
 Bit-identity contract: for every sketch ``t`` the floating-point update
 sequence applied to ``Ahat_stack[t]`` is exactly the sequence
 :func:`~repro.kernels.algo3.algo3_block` /
 :func:`~repro.kernels.algo4.algo4_block` applies — same panels, same
-group boundaries, same ufunc forms — so the batched output equals ``k``
-independent single-sketch runs bit for bit.
+group boundaries, same ufunc forms, the same
+:func:`~repro.kernels.algo4.algo4_apply` — so the batched output equals
+``k`` independent single-sketch runs bit for bit.  Against the reference
+kernels, Algorithm 3's segment sums reorder accumulation (a few ulps);
+Algorithm 4 keeps the reference order and is exact
+(``tests/kernels/test_algo4.py::TestExactlyReferenceOrdered``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from ..rng.batched import BatchedSketchRNG
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..utils.timing import Stopwatch
+from .algo4 import algo4_apply, algo4_row_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import KernelWorkspace
@@ -121,8 +126,9 @@ def algo4_block_batched(Ahat_stack, A_blk: CSRMatrix, r: int,
 
     The per-block panel is generated once for all sketches (``(k, d1,
     #non-empty rows)`` — the quantity Section III-B bounds, times ``k``)
-    and the scatter index structures (cols/vals/owner) are built once per
-    row chunk and reused across the batch.
+    and the block's row structure (:func:`algo4_row_plan`) is built once
+    and applied to each member by the single kernel's
+    :func:`algo4_apply`.
     """
     n1 = A_blk.shape[1]
     k, d1 = _check_stack(Ahat_stack, brng, n1)
@@ -135,59 +141,7 @@ def algo4_block_batched(Ahat_stack, A_blk: CSRMatrix, r: int,
         return
     with sw.bucket("sample"):
         V_stack = brng.column_block_stack(r, d1, js)
-    row_nnz = np.diff(A_blk.indptr)[js]
-    avg_row_nnz = float(row_nnz.mean())
     with sw.bucket("compute"):
-        if avg_row_nnz >= 8.0:
-            # Long rows: the cols/vals slices are shared; each sketch
-            # replays the same vectorized scaled-column add per row.
-            for t_row in range(js.size):
-                j = int(js[t_row])
-                lo, hi = A_blk.indptr[j], A_blk.indptr[j + 1]
-                cols = A_blk.indices[lo:hi]
-                vals = A_blk.data[lo:hi]
-                for t in range(k):
-                    if workspace is None:
-                        Ahat_stack[t][:, cols] += \
-                            V_stack[t][:, t_row:t_row + 1] * vals
-                    else:
-                        scaled = workspace.get("algo4.scaled", (d1, hi - lo))
-                        np.multiply(V_stack[t][:, t_row:t_row + 1], vals,
-                                    out=scaled)
-                        Ahat_stack[t][:, cols] += scaled
-        else:
-            # Short rows: one concatenated gather per chunk, shared by
-            # the whole batch, then one scatter-add per sketch.
-            indptr = A_blk.indptr
-            for t0 in range(0, js.size, row_chunk):
-                t1 = min(t0 + row_chunk, js.size)
-                chunk_js = js[t0:t1]
-                spans = [slice(int(indptr[j]), int(indptr[j + 1]))
-                         for j in chunk_js]
-                chunk_nnz = int(row_nnz[t0:t1].sum())
-                if workspace is None:
-                    cols = np.concatenate([A_blk.indices[s] for s in spans])
-                    vals = np.concatenate([A_blk.data[s] for s in spans])
-                    owner = np.repeat(np.arange(t0, t1), row_nnz[t0:t1])
-                    for t in range(k):
-                        scaled = V_stack[t][:, owner] * vals
-                        np.add.at(Ahat_stack[t].T, cols, scaled.T)
-                else:
-                    cols = workspace.get("algo4.cols", (chunk_nnz,), np.int64)
-                    np.concatenate([A_blk.indices[s] for s in spans],
-                                   out=cols)
-                    vals = workspace.get("algo4.vals", (chunk_nnz,))
-                    np.concatenate([A_blk.data[s] for s in spans], out=vals)
-                    owner = workspace.get("algo4.owner", (chunk_nnz,),
-                                          np.int64)
-                    pos = 0
-                    for tt in range(t0, t1):
-                        width = int(row_nnz[tt])
-                        owner[pos:pos + width] = tt
-                        pos += width
-                    for t in range(k):
-                        taken = workspace.get("algo4.taken", (d1, chunk_nnz))
-                        np.take(V_stack[t], owner, axis=1, out=taken)
-                        scaled = workspace.get("algo4.scaled", (d1, chunk_nnz))
-                        np.multiply(taken, vals, out=scaled)
-                        np.add.at(Ahat_stack[t].T, cols, scaled.T)
+        plan = algo4_row_plan(A_blk, js, row_chunk)
+        for t in range(k):
+            algo4_apply(Ahat_stack[t], V_stack[t], plan, workspace)

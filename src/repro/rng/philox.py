@@ -72,20 +72,35 @@ def _philox_words(c0, c1, c2, c3, key, rounds: int,
         xw[...] = c
     p0 = sc.take("philox.p0", shape, np.uint64)
     p1 = sc.take("philox.p1", shape, np.uint64)
+    # A batch's keys (one per leading-axis slice) are XORed as scalars
+    # into each member's slice: a broadcast (k, 1, 1) key walks d1 short
+    # rows per member, at about three times the cost per lane.
+    n_keys = k0.size
+    if k1.size != n_keys or n_keys > 1 and not k0.shape == k1.shape == (
+            (n_keys,) + (1,) * (len(shape) - 1)):
+        raise ValueError("key words must be scalars or one word per "
+                         "leading-axis slice, shape (k, 1, ..., 1)")
+    slices = list(zip(x0.reshape(n_keys, -1), x2.reshape(n_keys, -1)))
     for _ in range(rounds):
         np.multiply(x0, _MUL_A, out=p0)
         np.multiply(x2, _MUL_B, out=p1)
         # Philox round permutation (Salmon et al., Table 2):
         # x0 <- hi(p1) ^ x1 ^ k0, x1 <- lo(p1), x2 <- hi(p0) ^ x3 ^ k1,
-        # x3 <- lo(p0).
+        # x3 <- lo(p0).  Nothing reads x0 or x2 after their key XOR, so
+        # both XORs close the round.
         np.right_shift(p1, _32, out=x0)
         x0 ^= x1
-        x0 ^= k0
         np.bitwise_and(p1, _LO32, out=x1)
         np.right_shift(p0, _32, out=x2)
         x2 ^= x3
-        x2 ^= k1
         np.bitwise_and(p0, _LO32, out=x3)
+        if n_keys == 1:
+            x0 ^= k0
+            x2 ^= k1
+        else:
+            for (lane0, lane2), w0, w1 in zip(slices, k0.flat, k1.flat):
+                lane0 ^= w0
+                lane2 ^= w1
         k0 = (k0 + _WEYL_A) & _LO32
         k1 = (k1 + _WEYL_B) & _LO32
     return x
@@ -108,8 +123,8 @@ def philox4x32(
         counter words of each lane.
     key:
         ``(k0, k1)`` pair of ``uint32`` key words (see :func:`key_from_seed`).
-        Each word may also be a ``uint32`` *array* (e.g. shape ``(k, 1, 1)``
-        holding one key per sketch of a batch); the round function is
+        Each word may also be a ``uint32`` *array* of shape ``(k, 1, ...,
+        1)`` holding one key per sketch of a batch; the round function is
         purely elementwise, so every slice of the broadcast output is
         bit-identical to a scalar-key call with that slice's key.
     rounds:
