@@ -51,11 +51,13 @@ obs-smoke:
 
 # Process-pool crash-tolerance leg: the supervised worker-pool suite
 # (SIGKILL / hang / corrupt-tile recovery, bit-identical output) plus a
-# CLI smoke run on the process driver.  Everything is wrapped in a hard
-# wall-clock timeout so a supervisor deadlock fails the build instead of
-# hanging it.
+# CLI smoke run on the process driver, plus the fleet-floor differential
+# test (every worker gets a block task, bit-identically).  Everything is
+# wrapped in a hard wall-clock timeout so a supervisor deadlock fails the
+# build instead of hanging it.
 procpool-smoke:
 	timeout 300 python -m pytest tests/parallel/test_procpool.py -q
+	timeout 300 python -m pytest tests/plan/test_fleet_blocking.py -q
 	timeout 120 python -m repro sketch --random 200 60 0.05 \
 	  --driver process --workers 2 --worker-heartbeat 10
 

@@ -102,6 +102,7 @@ KNOWN_METRIC_FAMILIES = frozenset({
     "cache_hits_total", "cache_misses_total", "cache_evictions_total",
     "serve_requests_admitted_total", "serve_requests_shed_total",
     "serve_requests_total", "serve_request_seconds",
+    "serve_queue_wait_seconds",
     "requests_coalesced_total", "batch_size",
     "serve_deadline_missed_total", "serve_queue_depth",
     "serve_drains_total", "dropped_events",

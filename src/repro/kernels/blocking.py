@@ -37,7 +37,7 @@ from .backends import KernelBackend, KernelWorkspace, resolve_backend
 from .stats import KernelStats
 
 __all__ = ["sketch_spmm", "sketch_spmm_batched", "iter_block_tasks",
-           "default_block_sizes"]
+           "block_task_count", "default_block_sizes"]
 
 KernelName = Literal["algo3", "algo4"]
 
@@ -76,6 +76,11 @@ def iter_block_tasks(d: int, n: int, b_d: int, b_n: int) -> Iterator[tuple[int, 
         for i in range(0, d, b_d):
             d1 = min(b_d, d - i)
             yield i, d1, j, n1
+
+
+def block_task_count(d: int, n: int, b_d: int, b_n: int) -> int:
+    """How many tasks :func:`iter_block_tasks` yields for this grid."""
+    return ((d + b_d - 1) // b_d) * ((n + b_n - 1) // b_n)
 
 
 def sketch_spmm(

@@ -61,6 +61,7 @@ metric                          type      labels
 ``serve_requests_shed_total``   counter   ``reason`` (queue_full/breaker_open/draining)
 ``serve_requests_total``        counter   ``status`` (ok or the error type)
 ``serve_request_seconds``       histogram —
+``serve_queue_wait_seconds``    histogram — (admission to dequeue)
 ``requests_coalesced_total``    counter   — (requests served via a coalesced batch)
 ``batch_size``                  histogram — (requests per coalesced batched run)
 ``serve_deadline_missed_total`` counter   ``phase`` (queue/execute)
@@ -247,6 +248,8 @@ class RunObserver:
             "Completed requests by terminal status.", ("status",))
         self._m_request_seconds = r.histogram(
             "serve_request_seconds", "Dequeue-to-response latency.")
+        self._m_queue_wait_seconds = r.histogram(
+            "serve_queue_wait_seconds", "Admission-to-dequeue wait.")
         self._m_requests_coalesced = r.counter(
             "requests_coalesced_total",
             "Requests served inside a coalesced batched run "
@@ -417,6 +420,8 @@ class RunObserver:
     def _on_request_done(self, event) -> None:
         self._m_requests_served.inc(status=str(event.get("status", "ok")))
         self._m_request_seconds.observe(float(event.get("seconds", 0.0)))
+        self._m_queue_wait_seconds.observe(
+            float(event.get("queue_wait", 0.0)))
         self._m_queue_depth.set(float(event.get("queue_depth", 0)))
 
     def _on_requests_coalesced(self, event) -> None:

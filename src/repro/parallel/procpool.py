@@ -376,7 +376,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                     Ahat[..., i:i + d1, j:j + n1] = tile
                     # Claimed-before-commit: digest the *correct* bytes;
                     # the supervisor re-reads shared memory and verifies.
-                    digest = checksum_bytes(tile.tobytes(), algo)
+                    digest = checksum_bytes(memoryview(tile), algo)
                     if "corrupt_tile" in kinds and tile.size:
                         # Corrupt the shared tile after checksumming — the
                         # supervisor must reject this commit.
@@ -730,7 +730,7 @@ class ProcessPoolSupervisor:
 
         i, d1, j, n1 = task
         view = np.ascontiguousarray(self.Ahat[..., i:i + d1, j:j + n1])
-        return checksum_bytes(view.tobytes(), algo) == digest
+        return checksum_bytes(memoryview(view), algo) == digest
 
     def _on_commit(self, handle: _WorkerHandle, msg) -> None:
         from ..plan.events import BLOCK_DONE
@@ -1022,6 +1022,15 @@ class ProcessPoolSupervisor:
                 "the process driver cannot honour a persistence policy yet; "
                 "use driver='engine' for checkpointed runs")
 
+    def _fleet_want(self) -> int:
+        """Workers the current plan can keep busy: one per block task,
+        capped by the pool size."""
+        from ..kernels.blocking import block_task_count
+
+        p = self.plan
+        return min(self.pool.workers,
+                   block_task_count(p.problem.d, p.problem.n, p.b_d, p.b_n))
+
     def start(self) -> "ProcessPoolSupervisor":
         """Publish the shared input segments and spawn the worker fleet.
 
@@ -1038,10 +1047,7 @@ class ProcessPoolSupervisor:
             pool_start_method(self.pool.start_method))
         self._ensure_blocked()
         self._shm_names = self._create_segments()
-        d, n = self.plan.problem.d, self.plan.problem.n
-        n_tasks = (((d + self.plan.b_d - 1) // self.plan.b_d)
-                   * ((n + self.plan.b_n - 1) // self.plan.b_n))
-        self._fleet_target = min(self.pool.workers, max(1, n_tasks))
+        self._fleet_target = self._fleet_want()
         for _ in range(self._fleet_target):
             self._spawn_worker(self._ctx, self._shm_names)
         self._worker_digest = self.plan.digest()
@@ -1195,7 +1201,7 @@ class ProcessPoolSupervisor:
         # — but never resurrect a collapsed pool: that is the caller's
         # signal to recycle it.
         if self._workers:
-            want = min(self.pool.workers, max(1, len(self._tasks)))
+            want = self._fleet_want()
             self._fleet_target = max(self._fleet_target, want)
             while len(self._workers) < want:
                 self._spawn_worker(self._ctx, self._shm_names)

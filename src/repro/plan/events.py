@@ -124,7 +124,8 @@ SHARD_RESUMED = "shard_resumed"
 #: rejected by load shedding (payload ``request_id``, ``reason`` —
 #: ``"queue_full"`` / ``"breaker_open"`` / ``"draining"`` — and
 #: ``retry_after``), ``request_done`` when a response is produced
-#: (payload ``request_id``, ``status``, ``seconds``),
+#: (payload ``request_id``, ``status``, ``seconds`` — dequeue to
+#: response — and ``queue_wait``, admission to dequeue),
 #: ``requests_coalesced`` when an executor folds compatible queued
 #: requests into one batched run (payload ``batch`` — total requests in
 #: the pooled run, leader included — ``request_ids``, ``leader``),

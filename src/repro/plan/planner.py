@@ -27,9 +27,10 @@ from typing import TYPE_CHECKING
 
 from ..core.config import SketchConfig
 from ..errors import ConfigError
-from ..kernels.blocking import default_block_sizes
+from ..kernels.blocking import block_task_count, default_block_sizes
 from ..kernels.dispatch import choose_kernel
 from ..model.machine import LAPTOP, MachineModel
+from ..parallel.procpool import WorkerPoolConfig
 from ..utils.validation import check_choice, check_positive_int
 from .policy import PersistencePolicy
 from .spec import (
@@ -43,7 +44,6 @@ from .spec import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..cache.policy import CachePolicy
     from ..cache.store import ArtifactCache
-    from ..parallel.procpool import WorkerPoolConfig
     from ..sparse.csc import CSCMatrix
 
 __all__ = ["Planner", "compile_plan"]
@@ -105,7 +105,11 @@ class Planner:
         (``"auto"`` lets the runtime choose serial vs engine); *pool*
         configures the supervised worker pool when ``driver="process"``
         (a default :class:`~repro.parallel.WorkerPoolConfig` is
-        synthesized when omitted).  *partition* requests sharded
+        synthesized when omitted).  A plan that runs on several lanes —
+        pool workers, or ``config.threads`` on the other parallel
+        drivers — gets at least one block task per lane: unless
+        ``config.b_n`` pins it, ``b_n`` narrows (``b_d`` never moves,
+        so the sketch keeps every bit).  *partition* requests sharded
         execution: a :class:`~repro.plan.PartitionSpec` (or a bare shard
         count, which selects the ``even`` strategy) that the runtime
         resolves into per-shard sub-plans; every strategy produces a
@@ -224,6 +228,26 @@ class Planner:
         if cfg.b_n is not None:
             b_n = cfg.b_n
             block_reason += "; b_n overridden by config"
+        # Fleet floor (Section V-B: parallel runs want narrow b_n): give
+        # every lane a column block.  Only b_n narrows — RNG entries are
+        # keyed on (row block, sparse row), so column stripes keep every
+        # bit, while moving b_d would move xoshiro's.
+        if driver == "process":
+            lanes = (pool or WorkerPoolConfig()).workers
+        else:
+            lanes = 1 if driver == "serial" else cfg.threads
+        tasks = block_task_count(d_eff, n, b_d, b_n)
+        if lanes > 1 and cfg.b_n is None and tasks < lanes:
+            row_blocks = math.ceil(d_eff / b_d)
+            b_n = max(1, math.ceil(n / (lanes * row_blocks)))
+            # Rounding up can leave too few stripes (n=4 on 3 lanes).
+            while b_n > 1 and block_task_count(d_eff, n, b_d, b_n) < lanes:
+                b_n -= 1
+            block_reason += (f"; b_n narrowed so each of {lanes} lanes "
+                             f"gets a column block")
+            block_data = {**block_data, "lanes": lanes,
+                          "tasks_before": tasks,
+                          "tasks": block_task_count(d_eff, n, b_d, b_n)}
         decisions.append(PlanDecision(
             field="blocking", value=f"(b_d={b_d}, b_n={b_n})",
             reason=block_reason, data=block_data))

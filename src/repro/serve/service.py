@@ -327,6 +327,7 @@ class SketchService:
                     self.bus.emit(REQUEST_DONE,
                                   request_id=t.request.request_id,
                                   status=status, seconds=elapsed,
+                                  queue_wait=started - t.enqueued,
                                   queue_depth=self.queue.depth)
                     t.done.set()
 

@@ -86,6 +86,18 @@ class TestServing:
         assert next(iter(service._pools.values())) is pool
         assert doc["stats"]["conversion_seconds"] == 0.0
 
+    def test_warm_pool_fills_its_fleet(self, service):
+        # d=64 over 128 columns is one default block; the planner splits
+        # it into a column stripe per worker so neither core sits idle.
+        doc = service.handle({
+            "matrix": {"random": [8000, 128, 2e-3], "seed": 3},
+            "config": {"d": 64, "kernel": "algo4", "driver": "process",
+                       "workers": 2}})
+        assert doc["status"] == "ok"
+        pool = next(iter(service._pools.values()))
+        assert pool.health.tasks == 2
+        assert len(pool.worker_pids()) == 2
+
     def test_request_ids_assigned_and_echoed(self, service):
         doc = service.handle({"matrix": MATRIX, "config": {"d": 8}})
         assert doc["request_id"].startswith("r")
@@ -268,3 +280,34 @@ class TestEvents:
         assert REQUEST_ADMITTED in seen
         assert REQUEST_DONE in seen and seen[REQUEST_DONE]["status"] == "ok"
         assert seen[REQUEST_SHED]["reason"] == "breaker_open"
+
+    def test_queue_wait_recorded_behind_busy_executor(self):
+        from repro.obs import RunObserver
+        from repro.serve.protocol import parse_request
+
+        svc = SketchService(ServeConfig(queue_capacity=8, executors=1,
+                                        allow_chaos=True)).start()
+        obs = RunObserver(trace=False).attach(svc.bus)
+        waits = {}
+        svc.bus.subscribe(REQUEST_DONE, lambda e: waits.setdefault(
+            e.payload["request_id"], e.payload["queue_wait"]))
+        try:
+            busy = svc.submit(parse_request({
+                "matrix": MATRIX, "request_id": "busy",
+                "config": {"d": 12, "driver": "engine"},
+                "chaos": {"faults": [{"kind": "stall",
+                                      "sleep_seconds": 0.3}]},
+            }, allow_chaos=True))
+            time.sleep(0.1)  # let the one executor pick it up
+            held = svc.submit(parse_request({
+                "matrix": MATRIX, "request_id": "held",
+                "config": {"d": 8}}))
+            busy.wait(timeout=30.0)
+            held.wait(timeout=30.0)
+        finally:
+            svc.close()
+        assert waits["held"] > 0.0
+        families = {f.name: f for f in obs.registry.families()}
+        series = families["repro_serve_queue_wait_seconds"].series()
+        assert series["count"] == 2
+        assert series["sum"] >= waits["held"] > 0.0
