@@ -20,6 +20,7 @@ three-way blocking) onto Algorithm 1's practical two-parameter blocking
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +97,15 @@ def scan_objective(rho: float, M: int, h: float,
     return n1.astype(np.int64), g
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def optimize_blocks(rho: float, M: int, h: float,
                     n1_max: int | None = None) -> BlockPlan:
     """Numerically minimize Equation (4) over the tight-constraint family.
 
     Scans integer ``n1``, sets ``(d1, m1)`` to the constraint-saturating
-    values, and returns the best plan with its CI.
+    values, and returns the best plan with its CI.  The result is a pure
+    function of the arguments, so it is memoized: the planner asks for
+    the same numbers on every compile of a problem.
     """
     n1_vals, g = scan_objective(rho, M, h, n1_max=n1_max)
     best = int(n1_vals[np.argmin(g)])

@@ -18,8 +18,9 @@ driver process:
   commits a claim record over its pipe; the supervisor re-reads the
   shared bytes and only accepts the commit when the digest matches —
   a torn or corrupted write is requeued, never trusted;
-* **liveness** is supervised per worker: every task message doubles as
-  a heartbeat, so a SIGKILLed worker surfaces as a dead pipe and a hung
+* **liveness** is supervised per worker: dispatch counts as the first
+  heartbeat, and the worker heartbeats before each later task of a
+  batch, so a SIGKILLed worker surfaces as a dead pipe and a hung
   worker as a stale heartbeat past its deadline; either way the
   supervisor requeues the worker's uncommitted tasks (bit-identical
   RNG re-derivation makes the replay exact), kills what is left of the
@@ -100,8 +101,9 @@ class WorkerPoolConfig:
     heartbeat_timeout:
         Seconds of heartbeat silence after which a worker *with claimed
         tasks* is declared hung, killed, and its tasks requeued.  Idle
-        workers never time out.  Every pipe message doubles as a
-        heartbeat, and workers send one immediately before each task.
+        workers never time out.  Dispatch counts as the first
+        heartbeat; after it every pipe message doubles as one, and
+        workers send one before each later task of a batch.
     batch_size:
         Tasks shipped per dispatch message (0 = auto-sized from the
         task count and worker count).  Smaller batches narrow the blast
@@ -246,17 +248,21 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
     generators from the shipped plan, then serves task batches until a
     ``shutdown`` message or pipe closure.  A ``reload`` message rebinds
     the worker to a *new plan over the same input matrix* (remapping any
-    replaced segments — typically the output buffer), which is how the
-    serving daemon keeps a warm fleet across requests.  Injected process
-    faults arrive as plain dicts attached to each task and are applied
-    mechanically — the worker holds no injector state.
+    replaced segments — typically the output buffer); a task batch that
+    carries an RNG spec rebinds only the generator, for a plan that
+    differs in its seeds alone.  That is how the serving daemon keeps a
+    warm fleet across requests.  Injected process faults arrive as plain
+    dicts attached to each task and are applied mechanically — the
+    worker holds no injector state.
     """
+    import dataclasses
+
     import numpy as np
     from multiprocessing import shared_memory
 
     from ..kernels.backends import KernelWorkspace, resolve_backend
     from ..persist.checksum import checksum_bytes, default_algo
-    from ..plan.spec import SketchPlan
+    from ..plan.spec import RngSpec, SketchPlan
     from ..utils.timing import Stopwatch
 
     segs = {}
@@ -301,7 +307,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
         Ahat, rng, block_by_offset = bind(plan, problem)
         warm_rng = rng.members[0] if hasattr(rng, "members") else rng
         backend.warmup(warm_rng, np.float64)
-        conn.send(("ready", wid, os.getpid(), 0.0))
+        conn.send(("ready", wid, os.getpid()))
 
         while True:
             msg = conn.recv()
@@ -310,9 +316,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
             if msg[0] == "reload":
                 # A new plan over the same input matrix.  Pipe order
                 # guarantees the reload is applied before any task batch
-                # the supervisor sends afterwards, so no ack round trip
-                # is required for correctness; the "reloaded" message
-                # doubles as a heartbeat.
+                # the supervisor sends afterwards, so no ack is needed.
                 _tag, plan_data, shm_updates, problem = msg
                 remap(shm_updates)
                 plan = SketchPlan.from_dict(plan_data)
@@ -321,12 +325,18 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 # scratch buffer so a stale-shaped one can never be
                 # silently reused by the next tile.
                 workspace.reset()
-                conn.send(("reloaded", wid, os.getpid(), 0.0))
                 continue
             if msg[0] != "tasks":  # pragma: no cover - protocol guard
                 continue
-            for idx, task, faults in msg[1]:
-                conn.send(("hb", wid, idx))
+            _tag, items, rng_data = msg
+            if rng_data is not None:
+                # Same binding, new seeds: only the generator changes.
+                plan = dataclasses.replace(plan,
+                                           rng=RngSpec.from_dict(rng_data))
+                rng = plan.rng_factory()(wid)
+            for k, (idx, task, faults) in enumerate(items):
+                if k:  # the dispatch itself was the first heartbeat
+                    conn.send(("hb", wid, idx))
                 i, d1, j, n1 = task
                 kinds = {f["kind"] for f in faults}
                 try:
@@ -402,18 +412,35 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
 # -- supervisor -------------------------------------------------------------
 
 
+def _binding(plan: "SketchPlan") -> dict:
+    """Everything a worker's state depends on except the RNG seeds.
+
+    Two plans with equal bindings differ only in ``seed`` /
+    ``batch_seeds`` and in fields workers never read (``resilience``,
+    ``decisions``), so a warm worker moves between them by rebuilding
+    its generator alone.
+    """
+    record = plan.to_dict()
+    del record["resilience"], record["decisions"], record["rng"]["seed"]
+    record["rng"].pop("batch_seeds", None)
+    return record
+
+
 class _WorkerHandle:
     """Supervisor-side record of one live worker process."""
 
-    __slots__ = ("wid", "proc", "conn", "last_seen", "assigned", "pid")
+    __slots__ = ("wid", "proc", "conn", "last_seen", "assigned", "pid",
+                 "rng")
 
-    def __init__(self, wid, proc, conn) -> None:
+    def __init__(self, wid, proc, conn, rng: dict) -> None:
         self.wid = wid
         self.proc = proc
         self.conn = conn
         self.last_seen = time.monotonic()
         self.assigned: set[int] = set()
         self.pid = proc.pid
+        #: The RNG spec (``RngSpec.to_dict()``) the worker generates with.
+        self.rng = rng
 
 
 class ProcessPoolSupervisor:
@@ -487,9 +514,8 @@ class ProcessPoolSupervisor:
         self._tainted = False
         self._ctx = None
         self._shm_names: dict[str, str] = {}
-        self._worker_digest: str | None = None
+        self._binding: dict | None = None
         self._ahat_shape: tuple[int, int] | None = None
-        self._fleet_target = 0
         self._committed: set[int] = set()
         self._replays: dict[int, int] = {}
         self._dispatches: dict[int, int] = {}
@@ -587,13 +613,14 @@ class ProcessPoolSupervisor:
         if self.blocked is not None:
             problem["n_blocks"] = int(self.blocked.n_blocks)
             problem["blk_nnz"] = int(self.blocked.nnz)
+        plan_data = self.plan.to_dict()
         proc = ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, self.plan.to_dict(), shm_names, problem),
+            args=(wid, child_conn, plan_data, shm_names, problem),
             daemon=True, name=f"repro-worker-{wid}")
         proc.start()
         child_conn.close()
-        handle = _WorkerHandle(wid, proc, parent_conn)
+        handle = _WorkerHandle(wid, proc, parent_conn, plan_data["rng"])
         self._workers[wid] = handle
         self.health.workers_spawned += 1
         if respawn:
@@ -708,8 +735,12 @@ class ProcessPoolSupervisor:
             items.append((idx, task, faults))
             handle.assigned.add(idx)
         if items:
+            rng = self.plan.rng.to_dict()
             try:
-                handle.conn.send(("tasks", items))
+                handle.conn.send(("tasks", items,
+                                  rng if rng != handle.rng else None))
+                handle.rng = rng
+                handle.last_seen = time.monotonic()
             except (OSError, BrokenPipeError):
                 # The worker died between wait() and dispatch; undo the
                 # claim and let the liveness pass requeue cleanly.
@@ -783,10 +814,7 @@ class ProcessPoolSupervisor:
                     self._on_commit(handle, msg)
                 elif tag == "error":
                     self._on_error(handle, msg)
-                elif tag == "ready":
-                    self._conversion_seconds = max(self._conversion_seconds,
-                                                   float(msg[3]))
-                # "hb" needs no body: last_seen is already refreshed.
+                # "ready" and "hb" need no body: last_seen is refreshed.
         except (EOFError, OSError):
             self._lose_worker(handle, "crashed")
 
@@ -1047,10 +1075,9 @@ class ProcessPoolSupervisor:
             pool_start_method(self.pool.start_method))
         self._ensure_blocked()
         self._shm_names = self._create_segments()
-        self._fleet_target = self._fleet_want()
-        for _ in range(self._fleet_target):
+        for _ in range(self._fleet_want()):
             self._spawn_worker(self._ctx, self._shm_names)
-        self._worker_digest = self.plan.digest()
+        self._binding = _binding(self.plan)
         self._started = True
         return self
 
@@ -1105,6 +1132,7 @@ class ProcessPoolSupervisor:
         for handle in list(self._workers.values()):
             try:
                 handle.conn.send(("reload", plan_data, shm_updates, problem))
+                handle.rng = plan_data["rng"]
             except (OSError, BrokenPipeError):
                 self._lose_worker(handle, "crashed")
 
@@ -1133,9 +1161,12 @@ class ProcessPoolSupervisor:
         ----------
         plan:
             Optional replacement plan for this run.  Must satisfy
-            :meth:`compatible`; workers are rebound via a ``reload``
-            message and the shared output buffer is recreated only when
-            ``d`` changes.  ``None`` reuses the current plan.  The
+            :meth:`compatible`.  A plan that differs only in its seeds
+            (and resilience policy) rebinds each worker's generator on
+            its next dispatch; any other change reloads the workers
+            with a ``reload`` message.  The shared output buffer is
+            recreated only when its shape changes.  ``None`` reuses the
+            current plan.  The
             supervision policy (``pool``) stays the one the pool was
             started with — it sized the fleet.
         rng_factory, injector:
@@ -1193,16 +1224,15 @@ class ProcessPoolSupervisor:
         self._track_blocks = self.bus.has_subscribers(BLOCK_START, BLOCK_DONE)
 
         shm_updates = self._refresh_output_segment()
-        digest = plan_.digest()
-        if shm_updates or digest != self._worker_digest:
+        binding = _binding(plan_)
+        if shm_updates or binding != self._binding:
             self._reload_workers(shm_updates)
-            self._worker_digest = digest
+            self._binding = binding
         # Grow the fleet for a bigger plan (fresh members, not respawns)
         # — but never resurrect a collapsed pool: that is the caller's
         # signal to recycle it.
         if self._workers:
             want = self._fleet_want()
-            self._fleet_target = max(self._fleet_target, want)
             while len(self._workers) < want:
                 self._spawn_worker(self._ctx, self._shm_names)
 

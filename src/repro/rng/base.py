@@ -33,7 +33,7 @@ from ..errors import ConfigError
 from ..utils.validation import check_nonnegative_int, check_positive_int
 from .distributions import Distribution, get_distribution
 from .philox import PHILOX_DEFAULT_ROUNDS, key_from_seed, philox_uint64
-from .scratch import Scratch
+from .scratch import Scratch, thread_scratch
 from .threefry import THREEFRY_DEFAULT_ROUNDS, key_pair_from_seed, threefry_uint64
 from .xoshiro import DEFAULT_LANES, checkpoint_bits
 
@@ -77,8 +77,9 @@ def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
     chunk ``bits_of(cols, scratch)`` returns the raw bits of shape
     ``lead + (len(cols),)`` and the distribution transform writes them
     straight into one preallocated output.  Both stages draw their
-    temporaries from one :class:`~repro.rng.scratch.Scratch`, so every
-    chunk after the first reuses the same buffers.
+    temporaries from the thread's :class:`~repro.rng.scratch.Scratch`,
+    so every chunk — and every later call on the same thread — reuses
+    the same buffers.
 
     A stepped generator (xoshiro) advances ``step_lanes`` states per
     column with each of its sequential steps, one NumPy call per
@@ -91,7 +92,7 @@ def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
     out = np.empty(lead + (g,), dtype=np.float64)
     chunk = max(1, CHUNK_LANES // max(1, math.prod(lead)))
     group = max(chunk, CHUNK_LANES // step_lanes) if step_lanes else chunk
-    scratch = Scratch()
+    scratch = thread_scratch()
     for glo in range(0, g, group):
         bits = bits_of(js[glo:glo + group], scratch)
         width = bits.shape[-1]

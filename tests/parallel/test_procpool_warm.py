@@ -3,12 +3,16 @@
 The serving daemon keeps supervisors alive across requests: explicit
 ``start()`` / ``execute()`` / ``close()`` instead of the historical
 one-shot ``run()``.  These tests pin the contract: warm executions are
-bit-identical to serial runs, a plan swap reloads the workers in place,
-deadline expiry taints the pool (and a tainted pool refuses work), and
-a collapsed fleet is never silently resurrected.
+bit-identical to serial runs, a plan that changes only its seeds
+rebinds each worker's generator on dispatch while any other change
+reloads the workers in place, deadline expiry taints the pool (and a
+tainted pool refuses work), and a collapsed fleet is never silently
+resurrected.
 """
 
+import dataclasses
 import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -29,15 +33,15 @@ def A():
     return random_sparse(120, 30, 0.1, seed=77)
 
 
-def make_plan(A, *, d=24, seed=5, kernel="algo3"):
+def make_plan(A, *, d=24, seed=5, kernel="algo3", b_d=12, b_n=10,
+              batch_seeds=None, pool=POOL):
     cfg = SketchConfig(kernel=kernel, rng_kind="philox", seed=seed,
-                       b_d=12, b_n=10)
-    return Planner().compile(A, cfg, d=d, driver="process", pool=POOL)
+                       b_d=b_d, b_n=b_n)
+    return Planner().compile(A, cfg, d=d, driver="process", pool=pool,
+                             batch_seeds=batch_seeds)
 
 
 def serial(A, plan):
-    import dataclasses
-
     return Runtime().run(
         dataclasses.replace(plan, driver="serial"), A).sketch
 
@@ -137,3 +141,90 @@ class TestRunCompatibility:
         out, stats = sup.run()
         assert np.array_equal(out * plan.scale(), serial(A, plan))
         assert stats.health.clean
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Supervisor-side ``Connection.send`` log: ``(tag, carries_rng)``."""
+    log = []
+    send = Connection.send
+
+    def recording_send(conn, obj):
+        log.append((obj[0], obj[0] == "tasks" and obj[2] is not None))
+        return send(conn, obj)
+
+    monkeypatch.setattr(Connection, "send", recording_send)
+    return log
+
+
+class TestWarmRebind:
+    """Seed-only plan changes rebind generators on the dispatch message;
+    everything else reloads.  Every result equals its serial plan."""
+
+    def run(self, A, pool, sent, plan, injector=None):
+        del sent[:]
+        out, stats = pool.execute(plan, plan.rng_factory(),
+                                  injector=injector)
+        assert np.array_equal(out, serial(A, plan) / plan.scale())
+        tags = [tag for tag, _rng in sent]
+        return tags, [rng for tag, rng in sent if tag == "tasks"], stats
+
+    def test_plan_sequence(self, A, pool, sent):
+        workers = len(pool.worker_pids())
+        # The pool's own plan: nothing to rebind.
+        tags, rebinds, _ = self.run(A, pool, sent, make_plan(A))
+        assert "reload" not in tags and not any(rebinds)
+        # Seed-only changes: no reload, the new seed rides on the tasks.
+        for seed in (6, 7):
+            tags, rebinds, _ = self.run(A, pool, sent, make_plan(A, seed=seed))
+            assert "reload" not in tags
+            assert sum(rebinds) == workers
+        # batch 1 -> 3 -> 1: new output shape, full reload each way;
+        # new batch seeds alone rebind.
+        steps = [(dict(batch_seeds=(1, 2, 3)), True),
+                 (dict(batch_seeds=(4, 5, 6)), False),
+                 (dict(seed=8), True),
+                 (dict(d=36, seed=8), True),   # new output segment
+                 (dict(d=36, seed=9), False),
+                 (dict(d=36, seed=9, b_d=36), True)]
+        for kwargs, reloads in steps:
+            tags, rebinds, _ = self.run(A, pool, sent, make_plan(A, **kwargs))
+            assert tags.count("reload") == (workers if reloads else 0), kwargs
+            if reloads:
+                assert not any(rebinds), kwargs
+
+    def test_idle_worker_gets_current_seed(self, A, pool, sent):
+        # One task: the second worker idles through both runs.
+        one = dict(d=24, b_d=24, b_n=30)
+        self.run(A, pool, sent, make_plan(A, seed=11, **one))
+        tags, rebinds, _ = self.run(A, pool, sent,
+                                    make_plan(A, seed=12, **one))
+        assert "reload" not in tags and rebinds == [True]
+        # The same plan again, killing the busy worker: its task moves
+        # to the idle one, which last heard seed 11 and must use 12.
+        inj = FaultInjector(FaultPlan([FaultSpec(kind="kill_worker")]))
+        _, _, stats = self.run(A, pool, sent, make_plan(A, seed=12, **one),
+                               injector=inj)
+        assert stats.health.workers_lost == 1
+        # Then a two-task plan with a new seed.
+        tags, _, _ = self.run(A, pool, sent,
+                              make_plan(A, seed=14, d=24, b_d=24, b_n=15))
+        assert tags.count("reload") == len(pool.worker_pids())
+
+    def test_respawned_worker_uses_current_seed(self, A, sent):
+        solo = WorkerPoolConfig(workers=1, heartbeat_timeout=2.0,
+                                backoff_base=0.0)
+        plan = make_plan(A, pool=solo)
+        sup = ProcessPoolSupervisor(plan, A, plan.rng_factory())
+        sup.start()
+        try:
+            self.run(A, sup, sent, plan)
+            inj = FaultInjector(FaultPlan([
+                FaultSpec(kind="kill_worker", task=(0, 0))]))
+            tags, rebinds, stats = self.run(
+                A, sup, sent, make_plan(A, seed=21, pool=solo), injector=inj)
+            assert "reload" not in tags and rebinds[0]
+            assert stats.health.workers_lost == 1
+            assert not stats.health.degraded_to_thread
+        finally:
+            sup.close()

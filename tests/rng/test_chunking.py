@@ -7,8 +7,12 @@ stage working on reused scratch buffers.  Whatever the chunk size, the
 result must equal one unchunked ``_bits_block`` (or ``_bits_chunk``)
 plus one transform, and the sample count must not move.  The in-place ``detmath`` functions
 must also still equal their scalar twins in ``repro.rng.jit`` at every
-branch edge.
+branch edge.  The scratch buffers belong to the thread: threads sampling
+at once never share them, and one thread's later calls reuse them.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.rng.base import make_rng
 from repro.rng.batched import make_batched_rng
 from repro.rng.detmath import _PI_OVER_2, det_cos_2pi, det_log
 from repro.rng.distributions import DISTRIBUTIONS, GAUSSIAN
+from repro.rng.scratch import thread_scratch
 
 FAMILIES = ("philox", "threefry", "xoshiro")
 SEEDS = (5, 6, 7)
@@ -64,6 +69,100 @@ class TestChunkBoundaries:
             assert _bits_equal(
                 got[t], make_rng(family, seed, dist).column_block_batch(
                     R, d1, JS))
+
+
+def _in_thread(fn):
+    """Run *fn* on a fresh thread (so on a fresh scratch); return its result."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    return box[0]
+
+
+class TestThreadScratch:
+    WIDE = np.arange(5000, dtype=np.int64)[::-1]
+
+    def test_concurrent_threads_match_sequential(self):
+        # More threads than cores, switching often: a buffer shared
+        # between threads would be overwritten mid-call.
+        jobs = [("philox", "gaussian", 150), ("xoshiro", "rademacher", 40),
+                ("threefry", "uniform", 150), ("philox", "uniform", 40),
+                ("xoshiro", "gaussian", 150), ("threefry", "rademacher", 40)]
+
+        def sample(family, dist, d1):
+            return make_rng(family, 42, dist).column_block_batch(
+                R, d1, self.WIDE)
+
+        want = [sample(*job) for job in jobs]
+        got = [[] for _ in jobs]
+        groups = ((0, 1), (2, 3), (4, 5), (1, 4))
+        barrier = threading.Barrier(len(groups))
+
+        def worker(mine):
+            barrier.wait(timeout=30)
+            for _ in range(3):
+                for k in mine:
+                    got[k].append(sample(*jobs[k]))
+
+        threads = [threading.Thread(target=worker, args=(mine,))
+                   for mine in groups]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, runs in enumerate(got):
+            assert len(runs) == 3 * sum(k in g for g in groups)
+            for run in runs:
+                assert _bits_equal(run, want[k]), jobs[k]
+
+    def test_each_thread_owns_one_scratch(self):
+        mine = thread_scratch()
+        assert thread_scratch() is mine
+        assert _in_thread(thread_scratch) is not mine
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_size_call_reuses_buffers(self, family):
+        def two_calls():
+            rng = make_rng(family, 42, "gaussian")
+            rng.column_block_batch(R, 40, self.WIDE)
+            first = dict(thread_scratch()._bufs)
+            rng.column_block_batch(R + 40, 40, self.WIDE)
+            return first, dict(thread_scratch()._bufs)
+
+        first, second = _in_thread(two_calls)
+        assert first and first.keys() == second.keys()
+        assert all(second[name] is buf for name, buf in first.items())
+
+    # The v1.0.0 vectors pinned by test_golden_vectors.py (column 0).
+    GOLDEN = [("philox", "uniform", [-0.7356066089123487, 0.4283568086102605,
+                                     -0.47092792950570583,
+                                     -0.38584481878206134]),
+              ("xoshiro", "uniform", [-0.6031818171031773,
+                                      0.9790461463853717,
+                                      -0.8797497907653451,
+                                      -0.18038147035986185])]
+
+    @pytest.mark.parametrize("family, dist, golden", GOLDEN,
+                             ids=[g[0] for g in GOLDEN])
+    def test_wide_call_after_narrow_matches_golden(self, family, dist,
+                                                   golden):
+        def calls():
+            rng = make_rng(family, 42, dist)
+            narrow = rng.column_block_batch(0, 4, np.array([0]))[:, 0]
+            wide = rng.column_block_batch(0, 4, self.WIDE)[:, -1]
+            again = rng.column_block_batch(0, 4, np.array([0]))[:, 0]
+            return narrow, wide, again
+
+        for got in _in_thread(calls):
+            np.testing.assert_array_equal(got, np.array(golden))
 
 
 def _around(x, ulps=2):
