@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test faults faults-persist plan-smoke shim-strict obs-smoke procpool-smoke cache-smoke serve-smoke shard-smoke batch-smoke bench bench-small bench-gate docs examples all clean
+.PHONY: install test faults faults-persist plan-smoke deprecation-strict obs-smoke procpool-smoke cache-smoke serve-smoke shard-smoke batch-smoke bench bench-small bench-gate docs examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,10 +31,10 @@ plan-smoke:
 	  print(p.explain())"
 	python -m pytest tests/plan -q
 
-# Deprecation-shim leg: the old kwarg spellings must warn exactly where
-# the shim tests expect, and nowhere else.
-shim-strict:
-	python -W error::DeprecationWarning -m pytest tests/plan/test_shims.py -q
+# Deprecation leg: the whole tier-1 suite with DeprecationWarning promoted
+# to an error, so no code path (ours or a dependency's) warns.
+deprecation-strict:
+	python -W error::DeprecationWarning -m pytest tests -x -q
 
 # Observability smoke: run a sketch with every exporter enabled, validate
 # the emitted Prometheus text and profile JSON against the schema, and

@@ -54,8 +54,7 @@ REPORTS = Path(__file__).parent / "reports"
 # the legacy blanket ``REPRO_BENCH_GATE_TOL`` still works but applies to
 # every metric and should be reserved for one-off noisy hosts.
 GATE_TOLERANCES = {
-    # Steady-state effective GB/s per backend cell: JIT warmup is forced
-    # out of the timed region, so this is the quietest gate.
+    # Steady-state effective GB/s per backend cell: the quietest gate.
     "backend_gbs": 0.15,
     # Warm-vs-cold artifact-cache speedup: one cold subprocess in the
     # denominator adds spawn jitter.

@@ -76,9 +76,7 @@ from .plan import (
 from .parallel import (
     DegradationPolicy,
     ResilienceConfig,
-    ResilientExecutor,
     RunHealth,
-    parallel_sketch_spmm,
 )
 from .rng import PhiloxSketchRNG, SketchingRNG, XoshiroSketchRNG, make_rng
 from .sparse import (
@@ -140,9 +138,7 @@ __all__ = [
     "compile_plan",
     "DegradationPolicy",
     "ResilienceConfig",
-    "ResilientExecutor",
     "RunHealth",
-    "parallel_sketch_spmm",
     "PhiloxSketchRNG",
     "SketchingRNG",
     "XoshiroSketchRNG",

@@ -2,8 +2,8 @@
 
 The serving pattern the related work targets — the *same* sparse ``A``
 re-sketched over and over — pays the planner's heuristics, the
-autotuner's measured trials, the blocked-CSR conversion, and JIT warm-up
-on every call.  This package amortizes all of that per-``A`` setup:
+autotuner's measured trials, and the blocked-CSR conversion on every
+call.  This package amortizes all of that per-``A`` setup:
 
 * :class:`CachePolicy` — the knobs (directory, size budget, readonly),
   a sibling of :class:`~repro.plan.PersistencePolicy`;
@@ -12,7 +12,7 @@ on every call.  This package amortizes all of that per-``A`` setup:
   ``cache_miss`` / ``cache_evicted`` bus events);
 * :mod:`repro.cache.keys` — canonical content-addressed key recipes;
 * :mod:`repro.cache.artifacts` — the typed artifact classes (autotune
-  results, kernel choices, the blocked-CSR conversion, JIT markers).
+  results, kernel choices, the blocked-CSR conversion).
 
 Correctness contract: a cache hit must be **bit-identical** to a cold
 run, and a damaged entry downgrades to a loud miss plus recompute —

@@ -20,10 +20,6 @@ Three artifact classes are cached, each with its own key recipe:
     have.  Stored as four ``.npy`` payloads (block starts, stacked
     per-block indptr, concatenated indices/data) so workers can rebuild
     every block as zero-copy views.
-``jit_warmup``
-    Markers recording that a (kernel, backend, machine) combination has
-    been JIT-warmed, with the measured compile seconds — so
-    ``jit_compile_seconds`` is paid once per machine, not per run.
 """
 
 from __future__ import annotations
@@ -46,17 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sparse.csc import CSCMatrix
 
 __all__ = [
-    "TUNE_ARTIFACT", "CHOICE_ARTIFACT", "BLOCKED_ARTIFACT", "JIT_ARTIFACT",
+    "TUNE_ARTIFACT", "CHOICE_ARTIFACT", "BLOCKED_ARTIFACT",
     "tune_key", "fetch_tune_result", "store_tune_result",
     "kernel_choice_key", "fetch_kernel_choice", "store_kernel_choice",
     "blocked_csr_key", "fetch_blocked_csr", "store_blocked_csr",
-    "jit_warmup_key", "fetch_jit_marker", "store_jit_marker",
 ]
 
 TUNE_ARTIFACT = "tune"
 CHOICE_ARTIFACT = "kernel_choice"
 BLOCKED_ARTIFACT = "blocked_csr"
-JIT_ARTIFACT = "jit_warmup"
 
 
 # -- autotune results --------------------------------------------------------
@@ -231,30 +225,3 @@ def fetch_blocked_csr(cache: ArtifactCache, key: str,
         return blocked
 
     return cache.fetch(BLOCKED_ARTIFACT, key, _load)
-
-
-# -- JIT warm-up markers -----------------------------------------------------
-
-
-def jit_warmup_key(*, kernel: str, backend: str, rng_kind: str,
-                   machine: "MachineModel | None" = None) -> str:
-    return cache_key(JIT_ARTIFACT, {
-        "machine": machine_fingerprint(machine),
-        "backend": str(backend),
-        "kernel": str(kernel),
-        "rng_kind": str(rng_kind),
-    })
-
-
-def fetch_jit_marker(cache: ArtifactCache, key: str) -> dict | None:
-    def _load(entry: CacheEntry) -> dict:
-        return dict(entry.meta)
-
-    return cache.fetch(JIT_ARTIFACT, key, _load)
-
-
-def store_jit_marker(cache: ArtifactCache, key: str, *, kernel: str,
-                     backend: str, jit_compile_seconds: float) -> None:
-    meta = {"kernel": str(kernel), "backend": str(backend),
-            "jit_compile_seconds": float(jit_compile_seconds)}
-    cache.insert(JIT_ARTIFACT, key, meta=meta, payloads={}, obj=meta)

@@ -77,8 +77,7 @@ def machine_fingerprint(machine: "MachineModel | None" = None) -> dict:
 
     Combines the explicit :class:`~repro.model.MachineModel` parameters
     (they steer planning decisions) with the host's coarse hardware
-    identity (measured tunings and JIT artifacts do not transfer across
-    architectures).
+    identity (measured tunings do not transfer across architectures).
     """
     record: dict = {
         "host_system": platform.system(),

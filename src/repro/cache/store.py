@@ -1,8 +1,8 @@
 """The content-addressed artifact store: in-memory + on-disk, never wrong.
 
 An :class:`ArtifactCache` memoizes expensive per-``A`` setup work —
-autotune results, kernel choices, the blocked-CSR conversion, JIT
-warm-up markers — behind one API.  Entries live twice:
+autotune results, kernel choices, the blocked-CSR conversion — behind
+one API.  Entries live twice:
 
 * **in memory** — deserialized objects keyed ``(artifact, key)``, so
   repeat ``sketch()`` calls inside one process pay a dict probe;

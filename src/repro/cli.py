@@ -89,10 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_backend = sk.add_argument_group(
         "backend", "kernel backend and parallel execution")
     g_backend.add_argument("--backend", default="auto",
-                           choices=["auto", "numpy", "numba"],
-                           help="kernel backend (auto = numba when "
-                                "importable, else numpy; REPRO_BACKEND "
-                                "overrides auto)")
+                           choices=["auto", "numpy"],
+                           help="kernel backend (auto = numpy)")
     g_backend.add_argument("--threads", type=int, default=1,
                            help="worker threads for the execution engine")
     g_backend.add_argument("--driver", default="auto",
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_cache = sk.add_argument_group(
         "cache", "content-addressed artifact cache for repeated runs "
         "over the same matrix (plans, autotune results, blocked-CSR "
-        "conversion, JIT warm-up)")
+        "conversion)")
     g_cache.add_argument("--cache-dir", default=None,
                          help="cache directory (default: $REPRO_CACHE_DIR "
                               "when set, else caching is off)")
@@ -428,7 +426,6 @@ def _cmd_sketch(args) -> dict:
         "sample_seconds": st.sample_seconds,
         "samples_generated": st.samples_generated,
         "gflops": st.gflops_rate,
-        "jit_compile_seconds": st.extra.get("jit_compile_seconds", 0.0),
         "output": args.output,
     }
     if st.extra.get("shards"):

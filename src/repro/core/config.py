@@ -44,12 +44,8 @@ class SketchConfig:
         ``"auto"`` dispatches via :func:`repro.kernels.choose_kernel` on
         the configured machine model; otherwise forces a kernel.
     backend:
-        Kernel backend: ``"auto"`` (environment default — ``numba`` when
-        importable, else ``numpy``, overridable via the
-        ``REPRO_BACKEND`` environment variable) or an explicit registered
-        backend name (``"numpy"``, ``"numba"``).  An explicitly named
-        backend that is unavailable on this host falls back to ``numpy``
-        with a single informational log line.
+        Kernel backend: ``"auto"`` (which is ``numpy``) or a registered
+        backend name (``"numpy"``).
     b_d, b_n:
         Blocking overrides; ``None`` uses heuristics/model recommendations.
     seed:

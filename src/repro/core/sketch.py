@@ -11,14 +11,12 @@ family, blocking) that can be applied to a sparse matrix, applied to a
 dense matrix or vector (needed to sketch right-hand sides consistently),
 or — for testing and small problems — materialized.
 
-Since the plan/compile/execute refactor this module is a thin shim:
+This module is a thin layer over the plan stack:
 :meth:`SketchOperator.apply` compiles a
 :class:`~repro.plan.SketchPlan` with the :class:`~repro.plan.Planner`
 and hands it to :class:`~repro.plan.Runtime` — the same engine behind
-:class:`~repro.core.StreamingSketch` and
-:class:`~repro.parallel.ResilientExecutor`.  Outputs are bit-identical
-to the pre-plan paths; callers that want the plan itself (to inspect,
-serialize, or re-run) find it on ``SketchResult.plan``.
+:class:`~repro.core.StreamingSketch`.  Callers that want the plan itself
+(to inspect, serialize, or re-run) find it on ``SketchResult.plan``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 from ..kernels.blocking import default_block_sizes
 from ..model.machine import LAPTOP, MachineModel
-from ..plan.policy import PersistencePolicy, warn_deprecated_kwargs
+from ..plan.policy import PersistencePolicy
 from ..plan.runtime import SketchResult
 from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
@@ -38,29 +36,6 @@ from ..utils.validation import check_positive_int
 from .config import SketchConfig
 
 __all__ = ["SketchResult", "SketchOperator", "sketch"]
-
-
-def _persistence_from_kwargs(entry: str,
-                             persistence: PersistencePolicy | None,
-                             checkpoint_dir, checkpoint_every: int,
-                             resume: bool) -> PersistencePolicy:
-    """Fold the deprecated checkpoint kwargs into a policy (warning once)."""
-    legacy = (checkpoint_dir is not None or checkpoint_every != 1 or resume)
-    if persistence is not None:
-        if legacy:
-            raise ConfigError(
-                "pass either persistence= or the legacy checkpoint kwargs, "
-                "not both"
-            )
-        return persistence
-    if not legacy:
-        return PersistencePolicy()
-    warn_deprecated_kwargs(entry, "checkpoint_dir/checkpoint_every/resume",
-                           "persistence=PersistencePolicy(...)")
-    if resume and checkpoint_dir is None:
-        raise ConfigError("resume=True requires checkpoint_dir")
-    return PersistencePolicy(checkpoint_dir=checkpoint_dir,
-                             every=checkpoint_every, resume=resume)
 
 
 class SketchOperator:
@@ -131,10 +106,7 @@ class SketchOperator:
 
     def apply(self, A: CSCMatrix, *,
               persistence: PersistencePolicy | None = None,
-              cache=None,
-              checkpoint_dir=None,
-              checkpoint_every: int = 1,
-              resume: bool = False) -> SketchResult:
+              cache=None) -> SketchResult:
         """Compute ``S @ A`` through the configured kernel path.
 
         Compiles a plan and executes it on the shared
@@ -147,14 +119,12 @@ class SketchOperator:
         :class:`~repro.plan.PersistencePolicy`).  Checkpointing routes
         through the execution engine (any thread count) and is
         unavailable for the ``pregen`` kernel, which has no row-block
-        barriers.  The ``checkpoint_dir``/``checkpoint_every``/
-        ``resume`` kwargs are the deprecated spelling of the same
-        policy.
+        barriers.
 
         With a *cache* (:class:`~repro.cache.ArtifactCache` or
-        :class:`~repro.cache.CachePolicy`), planning decisions, the
-        Algorithm 4 blocked-CSR conversion, and JIT warm-up costs are
-        reused across runs over the same ``A`` — the "fixed A, many
+        :class:`~repro.cache.CachePolicy`), planning decisions and the
+        Algorithm 4 blocked-CSR conversion are reused across runs over
+        the same ``A`` — the "fixed A, many
         sketches" hot path.  Outputs are bit-identical with or without
         the cache.
         """
@@ -165,16 +135,13 @@ class SketchOperator:
                 f"operator expects {self.m} rows, matrix has {A.shape[0]}"
             )
         A.validate(require_finite=True)
-        pol = _persistence_from_kwargs(
-            "SketchOperator.apply", persistence, checkpoint_dir,
-            checkpoint_every, resume)
         if cache is not None:
             from ..cache.store import ArtifactCache
 
             # One shared instance across plan + run, so hit/miss
             # accounting and the in-memory memo accumulate in one place.
             cache = ArtifactCache.ensure(cache)
-        plan = self.plan(A, persistence=pol, cache=cache)
+        plan = self.plan(A, persistence=persistence, cache=cache)
         return Runtime().run(plan, A, cache=cache)
 
     def apply_dense(self, X: np.ndarray) -> np.ndarray:
@@ -221,10 +188,7 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
            quality_threshold: float | None = None,
            max_resketch: int = 1,
            persistence: PersistencePolicy | None = None,
-           cache=None,
-           checkpoint_dir=None,
-           checkpoint_every: int = 1,
-           resume: bool = False) -> SketchResult:
+           cache=None) -> SketchResult:
     """One-call sketching: ``Ahat = S A`` with ``d ~ gamma * n``.
 
     Exactly one of *gamma* / *d* may override the config's sizing.  This is
@@ -239,8 +203,8 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
     Parameters
     ----------
     backend:
-        Kernel backend override (``"numpy"``/``"numba"``/``"auto"``);
-        ``None`` keeps the config's setting.  See
+        Kernel backend override (``"numpy"``/``"auto"``); ``None``
+        keeps the config's setting.  See
         :attr:`repro.core.SketchConfig.backend`.
     quality_check:
         Run the end-of-run distortion spot-check: measure the realized
@@ -271,21 +235,16 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
     cache:
         An :class:`~repro.cache.ArtifactCache` or
         :class:`~repro.cache.CachePolicy`: reuse planning decisions,
-        autotune results, the blocked-CSR conversion, and JIT warm-up
-        across repeated sketches of the same matrix.  Bit-identical
-        outputs either way.
-    checkpoint_dir, checkpoint_every, resume:
-        Deprecated spelling of *persistence* (one
-        ``DeprecationWarning`` per call; behaviour unchanged).
+        autotune results, and the blocked-CSR conversion across
+        repeated sketches of the same matrix.  Bit-identical outputs
+        either way.
     """
     cfg = config if config is not None else SketchConfig()
     if backend is not None:
         cfg = dataclasses.replace(cfg, backend=backend)
-    pol = _persistence_from_kwargs("sketch", persistence, checkpoint_dir,
-                                   checkpoint_every, resume)
-    if pol.enabled and quality_check:
+    if persistence is not None and persistence.enabled and quality_check:
         raise ConfigError(
-            "checkpoint_dir is incompatible with quality_check: automatic "
+            "persistence is incompatible with quality_check: automatic "
             "re-sketching changes d mid-run, orphaning the snapshots"
         )
     if gamma is not None and d is not None:
@@ -304,7 +263,7 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
         d_eff = cfg.sketch_size(A.shape[1])
     if not quality_check:
         op = SketchOperator(d_eff, A.shape[0], config=cfg, machine=machine)
-        return op.apply(A, persistence=pol, cache=cache)
+        return op.apply(A, persistence=persistence, cache=cache)
 
     from ..errors import SketchQualityError
     from .distortion import sketch_distortion  # local: avoids module cycle

@@ -23,23 +23,18 @@ Determinism: for the counter-based families the final sketch is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from ..errors import ConfigError, FormatError, ShapeError
 from ..kernels.backends import resolve_backend
 from ..kernels.blocking import default_block_sizes
 from ..plan.events import CHECKPOINT_WRITTEN, EventBus
-from ..plan.policy import PersistencePolicy, warn_deprecated_kwargs
+from ..plan.policy import PersistencePolicy
 from ..plan.spec import ProblemSpec, RngSpec, SketchPlan
 from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
 from ..utils.timing import Timer
 from ..utils.validation import check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..persist.snapshot import CheckpointManager
 
 __all__ = ["StreamingSketch"]
 
@@ -125,13 +120,9 @@ class StreamingSketch:
         :mod:`repro.persist`): a verified-restorable snapshot of the
         partial sketch is written atomically every ``every`` newly
         absorbed rows.  Restore with
-        :func:`repro.persist.resume_streaming`.
-    checkpoint, checkpoint_dir, checkpoint_every, checkpoint_keep:
-        Deprecated spelling of *persistence* (one ``DeprecationWarning``
-        per construction; behaviour unchanged): pass either a ready
-        :class:`~repro.persist.CheckpointManager` (*checkpoint*) or a
-        directory (*checkpoint_dir*); ``checkpoint_every=None`` disables
-        the automatic cadence (snapshots only via
+        :func:`repro.persist.resume_streaming`.  Setting
+        ``checkpoint_every = None`` after construction turns the
+        automatic cadence off (snapshots only via
         :meth:`save_checkpoint`).
     bus:
         An :class:`~repro.plan.EventBus` for observability: each
@@ -151,9 +142,6 @@ class StreamingSketch:
     def __init__(self, d: int, n: int, rng: SketchingRNG, *,
                  kernel: str = "algo3", b_d: int | None = None,
                  b_n: int | None = None, backend=None,
-                 checkpoint: "CheckpointManager | None" = None,
-                 checkpoint_dir=None, checkpoint_every: int | None = None,
-                 checkpoint_keep: int = 2,
                  persistence: PersistencePolicy | None = None,
                  bus: "EventBus | None" = None) -> None:
         self.d = check_positive_int(d, "d")
@@ -184,30 +172,8 @@ class StreamingSketch:
                 "StreamingSketch requires post_scale == 1 distributions; "
                 "use 'uniform' or 'rademacher'"
             )
-        if persistence is not None:
-            if (checkpoint is not None or checkpoint_dir is not None
-                    or checkpoint_every is not None or checkpoint_keep != 2):
-                raise ConfigError(
-                    "pass either persistence= or the legacy checkpoint "
-                    "kwargs, not both"
-                )
-            pol = persistence
-            self.checkpoint_every = pol.every if pol.enabled else None
-        else:
-            if checkpoint is not None or checkpoint_dir is not None:
-                warn_deprecated_kwargs(
-                    "StreamingSketch",
-                    "checkpoint/checkpoint_dir/checkpoint_every/"
-                    "checkpoint_keep",
-                    "persistence=PersistencePolicy(...)")
-            if checkpoint_every is not None:
-                check_positive_int(checkpoint_every, "checkpoint_every")
-            self.checkpoint_every = checkpoint_every
-            pol = PersistencePolicy.from_legacy(
-                checkpoint=checkpoint, checkpoint_dir=checkpoint_dir,
-                checkpoint_every=(1 if checkpoint_every is None
-                                  else checkpoint_every),
-                checkpoint_keep=checkpoint_keep)
+        pol = persistence if persistence is not None else PersistencePolicy()
+        self.checkpoint_every = pol.every if pol.enabled else None
         self.persistence = pol
         self.checkpoint = pol.build_manager()
         self._rows_at_last_snapshot = 0

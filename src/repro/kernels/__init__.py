@@ -15,7 +15,6 @@ from .backends import (
     KernelWorkspace,
     available_backends,
     get_backend,
-    numba_available,
     registered_backends,
     resolve_backend,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "KernelWorkspace",
     "available_backends",
     "get_backend",
-    "numba_available",
     "registered_backends",
     "resolve_backend",
     "default_block_sizes",

@@ -41,11 +41,10 @@ class TuneResult:
     """Outcome of an autotuning run.
 
     ``backend`` names the kernel backend the trials actually timed; a
-    cached result is only valid for that backend (fused JIT loops shift
-    the (b_d, b_n) cost balance, so numpy-tuned blockings must not be
-    applied to numba runs or vice versa).  ``tuning_seed`` is the RNG
-    seed the tuning column slice was derived from, so a cached result
-    names the exact subproblem it was measured on.
+    cached result is only valid for that backend (another kernel
+    implementation shifts the (b_d, b_n) cost balance).  ``tuning_seed``
+    is the RNG seed the tuning column slice was derived from, so a
+    cached result names the exact subproblem it was measured on.
     """
 
     b_d: int
@@ -158,9 +157,8 @@ def autotune_blocking(
         Trials run on a seeded column slice of at most this width.
     backend:
         Kernel backend the trials time (name, instance, or
-        ``None``/``"auto"`` for the environment default).  The backend is
-        resolved once, warmed up *before* any trial (JIT compilation must
-        not be charged to a candidate), and recorded on the result.
+        ``None``/``"auto"`` for ``numpy``).  The backend is resolved once
+        and recorded on the result.
     tuning_seed:
         Seed for the column-slice placement; recorded on the result so a
         cached tuning names the exact subproblem it measured.
@@ -185,7 +183,6 @@ def autotune_blocking(
         cached = fetch_tune_result(cache, key)
         if cached is not None:
             return cached
-    be.warmup(rng_factory(), np.float64)
     workspace = KernelWorkspace()
     slice_A = _tuning_slice(A, max_tuning_cols, tuning_seed)
     n_slice = slice_A.shape[1]

@@ -1,39 +1,25 @@
-"""Kernel backend registry: interchangeable implementations of the hot loops.
+"""Kernel backend registry: the seam the hot loops are called through.
 
 The blocking driver (:func:`repro.kernels.sketch_spmm`), the parallel
 executor, and the autotuner all consume Algorithms 3 and 4 through a
 :class:`KernelBackend` instead of calling the module-level functions
-directly.  Two implementations ship:
+directly.  One implementation ships: ``numpy``, the vectorized kernels
+of :mod:`repro.kernels.algo3` / :mod:`repro.kernels.algo4`.  ``"auto"``
+(and ``None``) resolve to it.
 
-* ``numpy`` — the vectorized kernels of :mod:`repro.kernels.algo3` /
-  :mod:`repro.kernels.algo4` (always available; the reference production
-  path);
-* ``numba`` — fused ``@njit(cache=True, nogil=True)`` loops that generate
-  each sketch entry register-to-register inside the SpMM inner loop
-  (:mod:`repro.kernels.backends.numba_backend`); available only when
-  Numba is installed, otherwise requests fall back to ``numpy`` with a
-  single informational log line.
-
-Selection precedence: an explicit ``backend=`` argument (any entry point)
-beats the :data:`REPRO_BACKEND <BACKEND_ENV_VAR>` environment variable,
-which beats the automatic choice (``numba`` when importable, ``numpy``
-otherwise).
-
-Bit-identity contract: every backend produces the exact same
-counter→sample mapping (see :mod:`repro.rng.jit`), and the ``numba``
-backend reproduces the *reference* kernels' accumulation order exactly,
-so its output is bit-identical to :func:`algo3_block_reference` /
-:func:`algo4_block_reference`.  So is ``numpy``'s Algorithm 4, which keeps
-the reference order (``tests/kernels/test_algo4.py``); its Algorithm 3
-reorders accumulation (matmul/segment sums) and agrees to a few ulps,
-with bit-identical samples; ``docs/performance.md`` spells this out.
+Bit-identity contract: a backend realizes the same counter→sample
+mapping as the vectorized generators.  ``numpy``'s Algorithm 4 keeps the
+reference accumulation order, so it equals
+:func:`algo4_block_reference` bit for bit
+(``tests/kernels/test_algo4.py``); its Algorithm 3 reorders accumulation
+(matmul/segment sums) and agrees with :func:`algo3_block_reference` to a
+few ulps, with bit-identical samples; ``docs/performance.md`` spells
+this out.
 """
 
 from __future__ import annotations
 
 import abc
-import logging
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,22 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...utils.timing import Stopwatch
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "KernelWorkspace",
     "KernelBackend",
     "register_backend",
     "available_backends",
     "registered_backends",
-    "numba_available",
     "get_backend",
     "resolve_backend",
 ]
-
-#: Environment variable consulted when no explicit backend is requested.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_LOG = logging.getLogger("repro.kernels.backends")
-
 
 class KernelWorkspace:
     """Named, lazily grown scratch buffers reused across kernel calls.
@@ -143,17 +121,6 @@ class KernelBackend(abc.ABC):
     #: Registry key; subclasses override.
     name: str = "abstract"
 
-    def __init__(self) -> None:
-        #: Cumulative seconds this instance spent JIT-compiling (0.0 for
-        #: interpreted backends); reported via ``KernelStats.extra`` so
-        #: benchmarks can separate compile time from steady state.
-        self.jit_compile_seconds: float = 0.0
-
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can run in the current environment."""
-        return True
-
     @abc.abstractmethod
     def algo3_block(self, Ahat_sub: np.ndarray, A_sub: "CSCMatrix", r: int,
                     rng: "SketchingRNG", watch: "Stopwatch | None" = None,
@@ -200,21 +167,9 @@ class KernelBackend(abc.ABC):
             self.algo4_block(Ahat_stack[t], A_blk, r, member, watch=watch,
                              row_chunk=row_chunk, workspace=workspace)
 
-    def warmup(self, rng: "SketchingRNG",
-               dtype=np.float64) -> float:
-        """Pre-compile/prime the kernels for *rng*'s family and *dtype*.
-
-        Returns the seconds spent (0.0 when nothing needed compiling).
-        Drivers call this *outside* their timed region so measured kernel
-        seconds reflect steady state, and surface the returned value as
-        ``jit_compile_seconds``.
-        """
-        return 0.0
-
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}
 _INSTANCES: dict[str, KernelBackend] = {}
-_FALLBACK_LOGGED: set[str] = set()
 
 
 def register_backend(cls: type[KernelBackend]) -> type[KernelBackend]:
@@ -224,21 +179,13 @@ def register_backend(cls: type[KernelBackend]) -> type[KernelBackend]:
 
 
 def registered_backends() -> list[str]:
-    """All registered backend names, available or not."""
+    """All registered backend names."""
     return sorted(_REGISTRY)
 
 
 def available_backends() -> list[str]:
-    """Names of the backends that can run in this environment."""
-    return sorted(name for name, cls in _REGISTRY.items()
-                  if cls.is_available())
-
-
-def numba_available() -> bool:
-    """Whether the JIT backend's dependency is importable."""
-    from ...rng.jit import NUMBA_AVAILABLE
-
-    return NUMBA_AVAILABLE
+    """Names of the backends that can run here: every registered one."""
+    return registered_backends()
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -258,44 +205,17 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def resolve_backend(name: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Resolve a backend request to a runnable instance.
+    """Resolve a backend request to its instance.
 
-    ``None``/``"auto"`` consults :data:`BACKEND_ENV_VAR`, then picks
-    ``numba`` when available and ``numpy`` otherwise.  An explicit request
-    for a registered-but-unavailable backend degrades to ``numpy`` and
-    logs one informational line per process (never a warning), so
-    numba-less environments run every entry point unchanged.
+    ``None`` and ``"auto"`` mean ``numpy``; any other name must be
+    registered (:func:`get_backend` raises :class:`ConfigError`
+    otherwise).
     """
     if isinstance(name, KernelBackend):
         return name
-    requested = name
-    if requested is None or requested == "auto":
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        requested = env if env else "auto"
-    if requested == "auto":
-        for candidate in ("numba", "numpy"):
-            cls = _REGISTRY.get(candidate)
-            if cls is not None and cls.is_available():
-                return get_backend(candidate)
-        raise ConfigError("no kernel backend is available")  # pragma: no cover
-    if requested not in _REGISTRY:
-        raise ConfigError(
-            f"unknown kernel backend {requested!r}; registered: "
-            f"{registered_backends()}"
-        )
-    if not _REGISTRY[requested].is_available():
-        if requested not in _FALLBACK_LOGGED:
-            _FALLBACK_LOGGED.add(requested)
-            _LOG.info(
-                "kernel backend %r is not available in this environment "
-                "(numba not importable); falling back to the numpy backend",
-                requested,
-            )
-        return get_backend("numpy")
-    return get_backend(requested)
+    return get_backend("numpy" if name in (None, "auto") else name)
 
 
 # Import for registration side effects (must follow the registry
 # definitions above).
 from . import numpy_backend as _numpy_backend  # noqa: E402,F401
-from . import numba_backend as _numba_backend  # noqa: E402,F401

@@ -1,16 +1,12 @@
-"""The always-available backend: the vectorized NumPy block kernels.
+"""The numpy backend: the vectorized NumPy block kernels.
 
 A thin adapter putting :func:`repro.kernels.algo3.algo3_block` and
 :func:`repro.kernels.algo4.algo4_block` behind the
 :class:`~repro.kernels.backends.KernelBackend` interface, including the
-workspace pass-through for allocation-free steady state.  This is the
-fallback every other backend degrades to, so it has no optional
-dependencies and no warmup cost.
+workspace pass-through for allocation-free steady state.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..algo3 import algo3_block
 from ..algo4 import algo4_block
@@ -49,6 +45,3 @@ class NumpyBackend(KernelBackend):
                             workspace: KernelWorkspace | None = None) -> None:
         algo4_block_batched(Ahat_stack, A_blk, r, brng, watch=watch,
                             row_chunk=row_chunk, workspace=workspace)
-
-    def warmup(self, rng, dtype=np.float64) -> float:
-        return 0.0

@@ -131,12 +131,10 @@ def sketch_spmm(
         kernels stream — and measures ~20-25% faster for the column-wise
         updates of both kernels; pass ``"C"`` for row-major consumers.
     backend:
-        Kernel backend name (``"numpy"``/``"numba"``), instance, or
-        ``None``/``"auto"`` for the environment default (see
-        :func:`repro.kernels.backends.resolve_backend`).  Ignored on the
-        ``reference`` path, which always runs the scalar oracle.  Any JIT
-        compilation happens *before* the timed region and is reported as
-        ``stats.extra["jit_compile_seconds"]``.
+        Kernel backend name, instance, or ``None``/``"auto"`` for
+        ``numpy`` (see :func:`repro.kernels.backends.resolve_backend`).
+        Ignored on the ``reference`` path, which always runs the scalar
+        oracle.
     workspace:
         Optional :class:`~repro.kernels.backends.KernelWorkspace` for
         scratch reuse across calls; one is created internally per
@@ -182,7 +180,6 @@ def sketch_spmm(
 
     be = resolve_backend(backend)
     ws = workspace if workspace is not None else KernelWorkspace()
-    jit_seconds = 0.0 if reference else be.warmup(rng, Ahat.dtype)
 
     sw = Stopwatch()
     samples_before = rng.samples_generated
@@ -246,8 +243,7 @@ def sketch_spmm(
         blocks_processed=blocks,
         d=d, b_d=b_d, b_n=b_n,
         extra={**conversion_extra,
-               "backend": "reference" if reference else be.name,
-               "jit_compile_seconds": jit_seconds},
+               "backend": "reference" if reference else be.name},
     )
     return Ahat, stats
 
@@ -319,7 +315,6 @@ def sketch_spmm_batched(
 
     be = resolve_backend(backend)
     ws = workspace if workspace is not None else KernelWorkspace()
-    jit_seconds = be.warmup(rng.members[0], Ahat.dtype)
 
     sw = Stopwatch()
     samples_before = rng.samples_generated
@@ -379,7 +374,6 @@ def sketch_spmm_batched(
         d=d, b_d=b_d, b_n=b_n,
         extra={**conversion_extra,
                "backend": be.name,
-               "batch": k,
-               "jit_compile_seconds": jit_seconds},
+               "batch": k},
     )
     return Ahat, stats

@@ -11,7 +11,6 @@ from .bandwidth import (
     predict_time,
     rng_rate_per_core,
 )
-from .executor import ResilientExecutor, parallel_sketch_spmm
 from .procpool import ProcessPoolSupervisor, WorkerPoolConfig, pool_start_method
 from .resilience import (
     DegradationPolicy,
@@ -38,8 +37,6 @@ __all__ = [
     "predict_sharded_time",
     "predict_time",
     "rng_rate_per_core",
-    "ResilientExecutor",
-    "parallel_sketch_spmm",
     "ProcessPoolSupervisor",
     "WorkerPoolConfig",
     "pool_start_method",

@@ -38,10 +38,6 @@ callbacks threaded through the internals: the engine emits
 ``checkpoint_written`` lifecycle events, and fires the
 ``task_start``/``rng_request``/``block_computed`` hook events that fault
 injection subscribes to (see :meth:`repro.faults.FaultInjector.register`).
-
-:class:`ResilientExecutor` and :func:`parallel_sketch_spmm` remain the
-public entry points, now as thin shims that compile a plan from their
-keyword arguments and delegate to ``Runtime.run(plan)``.
 """
 
 from __future__ import annotations
@@ -63,12 +59,8 @@ from ..errors import (
     TaskTimeoutError,
 )
 from ..faults.plan import InjectedCrashError
-from ..kernels.backends import (
-    KernelBackend,
-    KernelWorkspace,
-    resolve_backend,
-)
-from ..kernels.blocking import default_block_sizes, iter_block_tasks
+from ..kernels.backends import KernelWorkspace, resolve_backend
+from ..kernels.blocking import iter_block_tasks
 from ..kernels.stats import KernelStats
 from ..plan.events import (
     BLOCK_COMPUTED,
@@ -82,15 +74,13 @@ from ..plan.events import (
     TASK_START,
     EventBus,
 )
-from ..plan.policy import PersistencePolicy, warn_deprecated_kwargs
-from ..plan.spec import ProblemSpec, RngSpec, SketchPlan
+from ..plan.spec import SketchPlan
 from ..rng.base import SketchingRNG
 from ..sparse.blocked_csr import BlockedCSR
 from ..sparse.convert import csc_to_blocked_csr
 from ..sparse.csc import CSCMatrix
 from ..utils.flops import spmm_flops
 from ..utils.timing import Stopwatch, Timer
-from ..utils.validation import check_positive_int
 from .resilience import (
     ResilienceConfig,
     RunHealth,
@@ -105,7 +95,7 @@ from .scheduler import estimate_task_costs, partition_tasks
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
-__all__ = ["PlanExecutionEngine", "ResilientExecutor", "parallel_sketch_spmm"]
+__all__ = ["PlanExecutionEngine"]
 
 RngFactory = Callable[[int], SketchingRNG]
 
@@ -165,7 +155,6 @@ class PlanExecutionEngine:
         self.b_n = plan.b_n
         self.strategy = plan.strategy
         self.backend = resolve_backend(plan.backend)
-        self.jit_compile_seconds = 0.0
         self.rng_factory = rng_factory
         self.blocked = blocked
         self.bus = bus if bus is not None else EventBus()
@@ -412,7 +401,6 @@ class PlanExecutionEngine:
             d=self.d, b_d=self.b_d, b_n=self.b_n,
             extra={"threads": self.threads, "strategy": self.strategy,
                    "resilient": self.guarded, "backend": self.backend.name,
-                   "jit_compile_seconds": self.jit_compile_seconds,
                    **({"batch": self.batch} if self.batch > 1 else {})},
             health=self.health if self.guarded else None,
         )
@@ -729,13 +717,6 @@ class PlanExecutionEngine:
         runs (``None`` on the fast path).
         """
         tasks, conversion_seconds = self._prepare()
-        # JIT backends compile outside the timed region (and nogil fused
-        # kernels then overlap end-to-end across the worker threads).
-        warm_rng = self.rng_factory(0)
-        if hasattr(warm_rng, "members"):  # batched: members share a family
-            warm_rng = warm_rng.members[0]
-        self.jit_compile_seconds = self.backend.warmup(
-            warm_rng, self.Ahat.dtype)
         if self.guarded:
             self.health.backend = self.backend.name
         with Timer() as total:
@@ -752,252 +733,3 @@ class PlanExecutionEngine:
                 self.Ahat *= post
         return self.Ahat, self._finish_stats(tasks, conversion_seconds,
                                              total.elapsed)
-
-
-# -- public shims -----------------------------------------------------------
-
-
-def _plan_from_executor_args(
-    A: CSCMatrix,
-    d: int,
-    rng_factory: RngFactory,
-    *,
-    threads: int,
-    kernel: str,
-    b_d: int | None,
-    b_n: int | None,
-    strategy: str,
-    resilience: ResilienceConfig | None,
-    persistence: PersistencePolicy | None,
-) -> SketchPlan:
-    """Compile a plan from the legacy executor keyword surface."""
-    d = check_positive_int(d, "d")
-    threads = check_positive_int(threads, "threads")
-    if kernel not in ("algo3", "algo4"):
-        raise ConfigError(f"kernel must be 'algo3' or 'algo4', got {kernel!r}")
-    m, n = A.shape
-    bd_default, bn_default = default_block_sizes(d, n, parallel=threads > 1)
-    b_d = bd_default if b_d is None else check_positive_int(b_d, "b_d")
-    b_n = bn_default if b_n is None else check_positive_int(b_n, "b_n")
-    probe = rng_factory(0)
-    return SketchPlan(
-        problem=ProblemSpec(m=m, n=n, d=d, nnz=A.nnz),
-        kernel=kernel, b_d=b_d, b_n=b_n,
-        backend=resolve_backend(None).name,  # overridden below when given
-        rng=RngSpec(kind=probe.family, seed=probe.seed,
-                    distribution=probe.dist.name),
-        threads=threads, strategy=strategy, driver="engine",
-        resilience=resilience,
-        persistence=(persistence if persistence is not None
-                     else PersistencePolicy()),
-    )
-
-
-class ResilientExecutor:
-    """Legacy keyword surface over the plan/compile/execute stack.
-
-    Compiles a :class:`~repro.plan.SketchPlan` from the pre-refactor
-    keyword arguments and delegates execution to
-    ``Runtime.run(plan)`` — behaviour and outputs are bit-identical to
-    the pre-plan executor.  New code should compile a plan (see
-    :class:`repro.plan.Planner`) and call the runtime directly.
-
-    Parameters mirror :func:`parallel_sketch_spmm` plus:
-
-    resilience:
-        A :class:`~repro.parallel.resilience.ResilienceConfig`; ``None``
-        (with no *injector* and no persistence) selects the original
-        fast path — direct in-place block writes, no per-task
-        bookkeeping.
-    injector:
-        A :class:`repro.faults.FaultInjector` wired into the run
-        (testing only; ``None`` in production): registered on the event
-        bus for the task hooks and handed to the checkpoint manager for
-        storage faults.
-    persistence:
-        A :class:`~repro.plan.PersistencePolicy`; the preferred spelling
-        of the deprecated ``checkpoint``/``checkpoint_dir``/
-        ``checkpoint_every``/``checkpoint_keep``/``resume`` kwargs.
-    bus:
-        The :class:`~repro.plan.EventBus` lifecycle events fire on; a
-        private bus is created when omitted.
-    """
-
-    def __init__(
-        self,
-        A: CSCMatrix,
-        d: int,
-        rng_factory: RngFactory,
-        *,
-        threads: int,
-        kernel: str = "algo3",
-        b_d: int | None = None,
-        b_n: int | None = None,
-        strategy: str = "static",
-        blocked: BlockedCSR | None = None,
-        resilience: ResilienceConfig | None = None,
-        injector: "FaultInjector | None" = None,
-        backend: str | KernelBackend | None = None,
-        checkpoint: "object | None" = None,
-        checkpoint_dir=None,
-        checkpoint_every: int = 1,
-        checkpoint_keep: int = 2,
-        resume: bool = False,
-        persistence: PersistencePolicy | None = None,
-        bus: EventBus | None = None,
-    ) -> None:
-        legacy_ck = (checkpoint is not None or checkpoint_dir is not None
-                     or checkpoint_every != 1 or checkpoint_keep != 2
-                     or resume)
-        if persistence is not None:
-            if legacy_ck:
-                raise ConfigError(
-                    "pass either persistence= or the legacy checkpoint "
-                    "kwargs, not both"
-                )
-        elif legacy_ck:
-            warn_deprecated_kwargs(
-                "ResilientExecutor",
-                "checkpoint/checkpoint_dir/checkpoint_every/"
-                "checkpoint_keep/resume",
-                "persistence=PersistencePolicy(...)")
-            persistence = PersistencePolicy.from_legacy(
-                checkpoint=checkpoint, checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
-                checkpoint_keep=checkpoint_keep, resume=resume)
-        plan = _plan_from_executor_args(
-            A, d, rng_factory, threads=threads, kernel=kernel, b_d=b_d,
-            b_n=b_n, strategy=strategy, resilience=resilience,
-            persistence=persistence)
-        backend_name = resolve_backend(backend).name
-        if backend_name != plan.backend:
-            import dataclasses
-
-            plan = dataclasses.replace(plan, backend=backend_name)
-        self.plan = plan
-        self.A = A
-        self.rng_factory = rng_factory
-        self.blocked = blocked
-        self.injector = injector
-        self.bus = bus if bus is not None else EventBus()
-
-    @property
-    def b_d(self) -> int:
-        return self.plan.b_d
-
-    @property
-    def b_n(self) -> int:
-        return self.plan.b_n
-
-    def fingerprint(self) -> dict:
-        """Immutable run identity for checkpoint compatibility checks."""
-        rng = self.rng_factory(0)
-        from ..persist.snapshot import run_fingerprint
-
-        return run_fingerprint(
-            mode="blocked", d=self.plan.problem.d, n=self.A.shape[1],
-            b_d=self.plan.b_d, b_n=self.plan.b_n, kernel=self.plan.kernel,
-            backend=self.plan.backend, rng_kind=rng.family, seed=rng.seed,
-            distribution=rng.dist.name,
-        )
-
-    def run(self) -> tuple[np.ndarray, KernelStats]:
-        """Execute the sketch; returns ``(Ahat, stats)``.
-
-        ``stats.health`` carries the :class:`RunHealth` report on guarded
-        runs (``None`` on the fast path).
-        """
-        from ..plan.runtime import Runtime
-
-        result = Runtime(bus=self.bus).run(
-            self.plan, self.A, rng_factory=self.rng_factory,
-            blocked=self.blocked, injector=self.injector)
-        return result.sketch, result.stats
-
-
-def parallel_sketch_spmm(
-    A: CSCMatrix,
-    d: int,
-    rng_factory: RngFactory,
-    *,
-    threads: int,
-    kernel: str = "algo3",
-    b_d: int | None = None,
-    b_n: int | None = None,
-    strategy: str = "static",
-    blocked: BlockedCSR | None = None,
-    resilience: ResilienceConfig | None = None,
-    injector: "FaultInjector | None" = None,
-    backend: "str | KernelBackend | None" = None,
-    checkpoint: "object | None" = None,
-    checkpoint_dir=None,
-    checkpoint_every: int = 1,
-    checkpoint_keep: int = 2,
-    resume: bool = False,
-    persistence: PersistencePolicy | None = None,
-    bus: EventBus | None = None,
-) -> tuple[np.ndarray, KernelStats]:
-    """Compute ``Ahat = S @ A`` using *threads* workers over block tasks.
-
-    A thin shim over the plan/compile/execute stack: compiles a
-    :class:`~repro.plan.SketchPlan` from these keyword arguments and runs
-    it through ``Runtime.run(plan)``.
-
-    Parameters
-    ----------
-    rng_factory:
-        Called once per worker with the worker index; must return
-        independent :class:`SketchingRNG` objects configured with the
-        *same* seed/distribution (worker index is provided only for
-        callers that want private instrumentation).
-    strategy:
-        Task partitioning (see :func:`repro.parallel.partition_tasks`).
-        On the guarded (resilient) path tasks are submitted individually
-        in Algorithm 1 order and *strategy* only affects accounting.
-    blocked:
-        Pre-built blocked CSR (Algorithm 4); built here (and timed) when
-        absent.
-    resilience, injector:
-        Fault handling and fault injection — see
-        :class:`ResilientExecutor`.  Both ``None`` (the default) selects
-        the original zero-overhead path.
-    backend:
-        Kernel backend (name, instance, or ``None``/``"auto"``; see
-        :func:`repro.kernels.backends.resolve_backend`).  With the
-        ``numba`` backend the fused ``nogil`` kernels release the GIL for
-        entire block tasks, so worker threads overlap fully instead of
-        only inside NumPy calls.
-    persistence:
-        Durable crash recovery as a
-        :class:`~repro.plan.PersistencePolicy` — the preferred spelling
-        of the deprecated ``checkpoint``/``checkpoint_dir``/
-        ``checkpoint_every``/``checkpoint_keep``/``resume`` kwargs (see
-        :mod:`repro.persist`).  A snapshot of all *completed* row blocks
-        is written atomically every ``every`` row-block completions (and
-        once at the end, pre-``post_scale``).  ``resume=True`` restores
-        the newest verified-good snapshot from the directory — its
-        fingerprint must match this run exactly (same
-        ``d``/blocking/kernel/backend/RNG) or
-        :class:`~repro.errors.CheckpointMismatchError` is raised — and
-        skips the tasks of already-completed row blocks.  Checkpointing
-        selects the guarded execution path.
-    bus:
-        Event bus for lifecycle events (``block_start``/``block_done``,
-        ``retry``, ``degraded``, ``checkpoint_written``).
-
-    Returns
-    -------
-    (Ahat, stats):
-        stats buckets aggregate across workers (sample/compute seconds are
-        summed CPU-seconds, not wall time; ``total_seconds`` is wall time);
-        ``stats.health`` reports fault recovery on guarded runs.
-    """
-    executor = ResilientExecutor(
-        A, d, rng_factory, threads=threads, kernel=kernel, b_d=b_d, b_n=b_n,
-        strategy=strategy, blocked=blocked, resilience=resilience,
-        injector=injector, backend=backend, checkpoint=checkpoint,
-        checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-        checkpoint_keep=checkpoint_keep, resume=resume,
-        persistence=persistence, bus=bus,
-    )
-    return executor.run()

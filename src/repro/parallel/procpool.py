@@ -305,8 +305,6 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
             return Ahat, rng, block_by_offset
 
         Ahat, rng, block_by_offset = bind(plan, problem)
-        warm_rng = rng.members[0] if hasattr(rng, "members") else rng
-        backend.warmup(warm_rng, np.float64)
         conn.send(("ready", wid, os.getpid()))
 
         while True:

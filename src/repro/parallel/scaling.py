@@ -8,7 +8,7 @@ shape* (see DESIGN.md's substitution table): the paper's own explanation
 of its scaling data is the bandwidth-saturation story this model encodes.
 
 :func:`simulate_strong_scaling` runs the model; :func:`measure_strong_scaling`
-runs real threads through :func:`repro.parallel.parallel_sketch_spmm`.
+runs real threads through the plan runtime's ``engine`` driver.
 Both return :class:`ScalingPoint` rows directly comparable to Table VII.
 """
 
@@ -23,7 +23,6 @@ from ..model.traffic import algo3_traffic, algo4_traffic
 from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
 from .bandwidth import predict_sharded_time, predict_time
-from .executor import parallel_sketch_spmm
 
 __all__ = ["ScalingPoint", "simulate_strong_scaling", "measure_strong_scaling",
            "parallel_efficiency"]
@@ -106,11 +105,19 @@ def measure_strong_scaling(
     threads_list: Sequence[int],
 ) -> list[ScalingPoint]:
     """Run the real thread-pool executor across thread counts and time it."""
+    from ..plan.runtime import Runtime
+    from ..plan.spec import ProblemSpec, RngSpec, SketchPlan
+
+    probe = rng_factory(0)
     points = []
     for p in threads_list:
-        _, stats = parallel_sketch_spmm(
-            A, d, rng_factory, threads=p, kernel=kernel, b_d=b_d, b_n=b_n
-        )
+        plan = SketchPlan(
+            problem=ProblemSpec(m=A.shape[0], n=A.shape[1], d=d, nnz=A.nnz),
+            kernel=kernel, b_d=b_d, b_n=b_n,
+            rng=RngSpec(kind=probe.family, seed=probe.seed,
+                        distribution=probe.dist.name),
+            threads=p, driver="engine")
+        stats = Runtime().run(plan, A, rng_factory=rng_factory).stats
         points.append(
             ScalingPoint(kernel, p, stats.total_seconds, stats.gflops_rate,
                          "measured")

@@ -95,14 +95,6 @@ def _restore_streaming(snap: Snapshot, *, checkpoint_every: int | None,
         persistence=PersistencePolicy(manager=manager),
     )
     st.checkpoint_every = checkpoint_every
-    if st.backend.name != fp["backend"]:
-        # resolve_backend silently downgrades an unavailable backend; for
-        # resume that would break bit-identity, so make it loud.
-        raise CheckpointMismatchError(
-            f"snapshot was written with backend {fp['backend']!r} which is "
-            f"unavailable here (resolved to {st.backend.name!r}); the "
-            f"accumulation bit patterns would not match"
-        )
     check_fingerprint(fp, st.fingerprint())
     st._sketch[:, :] = snap.load_array(verify=False)  # verified at load
     st.rows_seen = int(state["rows_seen"])

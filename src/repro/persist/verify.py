@@ -152,13 +152,6 @@ class _Replayer:
         self.A = A
         self.rng = make_rng(fp["rng_kind"], fp["seed"], fp["distribution"])
         self.backend = resolve_backend(fp["backend"])
-        if self.backend.name != fp["backend"]:
-            raise CheckpointError(
-                f"cannot replay-audit: snapshot backend {fp['backend']!r} is "
-                f"unavailable (resolved to {self.backend.name!r}) and bit "
-                f"patterns are backend-specific"
-            )
-        self.backend.warmup(self.rng)
         self.batches = [(int(o), int(c))
                         for o, c in snap.state.get("batches", [])]
         self._col_cache: dict[int, CSCMatrix] = {}

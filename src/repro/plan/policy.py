@@ -1,18 +1,17 @@
 """The persistence policy: one home for the checkpoint wiring.
 
-Before the plan/compile/execute refactor, ``sketch()``,
-``StreamingSketch``, and ``ResilientExecutor`` each re-implemented the
-same four checkpoint knobs (``checkpoint`` vs ``checkpoint_dir`` mutual
-exclusion, cadence, retention, resume-needs-a-directory) and each built
-its own :class:`~repro.persist.CheckpointManager`.  A
-:class:`PersistencePolicy` is that decision captured once: it validates
-the combination a single time, serializes into the plan's JSON record,
-and is the only code path that constructs the manager.
+A :class:`PersistencePolicy` captures the four checkpoint knobs once —
+a directory or a ready :class:`~repro.persist.CheckpointManager` (never
+both), cadence, retention, and resume (which needs a target).  It
+validates the combination a single time, serializes into the plan's
+JSON record, and is the only code path that constructs the manager.
+``sketch()``, :class:`~repro.core.SketchOperator`,
+:class:`~repro.core.StreamingSketch` and the plan runtime all take it as
+``persistence=``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -23,15 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
     from ..persist.snapshot import CheckpointManager
 
-__all__ = ["PersistencePolicy", "warn_deprecated_kwargs"]
-
-
-def warn_deprecated_kwargs(entry: str, old: str, new: str) -> None:
-    """Emit the standard shim warning for a superseded kwarg spelling."""
-    warnings.warn(
-        f"{entry}: the {old} kwarg(s) are deprecated; pass {new} instead",
-        DeprecationWarning, stacklevel=3,
-    )
+__all__ = ["PersistencePolicy"]
 
 
 @dataclass(frozen=True)
@@ -98,18 +89,6 @@ class PersistencePolicy:
     def disabled(cls) -> "PersistencePolicy":
         """The no-persistence policy."""
         return cls()
-
-    @classmethod
-    def from_legacy(cls, *, checkpoint=None, checkpoint_dir=None,
-                    checkpoint_every: int = 1, checkpoint_keep: int = 2,
-                    resume: bool = False) -> "PersistencePolicy":
-        """Map the pre-plan kwarg spellings onto a policy (shim helper)."""
-        return cls(
-            checkpoint_dir=(str(checkpoint_dir)
-                            if checkpoint_dir is not None else None),
-            every=checkpoint_every, keep=checkpoint_keep, resume=resume,
-            manager=checkpoint,
-        )
 
     # -- serialization -------------------------------------------------------
 

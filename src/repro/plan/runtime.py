@@ -1,10 +1,11 @@
 """The single instrumented runtime: ``Runtime.run(plan, A)``.
 
 One engine behind every public entry point.  ``sketch()`` /
-:class:`~repro.core.SketchOperator`, :class:`~repro.core.StreamingSketch`
-(per absorbed batch), and :class:`~repro.parallel.ResilientExecutor` all
-compile a :class:`~repro.plan.SketchPlan` and delegate here; the runtime
-resolves the plan to one of three *drivers* and brackets the execution
+:class:`~repro.core.SketchOperator` and
+:class:`~repro.core.StreamingSketch` (per absorbed batch) compile a
+:class:`~repro.plan.SketchPlan` and delegate here, as does any caller
+holding a plan; the runtime resolves the plan to one of its *drivers*
+and brackets the execution
 with lifecycle events on its :class:`~repro.plan.EventBus`:
 
 ``serial``
@@ -238,9 +239,7 @@ class Runtime:
             :class:`~repro.cache.CachePolicy`) for the "fixed A, many
             sketches" hot path: the Algorithm 4 blocked-CSR conversion
             of *A* is fetched from (or stored into) the cache keyed by
-            the matrix content and ``b_n``, and a per-(kernel, backend)
-            JIT warm-up marker records ``jit_compile_seconds`` so it is
-            paid once per machine.  Cached and cold runs produce
+            the matrix content and ``b_n``.  Cached and cold runs produce
             bit-identical sketches; a corrupt cache entry is quarantined
             and recomputed, never trusted.
         """
@@ -266,14 +265,12 @@ class Runtime:
         misses_before = 0 if cache is None else cache.miss_total()
         blocked_source = None
         cached_conversion_seconds = 0.0
-        if cache is not None and driver_name != "pregen":
-            if plan.partition is None:
-                blocked, cached_conversion_seconds, blocked_source = \
-                    self._cached_blocked(plan, A, blocked, cache)
-            # Sharded plans resolve blocked-CSR per stripe inside
-            # _run_sharded (shard-scoped cache keys); the JIT warm-up
-            # marker is stripe-independent either way.
-            self._jit_marker(plan, cache)
+        # Sharded plans resolve blocked-CSR per stripe inside
+        # _run_sharded (shard-scoped cache keys).
+        if cache is not None and driver_name != "pregen" \
+                and plan.partition is None:
+            blocked, cached_conversion_seconds, blocked_source = \
+                self._cached_blocked(plan, A, blocked, cache)
         if driver_name == "serial" and plan.persistence.enabled:
             raise ConfigError(
                 "the serial driver cannot honour a persistence policy; "
@@ -654,34 +651,3 @@ class Runtime:
         built, conv = csc_to_blocked_csr(A, plan.b_n)
         store_blocked_csr(cache, key, built, b_n=plan.b_n)
         return built, conv.seconds, "converted"
-
-    def _jit_marker(self, plan: SketchPlan, cache: "ArtifactCache") -> None:
-        """Warm the kernel backend once per (kernel, backend, machine).
-
-        On a cache miss the backend's JIT compilation is triggered here
-        — outside any timed kernel region — and its cost recorded in a
-        durable marker entry; on a hit the warm-up is skipped entirely,
-        trusting the backend's own on-disk compilation cache (numba's
-        ``cache=True``) to make the first real call cheap.  Either way
-        ``jit_compile_seconds`` is paid at most once per machine.
-        """
-        if plan.kernel not in ("algo3", "algo4"):
-            return
-        from ..cache.artifacts import (
-            fetch_jit_marker,
-            jit_warmup_key,
-            store_jit_marker,
-        )
-        from ..kernels.backends import resolve_backend
-
-        be = resolve_backend(plan.backend)
-        key = jit_warmup_key(kernel=plan.kernel, backend=be.name,
-                             rng_kind=plan.rng.kind)
-        if fetch_jit_marker(cache, key) is not None:
-            return
-        # Warm-up needs one plain generator; a batched plan's members
-        # share the family, so the single-seed recipe is representative.
-        rng = plan.rng.build(0)
-        seconds = be.warmup(rng, np.float64)
-        store_jit_marker(cache, key, kernel=plan.kernel, backend=be.name,
-                         jit_compile_seconds=seconds)

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..errors import ConfigError
+from ..kernels.backends import registered_backends
 from ..parallel.procpool import WorkerPoolConfig
 from ..parallel.resilience import DegradationPolicy, ResilienceConfig
 from ..rng.base import SketchingRNG, make_rng
@@ -448,7 +449,7 @@ class SketchPlan:
     b_d, b_n:
         The Algorithm 1 blocking.
     backend:
-        Resolved kernel-backend name (``"numpy"``/``"numba"``).
+        Resolved kernel-backend name; must be registered (``"numpy"``).
     rng:
         Generator recipe (family, seed, distribution, normalization).
     threads, strategy:
@@ -498,6 +499,7 @@ class SketchPlan:
 
     def __post_init__(self) -> None:
         check_choice(self.kernel, "kernel", _PLAN_KERNELS)
+        check_choice(self.backend, "backend", registered_backends())
         check_choice(self.driver, "driver", _DRIVERS)
         check_positive_int(self.b_d, "b_d")
         check_positive_int(self.b_n, "b_n")

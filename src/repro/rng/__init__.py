@@ -18,7 +18,6 @@ from .base import (
 from .batched import BatchedSketchRNG, make_batched_rng
 from .benchmark import RngProbe, estimate_h, rng_sample_rate, stream_copy_bandwidth
 from .detmath import det_cos_2pi, det_log
-from .jit import NUMBA_AVAILABLE
 from .distributions import (
     DISTRIBUTIONS,
     GAUSSIAN,
@@ -48,7 +47,6 @@ __all__ = [
     "stream_copy_bandwidth",
     "det_cos_2pi",
     "det_log",
-    "NUMBA_AVAILABLE",
     "DISTRIBUTIONS",
     "GAUSSIAN",
     "RADEMACHER",

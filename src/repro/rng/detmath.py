@@ -4,18 +4,20 @@ The Box–Muller transform needs ``log`` and ``cos``, and those are the only
 two places where the realized sketch could depend on *which* libm serves
 the call: NumPy dispatches float64 ``log`` to SIMD implementations on some
 hosts (AVX-512 machines observably differ from scalar libm by 1 ulp), and
-a JIT backend (Numba) lowers to scalar libm.  A sketch entry generated by
-the vectorized NumPy kernels and by a fused JIT kernel must be the *same
-number* — the whole backend contract is bit-identity — so the Gaussian
-transform cannot call either library's transcendentals.
+a scalar kernel would call scalar libm.  A sketch entry must be the *same
+number* on every host and in every kernel — the whole backend contract
+is bit-identity — so the Gaussian transform cannot call either library's
+transcendentals.
 
 This module provides the two functions as fixed sequences of exactly
 rounded IEEE-754 operations (add/sub/mul/div/frexp/floor only), ported
 from fdlibm's ``e_log.c`` / ``k_sin.c`` / ``k_cos.c``.  Any IEEE-754
-double implementation — NumPy ufunc loops, Numba-compiled scalars
-(:mod:`repro.rng.jit` carries the scalar twins), or plain Python floats —
-produces identical bits, on every platform.  Accuracy is ~1–2 ulp of the
-true value, far below the statistical resolution of any sketching use.
+double implementation — NumPy ufunc loops or plain Python floats —
+produces identical bits, on every platform.  The scalar
+``*_reference`` functions at the end spell the same sequences in plain
+Python; they are the oracles the vectorized versions are tested against.
+Accuracy is ~1–2 ulp of the true value, far below the statistical
+resolution of any sketching use.
 
 Domains are intentionally narrow (this is not a libm): :func:`det_log`
 accepts positive normal finite doubles, :func:`det_cos_2pi` arguments in
@@ -25,12 +27,14 @@ accepts positive normal finite doubles, :func:`det_cos_2pi` arguments in
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .scratch import Scratch
 
-__all__ = ["det_log", "det_cos_2pi"]
+__all__ = ["det_log", "det_cos_2pi", "det_log_reference",
+           "det_cos_2pi_reference", "gaussian_reference"]
 
 # fdlibm e_log.c constants: ln2 split hi/lo, Remez coefficients for
 # log(1+f) on |f| <= sqrt(2)-1 via s = f/(2+f).
@@ -99,9 +103,8 @@ def det_log(x: np.ndarray, out: np.ndarray | None = None,
     a single exactly rounded operation, so the result is a pure function
     of the input bits — independent of libm, SIMD width, or vectorization.
     The steps run in place on buffers from *scratch*; *out* may be *x*.
-
-    :mod:`repro.rng.jit` holds the scalar twin (:func:`repro.rng.jit.log_det`)
-    used inside JIT-compiled kernels; tests assert the two agree exactly.
+    :func:`det_log_reference` is the scalar oracle; tests assert the two
+    agree exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     sc = scratch if scratch is not None else Scratch()
@@ -189,3 +192,54 @@ def det_cos_2pi(u: np.ndarray, out: np.ndarray | None = None,
         out = np.empty(u.shape)
     np.bitwise_xor(cos_k.view(np.uint64), q, out=out.view(np.uint64))
     return out
+
+
+# -- scalar oracles ----------------------------------------------------------
+
+
+def det_log_reference(x: float) -> float:
+    """Scalar :func:`det_log` of one positive normal ``x``, plain Python."""
+    m, e = math.frexp(x)
+    dk = float(e)
+    if m < _SQRT_HALF:
+        m = m + m
+        dk = dk - 1.0
+    f = m - 1.0
+    hfsq = 0.5 * f * f
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    t1 = w * (_LG2 + w * (_LG4 + w * _LG6))
+    t2 = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
+    r = t2 + t1
+    return dk * _LN2_HI - ((hfsq - (s * (hfsq + r) + dk * _LN2_LO)) - f)
+
+
+def det_cos_2pi_reference(u: float) -> float:
+    """Scalar :func:`det_cos_2pi` of one ``u`` in ``[0, 1)``, plain Python."""
+    t = 4.0 * u
+    n = math.floor(t + 0.5)
+    theta = (t - n) * _PI_OVER_2
+    z = theta * theta
+
+    r_s = _S2 + z * (_S3 + z * (_S4 + z * (_S5 + z * _S6)))
+    sin_k = theta + (z * theta) * (_S1 + z * r_s)
+
+    r_c = z * (_C1 + z * (_C2 + z * (_C3 + z * (_C4 + z * (_C5 + z * _C6)))))
+    ax = abs(theta)
+    if ax < 0.3:
+        qx = 0.0
+    elif ax > 0.78125:
+        qx = 0.28125
+    else:
+        qx = 0.25 * ax
+    cos_k = (1.0 - qx) - ((0.5 * z - qx) - z * r_c)
+    return (cos_k, -sin_k, -cos_k, sin_k)[n & 3]
+
+
+def gaussian_reference(bits: int) -> float:
+    """The ``gaussian`` transform of one 64-bit word (Box–Muller on halves)."""
+    bits = int(bits)
+    u1 = ((bits >> 32) + 0.5) / 4294967296.0
+    u2 = ((bits & 0xFFFFFFFF) + 0.5) / 4294967296.0
+    return math.sqrt(-2.0 * det_log_reference(u1)) * det_cos_2pi_reference(u2)

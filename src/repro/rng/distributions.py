@@ -115,8 +115,7 @@ def _bits_to_gaussian(bits: np.ndarray, out: np.ndarray | None = None,
     The transcendentals go through :mod:`repro.rng.detmath` rather than
     libm so the bits→sample map is a platform-independent pure function:
     NumPy's SIMD float64 ``log`` differs from scalar libm by 1 ulp on some
-    hosts, which would break the kernel backends' bit-identity contract
-    (JIT-compiled kernels evaluate the transform one scalar at a time).
+    hosts, which would break the bit-identity contract.
     """
     sc = scratch if scratch is not None else Scratch()
     u1 = np.right_shift(bits, _32, out=sc.take("gauss.u1", bits.shape))

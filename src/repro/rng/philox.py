@@ -54,10 +54,9 @@ def _philox_words(c0, c1, c2, c3, key, rounds: int,
     """Philox4x32 rounds on counter words held in ``uint64`` lanes.
 
     Each 32-bit word lives in the low half of a ``uint64``, so the
-    32x32 -> 64 multiply is exact without casts (the layout of the scalar
-    twin :func:`repro.rng.jit.philox_u64`).  Every round updates the four
-    lanes in place in buffers taken from *scratch*; the returned lanes
-    alias them.
+    32x32 -> 64 multiply is exact without casts.  Every round updates
+    the four lanes in place in buffers taken from *scratch*; the
+    returned lanes alias them.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")

@@ -63,8 +63,8 @@ class ServeConfig:
         engine-driver requests may checkpoint into per-request
         subdirectories.
     cache_dir:
-        Artifact-cache directory (blocked-CSR conversions, JIT
-        markers) for the fixed-A hot path; ``None`` disables the
+        Artifact-cache directory (blocked-CSR conversions, kernel
+        choices) for the fixed-A hot path; ``None`` disables the
         cache.
     allow_chaos:
         Gate for the fault-injection hooks (``chaos`` request field,

@@ -1,5 +1,4 @@
-"""Typed artifact round trips: tune results, kernel choices, blocked CSR,
-JIT markers."""
+"""Typed artifact round trips: tune results, kernel choices, blocked CSR."""
 
 import numpy as np
 import pytest
@@ -9,13 +8,10 @@ from repro.cache.artifacts import (
     blocked_csr_from_arrays,
     blocked_csr_key,
     fetch_blocked_csr,
-    fetch_jit_marker,
     fetch_kernel_choice,
     fetch_tune_result,
-    jit_warmup_key,
     kernel_choice_key,
     store_blocked_csr,
-    store_jit_marker,
     store_kernel_choice,
     store_tune_result,
     tune_key,
@@ -139,13 +135,3 @@ class TestBlockedCsrRoundTrip:
         assert got is not None
         assert got.nnz == 0
 
-
-class TestJitMarker:
-    def test_round_trip(self, tmp_path):
-        key = jit_warmup_key(kernel="algo4", backend="numba",
-                             rng_kind="philox")
-        store_jit_marker(make_cache(tmp_path), key, kernel="algo4",
-                         backend="numba", jit_compile_seconds=1.25)
-        marker = fetch_jit_marker(make_cache(tmp_path), key)
-        assert marker == {"kernel": "algo4", "backend": "numba",
-                          "jit_compile_seconds": 1.25}

@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.cache.artifacts import (
     blocked_csr_key,
-    jit_warmup_key,
     kernel_choice_key,
     tune_key,
 )
@@ -60,9 +59,8 @@ class TestKeyRecipes:
     def test_artifact_classes_never_collide(self):
         components = {"x": 1}
         keys = {cache_key(a, components)
-                for a in ("tune", "kernel_choice", "blocked_csr",
-                          "jit_warmup")}
-        assert len(keys) == 4
+                for a in ("tune", "kernel_choice", "blocked_csr")}
+        assert len(keys) == 3
 
     def test_component_order_is_irrelevant(self):
         assert cache_key("tune", {"a": 1, "b": 2.5}) == \
@@ -91,9 +89,3 @@ class TestKeyRecipes:
         kw = dict(backend="numpy", concentration_threshold=0.5)
         assert kernel_choice_key(small_sparse, **kw) == \
             kernel_choice_key(twin, **kw)
-
-    def test_jit_key_ignores_the_matrix_entirely(self):
-        kw = dict(kernel="algo4", backend="numba", rng_kind="philox")
-        assert jit_warmup_key(**kw) == jit_warmup_key(**kw)
-        assert jit_warmup_key(**{**kw, "backend": "numpy"}) != \
-            jit_warmup_key(**kw)

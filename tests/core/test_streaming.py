@@ -6,6 +6,7 @@ import pytest
 from repro.core.streaming import StreamingSketch
 from repro.errors import ConfigError, ShapeError
 from repro.kernels import sketch_spmm
+from repro.plan import PersistencePolicy
 from repro.rng import PhiloxSketchRNG, ThreefrySketchRNG
 from repro.sparse import CSCMatrix, random_sparse
 
@@ -82,6 +83,14 @@ class TestBookkeeping:
     def test_scaling_trick_rejected(self):
         with pytest.raises(ConfigError):
             StreamingSketch(20, 18, PhiloxSketchRNG(1, "uniform_scaled"))
+
+    def test_policy_cadence_maps_to_checkpoint_every(self, tmp_path):
+        st = StreamingSketch(20, 18, PhiloxSketchRNG(1),
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=40))
+        assert st.checkpoint_every == 40
+        assert StreamingSketch(20, 18, PhiloxSketchRNG(1)).checkpoint_every \
+            is None
 
 
 class TestStreamingApplication:

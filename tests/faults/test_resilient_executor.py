@@ -9,17 +9,15 @@ the injected faults and the recovery actions taken.
 import numpy as np
 import pytest
 
+from repro.core import SketchConfig
 from repro.errors import (
     RetryExhaustedError,
     SketchQualityError,
     TaskTimeoutError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.parallel import (
-    DegradationPolicy,
-    ResilienceConfig,
-    parallel_sketch_spmm,
-)
+from repro.parallel import DegradationPolicy, ResilienceConfig
+from repro.plan import Planner, Runtime
 from repro.rng import PhiloxSketchRNG
 from repro.sparse import random_sparse
 
@@ -36,19 +34,23 @@ def factory(w):
     return PhiloxSketchRNG(9)
 
 
+def engine_plan(A, *, threads, kernel, cfg=None):
+    config = SketchConfig(rng_kind="philox", seed=9, kernel=kernel,
+                          b_d=B_D, b_n=B_N, threads=threads, resilience=cfg)
+    return Planner().compile(A, config, d=D, driver="engine")
+
+
 def reference(A, kernel="algo3"):
-    out, _ = parallel_sketch_spmm(A, D, factory, threads=1, kernel=kernel,
-                                  b_d=B_D, b_n=B_N)
-    return out
+    plan = engine_plan(A, threads=1, kernel=kernel)
+    return Runtime().run(plan, A, rng_factory=factory).sketch
 
 
 def run(A, *, threads=2, kernel="algo3", cfg=None, plan=None):
     inj = FaultInjector(plan) if plan is not None else None
-    out, stats = parallel_sketch_spmm(
-        A, D, factory, threads=threads, kernel=kernel, b_d=B_D, b_n=B_N,
-        resilience=cfg, injector=inj,
-    )
-    return out, stats, inj
+    result = Runtime().run(engine_plan(A, threads=threads, kernel=kernel,
+                                       cfg=cfg),
+                           A, rng_factory=factory, injector=inj)
+    return result.sketch, result.stats, inj
 
 
 class TestFastPath:

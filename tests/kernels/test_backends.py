@@ -1,40 +1,26 @@
-"""Tests for repro.kernels.backends — registry, workspace, equivalence.
+"""Tests for repro.kernels.backends — registry, workspace, stats surface.
 
-Three layers:
-
-* registry semantics (selection precedence, env override, graceful
-  fallback with a single informational log line) — run everywhere;
-* workspace reuse must not change results — run everywhere;
-* cross-backend equivalence (numba vs the reference kernels must be
-  bit-identical; numba vs numpy agree to ulps) — skip-marked unless
-  Numba is importable.
+* registry semantics (lookup, singletons, instance pass-through);
+* workspace reuse must not change results;
+* every entry point records the backend that ran.
 """
-
-import logging
 
 import numpy as np
 import pytest
 
 from repro.core import SketchConfig, sketch
 from repro.errors import ConfigError
-from repro.kernels import backends as bk
-from repro.kernels.algo3 import algo3_block_reference
-from repro.kernels.algo4 import algo4_block_reference
 from repro.kernels.backends import (
-    KernelBackend,
     KernelWorkspace,
     available_backends,
     get_backend,
-    numba_available,
     registered_backends,
     resolve_backend,
 )
 from repro.kernels.blocking import sketch_spmm
-from repro.rng.base import JunkRNG, make_rng
-from repro.sparse import CSCMatrix, csc_to_blocked_csr, random_sparse
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable on this host")
+from repro.plan import Planner, Runtime
+from repro.rng.base import make_rng
+from repro.sparse import CSCMatrix, random_sparse
 
 
 def _matrix_with_empty_columns(seed: int = 3) -> CSCMatrix:
@@ -49,9 +35,8 @@ def _matrix_with_empty_columns(seed: int = 3) -> CSCMatrix:
 
 class TestRegistry:
     def test_registered_and_available(self):
-        assert registered_backends() == ["numba", "numpy"]
-        assert "numpy" in available_backends()
-        assert ("numba" in available_backends()) == numba_available()
+        assert registered_backends() == ["numpy"]
+        assert available_backends() == ["numpy"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(ConfigError, match="unknown kernel backend"):
@@ -64,38 +49,9 @@ class TestRegistry:
         be = get_backend("numpy")
         assert resolve_backend(be) is be
 
-    def test_resolve_auto_env_unset(self, monkeypatch):
-        monkeypatch.delenv(bk.BACKEND_ENV_VAR, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend(None).name == expected
-        assert resolve_backend("auto").name == expected
-
-    def test_env_variable_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(bk.BACKEND_ENV_VAR, "numpy")
+    def test_resolve_auto_is_numpy(self):
         assert resolve_backend(None).name == "numpy"
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(bk.BACKEND_ENV_VAR, "nonsense")
-        # The explicit request never consults the (invalid) env value.
-        assert resolve_backend("numpy").name == "numpy"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(bk.BACKEND_ENV_VAR, "nonsense")
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            resolve_backend(None)
-
-    def test_unavailable_backend_logs_once_then_falls_back(
-            self, monkeypatch, caplog):
-        if numba_available():
-            pytest.skip("fallback path only reachable without numba")
-        monkeypatch.setattr(bk, "_FALLBACK_LOGGED", set())
-        with caplog.at_level(logging.INFO, logger="repro.kernels.backends"):
-            first = resolve_backend("numba")
-            second = resolve_backend("numba")
-        assert first.name == "numpy" and second.name == "numpy"
-        infos = [r for r in caplog.records if "falling back" in r.message]
-        assert len(infos) == 1
-        assert infos[0].levelno == logging.INFO
+        assert resolve_backend("auto").name == "numpy"
 
 
 class TestKernelWorkspace:
@@ -138,24 +94,24 @@ class TestKernelWorkspace:
 
 
 class TestStatsSurface:
-    def test_sketch_spmm_records_backend_and_jit_seconds(self, tall_sparse):
+    def test_sketch_spmm_records_backend(self, tall_sparse):
         _, stats = sketch_spmm(tall_sparse, 80, make_rng("xoshiro", 0),
                                backend="numpy")
         assert stats.extra["backend"] == "numpy"
-        assert stats.extra["jit_compile_seconds"] >= 0.0
 
     def test_reference_path_reports_reference(self, small_sparse):
         _, stats = sketch_spmm(small_sparse, 25, make_rng("philox", 0),
                                reference=True)
         assert stats.extra["backend"] == "reference"
-        assert stats.extra["jit_compile_seconds"] == 0.0
 
     def test_run_health_carries_backend(self, tall_sparse):
-        from repro.parallel import ResilienceConfig, parallel_sketch_spmm
+        from repro.parallel import ResilienceConfig
 
-        _, stats = parallel_sketch_spmm(
-            tall_sparse, 80, lambda w: make_rng("xoshiro", 0),
-            threads=2, resilience=ResilienceConfig(), backend="numpy")
+        cfg = SketchConfig(rng_kind="xoshiro", seed=0, kernel="algo3",
+                           threads=2, backend="numpy",
+                           resilience=ResilienceConfig())
+        plan = Planner().compile(tall_sparse, cfg, d=80, driver="engine")
+        stats = Runtime().run(plan, tall_sparse).stats
         assert stats.health is not None
         assert stats.health.backend == "numpy"
         assert "backend=numpy" in stats.health.summary()
@@ -179,144 +135,12 @@ class TestStatsSurface:
 
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "numpy"
-        assert payload["jit_compile_seconds"] >= 0.0
 
-    def test_cli_numba_request_degrades_gracefully(self, capsys):
-        # With numba absent this exercises the fallback; with numba
-        # present it exercises the JIT path. Either way: exit 0, valid
-        # payload, no exception.
+    def test_cli_rejects_numba(self, capsys):
         from repro.cli import main
 
-        rc = main(["--json", "sketch", "--random", "120", "20", "0.05",
-                   "--backend", "numba"])
-        assert rc == 0
-        import json
-
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] in ("numpy", "numba")
-
-
-class TestNumbaDelegation:
-    """The numba backend object exists even without numba; requests it
-    cannot serve (unsupported RNG/dtype, or numba absent) delegate to the
-    numpy code paths and must match them exactly."""
-
-    def test_junk_rng_delegates_to_numpy(self, tall_sparse):
-        nb = get_backend("numba")
-        d = 40
-        expected, _ = sketch_spmm(tall_sparse, d, JunkRNG(0, "uniform"),
-                                  backend="numpy")
-        got, _ = sketch_spmm(tall_sparse, d, JunkRNG(0, "uniform"),
-                             backend=nb)
-        assert np.array_equal(expected, got)
-
-    def test_delegation_counts_samples(self, small_sparse):
-        nb = get_backend("numba")
-        rng = make_rng("xoshiro", 1)
-        _, stats = sketch_spmm(small_sparse, 30, rng, backend=nb)
-        assert stats.samples_generated > 0
-
-
-@needs_numba
-class TestNumbaEquivalence:
-    """Bit-identity of the fused JIT kernels against the reference
-    (pseudocode-verbatim) kernels, plus ulp-level agreement with the
-    vectorized numpy backend."""
-
-    RNGS = ["philox", "threefry", "xoshiro"]
-    DISTS = ["uniform", "uniform_scaled", "rademacher", "gaussian"]
-
-    @pytest.mark.parametrize("rng_kind", RNGS)
-    @pytest.mark.parametrize("dist", DISTS)
-    def test_algo3_bit_identical_to_reference(self, rng_kind, dist):
-        A = _matrix_with_empty_columns()
-        nb = get_backend("numba")
-        d1, r = 32, 19
-        ref = np.zeros((d1, A.shape[1]))
-        algo3_block_reference(ref, A, r, make_rng(rng_kind, 11, dist))
-        got = np.zeros((d1, A.shape[1]))
-        nb.algo3_block(got, A, r, make_rng(rng_kind, 11, dist))
-        assert np.array_equal(ref, got)
-
-    @pytest.mark.parametrize("rng_kind", RNGS)
-    @pytest.mark.parametrize("dist", DISTS)
-    def test_algo4_bit_identical_to_reference(self, rng_kind, dist):
-        A = _matrix_with_empty_columns()
-        blocked, _ = csc_to_blocked_csr(A, 7)   # b_n edge: 24 % 7 != 0
-        nb = get_backend("numba")
-        d1, r = 32, 19
-        for j0, blk in blocked.iter_blocks():
-            ref = np.zeros((d1, blk.shape[1]))
-            algo4_block_reference(ref, blk, r, make_rng(rng_kind, 11, dist))
-            got = np.zeros((d1, blk.shape[1]))
-            nb.algo4_block(got, blk, r, make_rng(rng_kind, 11, dist))
-            assert np.array_equal(ref, got)
-
-    @pytest.mark.parametrize("kernel", ["algo3", "algo4"])
-    @pytest.mark.parametrize("rng_kind", RNGS)
-    def test_end_to_end_matches_reference_driver(self, kernel, rng_kind):
-        A = _matrix_with_empty_columns()
-        d = 50
-        ref, _ = sketch_spmm(A, d, make_rng(rng_kind, 2), kernel=kernel,
-                             b_d=16, b_n=7, reference=True)
-        got, stats = sketch_spmm(A, d, make_rng(rng_kind, 2), kernel=kernel,
-                                 b_d=16, b_n=7, backend="numba")
-        assert stats.extra["backend"] == "numba"
-        assert np.array_equal(ref, got)
-
-    @pytest.mark.parametrize("kernel", ["algo3", "algo4"])
-    @pytest.mark.parametrize("dist", DISTS)
-    def test_numpy_vs_numba_agree_to_ulps(self, kernel, dist):
-        # Accumulation order differs (vectorized segment sums vs
-        # per-nonzero adds), so cross-backend equality is ulp-level, not
-        # bitwise; the generated samples themselves are bit-identical
-        # (tests/rng/test_jit.py).
-        A = _matrix_with_empty_columns()
-        d = 50
-        a, _ = sketch_spmm(A, d, make_rng("xoshiro", 2, dist), kernel=kernel,
-                           b_d=16, b_n=7, backend="numpy")
-        b, _ = sketch_spmm(A, d, make_rng("xoshiro", 2, dist), kernel=kernel,
-                           b_d=16, b_n=7, backend="numba")
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * max(
-            1.0, float(np.abs(a).max())))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_output_dtype_blocks_bit_identical(self, dtype):
-        # Sparse data is always float64 (CSCMatrix coerces); the output
-        # block's dtype drives the accumulation rounding, which must match
-        # the reference kernel's scalar in-place adds exactly.
-        A = _matrix_with_empty_columns()
-        nb = get_backend("numba")
-        ref = np.zeros((24, A.shape[1]), dtype=dtype)
-        algo3_block_reference(ref, A, 3, make_rng("philox", 9))
-        got = np.zeros((24, A.shape[1]), dtype=dtype)
-        nb.algo3_block(got, A, 3, make_rng("philox", 9))
-        assert got.dtype == np.dtype(dtype)
-        assert np.array_equal(ref, got)
-
-    def test_sample_counter_matches_numpy_backend(self):
-        A = _matrix_with_empty_columns()
-        rng_np = make_rng("xoshiro", 4)
-        rng_nb = make_rng("xoshiro", 4)
-        sketch_spmm(A, 30, rng_np, kernel="algo4", b_n=7, backend="numpy")
-        sketch_spmm(A, 30, rng_nb, kernel="algo4", b_n=7, backend="numba")
-        assert rng_np.samples_generated == rng_nb.samples_generated
-
-    def test_warmup_reports_compile_seconds(self):
-        nb = get_backend("numba")
-        nb.warmup(make_rng("philox", 0), np.float64)
-        _, stats = sketch_spmm(_matrix_with_empty_columns(), 30,
-                               make_rng("philox", 0), backend="numba")
-        assert stats.extra["jit_compile_seconds"] >= 0.0
-
-    def test_parallel_executor_with_numba(self):
-        from repro.parallel import parallel_sketch_spmm
-
-        A = random_sparse(300, 40, 0.05, seed=8)
-        serial, _ = sketch_spmm(A, 90, make_rng("philox", 1),
-                                backend="numpy")
-        par, stats = parallel_sketch_spmm(
-            A, 90, lambda w: make_rng("philox", 1), threads=3,
-            backend="numba")
-        assert stats.extra["backend"] == "numba"
-        assert np.allclose(serial, par, rtol=1e-12)
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", "--random", "120", "20", "0.05",
+                  "--backend", "numba"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

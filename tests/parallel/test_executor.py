@@ -1,11 +1,14 @@
 """Tests for repro.parallel.executor (thread-pool sketching)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import SketchConfig
 from repro.errors import ConfigError
 from repro.kernels import sketch_spmm
-from repro.parallel import parallel_sketch_spmm
+from repro.plan import Planner, Runtime
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG
 from repro.sparse import csc_to_blocked_csr, random_sparse
 
@@ -13,6 +16,25 @@ from repro.sparse import csc_to_blocked_csr, random_sparse
 @pytest.fixture
 def A():
     return random_sparse(120, 30, 0.1, seed=301)
+
+
+def engine_sketch(A, d, rng_factory, *, threads, kernel="algo3", b_d=None,
+                  b_n=None, strategy="static", blocked=None, probe=None):
+    """Compile an engine plan and run it with *rng_factory*.
+
+    The plan's RNG recipe is read from *probe* (default: the generator
+    ``rng_factory(0)`` builds), so a failing factory paired with a
+    known-good probe first runs inside ``Runtime.run``.
+    """
+    rng = rng_factory(0) if probe is None else probe
+    cfg = SketchConfig(rng_kind=rng.family, seed=rng.seed,
+                       distribution=rng.dist.name, kernel=kernel,
+                       threads=threads, b_d=b_d, b_n=b_n)
+    plan = Planner().compile(A, cfg, d=d, driver="engine")
+    plan = dataclasses.replace(plan, strategy=strategy)
+    result = Runtime().run(plan, A, rng_factory=rng_factory,
+                           blocked=blocked)
+    return result.sketch, result.stats
 
 
 def _ref(A, d, b_d, b_n):
@@ -26,7 +48,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("kernel", ["algo3", "algo4"])
     def test_thread_count_invariant(self, A, threads, kernel):
         d, b_d, b_n = 36, 10, 7
-        out, _ = parallel_sketch_spmm(
+        out, _ = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(9), threads=threads,
             kernel=kernel, b_d=b_d, b_n=b_n,
         )
@@ -35,7 +57,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("strategy", ["static", "cyclic", "guided"])
     def test_strategy_invariant(self, A, strategy):
         d, b_d, b_n = 24, 8, 5
-        out, _ = parallel_sketch_spmm(
+        out, _ = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(9), threads=3,
             kernel="algo3", b_d=b_d, b_n=b_n, strategy=strategy,
         )
@@ -45,20 +67,18 @@ class TestCorrectness:
         # Checkpoints are coordinate-keyed, so even the sequential
         # generator is reproducible across thread counts (fixed blocking).
         d, b_d, b_n = 24, 8, 5
-        one, _ = parallel_sketch_spmm(A, d, lambda w: XoshiroSketchRNG(4),
-                                      threads=1, kernel="algo3",
-                                      b_d=b_d, b_n=b_n)
-        four, _ = parallel_sketch_spmm(A, d, lambda w: XoshiroSketchRNG(4),
-                                       threads=4, kernel="algo3",
-                                       b_d=b_d, b_n=b_n)
+        one, _ = engine_sketch(A, d, lambda w: XoshiroSketchRNG(4),
+                               threads=1, kernel="algo3", b_d=b_d, b_n=b_n)
+        four, _ = engine_sketch(A, d, lambda w: XoshiroSketchRNG(4),
+                                threads=4, kernel="algo3", b_d=b_d, b_n=b_n)
         np.testing.assert_allclose(one, four)
 
     def test_scaling_trick_parallel(self, A):
         d = 24
-        plain, _ = parallel_sketch_spmm(
+        plain, _ = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(2, "uniform"), threads=2,
             kernel="algo3", b_d=8, b_n=5)
-        trick, _ = parallel_sketch_spmm(
+        trick, _ = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(2, "uniform_scaled"), threads=2,
             kernel="algo3", b_d=8, b_n=5)
         np.testing.assert_allclose(plain, trick)
@@ -66,7 +86,7 @@ class TestCorrectness:
     def test_prebuilt_blocked(self, A):
         d, b_d, b_n = 24, 8, 5
         blocked, _ = csc_to_blocked_csr(A, b_n)
-        out, stats = parallel_sketch_spmm(
+        out, stats = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(9), threads=2,
             kernel="algo4", b_d=b_d, b_n=b_n, blocked=blocked)
         np.testing.assert_allclose(out, _ref(A, d, b_d, b_n))
@@ -76,7 +96,7 @@ class TestCorrectness:
 class TestStats:
     def test_aggregated_counters(self, A):
         d = 24
-        _, stats = parallel_sketch_spmm(
+        _, stats = engine_sketch(
             A, d, lambda w: PhiloxSketchRNG(1), threads=3,
             kernel="algo3", b_d=8, b_n=5)
         assert stats.samples_generated == d * A.nnz
@@ -88,14 +108,14 @@ class TestStats:
             raise RuntimeError("factory boom")
 
         with pytest.raises(RuntimeError, match="factory boom"):
-            parallel_sketch_spmm(A, 12, bad_factory, threads=2)
+            engine_sketch(A, 12, bad_factory, threads=2,
+                          probe=PhiloxSketchRNG(0))
 
     def test_invalid_kernel(self, A):
         with pytest.raises(ConfigError):
-            parallel_sketch_spmm(A, 12, lambda w: PhiloxSketchRNG(0),
-                                 threads=2, kernel="nope")
+            engine_sketch(A, 12, lambda w: PhiloxSketchRNG(0), threads=2,
+                          kernel="nope")
 
     def test_invalid_threads(self, A):
         with pytest.raises(ConfigError):
-            parallel_sketch_spmm(A, 12, lambda w: PhiloxSketchRNG(0),
-                                 threads=0)
+            engine_sketch(A, 12, lambda w: PhiloxSketchRNG(0), threads=0)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import SketchConfig
 from repro.core.streaming import StreamingSketch
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import InjectedCrashError, InjectedFaultError
-from repro.parallel import parallel_sketch_spmm
 from repro.persist import (
     CheckpointManager,
     latest_verified_snapshot,
@@ -15,6 +15,7 @@ from repro.persist import (
     resume_streaming,
     verify_snapshot,
 )
+from repro.plan import PersistencePolicy, Planner, Runtime
 from repro.rng import make_rng
 from repro.sparse import CSCMatrix, random_sparse
 
@@ -31,7 +32,8 @@ def _injected_manager(tmp_path, *specs, keep=10):
 
 def _stream(A, ck, *, batch=16, stop_after=None):
     st = StreamingSketch(12, A.shape[1], make_rng("philox", 9), kernel="algo3",
-                         b_d=4, b_n=8, checkpoint=ck, checkpoint_every=batch)
+                         b_d=4, b_n=8, persistence=PersistencePolicy(
+                             manager=ck, every=batch))
     dense = A.to_dense()
     n_batches = 0
     for s in range(0, A.shape[0], batch):
@@ -40,6 +42,15 @@ def _stream(A, ck, *, batch=16, stop_after=None):
         if stop_after is not None and n_batches >= stop_after:
             break
     return st
+
+
+def _engine(A, *, persistence=None, injector=None, resilience=None):
+    cfg = SketchConfig(rng_kind="philox", seed=9, kernel="algo3", b_d=4,
+                       b_n=8, threads=2, resilience=resilience)
+    plan = Planner().compile(A, cfg, d=12, driver="engine",
+                             persistence=persistence)
+    result = Runtime().run(plan, A, injector=injector)
+    return result.sketch, result.stats
 
 
 class TestBitflip:
@@ -117,17 +128,13 @@ class TestExecutorCrash:
         inj = FaultInjector(FaultPlan([
             FaultSpec(kind="torn_write", task=(1, 0))]))
         with pytest.raises(InjectedCrashError):
-            parallel_sketch_spmm(A, 12, lambda i: make_rng("philox", 9),
-                                 threads=2, kernel="algo3", b_d=4, b_n=8,
-                                 checkpoint_dir=tmp_path, injector=inj)
+            _engine(A, persistence=PersistencePolicy(
+                checkpoint_dir=str(tmp_path)), injector=inj)
         assert inj.events_by_kind() == {"torn_write": 1}
 
-        ref, _ = parallel_sketch_spmm(A, 12, lambda i: make_rng("philox", 9),
-                                      threads=2, kernel="algo3", b_d=4, b_n=8)
-        out, stats = parallel_sketch_spmm(
-            A, 12, lambda i: make_rng("philox", 9), threads=2,
-            kernel="algo3", b_d=4, b_n=8, checkpoint_dir=tmp_path,
-            resume=True)
+        ref, _ = _engine(A)
+        out, stats = _engine(A, persistence=PersistencePolicy(
+            checkpoint_dir=str(tmp_path), resume=True))
         np.testing.assert_array_equal(out, ref)
 
     def test_plain_injected_faults_stay_retryable(self, tmp_path, A):
@@ -137,11 +144,9 @@ class TestExecutorCrash:
 
         inj = FaultInjector(FaultPlan([
             FaultSpec(kind="raise", task=(0, 0), max_hits=1)]))
-        ref, _ = parallel_sketch_spmm(A, 12, lambda i: make_rng("philox", 9),
-                                      threads=2, kernel="algo3", b_d=4, b_n=8)
-        out, stats = parallel_sketch_spmm(
-            A, 12, lambda i: make_rng("philox", 9), threads=2,
-            kernel="algo3", b_d=4, b_n=8, checkpoint_dir=tmp_path,
+        ref, _ = _engine(A)
+        out, stats = _engine(
+            A, persistence=PersistencePolicy(checkpoint_dir=str(tmp_path)),
             injector=inj, resilience=ResilienceConfig(max_retries=2))
         np.testing.assert_array_equal(out, ref)
         assert inj.events_by_kind() == {"raise": 1}

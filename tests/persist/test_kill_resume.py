@@ -19,13 +19,14 @@ import pytest
 
 from repro.core.streaming import StreamingSketch
 from repro.persist import resume_streaming
-from repro.rng import NUMBA_AVAILABLE, make_rng
+from repro.rng import make_rng
 from repro.sparse import CSCMatrix, random_sparse
 
 _CHILD = """
 import sys, time
 from pathlib import Path
 from repro.core.streaming import StreamingSketch
+from repro.plan import PersistencePolicy
 from repro.rng import make_rng
 from repro.sparse import CSCMatrix, random_sparse
 
@@ -34,14 +35,15 @@ A = random_sparse(96, 24, 0.15, seed=3)
 dense = A.to_dense()
 st = StreamingSketch(10, 24, make_rng("philox", 7), kernel="algo3",
                      b_d=4, b_n=8, backend=backend,
-                     checkpoint_dir=ckdir, checkpoint_every=8)
+                     persistence=PersistencePolicy(checkpoint_dir=ckdir,
+                                                   every=8))
 for s in range(0, 48, 8):
     st.absorb(CSCMatrix.from_dense(dense[s:s + 8]))
 Path(ckdir, "CHILD_READY").touch()
 time.sleep(120)  # hold the process alive until the parent SIGKILLs it
 """
 
-BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
+BACKENDS = ["numpy"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -15,6 +15,7 @@ from repro.persist import (
     resume_streaming,
     try_resume_streaming,
 )
+from repro.plan import PersistencePolicy
 from repro.rng import make_rng
 from repro.sparse import CSCMatrix, random_sparse
 
@@ -43,8 +44,9 @@ class TestResume:
         ref = _one_shot(A, family=family)
 
         st = StreamingSketch(10, A.shape[1], make_rng(family, 7),
-                             kernel="algo3", checkpoint_dir=tmp_path,
-                             checkpoint_every=16)
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=16))
         batches = _batches(A, 16)
         for b in batches[:3]:
             st.absorb(b)
@@ -59,8 +61,10 @@ class TestResume:
 
     def test_falls_back_past_damaged_newest(self, tmp_path, A):
         st = StreamingSketch(10, A.shape[1], make_rng("philox", 7),
-                             kernel="algo3", checkpoint_dir=tmp_path,
-                             checkpoint_every=16, checkpoint_keep=4)
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=16,
+                                 keep=4))
         batches = _batches(A, 16)
         for b in batches[:3]:
             st.absorb(b)
@@ -80,8 +84,9 @@ class TestResume:
 
     def test_all_damaged_raises_listing_failures(self, tmp_path, A):
         st = StreamingSketch(10, A.shape[1], make_rng("philox", 7),
-                             kernel="algo3", checkpoint_dir=tmp_path,
-                             checkpoint_every=16)
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=16))
         for b in _batches(A, 16)[:2]:
             st.absorb(b)
         for _seq, path in list_snapshots(tmp_path):
@@ -98,8 +103,9 @@ class TestResume:
 
     def test_config_drift_is_loud(self, tmp_path, A):
         st = StreamingSketch(10, A.shape[1], make_rng("philox", 7),
-                             kernel="algo3", checkpoint_dir=tmp_path,
-                             checkpoint_every=16)
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=16))
         for b in _batches(A, 16)[:2]:
             st.absorb(b)
         with pytest.raises(CheckpointMismatchError, match="seed"):
@@ -118,7 +124,9 @@ class TestResume:
         ref.absorb_entries(coo.rows, coo.cols, coo.vals)
 
         st = StreamingSketch(10, A.shape[1], make_rng("philox", 7),
-                             kernel="algo3", checkpoint_dir=tmp_path)
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path)))
         half = coo.rows.size // 2
         st.absorb_entries(coo.rows[:half], coo.cols[:half], coo.vals[:half])
         st.save_checkpoint()

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import SketchConfig
 from repro.core.streaming import StreamingSketch
-from repro.parallel import parallel_sketch_spmm
 from repro.persist import (
     MANIFEST_NAME,
     CheckpointManager,
@@ -16,6 +16,7 @@ from repro.persist import (
     verify_snapshot,
 )
 from repro.persist.checksum import checksum_bytes
+from repro.plan import PersistencePolicy, Planner, Runtime
 from repro.rng import make_rng
 from repro.sparse import CSCMatrix, random_sparse
 
@@ -27,8 +28,8 @@ def A():
 
 def _checkpointed_stream(A, tmp_path, *, family="philox", batch=16):
     st = StreamingSketch(12, A.shape[1], make_rng(family, 9), kernel="algo3",
-                         b_d=4, b_n=8, checkpoint_dir=tmp_path,
-                         checkpoint_every=batch)
+                         b_d=4, b_n=8, persistence=PersistencePolicy(
+                             checkpoint_dir=str(tmp_path), every=batch))
     dense = A.to_dense()
     for s in range(0, A.shape[0], batch):
         st.absorb(CSCMatrix.from_dense(dense[s:s + batch]))
@@ -103,7 +104,8 @@ class TestVerify:
     def test_entry_mode_downgrades_to_checksum_only(self, tmp_path, A):
         coo = A.to_coo()
         st = StreamingSketch(12, A.shape[1], make_rng("philox", 9),
-                             kernel="algo3", checkpoint_dir=tmp_path)
+                             kernel="algo3", persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path)))
         st.absorb_entries(coo.rows, coo.cols, coo.vals)
         st.save_checkpoint()
         report = verify_snapshot(tmp_path, A)
@@ -112,9 +114,11 @@ class TestVerify:
 
     def test_blocked_mode_snapshot_verifies(self, tmp_path, A):
         ck = CheckpointManager(tmp_path)
-        parallel_sketch_spmm(A, 12, lambda i: make_rng("philox", 9),
-                             threads=2, kernel="algo3", b_d=4, b_n=8,
-                             checkpoint=ck)
+        cfg = SketchConfig(rng_kind="philox", seed=9, kernel="algo3",
+                           b_d=4, b_n=8, threads=2)
+        plan = Planner().compile(A, cfg, d=12, driver="engine",
+                                 persistence=PersistencePolicy(manager=ck))
+        Runtime().run(plan, A)
         report = verify_snapshot(tmp_path, A, exhaustive=True)
         assert report.ok
         assert report.mode == "blocked"

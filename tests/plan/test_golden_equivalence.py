@@ -3,7 +3,8 @@ pre-refactor paths.
 
 The oracle is :func:`repro.kernels.sketch_spmm` — the kernel layer the
 refactor did not touch.  Every public entry point (``Runtime.run``,
-``sketch()``, ``StreamingSketch``, ``ResilientExecutor``) must produce
+``sketch()``, ``StreamingSketch``, an engine plan run with its own
+generator factory) must produce
 the same bits for the same ``(kernel, backend, seed)``, across thread
 counts and across a checkpoint/resume cycle, and a plan must survive
 JSON serialize -> deserialize -> run without changing a single bit.
@@ -13,9 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import SketchConfig, StreamingSketch, sketch
-from repro.kernels.backends import numba_available
 from repro.kernels.blocking import sketch_spmm
-from repro.parallel import ResilientExecutor
 from repro.plan import (
     PersistencePolicy,
     Planner,
@@ -31,7 +30,7 @@ D, B_D, B_N = 36, 12, 10
 SEED = 9
 
 KERNELS = ("algo3", "algo4")
-BACKENDS = ("numpy",) + (("numba",) if numba_available() else ())
+BACKENDS = ("numpy",)
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +107,10 @@ class TestEntryPointsAgree:
         np.testing.assert_allclose(st.sketch, oracle(A, kernel), atol=1e-12)
 
     def test_resilient_executor(self, A, kernel):
-        ex = ResilientExecutor(A, D, lambda w: make_rng("philox", SEED),
-                               threads=2, kernel=kernel, b_d=B_D, b_n=B_N)
-        out, stats = ex.run()
+        result = Runtime().run(
+            make_plan(A, kernel, driver="engine", threads=2), A,
+            rng_factory=lambda w: make_rng("philox", SEED))
+        out, stats = result.sketch, result.stats
         np.testing.assert_array_equal(out, oracle(A, kernel))
         assert stats.kernel == f"{kernel}-parallel"
 
@@ -159,19 +159,3 @@ class TestCheckpointResumeEquivalence:
         np.testing.assert_array_equal(resumed.sketch, reference)
         np.testing.assert_array_equal(resumed.sketch, oracle(A, "algo3"))
 
-
-class TestOldVsNewSpelling:
-    def test_legacy_checkpoint_kwargs_match_policy_spelling(self, A, tmp_path):
-        legacy_dir = tmp_path / "legacy"
-        policy_dir = tmp_path / "policy"
-        with pytest.warns(DeprecationWarning):
-            old, _ = ResilientExecutor(
-                A, D, lambda w: make_rng("philox", SEED), threads=2,
-                kernel="algo3", b_d=B_D, b_n=B_N,
-                checkpoint_dir=str(legacy_dir)).run()
-        new, _ = ResilientExecutor(
-            A, D, lambda w: make_rng("philox", SEED), threads=2,
-            kernel="algo3", b_d=B_D, b_n=B_N,
-            persistence=PersistencePolicy(
-                checkpoint_dir=str(policy_dir))).run()
-        np.testing.assert_array_equal(old, new)

@@ -1,6 +1,7 @@
 """SketchPlan serialization: JSON round trip, validation, explain()."""
 
 import itertools
+import json
 
 import pytest
 
@@ -68,6 +69,23 @@ class TestPlanValidation:
     def test_driver_choices(self):
         with pytest.raises(ConfigError):
             make_plan(driver="distributed")
+
+    @pytest.mark.parametrize("backend", ["numba", "bogus"])
+    def test_unregistered_backend_rejected_at_load(self, backend):
+        data = make_plan().to_dict()
+        data["backend"] = backend
+        with pytest.raises(ConfigError, match="backend"):
+            SketchPlan.from_dict(data)
+        with pytest.raises(ConfigError, match="backend"):
+            SketchPlan.from_json(json.dumps(data))
+
+    def test_numpy_plan_keeps_its_digest(self):
+        plan = make_plan(backend="numpy")
+        clone = SketchPlan.from_json(plan.to_json())
+        assert clone.to_dict()["backend"] == "numpy"
+        # Pinned: removing the other backends must not move a digest.
+        assert clone.digest() == plan.digest() == (
+            "c70bbf49791d0d7cc3e274ec550620924b1494d84910946b30e92450ef3deb4f")
 
     def test_pregen_rejects_persistence(self):
         with pytest.raises(ConfigError, match="pregen"):
@@ -235,13 +253,6 @@ class TestPersistencePolicy:
         assert PersistencePolicy().build_manager() is None
         mgr = PersistencePolicy(checkpoint_dir=str(tmp_path)).build_manager()
         assert str(mgr.directory) == str(tmp_path)
-
-    def test_from_legacy(self, tmp_path):
-        pol = PersistencePolicy.from_legacy(checkpoint_dir=tmp_path,
-                                            checkpoint_every=5,
-                                            checkpoint_keep=4, resume=True)
-        assert pol == PersistencePolicy(checkpoint_dir=str(tmp_path),
-                                        every=5, keep=4, resume=True)
 
     def test_cadence_validated(self):
         with pytest.raises(ConfigError):

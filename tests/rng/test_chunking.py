@@ -6,24 +6,31 @@ wider column groups and transforms them chunk by chunk), with every
 stage working on reused scratch buffers.  Whatever the chunk size, the
 result must equal one unchunked ``_bits_block`` (or ``_bits_chunk``)
 plus one transform, and the sample count must not move.  The in-place ``detmath`` functions
-must also still equal their scalar twins in ``repro.rng.jit`` at every
+must also still equal their scalar ``*_reference`` oracles at every
 branch edge.  The scratch buffers belong to the thread: threads sampling
 at once never share them, and one thread's later calls reuse them.
 """
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro.rng.base as rb
-from repro.rng import jit as rj
 from repro.rng.base import make_rng
 from repro.rng.batched import make_batched_rng
-from repro.rng.detmath import _PI_OVER_2, det_cos_2pi, det_log
+from repro.rng.detmath import (_PI_OVER_2, det_cos_2pi,
+                                det_cos_2pi_reference, det_log,
+                                det_log_reference, gaussian_reference)
 from repro.rng.distributions import DISTRIBUTIONS, GAUSSIAN
 from repro.rng.scratch import thread_scratch
+
+# The scalar oracles, under the names the branch-edge tests call.
+rj = SimpleNamespace(log_det=det_log_reference,
+                     cos_2pi_det=det_cos_2pi_reference,
+                     u64_to_gaussian=gaussian_reference)
 
 FAMILIES = ("philox", "threefry", "xoshiro")
 SEEDS = (5, 6, 7)
