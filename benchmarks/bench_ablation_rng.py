@@ -7,8 +7,8 @@ Sweeps the generator-level design knobs this reproduction exposes:
   interpreter overhead);
 * Philox round count (10 = crush-resistant standard, 7 = the common fast
   variant);
-* Algorithm 3's RNG panel budget (``panel_nnz``) and Algorithm 4's row
-  chunking, which trade Python-loop overhead against scratch size.
+* Algorithm 3's RNG panel budget (``panel_nnz``), which trades
+  Python-loop overhead against scratch size.
 
 Reported: generation throughput and end-to-end kernel time per setting.
 """
@@ -20,9 +20,7 @@ import pytest
 from _harness import REPEATS, best_of, emit_report, shape_check, suite_matrix
 
 from repro.kernels.algo3 import algo3_block
-from repro.kernels.algo4 import algo4_block
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG, rng_sample_rate
-from repro.sparse import csc_to_blocked_csr
 
 
 def test_ablation_lanes_report(benchmark):
@@ -92,8 +90,6 @@ def test_panel_budget_speed(benchmark, panel_nnz):
 def test_ablation_kernel_params_report(benchmark):
     A = suite_matrix("spmm", "shar_te2-b2")
     d1 = 256
-    blocked, _ = csc_to_blocked_csr(A, max(1, A.shape[1] // 8))
-    blk = blocked.blocks[0]
 
     def run():
         out = {}
@@ -103,12 +99,6 @@ def test_ablation_kernel_params_report(benchmark):
                 algo3_block(buf, A, 0, XoshiroSketchRNG(0), panel_nnz=p)
             secs, _ = best_of(body)
             out[("panel", panel)] = secs
-        for chunk in (1, 16, 256):
-            def body4(c=chunk):
-                buf = np.zeros((d1, blk.shape[1]))
-                algo4_block(buf, blk, 0, XoshiroSketchRNG(0), row_chunk=c)
-            secs, _ = best_of(body4)
-            out[("chunk", chunk)] = secs
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -121,8 +111,7 @@ def test_ablation_kernel_params_report(benchmark):
     )]
     emit_report(
         "ablation_kernel_params",
-        "Ablation: Algorithm 3 panel budget / Algorithm 4 row chunking "
-        "(seconds, single block)",
+        "Ablation: Algorithm 3 panel budget (seconds, single block)",
         ["knob", "value", "seconds"],
         rows,
         notes="\n".join(notes),

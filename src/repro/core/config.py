@@ -86,10 +86,10 @@ class SketchConfig:
         get_distribution(self.distribution)  # validates the name
         check_choice(self.rng_kind, "rng_kind", _RNG_KINDS)
         check_choice(self.kernel, "kernel", _KERNELS)
-        from ..kernels.backends import registered_backends  # local: late reg.
+        from ..kernels.backends import available_backends  # local: late reg.
 
         check_choice(self.backend, "backend",
-                     ("auto", *registered_backends()))
+                     ("auto", *available_backends()))
         if self.b_d is not None:
             check_positive_int(self.b_d, "b_d")
         if self.b_n is not None:

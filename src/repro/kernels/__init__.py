@@ -15,7 +15,6 @@ from .backends import (
     KernelWorkspace,
     available_backends,
     get_backend,
-    registered_backends,
     resolve_backend,
 )
 from .batched import algo3_block_batched, algo4_block_batched
@@ -49,7 +48,6 @@ __all__ = [
     "KernelWorkspace",
     "available_backends",
     "get_backend",
-    "registered_backends",
     "resolve_backend",
     "default_block_sizes",
     "iter_block_tasks",

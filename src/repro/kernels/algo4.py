@@ -13,23 +13,32 @@ the row's column pattern, and the auxiliary blocked-CSR structure.
 
 * :func:`algo4_block_reference` — the pseudocode verbatim.
 * :func:`algo4_block` — production path: one batched RNG call generates the
-  panel for every non-empty row of the block (that is the entire RNG cost,
-  demonstrating the reuse), then :func:`algo4_apply` applies the rows'
-  outer-product updates in cache-sized output tiles.  The batched kernel
-  shares it; both are bit-identical to :func:`algo4_block_reference`.
+  panel ``V`` for every non-empty row of the block (that is the entire RNG
+  cost, demonstrating the reuse), then :func:`apply_panel` adds it,
+  ``Ahat_subᵀ += P @ Vᵀ``, with scipy's compiled ``csr_matvecs``
+  (:mod:`repro.kernels._spmm`), one call per chunk of :data:`PANEL_ROWS`
+  panel rows (``n1`` in wider blocks).  ``P`` is the block's
+  :func:`panel_pattern`, its CSC with rows renumbered to panel
+  positions.  The kernel walks each column of ``P`` in ascending ``j``
+  and adds ``a_jk * v`` with a separate multiply and add, so every
+  output entry receives exactly the additions of
+  :func:`algo4_block_reference`, in its order: the result is
+  bit-identical.  The batched kernel makes the same calls once for a
+  whole stack of sketches.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ShapeError
-from ..rng import base as _rng_base
 from ..rng.base import SketchingRNG
 from ..sparse.csr import CSRMatrix
 from ..utils.timing import Stopwatch
+from ._spmm import csr_matvecs, csr_tocsc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import KernelWorkspace
@@ -71,106 +80,67 @@ def algo4_block_reference(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
                 Ahat_sub[i, k] += a_jk * v[i]
 
 
-def algo4_row_plan(A_blk: CSRMatrix, js: np.ndarray,
-                   row_chunk: int) -> tuple[bool, list]:
-    """A block's row structure, built once for every output sharing it.
+#: Panel rows per compiled call (at least ``n1``, which bounds the chunks'
+#: column pointers by the block's size): a chunk's transposed panel copy
+#: stays cache-sized, faster than one call per block and no bigger.
+PANEL_ROWS = 256
 
-    Returns ``(long_rows, entries)``.  Long rows (average nnz >= 8) give
-    one ``(t, cols, vals)`` entry per non-empty row ``js[t]``, ``cols`` a
-    basic slice when the row is one contiguous run of columns.  Short
-    rows give one ``(cols, vals, owner)`` entry per *row_chunk* rows,
-    ``owner[q]`` being the panel column of entry ``q``; empty rows hold
-    no entries, so a chunk is one span of ``indices``/``data``.
+#: Each block's chunked pattern, built on first use, dropped with the block.
+_PATTERNS: "weakref.WeakKeyDictionary[CSRMatrix, list]" = \
+    weakref.WeakKeyDictionary()
+
+
+def panel_pattern(A_blk: CSRMatrix) -> list:
+    """``[(t0, t1, (Pp, Pi, Px)), ...]``: the block's CSC in panel-row chunks.
+
+    Chunk ``[t0, t1)`` holds rows ``js[t0:t1]`` (``js`` the non-empty rows)
+    renumbered from 0.  Columns keep ascending ``j`` and the chunks ascend:
+    the order of :func:`algo4_block_reference`.  Built in O(nnz), once.
     """
-    lo = A_blk.indptr[js]
-    hi = A_blk.indptr[js + 1]
-    row_nnz = hi - lo
-    if row_nnz.mean() >= 8.0:
-        rows = []
-        for t in range(js.size):
-            l, h = int(lo[t]), int(hi[t])
-            cols = A_blk.indices[l:h]
-            if cols[-1] - cols[0] == h - l - 1:  # strictly increasing
-                cols = slice(int(cols[0]), int(cols[-1]) + 1)
-            rows.append((t, cols, A_blk.data[l:h]))
-        return True, rows
-    owner = np.repeat(np.arange(js.size), row_nnz)
-    spans = [(int(lo[t0]), int(hi[min(t0 + row_chunk, js.size) - 1]))
-             for t0 in range(0, js.size, row_chunk)]
-    base = spans[0][0]
-    return False, [(A_blk.indices[l:h], A_blk.data[l:h],
-                    owner[l - base:h - base]) for l, h in spans]
+    pattern = _PATTERNS.get(A_blk)
+    if pattern is None:
+        js = A_blk.nonempty_rows()
+        n1 = A_blk.shape[1]
+        # Empty rows hold no entries: row js[t] ends where js[t + 1] starts.
+        starts = np.append(A_blk.indptr[js], A_blk.nnz)
+        step = max(PANEL_ROWS, n1)
+        pattern = []
+        for t0 in range(0, js.size, step):
+            t1 = min(t0 + step, js.size)
+            lo, hi = starts[t0], starts[t1]
+            pattern.append((t0, t1, csr_tocsc(
+                t1 - t0, n1, starts[t0:t1 + 1] - lo, A_blk.indices[lo:hi],
+                A_blk.data[lo:hi])))
+        _PATTERNS[A_blk] = pattern
+    return pattern
 
 
-def _scratch(workspace: "KernelWorkspace | None", name: str,
-             shape: tuple[int, int], order: str,
-             dtype=np.float64) -> np.ndarray:
-    """Uninitialized *shape* scratch laid out in *order* ('C' or 'F')."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype, order=order)
-    if order == "F":
-        return workspace.get(name, shape[::-1], dtype).T
-    return workspace.get(name, shape, dtype)
+def apply_panel(out_t: np.ndarray, V_t: np.ndarray, pattern: list) -> None:
+    """``out_t += P @ V_t`` in the reference order, for one or k sketches.
 
-
-def algo4_apply(Ahat_sub: np.ndarray, V: np.ndarray, plan: tuple[bool, list],
-                workspace: "KernelWorkspace | None" = None) -> None:
-    """Apply a block's rank-1 row updates ``Ahat_sub[:, cols] += V[:, t] * vals``.
-
-    *plan* comes from :func:`algo4_row_plan`.  Output rows go in tiles of
-    about :data:`repro.rng.base.CHUNK_LANES` entries that stay in cache
-    while every row updates them; scratch matches the output's memory
-    order.  Rows go in ascending order within a tile, so every entry gets
-    its additions exactly as :func:`algo4_block_reference` makes them.
+    *out_t* is the output transposed, ``(n1, d1)`` or ``(n1, k, d1)``;
+    *V_t* the panel transposed the same way.  An *out_t* that is not
+    C-ordered goes through one copy in and one copy out.
     """
-    d1, n1 = Ahat_sub.shape
-    order = "F" if Ahat_sub.strides[0] < Ahat_sub.strides[1] else "C"
-    long_rows, entries = plan
-    tile = max(1, _rng_base.CHUNK_LANES // max(1, n1))
-    for i0 in range(0, d1, tile):
-        dst, v = Ahat_sub[i0:i0 + tile], V[i0:i0 + tile]
-        h = dst.shape[0]
-        if not long_rows:
-            # Cross-row duplicate columns accumulate in entry order
-            # through the unbuffered ufunc.at.
-            for cols, vals, owner in entries:
-                scaled = _scratch(workspace, "algo4.scaled", (h, vals.size),
-                                  order)
-                np.take(v, owner, axis=1, out=scaled)
-                np.multiply(scaled, vals, out=scaled)
-                np.add.at(dst.T, cols, scaled.T)
-            continue
-        # Long rows update the tile once each: do it in a dense copy,
-        # which streams far better than a strided view of a wider output.
-        out = _scratch(workspace, "algo4.tile", (h, n1), order, dst.dtype)
-        np.copyto(out, dst)
-        for t, cols, vals in entries:
-            scaled = _scratch(workspace, "algo4.scaled", (h, vals.size), order)
-            np.multiply(v[:, t:t + 1], vals, out=scaled)
-            if isinstance(cols, slice):
-                view = out[:, cols]
-                np.add(view, scaled, out=view)
-            else:
-                out[:, cols] += scaled
-        np.copyto(dst, out)
+    Y = out_t if out_t.flags.c_contiguous else out_t.copy()
+    for t0, t1, chunk in pattern:
+        csr_matvecs(*chunk, np.ascontiguousarray(V_t[t0:t1]), Y)
+    if Y is not out_t:
+        np.copyto(out_t, Y)
 
 
 def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
                 rng: SketchingRNG, watch: Stopwatch | None = None,
-                row_chunk: int = 64,
                 workspace: "KernelWorkspace | None" = None) -> None:
-    """Vectorized Algorithm 4: one panel per block, then :func:`algo4_apply`.
+    """Vectorized Algorithm 4: one panel per block, one compiled apply.
 
     The RNG is called once with every non-empty row of the block —
     ``samples_generated`` therefore counts exactly
     ``d1 * (#non-empty rows)``, the quantity Section III-B's analysis
-    bounds.  Long rows are applied as vectorized scaled-column adds; short
-    rows are grouped *row_chunk* at a time into a single scatter-add.
-    A *workspace* reuses the scaled scratch across calls.
+    bounds.  Algorithm 4 needs no scratch; *workspace* is accepted for
+    the backend interface.
     """
     d1, _ = _check_block(Ahat_sub, A_blk)
-    if row_chunk < 1:
-        raise ShapeError(f"row_chunk must be positive, got {row_chunk}")
     sw = watch if watch is not None else Stopwatch()
 
     js = A_blk.nonempty_rows()
@@ -179,5 +149,4 @@ def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
     with sw.bucket("sample"):
         V = rng.column_block_batch(r, d1, js)  # d1 x (#non-empty rows)
     with sw.bucket("compute"):
-        algo4_apply(Ahat_sub, V, algo4_row_plan(A_blk, js, row_chunk),
-                    workspace)
+        apply_panel(Ahat_sub.T, V.T, panel_pattern(A_blk))

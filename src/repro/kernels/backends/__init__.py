@@ -37,7 +37,6 @@ __all__ = [
     "KernelBackend",
     "register_backend",
     "available_backends",
-    "registered_backends",
     "get_backend",
     "resolve_backend",
 ]
@@ -131,7 +130,6 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def algo4_block(self, Ahat_sub: np.ndarray, A_blk: "CSRMatrix", r: int,
                     rng: "SketchingRNG", watch: "Stopwatch | None" = None,
-                    row_chunk: int = 64,
                     workspace: KernelWorkspace | None = None) -> None:
         """Algorithm 4 (jki, blocked CSR) on one block; in-place update."""
 
@@ -155,7 +153,6 @@ class KernelBackend(abc.ABC):
 
     def algo4_block_batched(self, Ahat_stack, A_blk: "CSRMatrix", r: int,
                             brng, watch: "Stopwatch | None" = None,
-                            row_chunk: int = 64,
                             workspace: KernelWorkspace | None = None) -> None:
         """Algorithm 4 on one block for a whole sketch batch.
 
@@ -165,7 +162,7 @@ class KernelBackend(abc.ABC):
         """
         for t, member in enumerate(brng.members):
             self.algo4_block(Ahat_stack[t], A_blk, r, member, watch=watch,
-                             row_chunk=row_chunk, workspace=workspace)
+                             workspace=workspace)
 
 
 _REGISTRY: dict[str, type[KernelBackend]] = {}
@@ -178,14 +175,9 @@ def register_backend(cls: type[KernelBackend]) -> type[KernelBackend]:
     return cls
 
 
-def registered_backends() -> list[str]:
-    """All registered backend names."""
-    return sorted(_REGISTRY)
-
-
 def available_backends() -> list[str]:
-    """Names of the backends that can run here: every registered one."""
-    return registered_backends()
+    """Names of the registered backends, every one of which runs here."""
+    return sorted(_REGISTRY)
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -195,7 +187,7 @@ def get_backend(name: str) -> KernelBackend:
     except KeyError:
         raise ConfigError(
             f"unknown kernel backend {name!r}; registered: "
-            f"{registered_backends()}"
+            f"{available_backends()}"
         ) from None
     inst = _INSTANCES.get(name)
     if inst is None:

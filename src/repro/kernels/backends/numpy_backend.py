@@ -1,4 +1,4 @@
-"""The numpy backend: the vectorized NumPy block kernels.
+"""The numpy backend: the vectorized block kernels.
 
 A thin adapter putting :func:`repro.kernels.algo3.algo3_block` and
 :func:`repro.kernels.algo4.algo4_block` behind the
@@ -18,7 +18,8 @@ __all__ = ["NumpyBackend"]
 
 @register_backend
 class NumpyBackend(KernelBackend):
-    """Vectorized NumPy kernels (batched RNG panels + BLAS/ufunc updates)."""
+    """Batched RNG panels; BLAS/ufunc updates for Algorithm 3 and
+    scipy's compiled sparse x dense apply for Algorithm 4."""
 
     name = "numpy"
 
@@ -29,10 +30,9 @@ class NumpyBackend(KernelBackend):
                     panel_nnz=panel_nnz, workspace=workspace)
 
     def algo4_block(self, Ahat_sub, A_blk, r, rng, watch=None,
-                    row_chunk: int = 64,
                     workspace: KernelWorkspace | None = None) -> None:
         algo4_block(Ahat_sub, A_blk, r, rng, watch=watch,
-                    row_chunk=row_chunk, workspace=workspace)
+                    workspace=workspace)
 
     def algo3_block_batched(self, Ahat_stack, A_sub, r, brng, watch=None,
                             panel_nnz: int = 8192,
@@ -41,7 +41,6 @@ class NumpyBackend(KernelBackend):
                             panel_nnz=panel_nnz, workspace=workspace)
 
     def algo4_block_batched(self, Ahat_stack, A_blk, r, brng, watch=None,
-                            row_chunk: int = 64,
                             workspace: KernelWorkspace | None = None) -> None:
         algo4_block_batched(Ahat_stack, A_blk, r, brng, watch=watch,
-                            row_chunk=row_chunk, workspace=workspace)
+                            workspace=workspace)

@@ -2,28 +2,27 @@
 
 The serving workload (fixed ``A``, many sketches — arXiv 2310.15419) pays
 the full counter→sample RNG pipeline *per request* even though the sparse
-traversal, the block bookkeeping, and (for Algorithm 4) the gathered
-column/value/owner index structures are identical across requests.  These
-kernels hoist all of that shared work out of the per-sketch loop:
+traversal and the block bookkeeping are identical across requests.  These
+kernels hoist that shared work out of the per-sketch loop:
 
 * **one** stacked RNG call per panel produces the ``(k, d1, g)`` bits for
   every sketch of the batch (counter construction and the vectorized
   Philox/Threefry rounds amortize; see
   :class:`~repro.rng.batched.BatchedSketchRNG`);
-* the CSC group boundaries (Algorithm 3) and the row structure
-  (Algorithm 4, :func:`~repro.kernels.algo4.algo4_row_plan`) are
-  computed once and reused for all ``k`` accumulations.
+* Algorithm 3 computes its CSC group boundaries once for all ``k``
+  accumulations;
+* Algorithm 4 makes one :func:`~repro.kernels.algo4.apply_panel` for
+  the whole stack, its compiled calls ``n_vecs = k * d1`` wide, so one
+  traversal of the block's pattern serves every sketch.
 
 Bit-identity contract: for every sketch ``t`` the floating-point update
 sequence applied to ``Ahat_stack[t]`` is exactly the sequence
 :func:`~repro.kernels.algo3.algo3_block` /
-:func:`~repro.kernels.algo4.algo4_block` applies — same panels, same
-group boundaries, same ufunc forms, the same
-:func:`~repro.kernels.algo4.algo4_apply` — so the batched output equals
-``k`` independent single-sketch runs bit for bit.  Against the reference
-kernels, Algorithm 3's segment sums reorder accumulation (a few ulps);
-Algorithm 4 keeps the reference order and is exact
-(``tests/kernels/test_algo4.py::TestExactlyReferenceOrdered``).
+:func:`~repro.kernels.algo4.algo4_block` applies, so the batched output
+equals ``k`` independent single-sketch runs bit for bit.  Against the
+reference kernels, Algorithm 3's segment sums reorder accumulation (a few
+ulps); Algorithm 4 keeps the reference order and is exact
+(``tests/kernels/test_compiled_apply.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from ..rng.batched import BatchedSketchRNG
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..utils.timing import Stopwatch
-from .algo4 import algo4_apply, algo4_row_plan
+from .algo4 import apply_panel, panel_pattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backends import KernelWorkspace
@@ -47,18 +46,12 @@ __all__ = ["algo3_block_batched", "algo4_block_batched"]
 
 def _check_stack(Ahat_stack, brng: BatchedSketchRNG, n1: int) -> tuple[int, int]:
     k = brng.batch
-    if len(Ahat_stack) != k:
+    shape = Ahat_stack.shape
+    if len(shape) != 3 or (shape[0], shape[2]) != (k, n1):
         raise ShapeError(
-            f"Ahat_stack holds {len(Ahat_stack)} sketches but the batched "
-            f"RNG has {k} members")
-    d1 = Ahat_stack[0].shape[0]
-    for t in range(k):
-        blk = Ahat_stack[t]
-        if blk.ndim != 2 or blk.shape[0] != d1 or blk.shape[1] != n1:
-            raise ShapeError(
-                f"Ahat_stack[{t}] has shape {blk.shape}, expected "
-                f"({d1}, {n1})")
-    return k, d1
+            f"Ahat_stack has shape {shape}, expected (k={k}, "
+            f"d1, n1={n1}) for the batched RNG's {k} members")
+    return k, shape[1]
 
 
 def algo3_block_batched(Ahat_stack, A_sub: CSCMatrix, r: int,
@@ -117,23 +110,20 @@ def algo3_block_batched(Ahat_stack, A_sub: CSCMatrix, r: int,
         c = c_end
 
 
-def algo4_block_batched(Ahat_stack, A_blk: CSRMatrix, r: int,
+def algo4_block_batched(Ahat_stack: np.ndarray, A_blk: CSRMatrix, r: int,
                         brng: BatchedSketchRNG,
                         watch: Stopwatch | None = None,
-                        row_chunk: int = 64,
                         workspace: "KernelWorkspace | None" = None) -> None:
     """Vectorized Algorithm 4 over a sketch batch.
 
     The per-block panel is generated once for all sketches (``(k, d1,
     #non-empty rows)`` — the quantity Section III-B bounds, times ``k``)
-    and the block's row structure (:func:`algo4_row_plan`) is built once
-    and applied to each member by the single kernel's
-    :func:`algo4_apply`.
+    and one :func:`~repro.kernels.algo4.apply_panel`, ``n_vecs = k * d1``
+    wide, adds it into the ``(k, d1, n1)`` stack: one traversal of the
+    block serves every sketch.
     """
     n1 = A_blk.shape[1]
-    k, d1 = _check_stack(Ahat_stack, brng, n1)
-    if row_chunk < 1:
-        raise ShapeError(f"row_chunk must be positive, got {row_chunk}")
+    _, d1 = _check_stack(Ahat_stack, brng, n1)
     sw = watch if watch is not None else Stopwatch()
 
     js = A_blk.nonempty_rows()
@@ -142,6 +132,5 @@ def algo4_block_batched(Ahat_stack, A_blk: CSRMatrix, r: int,
     with sw.bucket("sample"):
         V_stack = brng.column_block_stack(r, d1, js)
     with sw.bucket("compute"):
-        plan = algo4_row_plan(A_blk, js, row_chunk)
-        for t in range(k):
-            algo4_apply(Ahat_stack[t], V_stack[t], plan, workspace)
+        apply_panel(Ahat_stack.transpose(2, 0, 1),
+                    V_stack.transpose(2, 0, 1), panel_pattern(A_blk))

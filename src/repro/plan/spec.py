@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..errors import ConfigError
-from ..kernels.backends import registered_backends
+from ..kernels.backends import available_backends
 from ..parallel.procpool import WorkerPoolConfig
 from ..parallel.resilience import DegradationPolicy, ResilienceConfig
 from ..rng.base import SketchingRNG, make_rng
@@ -499,7 +499,7 @@ class SketchPlan:
 
     def __post_init__(self) -> None:
         check_choice(self.kernel, "kernel", _PLAN_KERNELS)
-        check_choice(self.backend, "backend", registered_backends())
+        check_choice(self.backend, "backend", available_backends())
         check_choice(self.driver, "driver", _DRIVERS)
         check_positive_int(self.b_d, "b_d")
         check_positive_int(self.b_n, "b_n")

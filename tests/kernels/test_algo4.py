@@ -7,7 +7,6 @@ import repro.rng.base as rng_base
 from repro.errors import ShapeError
 from repro.kernels import (KernelWorkspace, algo3_block_reference, algo4_block,
                            algo4_block_batched, algo4_block_reference)
-from repro.kernels.algo4 import algo4_row_plan
 from repro.persist.checksum import checksum_bytes
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG, make_batched_rng, make_rng
 from repro.sparse import (CSCMatrix, CSRMatrix, abnormal_a, csc_to_blocked_csr,
@@ -57,18 +56,21 @@ class TestReferenceKernel:
 
 
 class TestVectorizedKernel:
-    @pytest.mark.parametrize("row_chunk", [1, 2, 7, 1000])
-    def test_matches_reference_any_chunk(self, row_chunk):
+    @pytest.mark.parametrize("b_n", [1, 2, 7, 1000])
+    def test_matches_reference_any_chunk(self, b_n):
+        # Every column block width, down to one column and past the
+        # matrix's own width.
         A = random_sparse(30, 11, 0.2, seed=73)
-        blk = _block(A)
-        ref = np.zeros((7, 11))
-        algo4_block_reference(ref, blk, 14, PhiloxSketchRNG(9))
-        out = np.zeros((7, 11))
-        algo4_block(out, blk, 14, PhiloxSketchRNG(9), row_chunk=row_chunk)
-        np.testing.assert_allclose(out, ref)
+        B, _ = csc_to_blocked_csr(A, b_n)
+        for blk in B.blocks:
+            ref = np.zeros((7, blk.shape[1]))
+            algo4_block_reference(ref, blk, 14, PhiloxSketchRNG(9))
+            out = np.zeros((7, blk.shape[1]))
+            algo4_block(out, blk, 14, PhiloxSketchRNG(9))
+            assert np.array_equal(out, ref)
 
     def test_long_row_path(self):
-        # Dense rows trigger the per-row vectorized branch (avg nnz >= 8).
+        # Dense rows: every column gathers from the same few panel rows.
         dense = np.zeros((6, 12))
         dense[1, :] = 1.0
         dense[4, :] = -0.5
@@ -80,13 +82,13 @@ class TestVectorizedKernel:
         np.testing.assert_allclose(out, ref)
 
     def test_short_row_scatter_path(self):
-        # Sparse rows trigger the chunked np.add.at branch.
+        # Sparse rows: many panel rows, few entries per output column.
         A = random_sparse(50, 20, 0.03, seed=74)
         blk = _block(A)
         ref = np.zeros((4, 20))
         algo4_block_reference(ref, blk, 0, PhiloxSketchRNG(4))
         out = np.zeros((4, 20))
-        algo4_block(out, blk, 0, PhiloxSketchRNG(4), row_chunk=8)
+        algo4_block(out, blk, 0, PhiloxSketchRNG(4))
         np.testing.assert_allclose(out, ref)
 
     def test_xoshiro_matches_reference(self):
@@ -117,12 +119,6 @@ class TestVectorizedKernel:
         A = random_sparse(10, 5, 0.3, seed=77)
         with pytest.raises(ShapeError):
             algo4_block(np.zeros((4, 7)), _block(A), 0, PhiloxSketchRNG(0))
-
-    def test_bad_row_chunk(self):
-        A = random_sparse(10, 5, 0.3, seed=78)
-        with pytest.raises(ShapeError):
-            algo4_block(np.zeros((4, 5)), _block(A), 0, PhiloxSketchRNG(0),
-                        row_chunk=0)
 
 
 class TestRngSavingsVsAlgo3:
@@ -183,18 +179,6 @@ class TestExactlyReferenceOrdered:
     reference kernel's order, so they match it bit for bit (the
     assert_allclose tests above check less)."""
 
-    def test_row_plan_slices_contiguous_runs(self):
-        B, _ = csc_to_blocked_csr(_mixed_long_rows(), 30)
-        blk = B.blocks[0]
-        js = blk.nonempty_rows()
-        long_rows, entries = algo4_row_plan(blk, js, 64)
-        assert long_rows
-        kinds = {int(js[t]): cols for t, cols, _ in entries}
-        assert kinds[5] == slice(3, 21)
-        assert kinds[9] == slice(0, 30)
-        assert sum(isinstance(c, slice) for c in kinds.values()) >= 2
-        assert any(isinstance(c, np.ndarray) for c in kinds.values())
-
     @pytest.mark.parametrize("dist", DISTS)
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
@@ -206,10 +190,10 @@ class TestExactlyReferenceOrdered:
         default = rng_base.CHUNK_LANES
         for lanes in (1, 7, 50, default):
             monkeypatch.setattr(rng_base, "CHUNK_LANES", lanes)
-            for ws, row_chunk in ((None, 64), (KernelWorkspace(), 3)):
+            for ws in (None, KernelWorkspace()):
                 for out in _outputs(init):
                     algo4_block(out, blk, r, make_rng(family, 42, dist),
-                                row_chunk=row_chunk, workspace=ws)
+                                workspace=ws)
                     assert np.array_equal(out, ref), (lanes, out.strides)
 
     @pytest.mark.parametrize("dist", DISTS)

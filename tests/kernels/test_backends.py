@@ -14,7 +14,6 @@ from repro.kernels.backends import (
     KernelWorkspace,
     available_backends,
     get_backend,
-    registered_backends,
     resolve_backend,
 )
 from repro.kernels.blocking import sketch_spmm
@@ -35,7 +34,6 @@ def _matrix_with_empty_columns(seed: int = 3) -> CSCMatrix:
 
 class TestRegistry:
     def test_registered_and_available(self):
-        assert registered_backends() == ["numpy"]
         assert available_backends() == ["numpy"]
 
     def test_get_backend_unknown_raises(self):

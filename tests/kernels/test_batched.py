@@ -108,21 +108,20 @@ class TestBatchedBlockKernels:
             assert np.array_equal(stack[t], solo)
 
     @pytest.mark.parametrize("use_workspace", (False, True))
-    @pytest.mark.parametrize("row_chunk", (3, 64))
-    def test_algo4_matches_member_loop(self, row_chunk, use_workspace):
-        d1, r, b_n = 16, 32, 8
+    @pytest.mark.parametrize("b_n", (3, 64))
+    def test_algo4_matches_member_loop(self, b_n, use_workspace):
+        # Narrow blocks, and one block wider than the matrix.
+        d1, r = 16, 32
         be = get_backend("numpy")
         blocked, _ = csc_to_blocked_csr(self.A, b_n)
         for bi, A_blk in enumerate(blocked.blocks):
             brng = make_batched_rng("philox", SEEDS)
             stack = np.zeros((len(SEEDS), d1, A_blk.shape[1]))
             ws = KernelWorkspace() if use_workspace else None
-            algo4_block_batched(stack, A_blk, r, brng, row_chunk=row_chunk,
-                                workspace=ws)
+            algo4_block_batched(stack, A_blk, r, brng, workspace=ws)
             for t, seed in enumerate(SEEDS):
                 solo = np.zeros((d1, A_blk.shape[1]))
                 be.algo4_block(solo, A_blk, r, make_rng("philox", seed),
-                               row_chunk=row_chunk,
                                workspace=KernelWorkspace())
                 assert np.array_equal(stack[t], solo), f"block {bi}"
 
