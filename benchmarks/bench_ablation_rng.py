@@ -6,20 +6,15 @@ Sweeps the generator-level design knobs this reproduction exposes:
   64-bit lanes, our NumPy realization defaults to a wider 64 to amortize
   interpreter overhead);
 * Philox round count (10 = crush-resistant standard, 7 = the common fast
-  variant);
-* Algorithm 3's RNG panel budget (``panel_nnz``), which trades
-  Python-loop overhead against scratch size.
+  variant).
 
-Reported: generation throughput and end-to-end kernel time per setting.
+Reported: generation throughput per setting.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-from _harness import REPEATS, best_of, emit_report, shape_check, suite_matrix
+from _harness import emit_report, shape_check
 
-from repro.kernels.algo3 import algo3_block
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG, rng_sample_rate
 
 
@@ -73,47 +68,3 @@ def test_ablation_philox_rounds_report(benchmark):
         notes="\n".join(notes),
     )
     assert rates[7] >= rates[10] * 0.95
-
-
-@pytest.mark.parametrize("panel_nnz", [256, 8192])
-def test_panel_budget_speed(benchmark, panel_nnz):
-    A = suite_matrix("spmm", "shar_te2-b2")
-    d1 = 256
-
-    def run():
-        out = np.zeros((d1, A.shape[1]))
-        algo3_block(out, A, 0, XoshiroSketchRNG(0), panel_nnz=panel_nnz)
-
-    benchmark.pedantic(run, rounds=max(1, REPEATS), iterations=1)
-
-
-def test_ablation_kernel_params_report(benchmark):
-    A = suite_matrix("spmm", "shar_te2-b2")
-    d1 = 256
-
-    def run():
-        out = {}
-        for panel in (64, 1024, 8192, 65536):
-            def body(p=panel):
-                buf = np.zeros((d1, A.shape[1]))
-                algo3_block(buf, A, 0, XoshiroSketchRNG(0), panel_nnz=p)
-            secs, _ = best_of(body)
-            out[("panel", panel)] = secs
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [[k[0], k[1], v] for k, v in results.items()]
-    panel_times = [v for k, v in results.items() if k[0] == "panel"]
-    notes = [shape_check(
-        min(panel_times) < panel_times[0],
-        "larger RNG panels amortize per-call overhead (vectorization "
-        "headroom beyond the pseudocode's single reusable vector v)",
-    )]
-    emit_report(
-        "ablation_kernel_params",
-        "Ablation: Algorithm 3 panel budget (seconds, single block)",
-        ["knob", "value", "seconds"],
-        rows,
-        notes="\n".join(notes),
-    )
-    assert min(panel_times) <= panel_times[0]

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from _harness import REPEATS, emit_report, record_or_gate
 
-from repro.kernels import KernelWorkspace, available_backends, get_backend
+from repro.kernels import available_backends
 from repro.kernels.blocking import sketch_spmm
 from repro.rng import make_rng
 from repro.sparse import random_sparse
@@ -63,9 +63,9 @@ def measure_backend_matrix(repeats: int = REPEATS) -> dict:
     """Run the full backend x kernel x distribution grid once.
 
     Returns a JSON-ready dict: ``entries["kernel/backend/dist"]`` holds
-    median seconds, GB/s, and samples/s.  One workspace per backend is
-    reused across cells, so later cells measure steady-state throughput
-    — the quantity the gate must keep stable.
+    median seconds, GB/s, and samples/s.  The process's sampling
+    scratch is reused across cells, so later cells measure steady-state
+    throughput — the quantity the gate must keep stable.
     """
     A = random_sparse(GATE_M, GATE_N, GATE_DENSITY, seed=0)
     m, n = A.shape
@@ -73,8 +73,6 @@ def measure_backend_matrix(repeats: int = REPEATS) -> dict:
     work_bytes = _effective_bytes(d, n, A.nnz)
     entries: dict[str, dict] = {}
     for backend in available_backends():
-        be = get_backend(backend)
-        workspace = KernelWorkspace()
         for dist in DISTS:
             for kernel in KERNELS:
                 times = []
@@ -83,7 +81,7 @@ def measure_backend_matrix(repeats: int = REPEATS) -> dict:
                     rng = make_rng(RNG_KIND, 0, dist)
                     t0 = time.perf_counter()
                     _, stats = sketch_spmm(A, d, rng, kernel=kernel,
-                                           backend=be, workspace=workspace)
+                                           backend=backend)
                     times.append(time.perf_counter() - t0)
                     samples = stats.samples_generated
                 secs = statistics.median(times)

@@ -1,7 +1,7 @@
 """Batched multi-sketch throughput matrix and regression gate.
 
-Measures the batched kernel tier (:func:`repro.kernels.sketch_spmm_batched`)
-against ``k`` independent :func:`~repro.kernels.sketch_spmm` runs of the
+Measures the batched kernel tier (:func:`repro.kernels.sketch_spmm` with a
+batched generator) against ``k`` independent :func:`~repro.kernels.sketch_spmm` runs of the
 same matrix — the "fixed A, many sketches" hot path that request
 coalescing in ``repro serve`` rides on.  For every kernel x RNG-family
 cell it records both wall times, the throughput ratio, and verifies the
@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 from _harness import REPEATS, emit_report, record_or_gate, shape_check
 
-from repro.kernels import KernelWorkspace, get_backend
-from repro.kernels.blocking import sketch_spmm, sketch_spmm_batched
+from repro.kernels.blocking import sketch_spmm
 from repro.rng import make_rng
 from repro.rng.batched import make_batched_rng
 from repro.sparse import random_sparse
@@ -71,11 +70,10 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
     """
     A = random_sparse(BATCH_M, BATCH_N, BATCH_DENSITY, seed=0)
     d = GAMMA_D
-    backend = get_backend("numpy")
+    backend = "numpy"
     entries: dict[str, dict] = {}
     for kernel in KERNELS:
         for rng_kind in RNG_KINDS:
-            workspace = KernelWorkspace()
             seq_best = float("inf")
             solo = None
             for _ in range(max(1, repeats)):
@@ -84,8 +82,7 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
                 for seed in SEEDS:
                     rng = make_rng(rng_kind, seed, "uniform")
                     Ahat, _ = sketch_spmm(A, d, rng, kernel=kernel,
-                                          b_d=B_D, b_n=B_N, backend=backend,
-                                          workspace=workspace)
+                                          b_d=B_D, b_n=B_N, backend=backend)
                     outs.append(Ahat)
                 seq_best = min(seq_best, time.perf_counter() - t0)
                 solo = outs
@@ -94,9 +91,9 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
             for _ in range(max(1, repeats)):
                 brng = make_batched_rng(rng_kind, SEEDS, "uniform")
                 t0 = time.perf_counter()
-                stacked, _ = sketch_spmm_batched(
+                stacked, _ = sketch_spmm(
                     A, d, brng, kernel=kernel, b_d=B_D, b_n=B_N,
-                    backend=backend, workspace=workspace)
+                    backend=backend)
                 bat_best = min(bat_best, time.perf_counter() - t0)
             identical = all(np.array_equal(stacked[t], solo[t])
                             for t in range(len(SEEDS)))

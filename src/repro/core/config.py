@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
+from ..kernels.backends import available_backends
 from ..parallel.resilience import ResilienceConfig
 from ..rng.base import SketchingRNG, make_rng
 from ..rng.distributions import get_distribution
@@ -86,8 +87,6 @@ class SketchConfig:
         get_distribution(self.distribution)  # validates the name
         check_choice(self.rng_kind, "rng_kind", _RNG_KINDS)
         check_choice(self.kernel, "kernel", _KERNELS)
-        from ..kernels.backends import available_backends  # local: late reg.
-
         check_choice(self.backend, "backend",
                      ("auto", *available_backends()))
         if self.b_d is not None:

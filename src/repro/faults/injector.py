@@ -13,7 +13,8 @@ when no fault matches:
 * :meth:`FaultInjector.on_task_start` — may raise
   :class:`~repro.faults.plan.InjectedFaultError` or sleep (straggler);
 * :meth:`FaultInjector.rng_for` — may wrap the task's generator in a
-  :class:`CorruptingRNG` (corrupted checkpoint state);
+  :class:`CorruptingRNG` (corrupted checkpoint state), member by member
+  for a batched generator;
 * :meth:`FaultInjector.on_block_computed` — may poison the finished block
   with NaN/Inf.
 
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng.base import SketchingRNG
+from ..rng.batched import BatchedSketchRNG
 from .plan import FaultPlan, FaultSpec, InjectedFaultError
 
 __all__ = ["FaultEvent", "FaultInjector", "CorruptingRNG"]
@@ -178,8 +180,16 @@ class FaultInjector:
 
     def rng_for(self, task: tuple[int, int], kernel: str, context: str,
                 attempt: int, rng):
-        """Return *rng* or a :class:`CorruptingRNG` if an ``rng`` fault fires."""
+        """Return *rng*, or a corrupted copy if an ``rng`` fault fires.
+
+        A :class:`~repro.rng.batched.BatchedSketchRNG` becomes one whose
+        members are each a :class:`CorruptingRNG`, so every sketch of the
+        batched tile is corrupted.
+        """
         for spec in self._fire(("rng",), task, kernel, context, attempt):
+            if isinstance(rng, BatchedSketchRNG):
+                return BatchedSketchRNG([CorruptingRNG(m, spec.magnitude)
+                                         for m in rng.members])
             return CorruptingRNG(rng, spec.magnitude)
         return rng
 

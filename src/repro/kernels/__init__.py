@@ -10,16 +10,9 @@ pattern-sensitive dispatcher.
 from .algo3 import algo3_block, algo3_block_reference
 from .autotune import TuneResult, autotune_blocking, autotune_kernel
 from .algo4 import algo4_block, algo4_block_reference
-from .backends import (
-    KernelBackend,
-    KernelWorkspace,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from .batched import algo3_block_batched, algo4_block_batched
-from .blocking import (default_block_sizes, iter_block_tasks, sketch_spmm,
-                       sketch_spmm_batched)
+from .backends import available_backends, resolve_backend
+from .blocking import (compute_tile, default_block_sizes, iter_block_tasks,
+                       sketch_spmm)
 from .dispatch import KernelChoice, choose_kernel, column_concentration
 from .loop_orders import (
     LOOP_ORDER_KERNELS,
@@ -42,17 +35,12 @@ __all__ = [
     "algo3_block_reference",
     "algo4_block",
     "algo4_block_reference",
-    "algo3_block_batched",
-    "algo4_block_batched",
-    "KernelBackend",
-    "KernelWorkspace",
     "available_backends",
-    "get_backend",
     "resolve_backend",
+    "compute_tile",
     "default_block_sizes",
     "iter_block_tasks",
     "sketch_spmm",
-    "sketch_spmm_batched",
     "KernelChoice",
     "choose_kernel",
     "column_concentration",

@@ -2,9 +2,11 @@
 
 ``csr_matvecs`` (``Y += A @ X``, CSR ``A``, C-ordered ``X``/``Y``) walks
 each row's stored entries in order doing ``y[:] += a * x[:]``, a separate
-multiply and add: Algorithm 4's exactness rests on that.  ``csr_tocsc`` is
-the stable O(nnz) transpose building the pattern it walks.  A scipy
-release that moves either raises a :class:`ConfigError` naming the version.
+multiply and add: the exactness of both kernels rests on that.
+``csr_tocsc`` is the stable O(nnz) transpose building Algorithm 4's
+pattern.  A scipy release that moves either raises a :class:`ConfigError`
+naming the version.  :func:`block_rows` is the output contract both
+kernels share: one ``(d1, n1)`` sketch block, or a ``(k, d1, n1)`` stack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from scipy.sparse import _sparsetools
 
 from ..errors import ConfigError, ShapeError
 
-__all__ = ["csr_matvecs", "csr_tocsc"]
+__all__ = ["block_rows", "csr_matvecs", "csr_tocsc"]
 
 
 def _routine(name: str):
@@ -23,7 +25,7 @@ def _routine(name: str):
     if routine is None:
         raise ConfigError(
             f"scipy {scipy.__version__} has no scipy.sparse._sparsetools."
-            f"{name}, which the Algorithm 4 kernel needs")
+            f"{name}, which the compiled kernels need")
     return routine
 
 
@@ -49,3 +51,17 @@ def csr_tocsc(n_row: int, n_col: int, Ap: np.ndarray, Aj: np.ndarray,
            np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=np.float64))
     _routine("csr_tocsc")(n_row, n_col, Ap, Aj, Ax, *out)
     return out
+
+
+def block_rows(out: np.ndarray, n1: int, rng) -> int:
+    """``d1`` of a kernel output: a ``(d1, n1)`` block for one generator,
+    or a ``(k, d1, n1)`` stack for a batched generator of ``k`` members."""
+    if out.ndim == 2 and out.shape[1] == n1:
+        return out.shape[0]
+    k = getattr(rng, "batch", None)
+    if out.ndim == 3 and out.shape[0] == k and out.shape[2] == n1:
+        return out.shape[1]
+    raise ShapeError(
+        f"output has shape {out.shape}, expected (d1, n1={n1}) for one "
+        f"generator or (k, d1, n1={n1}) for a batched RNG of k members "
+        f"(k={k})")

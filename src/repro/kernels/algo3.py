@@ -13,15 +13,20 @@ Two implementations:
 
 * :func:`algo3_block_reference` — the pseudocode verbatim (scalar loops,
   one ``set_state``/``get_samples`` per nonzero); the correctness anchor.
-* :func:`algo3_block` — the production path: per column, one *batched*
-  RNG call produces the ``d1 x nnz_k`` sketch panel and one matvec applies
-  it.  Bit-identical to the reference because the batched RNG is defined
-  to agree column-by-column with the scalar calls.
+* :func:`algo3_block` — the production path.  Columns go in groups whose
+  panel holds at most :data:`GROUP_ENTRIES` entries (whole columns, at
+  least one per group).  One batched RNG call samples a group's panel
+  ``V`` (one sketch column per nonzero), and scipy's compiled ``csr_matvecs``
+  (:mod:`repro.kernels._spmm`) adds it, ``Ahat_subᵀ[cols] += P @ Vᵀ``.
+  ``P`` is the group's own CSC arrays read as CSR: the rebased column
+  pointers, one panel column per nonzero, the values.  Every output entry
+  receives ``a_jk * v_i`` with a separate multiply and add, in stored
+  order: exactly the additions of :func:`algo3_block_reference`, so the
+  result is bit-identical.  A ``(k, d1, n1)`` stack with a batched
+  generator runs the same calls ``k * d1`` vectors wide.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +34,7 @@ from ..errors import ShapeError
 from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
 from ..utils.timing import Stopwatch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .backends import KernelWorkspace
+from ._spmm import block_rows, csr_matvecs
 
 __all__ = ["algo3_block_reference", "algo3_block"]
 
@@ -68,62 +71,54 @@ def algo3_block_reference(Ahat_sub: np.ndarray, A_sub: CSCMatrix, r: int,
                 Ahat_sub[i, k] += a_jk * v[i]
 
 
+#: Panel entries per column group, all sketches of a stack together
+#: (more only for a single longer column): the group's panel and its
+#: transposed copy stay cache-sized scratch, the role of the pseudocode's
+#: reusable vector ``v``.
+GROUP_ENTRIES = 2 ** 18
+
+
 def algo3_block(Ahat_sub: np.ndarray, A_sub: CSCMatrix, r: int,
-                rng: SketchingRNG, watch: Stopwatch | None = None,
-                panel_nnz: int = 8192,
-                workspace: "KernelWorkspace | None" = None) -> None:
-    """Vectorized Algorithm 3: batched sketch panels + column matvecs.
+                rng, watch: Stopwatch | None = None) -> None:
+    """Vectorized Algorithm 3: grouped sketch panels, one compiled apply each.
 
-    For each column ``k`` with nonzero rows ``J_k`` the update is
-    ``Ahat_sub[:, k] += S[r:r+d1, J_k] @ vals_k``.  Columns are processed
-    in groups whose combined nonzero count stays below *panel_nnz* so the
-    generated panel remains cache-sized scratch (the role of the reusable
-    vector ``v`` in the pseudocode).  When *watch* is given, RNG time is
-    charged to the ``"sample"`` bucket and arithmetic to ``"compute"``.
-    A *workspace* routes the scaled-panel and segment-sum temporaries
-    through reused buffers (identical results — the out= forms of the
-    same ufuncs — with zero steady-state allocation across block calls).
+    *Ahat_sub* is a ``(d1, n1)`` block with a
+    :class:`~repro.rng.base.SketchingRNG`, or a ``(k, d1, n1)`` stack with
+    a :class:`~repro.rng.batched.BatchedSketchRNG` whose ``k`` panels one
+    call samples and one apply adds.  Either way each sketch's block is
+    bit-identical to :func:`algo3_block_reference`.  When *watch* is
+    given, RNG time is charged to the ``"sample"`` bucket and arithmetic
+    to ``"compute"``.
     """
-    d1, n1 = _check_block(Ahat_sub, A_sub)
-    if panel_nnz < 1:
-        raise ShapeError(f"panel_nnz must be positive, got {panel_nnz}")
-    sw = watch if watch is not None else Stopwatch()
-
-    k = 0
+    n1 = A_sub.shape[1]
+    d1 = block_rows(Ahat_sub, n1, rng)
     indptr = A_sub.indptr
-    while k < n1:
-        # Grow the column group until the panel budget is hit.
-        k_end = k + 1
-        while k_end < n1 and indptr[k_end + 1] - indptr[k] <= panel_nnz:
-            k_end += 1
-        lo, hi = int(indptr[k]), int(indptr[k_end])
-        js = A_sub.indices[lo:hi]
-        vals = A_sub.data[lo:hi]
-        if js.size:
+    if indptr[n1] == indptr[0]:
+        return
+    sw = watch if watch is not None else Stopwatch()
+    stacked = Ahat_sub.ndim == 3
+    with sw.bucket("compute"):
+        out_t = np.moveaxis(Ahat_sub, -1, 0)  # (n1, [k,] d1)
+        Y = out_t if out_t.flags.c_contiguous else out_t.copy()
+    # One nonzero's panel column holds d1 entries per sketch.
+    group_nnz = max(1, GROUP_ENTRIES // max(1, Ahat_sub.size // n1))
+    c = 0
+    while c < n1:
+        # Whole columns up to group_nnz nonzeros, at least one column.
+        c_end = int(np.searchsorted(indptr, indptr[c] + group_nnz, "right"))
+        c_end = max(c_end - 1, c + 1)
+        lo, hi = int(indptr[c]), int(indptr[c_end])
+        if hi > lo:
+            js = A_sub.indices[lo:hi]
             with sw.bucket("sample"):
-                # One panel: columns of S for every nonzero in the group,
-                # duplicates regenerated per occurrence exactly as the
-                # pseudocode's per-nonzero get_samples does.
-                V = rng.column_block_batch(r, d1, js)
+                V = (rng.column_block_stack(r, d1, js) if stacked
+                     else rng.column_block_batch(r, d1, js))
             with sw.bucket("compute"):
-                if k_end - k == 1:
-                    Ahat_sub[:, k] += V @ vals
-                else:
-                    if workspace is None:
-                        scaled = V * vals  # broadcast over rows
-                    else:
-                        scaled = workspace.get("algo3.scaled", V.shape)
-                        np.multiply(V, vals, out=scaled)
-                    # Segment-sum the scaled panel into the group's columns;
-                    # empty columns are skipped (they receive no update).
-                    seg_starts = (indptr[k:k_end] - lo).astype(np.int64)
-                    widths = np.diff(indptr[k:k_end + 1])
-                    nonempty = widths > 0
-                    starts = seg_starts[nonempty]
-                    if workspace is None:
-                        sums = np.add.reduceat(scaled, starts, axis=1)
-                    else:
-                        sums = workspace.get("algo3.sums", (d1, starts.size))
-                        np.add.reduceat(scaled, starts, axis=1, out=sums)
-                    Ahat_sub[:, np.arange(k, k_end)[nonempty]] += sums
-        k = k_end
+                csr_matvecs(indptr[c:c_end + 1] - lo, np.arange(hi - lo),
+                            A_sub.data[lo:hi],
+                            np.ascontiguousarray(np.moveaxis(V, -1, 0)),
+                            Y[c:c_end])
+        c = c_end
+    if Y is not out_t:
+        with sw.bucket("compute"):
+            np.copyto(out_t, Y)

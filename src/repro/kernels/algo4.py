@@ -23,14 +23,13 @@ the row's column pattern, and the auxiliary blocked-CSR structure.
   and adds ``a_jk * v`` with a separate multiply and add, so every
   output entry receives exactly the additions of
   :func:`algo4_block_reference`, in its order: the result is
-  bit-identical.  The batched kernel makes the same calls once for a
-  whole stack of sketches.
+  bit-identical.  A ``(k, d1, n1)`` stack with a batched generator makes
+  the same calls once for the whole stack, ``k * d1`` vectors wide.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,10 +37,7 @@ from ..errors import ShapeError
 from ..rng.base import SketchingRNG
 from ..sparse.csr import CSRMatrix
 from ..utils.timing import Stopwatch
-from ._spmm import csr_matvecs, csr_tocsc
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .backends import KernelWorkspace
+from ._spmm import block_rows, csr_matvecs, csr_tocsc
 
 __all__ = ["algo4_block_reference", "algo4_block"]
 
@@ -130,23 +126,26 @@ def apply_panel(out_t: np.ndarray, V_t: np.ndarray, pattern: list) -> None:
 
 
 def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
-                rng: SketchingRNG, watch: Stopwatch | None = None,
-                workspace: "KernelWorkspace | None" = None) -> None:
+                rng, watch: Stopwatch | None = None) -> None:
     """Vectorized Algorithm 4: one panel per block, one compiled apply.
 
-    The RNG is called once with every non-empty row of the block —
-    ``samples_generated`` therefore counts exactly
-    ``d1 * (#non-empty rows)``, the quantity Section III-B's analysis
-    bounds.  Algorithm 4 needs no scratch; *workspace* is accepted for
-    the backend interface.
+    *Ahat_sub* is a ``(d1, n1)`` block with a
+    :class:`~repro.rng.base.SketchingRNG`, or a ``(k, d1, n1)`` stack with
+    a :class:`~repro.rng.batched.BatchedSketchRNG`: one traversal of the
+    block then serves every sketch.  The RNG is called once with every
+    non-empty row of the block — ``samples_generated`` therefore counts
+    exactly ``d1 * (#non-empty rows)`` per sketch, the quantity Section
+    III-B's analysis bounds.
     """
-    d1, _ = _check_block(Ahat_sub, A_blk)
+    d1 = block_rows(Ahat_sub, A_blk.shape[1], rng)
     sw = watch if watch is not None else Stopwatch()
 
     js = A_blk.nonempty_rows()
     if js.size == 0:
         return
-    with sw.bucket("sample"):
-        V = rng.column_block_batch(r, d1, js)  # d1 x (#non-empty rows)
+    with sw.bucket("sample"):  # ([k,] d1, #non-empty rows)
+        V = (rng.column_block_stack(r, d1, js) if Ahat_sub.ndim == 3
+             else rng.column_block_batch(r, d1, js))
     with sw.bucket("compute"):
-        apply_panel(Ahat_sub.T, V.T, panel_pattern(A_blk))
+        apply_panel(np.moveaxis(Ahat_sub, -1, 0), np.moveaxis(V, -1, 0),
+                    panel_pattern(A_blk))

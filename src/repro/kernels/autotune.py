@@ -24,7 +24,7 @@ from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
 from ..utils.canonical import canonical_json
 from ..utils.validation import check_positive_int
-from .backends import KernelBackend, KernelWorkspace, resolve_backend
+from .backends import NumpyBackend, resolve_backend
 from .blocking import sketch_spmm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,7 +139,7 @@ def autotune_blocking(
     candidates: Sequence[tuple[int, int]] | None = None,
     max_tuning_cols: int = 256,
     repeats: int = 2,
-    backend: "str | KernelBackend | None" = None,
+    backend: "str | NumpyBackend | None" = None,
     tuning_seed: int = 0,
     cache: "ArtifactCache | None" = None,
 ) -> TuneResult:
@@ -183,7 +183,6 @@ def autotune_blocking(
         cached = fetch_tune_result(cache, key)
         if cached is not None:
             return cached
-    workspace = KernelWorkspace()
     slice_A = _tuning_slice(A, max_tuning_cols, tuning_seed)
     n_slice = slice_A.shape[1]
 
@@ -204,7 +203,7 @@ def autotune_blocking(
             t0 = time.perf_counter()
             sketch_spmm(slice_A, d, rng, kernel=kernel,
                         b_d=min(b_d, d), b_n=min(b_n, n_slice),
-                        backend=be, workspace=workspace)
+                        backend=be)
             best = min(best, time.perf_counter() - t0)
         trials.append((kernel, int(min(b_d, d)), int(min(b_n, n_slice)), best))
 
@@ -226,7 +225,7 @@ def autotune_kernel(
     *,
     max_tuning_cols: int = 256,
     repeats: int = 2,
-    backend: "str | KernelBackend | None" = None,
+    backend: "str | NumpyBackend | None" = None,
     tuning_seed: int = 0,
     cache: "ArtifactCache | None" = None,
 ) -> TuneResult:

@@ -13,12 +13,15 @@ The driver also exposes the task decomposition (:func:`iter_block_tasks`)
 the thread-pool executor parallelizes over: every task writes a disjoint
 block of ``Ahat``, so parallel execution is race-free by construction
 (Section II-C: "a simple and effective approach is to parallelize either
-of the two loops in Algorithm 1").
+of the two loops in Algorithm 1").  :func:`compute_tile` runs one task's
+kernel; every driver goes through it.  A batched generator turns every
+block into a ``(k, d1, n1)`` stack and the same kernels serve all ``k``
+sketches of a fixed ``A`` in one pass.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -28,15 +31,16 @@ from ..rng.batched import BatchedSketchRNG
 from ..sparse.blocked_csr import BlockedCSR
 from ..sparse.convert import csc_to_blocked_csr
 from ..sparse.csc import CSCMatrix
+from ..sparse.csr import CSRMatrix
 from ..utils.flops import spmm_flops
 from ..utils.timing import Stopwatch, Timer
 from ..utils.validation import check_positive_int
 from .algo3 import algo3_block_reference
 from .algo4 import algo4_block_reference
-from .backends import KernelBackend, KernelWorkspace, resolve_backend
+from .backends import NUMPY, NumpyBackend, resolve_backend
 from .stats import KernelStats
 
-__all__ = ["sketch_spmm", "sketch_spmm_batched", "iter_block_tasks",
+__all__ = ["sketch_spmm", "compute_tile", "iter_block_tasks",
            "block_task_count", "default_block_sizes"]
 
 KernelName = Literal["algo3", "algo4"]
@@ -83,10 +87,33 @@ def block_task_count(d: int, n: int, b_d: int, b_n: int) -> int:
     return ((d + b_d - 1) // b_d) * ((n + b_n - 1) // b_n)
 
 
+def compute_tile(kernel: KernelName, out: np.ndarray, A: CSCMatrix,
+                 blocks: Mapping[int, CSRMatrix], i: int, j: int, n1: int,
+                 rng, watch: Stopwatch | None = None) -> None:
+    """Add task ``(i, j)``'s sketch tile into *out*.
+
+    *out* is the ``(d1, n1)`` tile for a single generator or the
+    ``(k, d1, n1)`` stack for a batched one.  Algorithm 3 reads the CSC
+    column block ``A[:, j:j+n1]``; Algorithm 4 the blocked-CSR block at
+    column offset *j* in *blocks*, which must be ``n1`` wide.
+    """
+    stacked = out.ndim == 3
+    if kernel == "algo3":
+        run = NUMPY.algo3_block_batched if stacked else NUMPY.algo3_block
+        run(out, A.col_block(j, j + n1), i, rng, watch=watch)
+        return
+    blk = blocks.get(j)
+    if blk is None or blk.shape[1] != n1:
+        raise ConfigError(
+            "blocked CSR partition does not match the b_n task grid")
+    run = NUMPY.algo4_block_batched if stacked else NUMPY.algo4_block
+    run(out, blk, i, rng, watch=watch)
+
+
 def sketch_spmm(
     A: CSCMatrix,
     d: int,
-    rng: SketchingRNG,
+    rng: "SketchingRNG | BatchedSketchRNG | Sequence[SketchingRNG]",
     *,
     kernel: KernelName = "algo3",
     b_d: int | None = None,
@@ -95,8 +122,7 @@ def sketch_spmm(
     blocked: BlockedCSR | None = None,
     out: np.ndarray | None = None,
     out_order: str = "F",
-    backend: str | KernelBackend | None = None,
-    workspace: KernelWorkspace | None = None,
+    backend: str | NumpyBackend | None = None,
     on_block: Callable[[str, int, int, int, int], None] | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Compute the sketch ``Ahat = S @ A`` with on-the-fly generation of ``S``.
@@ -113,33 +139,37 @@ def sketch_spmm(
     rng:
         Entry generator for ``S`` (see :mod:`repro.rng`); its distribution's
         ``post_scale`` is applied to the finished product (scaling trick).
+        A :class:`~repro.rng.batched.BatchedSketchRNG`, or a sequence of
+        generators (which is wrapped in one), computes ``k`` sketches of
+        the same ``A`` in one blocked pass: the fixed-``A``, many-sketches
+        tier, where one traversal of the sparse structure and one stacked
+        RNG call per panel serve the whole batch.
     kernel:
         ``"algo3"`` (kji, CSC-driven) or ``"algo4"`` (jki, blocked-CSR).
     b_d, b_n:
         Blocking parameters; defaults from :func:`default_block_sizes`.
     reference:
-        Use the scalar pseudocode-verbatim kernels (slow; testing oracle).
+        Use the scalar pseudocode-verbatim kernels (slow; testing oracle;
+        single generator only).
     blocked:
         Pre-built blocked CSR for Algorithm 4 (skips conversion, e.g. when
         amortized across repetitions); must have been built with the same
         ``b_n``.
     out:
-        Optional preallocated ``(d, n)`` output (zeroed by the driver).
+        Optional preallocated output (zeroed by the driver): ``(d, n)``,
+        or ``(k, d, n)`` for a batch.
     out_order:
         Memory layout for a driver-allocated output: ``"F"`` (default)
         matches Julia's column-major arrays — the layout the paper's
         kernels stream — and measures ~20-25% faster for the column-wise
         updates of both kernels; pass ``"C"`` for row-major consumers.
+        A batch's ``(k, d, n)`` stack is always C-ordered, so each
+        sketch's ``(d, n)`` slice is contiguous.
     backend:
         Kernel backend name, instance, or ``None``/``"auto"`` for
         ``numpy`` (see :func:`repro.kernels.backends.resolve_backend`).
         Ignored on the ``reference`` path, which always runs the scalar
         oracle.
-    workspace:
-        Optional :class:`~repro.kernels.backends.KernelWorkspace` for
-        scratch reuse across calls; one is created internally per
-        invocation otherwise, so repeated block calls never churn the
-        allocator either way.
     on_block:
         Optional observer called as ``on_block(phase, i, d1, j, n1)``
         with ``phase`` in ``("block_start", "block_done")`` around every
@@ -150,10 +180,17 @@ def sketch_spmm(
     Returns
     -------
     (Ahat, stats):
-        The ``d x n`` dense sketch and the cost record, including the
-        sample/compute split and, for Algorithm 4, conversion time.
+        The ``d x n`` dense sketch (``Ahat[t]`` of a ``(k, d, n)`` batch
+        bit-identical to a single run with member ``t``'s generator) and
+        the cost record, including the sample/compute split and, for
+        Algorithm 4, conversion time.  A batch's ``stats.extra["batch"]``
+        records ``k``; ``flops`` and ``samples_generated`` count all
+        ``k`` sketches.
     """
     d = check_positive_int(d, "d")
+    if isinstance(rng, (list, tuple)):
+        rng = BatchedSketchRNG(rng)
+    k = rng.batch if isinstance(rng, BatchedSketchRNG) else None
     if not isinstance(A, CSCMatrix):
         raise ConfigError(
             f"A must be a CSCMatrix (got {type(A).__name__}); CSR inputs "
@@ -164,28 +201,32 @@ def sketch_spmm(
         raise ConfigError("cannot sketch a matrix with zero columns")
     if kernel not in ("algo3", "algo4"):
         raise ConfigError(f"kernel must be 'algo3' or 'algo4', got {kernel!r}")
+    if reference and k is not None:
+        raise ConfigError("the reference kernels take a single generator")
     bd_default, bn_default = default_block_sizes(d, n)
     b_d = bd_default if b_d is None else check_positive_int(b_d, "b_d")
     b_n = bn_default if b_n is None else check_positive_int(b_n, "b_n")
 
     if out_order not in ("C", "F"):
         raise ConfigError(f"out_order must be 'C' or 'F', got {out_order!r}")
+    shape = (d, n) if k is None else (k, d, n)
     if out is None:
-        Ahat = np.zeros((d, n), dtype=np.float64, order=out_order)
+        Ahat = np.zeros(shape, dtype=np.float64,
+                        order=out_order if k is None else "C")
     else:
-        if out.shape != (d, n):
-            raise ConfigError(f"out must have shape {(d, n)}, got {out.shape}")
+        if out.shape != shape:
+            raise ConfigError(f"out must have shape {shape}, got {out.shape}")
         out[:] = 0.0
         Ahat = out
 
     be = resolve_backend(backend)
-    ws = workspace if workspace is not None else KernelWorkspace()
 
     sw = Stopwatch()
     samples_before = rng.samples_generated
     conversion_seconds = 0.0
     conversion_extra: dict = {}
-    blocks = 0
+    blocks: dict[int, CSRMatrix] = {}
+    tasks = 0
 
     with Timer() as total:
         if kernel == "algo4":
@@ -200,35 +241,24 @@ def sketch_spmm(
                 raise ConfigError(
                     f"blocked CSR shape {blocked.shape} does not match A {A.shape}"
                 )
-            for j0, blk in blocked.iter_blocks():
-                width = blk.shape[1]
-                for i in range(0, d, b_d):
-                    d1 = min(b_d, d - i)
-                    if on_block is not None:
-                        on_block("block_start", i, d1, j0, width)
-                    view = Ahat[i:i + d1, j0:j0 + width]
-                    if reference:
-                        algo4_block_reference(view, blk, i, rng)
-                    else:
-                        be.algo4_block(view, blk, i, rng, watch=sw,
-                                       workspace=ws)
-                    blocks += 1
-                    if on_block is not None:
-                        on_block("block_done", i, d1, j0, width)
+            blocks = dict(blocked.iter_blocks())
+            grid = [(i, min(b_d, d - i), j0, blk.shape[1])
+                    for j0, blk in blocks.items() for i in range(0, d, b_d)]
         else:
-            for i, d1, j, n1 in iter_block_tasks(d, n, b_d, b_n):
-                if on_block is not None:
-                    on_block("block_start", i, d1, j, n1)
-                view = Ahat[i:i + d1, j:j + n1]
-                A_sub = A.col_block(j, j + n1)
-                if reference:
-                    algo3_block_reference(view, A_sub, i, rng)
-                else:
-                    be.algo3_block(view, A_sub, i, rng, watch=sw,
-                                   workspace=ws)
-                blocks += 1
-                if on_block is not None:
-                    on_block("block_done", i, d1, j, n1)
+            grid = iter_block_tasks(d, n, b_d, b_n)
+        for i, d1, j, n1 in grid:
+            if on_block is not None:
+                on_block("block_start", i, d1, j, n1)
+            view = Ahat[..., i:i + d1, j:j + n1]
+            if not reference:
+                compute_tile(kernel, view, A, blocks, i, j, n1, rng, sw)
+            elif kernel == "algo4":
+                algo4_block_reference(view, blocks[j], i, rng)
+            else:
+                algo3_block_reference(view, A.col_block(j, j + n1), i, rng)
+            tasks += 1
+            if on_block is not None:
+                on_block("block_done", i, d1, j, n1)
         if rng.post_scale != 1.0:
             Ahat *= rng.post_scale
 
@@ -239,141 +269,11 @@ def sketch_spmm(
         conversion_seconds=conversion_seconds,
         total_seconds=total.elapsed,
         samples_generated=rng.samples_generated - samples_before,
-        flops=spmm_flops(d, A.nnz),
-        blocks_processed=blocks,
+        flops=(k or 1) * spmm_flops(d, A.nnz),
+        blocks_processed=tasks,
         d=d, b_d=b_d, b_n=b_n,
         extra={**conversion_extra,
-               "backend": "reference" if reference else be.name},
-    )
-    return Ahat, stats
-
-
-def sketch_spmm_batched(
-    A: CSCMatrix,
-    d: int,
-    rng: "BatchedSketchRNG | list[SketchingRNG] | tuple[SketchingRNG, ...]",
-    *,
-    kernel: KernelName = "algo3",
-    b_d: int | None = None,
-    b_n: int | None = None,
-    blocked: BlockedCSR | None = None,
-    out: np.ndarray | None = None,
-    backend: str | KernelBackend | None = None,
-    workspace: KernelWorkspace | None = None,
-    on_block: Callable[[str, int, int, int, int], None] | None = None,
-) -> tuple[np.ndarray, KernelStats]:
-    """Compute ``k`` sketches of the same ``A`` in one blocked pass.
-
-    The batched tier for the fixed-``A``, many-sketches workload: one
-    traversal of the sparse structure serves every sketch of the batch,
-    with the counter→sample RNG pipeline, blocked-CSR conversion, and
-    per-block bookkeeping amortized across the ``k`` seeds (see
-    :mod:`repro.kernels.batched`).
-
-    Parameters mirror :func:`sketch_spmm` except *rng*, which is a
-    :class:`~repro.rng.batched.BatchedSketchRNG` (or a sequence of
-    per-sketch generators, which is wrapped), and *out*, which when given
-    must be a ``(k, d, n)`` array.  There is no ``out_order`` knob: the
-    stack is C-ordered so each sketch's ``(d, n)`` slice is contiguous
-    (output layout does not affect the accumulated values — every kernel
-    update is elementwise in the output operand).
-
-    Returns
-    -------
-    (Ahat, stats):
-        ``Ahat[t]`` is bit-identical to the sketch a single
-        :func:`sketch_spmm` call with member ``t``'s generator produces.
-        ``stats.extra["batch"]`` records ``k``; ``flops`` and
-        ``samples_generated`` count all ``k`` sketches.
-    """
-    d = check_positive_int(d, "d")
-    if not isinstance(rng, BatchedSketchRNG):
-        rng = BatchedSketchRNG(rng)
-    k = rng.batch
-    if not isinstance(A, CSCMatrix):
-        raise ConfigError(
-            f"A must be a CSCMatrix (got {type(A).__name__}); CSR inputs "
-            "would be silently misread — convert with .to_csc() first"
-        )
-    m, n = A.shape
-    if n == 0:
-        raise ConfigError("cannot sketch a matrix with zero columns")
-    if kernel not in ("algo3", "algo4"):
-        raise ConfigError(f"kernel must be 'algo3' or 'algo4', got {kernel!r}")
-    bd_default, bn_default = default_block_sizes(d, n)
-    b_d = bd_default if b_d is None else check_positive_int(b_d, "b_d")
-    b_n = bn_default if b_n is None else check_positive_int(b_n, "b_n")
-
-    if out is None:
-        Ahat = np.zeros((k, d, n), dtype=np.float64)
-    else:
-        if out.shape != (k, d, n):
-            raise ConfigError(
-                f"out must have shape {(k, d, n)}, got {out.shape}")
-        out[:] = 0.0
-        Ahat = out
-
-    be = resolve_backend(backend)
-    ws = workspace if workspace is not None else KernelWorkspace()
-
-    sw = Stopwatch()
-    samples_before = rng.samples_generated
-    conversion_seconds = 0.0
-    conversion_extra: dict = {}
-    blocks = 0
-
-    with Timer() as total:
-        if kernel == "algo4":
-            if blocked is None:
-                blocked, conv = csc_to_blocked_csr(A, b_n)
-                conversion_seconds = conv.seconds
-                conversion_extra = {
-                    "conversion_ops": conv.op_count,
-                    "conversion_workspace_bytes": conv.workspace_bytes,
-                }
-            elif blocked.shape != (m, n):
-                raise ConfigError(
-                    f"blocked CSR shape {blocked.shape} does not match A "
-                    f"{A.shape}"
-                )
-            for j0, blk in blocked.iter_blocks():
-                width = blk.shape[1]
-                for i in range(0, d, b_d):
-                    d1 = min(b_d, d - i)
-                    if on_block is not None:
-                        on_block("block_start", i, d1, j0, width)
-                    stack = Ahat[:, i:i + d1, j0:j0 + width]
-                    be.algo4_block_batched(stack, blk, i, rng, watch=sw,
-                                           workspace=ws)
-                    blocks += 1
-                    if on_block is not None:
-                        on_block("block_done", i, d1, j0, width)
-        else:
-            for i, d1, j, n1 in iter_block_tasks(d, n, b_d, b_n):
-                if on_block is not None:
-                    on_block("block_start", i, d1, j, n1)
-                stack = Ahat[:, i:i + d1, j:j + n1]
-                A_sub = A.col_block(j, j + n1)
-                be.algo3_block_batched(stack, A_sub, i, rng, watch=sw,
-                                       workspace=ws)
-                blocks += 1
-                if on_block is not None:
-                    on_block("block_done", i, d1, j, n1)
-        if rng.post_scale != 1.0:
-            Ahat *= rng.post_scale
-
-    stats = KernelStats(
-        kernel=kernel,
-        sample_seconds=sw.total("sample"),
-        compute_seconds=sw.total("compute"),
-        conversion_seconds=conversion_seconds,
-        total_seconds=total.elapsed,
-        samples_generated=rng.samples_generated - samples_before,
-        flops=k * spmm_flops(d, A.nnz),
-        blocks_processed=blocks,
-        d=d, b_d=b_d, b_n=b_n,
-        extra={**conversion_extra,
-               "backend": be.name,
-               "batch": k},
+               "backend": "reference" if reference else be.name,
+               **({"batch": k} if k is not None else {})},
     )
     return Ahat, stats

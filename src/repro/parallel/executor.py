@@ -59,8 +59,8 @@ from ..errors import (
     TaskTimeoutError,
 )
 from ..faults.plan import InjectedCrashError
-from ..kernels.backends import KernelWorkspace, resolve_backend
-from ..kernels.blocking import iter_block_tasks
+from ..kernels.backends import resolve_backend
+from ..kernels.blocking import compute_tile, iter_block_tasks
 from ..kernels.stats import KernelStats
 from ..plan.events import (
     BLOCK_COMPUTED,
@@ -301,7 +301,7 @@ class PlanExecutionEngine:
             self._row_pending[i] = self._row_pending.get(i, 0) + 1
         return tasks, conversion_seconds
 
-    def _thread_ctx(self) -> tuple[SketchingRNG, Stopwatch, KernelWorkspace]:
+    def _thread_ctx(self) -> tuple[SketchingRNG, Stopwatch]:
         tls = self._tls
         if not hasattr(tls, "rng"):
             with self._ctx_lock:
@@ -309,11 +309,10 @@ class PlanExecutionEngine:
                 self._worker_counter += 1
             tls.rng = self.rng_factory(tls.worker)
             tls.watch = Stopwatch()
-            tls.workspace = KernelWorkspace()
             with self._ctx_lock:
                 self._all_rngs.append(tls.rng)
                 self._all_watches.append(tls.watch)
-        return tls.rng, tls.watch, tls.workspace
+        return tls.rng, tls.watch
 
     def _fresh_rng(self) -> SketchingRNG:
         """Fresh RNG re-derivation for a retry (discards any corrupted
@@ -333,53 +332,11 @@ class PlanExecutionEngine:
         return self.Ahat[i:i + d1, j:j + n1]
 
     def _compute(self, task: Task, kernel: str, rng: SketchingRNG,
-                 watch: Stopwatch, out: np.ndarray,
-                 workspace: KernelWorkspace | None = None) -> None:
+                 watch: Stopwatch, out: np.ndarray) -> None:
         """Run one kernel invocation for *task* into *out* (pre-zeroed)."""
-        i, d1, j, n1 = task
-        if self.batch > 1:
-            rng = self._as_batched(rng)
-            if kernel == "algo3":
-                self.backend.algo3_block_batched(
-                    out, self.A.col_block(j, j + n1), i, rng, watch=watch,
-                    workspace=workspace)
-            else:
-                blk = self._block_by_offset.get(j)
-                if blk is None or blk.shape[1] != n1:
-                    raise ConfigError(
-                        "blocked CSR partition does not match b_n task grid"
-                    )
-                self.backend.algo4_block_batched(out, blk, i, rng,
-                                                 watch=watch,
-                                                 workspace=workspace)
-            return
-        if kernel == "algo3":
-            self.backend.algo3_block(out, self.A.col_block(j, j + n1), i,
-                                     rng, watch=watch, workspace=workspace)
-        else:
-            blk = self._block_by_offset.get(j)
-            if blk is None or blk.shape[1] != n1:
-                raise ConfigError(
-                    "blocked CSR partition does not match b_n task grid"
-                )
-            self.backend.algo4_block(out, blk, i, rng, watch=watch,
-                                     workspace=workspace)
-
-    def _as_batched(self, rng):
-        """Coerce *rng* to the batched contract.
-
-        The plan's own factory already returns a
-        :class:`~repro.rng.batched.BatchedSketchRNG`; a fault hook may
-        swap in a plain single-sketch generator (e.g. the junk probe),
-        which is replicated across the batch — the fault then corrupts
-        every slice of the tile, the batched analogue of corrupting the
-        single-sketch block.
-        """
-        if hasattr(rng, "column_block_stack"):
-            return rng
-        from ..rng.batched import BatchedSketchRNG
-
-        return BatchedSketchRNG([rng] * self.batch)
+        i, _d1, j, n1 = task
+        compute_tile(kernel, out, self.A, self._block_by_offset, i, j, n1,
+                     rng, watch)
 
     def _finish_stats(self, tasks: list[Task], conversion_seconds: float,
                       total_seconds: float) -> KernelStats:
@@ -425,7 +382,6 @@ class PlanExecutionEngine:
 
         def run_worker(w: int) -> None:
             rng, watch = self.rng_factory(w), Stopwatch()
-            workspace = KernelWorkspace()
             with self._ctx_lock:
                 self._all_rngs.append(rng)
                 self._all_watches.append(watch)
@@ -435,7 +391,7 @@ class PlanExecutionEngine:
                     self.bus.emit(BLOCK_START, task=(i, j), i=i, d1=d1,
                                   j=j, n1=n1, kernel=self.kernel)
                 view = self._view(task)
-                self._compute(task, self.kernel, rng, watch, view, workspace)
+                self._compute(task, self.kernel, rng, watch, view)
                 if track:
                     self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1,
                                   j=j, n1=n1, kernel=self.kernel)
@@ -510,7 +466,7 @@ class PlanExecutionEngine:
         # Scratch buffers are only needed when speculative duplicates can
         # race on the same block (deadline-triggered re-execution).
         use_scratch = (cfg.task_timeout is not None and self.threads > 1)
-        rng, watch, workspace = self._thread_ctx()
+        rng, watch = self._thread_ctx()
 
         kernels = [self.kernel]
         if cfg.degradation.kernel_fallback and self.kernel == "algo4":
@@ -532,13 +488,9 @@ class PlanExecutionEngine:
                 attempt_no += 1
                 with self._ctx_lock:
                     self.health.attempts += 1
-                # Per-thread workspace scratch: speculative duplicates of
-                # the same block run in different threads, so the scratch
-                # targets never alias.
-                scratch_shape = ((self.batch, d1, n1) if self.batch > 1
-                                 else (d1, n1))
-                target = (workspace.get("executor.scratch", scratch_shape)
-                          if use_scratch else view)
+                # A private scratch per attempt: speculative duplicates of
+                # the same block never alias.
+                target = np.empty(view.shape) if use_scratch else view
                 target[:] = 0.0
                 failure: tuple[str, str] | None = None
                 try:
@@ -550,8 +502,7 @@ class PlanExecutionEngine:
                             RNG_REQUEST, task=key, kernel=kname,
                             context=context, attempt=attempt_no, rng=rng,
                         )["rng"]
-                    self._compute(task, kname, use_rng, watch, target,
-                                  workspace)
+                    self._compute(task, kname, use_rng, watch, target)
                     if self._hooked:
                         self.bus.emit(BLOCK_COMPUTED, task=key, kernel=kname,
                                       context=context, attempt=attempt_no,

@@ -260,7 +260,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
     import numpy as np
     from multiprocessing import shared_memory
 
-    from ..kernels.backends import KernelWorkspace, resolve_backend
+    from ..kernels.blocking import compute_tile
     from ..persist.checksum import checksum_bytes, default_algo
     from ..plan.spec import RngSpec, SketchPlan
     from ..utils.timing import Stopwatch
@@ -281,9 +281,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
         remap(shm_names)
         plan = SketchPlan.from_dict(plan_data)
         A = _open_shared_matrix(segs, problem)
-        backend = resolve_backend(plan.backend)
         watch = Stopwatch()
-        workspace = KernelWorkspace()
         algo = default_algo()
 
         def bind(plan: "SketchPlan", problem: dict):
@@ -319,10 +317,6 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 remap(shm_updates)
                 plan = SketchPlan.from_dict(plan_data)
                 Ahat, rng, block_by_offset = bind(plan, problem)
-                # The new plan's blocking/batch may differ: drop every
-                # scratch buffer so a stale-shaped one can never be
-                # silently reused by the next tile.
-                workspace.reset()
                 continue
             if msg[0] != "tasks":  # pragma: no cover - protocol guard
                 continue
@@ -349,38 +343,9 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                     samples0 = rng.samples_generated
                     s0 = watch.total("sample")
                     c0 = watch.total("compute")
-                    batch = plan.problem.batch
-                    if batch > 1:
-                        tile = np.zeros((batch, d1, n1), dtype=np.float64)
-                        if plan.kernel == "algo3":
-                            backend.algo3_block_batched(
-                                tile, A.col_block(j, j + n1), i, rng,
-                                watch=watch, workspace=workspace)
-                        else:
-                            blk = block_by_offset.get(j)
-                            if blk is None or blk.shape[1] != n1:
-                                raise ConfigError(
-                                    "blocked CSR partition does not match "
-                                    "the b_n task grid")
-                            backend.algo4_block_batched(
-                                tile, blk, i, rng, watch=watch,
-                                workspace=workspace)
-                    else:
-                        tile = np.zeros((d1, n1), dtype=np.float64)
-                        if plan.kernel == "algo3":
-                            backend.algo3_block(tile,
-                                                A.col_block(j, j + n1), i,
-                                                rng, watch=watch,
-                                                workspace=workspace)
-                        else:
-                            blk = block_by_offset.get(j)
-                            if blk is None or blk.shape[1] != n1:
-                                raise ConfigError(
-                                    "blocked CSR partition does not match "
-                                    "the b_n task grid")
-                            backend.algo4_block(tile, blk, i, rng,
-                                                watch=watch,
-                                                workspace=workspace)
+                    tile = np.zeros(Ahat.shape[:-2] + (d1, n1))
+                    compute_tile(plan.kernel, tile, A, block_by_offset, i, j,
+                                 n1, rng, watch)
                     Ahat[..., i:i + d1, j:j + n1] = tile
                     # Claimed-before-commit: digest the *correct* bytes;
                     # the supervisor re-reads shared memory and verifies.
@@ -836,35 +801,15 @@ class ProcessPoolSupervisor:
         stopwatch, so concurrent thread-rung calls never share mutable
         state; the accounting is folded in under a lock afterwards.
         """
-        from ..kernels.backends import KernelWorkspace
+        from ..kernels.blocking import compute_tile
         from ..utils.timing import Stopwatch
 
-        i, d1, j, n1 = task
+        i, _d1, j, n1 = task
         rng = self.rng_factory(0)
         watch = Stopwatch()
         out[:] = 0.0
-        batched = self.plan.problem.batch > 1
-        if self.plan.kernel == "algo3":
-            A_sub = self.A.col_block(j, j + n1)
-            if batched:
-                self.backend.algo3_block_batched(
-                    out, A_sub, i, rng, watch=watch,
-                    workspace=KernelWorkspace())
-            else:
-                self.backend.algo3_block(out, A_sub, i, rng, watch=watch,
-                                         workspace=KernelWorkspace())
-        else:
-            blk = self._fallback_blocks.get(j)
-            if blk is None or blk.shape[1] != n1:
-                raise ConfigError(
-                    "blocked CSR partition does not match the b_n task grid")
-            if batched:
-                self.backend.algo4_block_batched(
-                    out, blk, i, rng, watch=watch,
-                    workspace=KernelWorkspace())
-            else:
-                self.backend.algo4_block(out, blk, i, rng, watch=watch,
-                                         workspace=KernelWorkspace())
+        compute_tile(self.plan.kernel, out, self.A, self._fallback_blocks,
+                     i, j, n1, rng, watch)
         with self._stats_lock:
             self._worker_stats["sample"] += watch.total("sample")
             self._worker_stats["compute"] += watch.total("compute")

@@ -120,17 +120,18 @@ def _row_window(sub: CSCMatrix, r0: int, r1: int) -> CSCMatrix:
     )
 
 
-def _kernel_block(backend, kernel: str, view: np.ndarray, sub: CSCMatrix,
-                  r: int, rng) -> None:
+def _kernel_block(kernel: str, view: np.ndarray, sub: CSCMatrix, r: int,
+                  rng) -> None:
     """Run one block through the same kernel path the run used."""
+    from ..kernels.blocking import compute_tile
+
+    blocks = {}
     if kernel == "algo4":
         from ..sparse.convert import csc_to_blocked_csr
 
         blocked, _ = csc_to_blocked_csr(sub, sub.shape[1])
-        for _j0, blk in blocked.iter_blocks():
-            backend.algo4_block(view, blk, r, rng)
-    else:
-        backend.algo3_block(view, sub, r, rng)
+        blocks = dict(blocked.iter_blocks())
+    compute_tile(kernel, view, sub, blocks, r, 0, sub.shape[1], rng)
 
 
 class _Replayer:
@@ -151,7 +152,8 @@ class _Replayer:
         self.kernel = fp["kernel"]
         self.A = A
         self.rng = make_rng(fp["rng_kind"], fp["seed"], fp["distribution"])
-        self.backend = resolve_backend(fp["backend"])
+        # Refuse a fingerprint naming a backend this build cannot run.
+        resolve_backend(fp["backend"])
         self.batches = [(int(o), int(c))
                         for o, c in snap.state.get("batches", [])]
         self._col_cache: dict[int, CSCMatrix] = {}
@@ -174,11 +176,11 @@ class _Replayer:
             for off, cnt in self.batches:
                 win = _row_window(sub, off, off + cnt)
                 tmp[:] = 0.0
-                _kernel_block(self.backend, self.kernel, tmp, win, r,
+                _kernel_block(self.kernel, tmp, win, r,
                               _OffsetRNG(self.rng, off))
                 acc += tmp
         else:
-            _kernel_block(self.backend, self.kernel, acc, sub, r, self.rng)
+            _kernel_block(self.kernel, acc, sub, r, self.rng)
         return acc
 
     def row_block(self, r: int, d1: int, b_n: int) -> np.ndarray:

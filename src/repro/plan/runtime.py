@@ -104,7 +104,7 @@ def available_drivers() -> tuple[str, ...]:
 def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
                    blocked, injector):
     """Single-pass blocked loop — the pre-refactor sequential path."""
-    from ..kernels.blocking import sketch_spmm, sketch_spmm_batched
+    from ..kernels.blocking import sketch_spmm
 
     bus = runtime.bus
     on_block = None
@@ -112,12 +112,6 @@ def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
         def on_block(phase: str, i: int, d1: int, j: int, n1: int) -> None:
             bus.emit(phase, task=(i, j), i=i, d1=d1, j=j, n1=n1,
                      kernel=plan.kernel)
-    if plan.problem.batch > 1:
-        return sketch_spmm_batched(
-            A, plan.problem.d, factory(0), kernel=plan.kernel,
-            b_d=plan.b_d, b_n=plan.b_n, backend=plan.backend,
-            blocked=blocked, on_block=on_block,
-        )
     return sketch_spmm(
         A, plan.problem.d, factory(0), kernel=plan.kernel,
         b_d=plan.b_d, b_n=plan.b_n, backend=plan.backend,

@@ -5,8 +5,8 @@ import pytest
 
 import repro.rng.base as rng_base
 from repro.errors import ShapeError
-from repro.kernels import (KernelWorkspace, algo3_block_reference, algo4_block,
-                           algo4_block_batched, algo4_block_reference)
+from repro.kernels import (algo3_block_reference, algo4_block,
+                           algo4_block_reference)
 from repro.persist.checksum import checksum_bytes
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG, make_batched_rng, make_rng
 from repro.sparse import (CSCMatrix, CSRMatrix, abnormal_a, csc_to_blocked_csr,
@@ -190,11 +190,9 @@ class TestExactlyReferenceOrdered:
         default = rng_base.CHUNK_LANES
         for lanes in (1, 7, 50, default):
             monkeypatch.setattr(rng_base, "CHUNK_LANES", lanes)
-            for ws in (None, KernelWorkspace()):
-                for out in _outputs(init):
-                    algo4_block(out, blk, r, make_rng(family, 42, dist),
-                                workspace=ws)
-                    assert np.array_equal(out, ref), (lanes, out.strides)
+            for out in _outputs(init):
+                algo4_block(out, blk, r, make_rng(family, 42, dist))
+                assert np.array_equal(out, ref), (lanes, out.strides)
 
     @pytest.mark.parametrize("dist", DISTS)
     @pytest.mark.parametrize("family", FAMILIES)
@@ -214,11 +212,10 @@ class TestExactlyReferenceOrdered:
             monkeypatch.setattr(rng_base, "CHUNK_LANES", lanes)
             c_stack = np.empty((len(seeds), d1, n1))
             f_stack = np.empty((len(seeds), n1, d1)).transpose(0, 2, 1)
-            for ws, stack in ((None, c_stack), (KernelWorkspace(), f_stack)):
+            for stack in (c_stack, f_stack):
                 stack[...] = init
-                algo4_block_batched(stack, blk, r,
-                                    make_batched_rng(family, seeds, dist),
-                                    workspace=ws)
+                algo4_block(stack, blk, r,
+                            make_batched_rng(family, seeds, dist))
                 for t in range(len(seeds)):
                     assert np.array_equal(stack[t], refs[t]), (lanes, t)
 
@@ -282,10 +279,9 @@ def test_block_digest_golden(case, family, dist):
     init = np.random.default_rng(0).standard_normal((d1, blk.shape[1]))
     golden = _ALGO4_CRC32[(case, family, dist)]
     for order in ("C", "F"):
-        for ws in (None, KernelWorkspace()):
-            out = init.copy(order=order)
-            algo4_block(out, blk, r, make_rng(family, 42, dist), workspace=ws)
-            assert _crc32(out) == golden
+        out = init.copy(order=order)
+        algo4_block(out, blk, r, make_rng(family, 42, dist))
+        assert _crc32(out) == golden
     stack = np.stack([init, init])
-    algo4_block_batched(stack, blk, r, make_batched_rng(family, (42, 43), dist))
+    algo4_block(stack, blk, r, make_batched_rng(family, (42, 43), dist))
     assert _crc32(stack[0]) == golden

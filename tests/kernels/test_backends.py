@@ -1,7 +1,7 @@
-"""Tests for repro.kernels.backends — registry, workspace, stats surface.
+"""Tests for repro.kernels.backends — resolution, reuse, stats surface.
 
-* registry semantics (lookup, singletons, instance pass-through);
-* workspace reuse must not change results;
+* backend resolution (names, ``auto``, instance pass-through);
+* reused per-thread scratch must not change results;
 * every entry point records the backend that ran.
 """
 
@@ -10,12 +10,7 @@ import pytest
 
 from repro.core import SketchConfig, sketch
 from repro.errors import ConfigError
-from repro.kernels.backends import (
-    KernelWorkspace,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.kernels.backends import NUMPY, available_backends, resolve_backend
 from repro.kernels.blocking import sketch_spmm
 from repro.plan import Planner, Runtime
 from repro.rng.base import make_rng
@@ -36,16 +31,13 @@ class TestRegistry:
     def test_registered_and_available(self):
         assert available_backends() == ["numpy"]
 
-    def test_get_backend_unknown_raises(self):
+    def test_resolve_unknown_raises(self):
         with pytest.raises(ConfigError, match="unknown kernel backend"):
-            get_backend("fortran")
-
-    def test_get_backend_is_singleton(self):
-        assert get_backend("numpy") is get_backend("numpy")
+            resolve_backend("fortran")
 
     def test_resolve_accepts_instance(self):
-        be = get_backend("numpy")
-        assert resolve_backend(be) is be
+        assert resolve_backend(NUMPY) is NUMPY
+        assert resolve_backend("numpy") is NUMPY
 
     def test_resolve_auto_is_numpy(self):
         assert resolve_backend(None).name == "numpy"
@@ -53,41 +45,19 @@ class TestRegistry:
 
 
 class TestKernelWorkspace:
-    def test_exact_shape_views_and_monotonic_growth(self):
-        ws = KernelWorkspace()
-        a = ws.get("x", (4, 8))
-        assert a.shape == (4, 8) and a.dtype == np.float64
-        b = ws.get("x", (2, 3))
-        assert b.shape == (2, 3)
-        big = ws.get("x", (16, 16))
-        assert big.shape == (16, 16)
-        # Shrinking again reuses the grown buffer (no reallocation).
-        before = ws.nbytes
-        ws.get("x", (1, 1))
-        assert ws.nbytes == before
-
-    def test_distinct_names_and_dtypes_do_not_alias(self):
-        ws = KernelWorkspace()
-        a = ws.get("a", (8,))
-        b = ws.get("b", (8,))
-        a[:] = 1.0
-        b[:] = 2.0
-        assert np.all(ws.get("a", (8,)) == 1.0)
-        i = ws.get("a", (8,), dtype=np.int64)
-        i[:] = 7
-        assert np.all(ws.get("a", (8,)) == 1.0)
+    """Kernels keep no scratch of their own; what calls reuse is each
+    thread's sampling scratch and Algorithm 4's memoized patterns."""
 
     @pytest.mark.parametrize("kernel", ["algo3", "algo4"])
     @pytest.mark.parametrize("dist", ["uniform", "rademacher", "gaussian"])
     def test_workspace_reuse_is_bit_identical(self, kernel, dist):
         A = _matrix_with_empty_columns()
-        ws = KernelWorkspace()
         base, _ = sketch_spmm(A, 48, make_rng("xoshiro", 5, dist),
                               kernel=kernel, b_d=16, b_n=7, backend="numpy")
         for _ in range(3):  # steady state: buffers already grown
             again, _ = sketch_spmm(A, 48, make_rng("xoshiro", 5, dist),
                                    kernel=kernel, b_d=16, b_n=7,
-                                   backend="numpy", workspace=ws)
+                                   backend="numpy")
             assert np.array_equal(base, again)
 
 

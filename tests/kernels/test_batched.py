@@ -1,21 +1,21 @@
 """Tests for the batched multi-sketch kernel tier.
 
-The tier's single contract is bit-identity: ``sketch_spmm_batched`` (and
-every layer under it — :class:`BatchedSketchRNG`, the batched block
-kernels, each backend's fused overrides) must produce, for every member
-``t``, exactly the bytes that ``k`` independent single-sketch runs
-produce.  These tests pin that contract at each layer, plus the
-:class:`KernelWorkspace` reuse semantics the batched tier leans on when
-runs with different geometries interleave through one workspace.
+The tier's single contract is bit-identity: ``sketch_spmm`` with a
+batched generator (and every layer under it — :class:`BatchedSketchRNG`,
+the block kernels on a ``(k, d1, n1)`` stack, the backend's ``*_batched``
+methods) must produce, for every member ``t``, exactly the bytes that
+``k`` independent single-sketch runs produce.  These tests pin that
+contract at each layer, including when runs with different geometries
+interleave through one thread's reused sampling scratch.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
-from repro.kernels import KernelWorkspace, available_backends, get_backend
-from repro.kernels.batched import algo3_block_batched, algo4_block_batched
-from repro.kernels.blocking import sketch_spmm, sketch_spmm_batched
+from repro.kernels import algo3_block, algo4_block, available_backends
+from repro.kernels.backends import NUMPY
+from repro.kernels.blocking import sketch_spmm
 from repro.rng.base import make_rng
 from repro.rng.batched import BatchedSketchRNG, make_batched_rng
 from repro.sparse import CSCMatrix, csc_to_blocked_csr, random_sparse
@@ -92,76 +92,64 @@ class TestBatchedBlockKernels:
 
     A = _matrix_with_empty_structure()
 
-    @pytest.mark.parametrize("use_workspace", (False, True))
+    @staticmethod
+    def _stack(k, d1, n1, strided):
+        """A C-ordered stack, or a strided view into a wider one."""
+        if not strided:
+            return np.zeros((k, d1, n1))
+        return np.zeros((k, d1 + 5, n1 + 3))[:, 2:2 + d1, 1:1 + n1]
+
+    @pytest.mark.parametrize("strided", (False, True))
     @pytest.mark.parametrize("kind", ("philox", "xoshiro"))
-    def test_algo3_matches_member_loop(self, kind, use_workspace):
+    def test_algo3_matches_member_loop(self, kind, strided):
         d1, r = 24, 48
-        be = get_backend("numpy")
         brng = make_batched_rng(kind, SEEDS)
-        stack = np.zeros((len(SEEDS), d1, self.A.shape[1]))
-        ws = KernelWorkspace() if use_workspace else None
-        algo3_block_batched(stack, self.A, r, brng, workspace=ws)
+        stack = self._stack(len(SEEDS), d1, self.A.shape[1], strided)
+        algo3_block(stack, self.A, r, brng)
         for t, seed in enumerate(SEEDS):
             solo = np.zeros((d1, self.A.shape[1]))
-            be.algo3_block(solo, self.A, r, make_rng(kind, seed),
-                           workspace=KernelWorkspace())
+            algo3_block(solo, self.A, r, make_rng(kind, seed))
             assert np.array_equal(stack[t], solo)
 
-    @pytest.mark.parametrize("use_workspace", (False, True))
+    @pytest.mark.parametrize("strided", (False, True))
     @pytest.mark.parametrize("b_n", (3, 64))
-    def test_algo4_matches_member_loop(self, b_n, use_workspace):
+    def test_algo4_matches_member_loop(self, b_n, strided):
         # Narrow blocks, and one block wider than the matrix.
         d1, r = 16, 32
-        be = get_backend("numpy")
         blocked, _ = csc_to_blocked_csr(self.A, b_n)
         for bi, A_blk in enumerate(blocked.blocks):
             brng = make_batched_rng("philox", SEEDS)
-            stack = np.zeros((len(SEEDS), d1, A_blk.shape[1]))
-            ws = KernelWorkspace() if use_workspace else None
-            algo4_block_batched(stack, A_blk, r, brng, workspace=ws)
+            stack = self._stack(len(SEEDS), d1, A_blk.shape[1], strided)
+            algo4_block(stack, A_blk, r, brng)
             for t, seed in enumerate(SEEDS):
                 solo = np.zeros((d1, A_blk.shape[1]))
-                be.algo4_block(solo, A_blk, r, make_rng("philox", seed),
-                               workspace=KernelWorkspace())
+                algo4_block(solo, A_blk, r, make_rng("philox", seed))
                 assert np.array_equal(stack[t], solo), f"block {bi}"
 
     def test_stack_shape_mismatch_rejected(self):
         brng = make_batched_rng("philox", SEEDS)
         stack = np.zeros((2, 8, self.A.shape[1]))       # wrong batch size
         with pytest.raises(ShapeError, match="batched"):
-            algo3_block_batched(stack, self.A, 0, brng)
+            algo3_block(stack, self.A, 0, brng)
 
 
 class TestBackendBatched:
-    """Every backend's batched overrides vs the default member loop."""
+    """The backend's ``*_batched`` methods vs its member-by-member loop."""
 
     A = _matrix_with_empty_structure(seed=7)
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("kernel", ("algo3", "algo4"))
     def test_backend_batched_matches_base_loop(self, backend, kernel):
-        from repro.kernels.backends import KernelBackend
-        be = get_backend(backend)
         d1, r = 20, 16
         brng = make_batched_rng("philox", SEEDS)
-        if kernel == "algo3":
-            stack = np.zeros((len(SEEDS), d1, self.A.shape[1]))
-            be.algo3_block_batched(stack, self.A, r, brng,
-                                   workspace=KernelWorkspace())
-            base = np.zeros_like(stack)
-            KernelBackend.algo3_block_batched(
-                be, base, self.A, r, make_batched_rng("philox", SEEDS),
-                workspace=KernelWorkspace())
-        else:
-            blocked, _ = csc_to_blocked_csr(self.A, 8)
-            A_blk = blocked.blocks[1]
-            stack = np.zeros((len(SEEDS), d1, A_blk.shape[1]))
-            be.algo4_block_batched(stack, A_blk, r, brng,
-                                   workspace=KernelWorkspace())
-            base = np.zeros_like(stack)
-            KernelBackend.algo4_block_batched(
-                be, base, A_blk, r, make_batched_rng("philox", SEEDS),
-                workspace=KernelWorkspace())
+        A_blk = (self.A if kernel == "algo3"
+                 else csc_to_blocked_csr(self.A, 8)[0].blocks[1])
+        stack = np.zeros((len(SEEDS), d1, A_blk.shape[1]))
+        getattr(NUMPY, f"{kernel}_block_batched")(stack, A_blk, r, brng)
+        base = np.zeros_like(stack)
+        for t, member in enumerate(make_batched_rng("philox", SEEDS).members):
+            getattr(NUMPY, f"{kernel}_block")(base[t], A_blk, r, member)
         assert np.array_equal(stack, base)
 
 
@@ -176,23 +164,24 @@ class TestSketchSpmmBatched:
     def test_bit_identical_to_independent_runs(self, kernel, kind, backend):
         d, b_d, b_n = 64, 32, 40
         brng = make_batched_rng(kind, SEEDS)
-        stacked, stats = sketch_spmm_batched(
+        stacked, stats = sketch_spmm(
             self.A, d, brng, kernel=kernel, b_d=b_d, b_n=b_n,
-            backend=backend, workspace=KernelWorkspace())
+            backend=backend)
         assert stacked.shape == (len(SEEDS), d, self.A.shape[1])
+        assert stacked.flags.c_contiguous
+        assert stats.extra["batch"] == len(SEEDS)
         for t, seed in enumerate(SEEDS):
             solo, solo_stats = sketch_spmm(
                 self.A, d, make_rng(kind, seed), kernel=kernel,
-                b_d=b_d, b_n=b_n, backend=backend,
-                workspace=KernelWorkspace())
+                b_d=b_d, b_n=b_n, backend=backend)
             assert np.array_equal(stacked[t], solo)
         # Sample accounting equals k independent runs too.
         assert stats.samples_generated == len(SEEDS) * solo_stats.samples_generated
 
     def test_list_of_rngs_accepted(self):
         rngs = [make_rng("philox", s) for s in SEEDS]
-        stacked, _ = sketch_spmm_batched(self.A, 32, rngs, kernel="algo3",
-                                         b_d=16, b_n=30)
+        stacked, _ = sketch_spmm(self.A, 32, rngs, kernel="algo3",
+                                 b_d=16, b_n=30)
         solo, _ = sketch_spmm(self.A, 32, make_rng("philox", SEEDS[2]),
                               kernel="algo3", b_d=16, b_n=30)
         assert np.array_equal(stacked[2], solo)
@@ -201,25 +190,25 @@ class TestSketchSpmmBatched:
 class TestWorkspaceReuse:
     """Scratch reuse across changed r/b_d/b_n/batch must stay exact.
 
-    Regression for the stale-view workspace bug: a long-lived workspace
-    serving runs whose geometry (and batch size) changes between calls
-    must re-derive every view at the requested shape, never hand back a
-    stale-shaped alias of a previous run's scratch.
+    Every sampling call on a thread reuses that thread's scratch buffers
+    (:func:`repro.rng.scratch.thread_scratch`), and Algorithm 4 memoizes
+    each block's pattern.  Runs whose geometry (and batch size) changes
+    between calls must still match fresh runs bit for bit: no buffer may
+    come back stale-shaped from a previous run.
     """
 
     A = random_sparse(300, 120, 0.05, seed=3)
 
     def _expected(self, kernel, kind, seed, d, b_d, b_n):
         out, _ = sketch_spmm(self.A, d, make_rng(kind, seed), kernel=kernel,
-                             b_d=b_d, b_n=b_n, workspace=KernelWorkspace())
+                             b_d=b_d, b_n=b_n)
         return out
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_interleaved_geometries_one_workspace(self, backend):
-        ws = KernelWorkspace()
         # Interleave batched and solo runs with shrinking AND growing
-        # shapes (d, b_d, b_n, batch) through the same workspace; every
-        # output must match a fresh-workspace run bit for bit.
+        # shapes (d, b_d, b_n, batch) on one thread; every output must
+        # match the single-sketch run bit for bit.
         schedule = [
             ("algo4", "philox", 64, 32, 40, SEEDS),
             ("algo4", "philox", 32, 16, 24, SEEDS[:2]),   # shrink all
@@ -228,51 +217,10 @@ class TestWorkspaceReuse:
             ("algo3", "threefry", 16, 8, 8, SEEDS[:3]),
         ]
         for kernel, kind, d, b_d, b_n, seeds in schedule:
-            stacked, _ = sketch_spmm_batched(
+            stacked, _ = sketch_spmm(
                 self.A, d, make_batched_rng(kind, seeds), kernel=kernel,
-                b_d=b_d, b_n=b_n, backend=backend, workspace=ws)
+                b_d=b_d, b_n=b_n, backend=backend)
             for t, seed in enumerate(seeds):
                 expected = self._expected(kernel, kind, seed, d, b_d, b_n)
                 assert np.array_equal(stacked[t], expected), \
                     f"{kernel}/{kind} d={d} b_d={b_d} b_n={b_n} seed={seed}"
-            # Solo runs share the same workspace between batched runs.
-            solo, _ = sketch_spmm(self.A, d, make_rng(kind, seeds[0]),
-                                  kernel=kernel, b_d=b_d, b_n=b_n,
-                                  backend=backend, workspace=ws)
-            assert np.array_equal(
-                solo, self._expected(kernel, kind, seeds[0], d, b_d, b_n))
-
-    def test_view_rederived_after_shape_change(self):
-        ws = KernelWorkspace()
-        big = ws.get("scratch", (8, 16))
-        big.fill(7.0)
-        small = ws.get("scratch", (4, 4))
-        assert small.shape == (4, 4)
-        assert ws.last_shape("scratch") == (4, 4)
-        # Growing again must still produce the requested shape, even
-        # though the backing allocation never shrank.
-        grown = ws.get("scratch", (8, 16))
-        assert grown.shape == (8, 16)
-        assert ws.last_shape("scratch") == (8, 16)
-
-    def test_negative_extent_rejected(self):
-        ws = KernelWorkspace()
-        with pytest.raises(ConfigError, match="negative"):
-            ws.get("scratch", (4, -1))
-
-    def test_reset_drops_buffers_and_history(self):
-        ws = KernelWorkspace()
-        ws.get("scratch", (16,))
-        assert ws.nbytes > 0
-        ws.reset()
-        assert ws.nbytes == 0
-        assert ws.last_shape("scratch") is None
-
-    def test_dtype_keys_are_independent(self):
-        ws = KernelWorkspace()
-        f = ws.get("scratch", (8,), np.float64)
-        i = ws.get("scratch", (8,), np.int64)
-        f.fill(1.5)
-        i.fill(3)
-        assert f.dtype == np.float64 and i.dtype == np.int64
-        assert ws.last_shape("scratch", np.int64) == (8,)

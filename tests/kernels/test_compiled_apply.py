@@ -1,9 +1,10 @@
-"""Differential tests of the compiled Algorithm 4 apply.
+"""Differential tests of the compiled apply both kernels use.
 
-``algo4_block`` and ``algo4_block_batched`` add the sketch panel through
-scipy's compiled ``csr_matvecs``.  The contract is exactness: every output
-entry gets the same additions, in the same order and with the same
-rounding, as :func:`algo4_block_reference`.  These tests compare with
+``algo3_block`` and ``algo4_block`` add the sketch panel through scipy's
+compiled ``csr_matvecs``, for one sketch or a ``(k, d1, n1)`` stack.  The
+contract is exactness: every output entry gets the same additions, in the
+same order and with the same rounding, as :func:`algo3_block_reference` /
+:func:`algo4_block_reference`.  These tests compare with
 ``np.array_equal`` across RNG families, distributions, output layouts,
 degenerate blocks and batch sizes, and pin the two things a scipy build
 could get wrong: a moved private function and contracted multiply-adds.
@@ -19,10 +20,11 @@ import scipy
 from scipy.sparse import _sparsetools
 
 from repro.errors import ConfigError, ShapeError
-from repro.kernels import (algo4, algo4_block, algo4_block_batched,
-                           algo4_block_reference)
+from repro.kernels import (algo3, algo3_block, algo3_block_reference, algo4,
+                           algo4_block, algo4_block_reference)
 from repro.rng import make_batched_rng, make_rng
-from repro.sparse import CSRMatrix, abnormal_a, csc_to_blocked_csr, random_sparse
+from repro.sparse import (CSCMatrix, CSRMatrix, abnormal_a, csc_to_blocked_csr,
+                          random_sparse)
 
 FAMILIES = ("philox", "threefry", "xoshiro")
 DISTS = ("uniform", "gaussian", "rademacher")
@@ -118,7 +120,77 @@ def test_batched_equals_member_loop(family, dist, block, k, chunking):
     full = np.zeros((k, D, N))
     stack = full[:, I0:I0 + D1, 2:2 + blk.shape[1]]
     stack[...] = init
-    algo4_block_batched(stack, blk, I0, make_batched_rng(family, seeds, dist))
+    algo4_block(stack, blk, I0, make_batched_rng(family, seeds, dist))
+    for t in range(k):
+        assert np.array_equal(stack[t], members[t]), t
+
+
+def _column_blocks():
+    """name -> one CSC column block of a small matrix."""
+    yield "random", random_sparse(120, N, 0.08, seed=11).col_block(13, 26)
+    yield "dense_rows", abnormal_a(90, N, period=6, seed=3).col_block(0, 13)
+    yield "empty", CSCMatrix.from_dense(np.zeros((40, 13)))
+    holes = random_sparse(60, 13, 0.2, seed=5).to_dense()
+    holes[:, [0, 4, 5, 12]] = 0.0
+    yield "empty_columns", CSCMatrix.from_dense(holes)
+    yield "one_column", random_sparse(80, N, 0.2, seed=6).col_block(7, 8)
+
+
+COLUMN_BLOCKS = dict(_column_blocks())
+
+
+@pytest.fixture(params=("one_group", "grouped"))
+def grouping(request, monkeypatch):
+    """Apply each block in one compiled call, or in column groups of a
+    few nonzeros (one sketch) down to single columns (three)."""
+    monkeypatch.setattr(algo3, "GROUP_ENTRIES",
+                        3 * D1 if request.param == "grouped" else 10**9)
+    return request.param
+
+
+@pytest.mark.parametrize("nonzero_start", (False, True))
+@pytest.mark.parametrize("block", sorted(COLUMN_BLOCKS))
+@pytest.mark.parametrize("dist", DISTS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_algo3_single_equals_reference(family, dist, block, nonzero_start,
+                                       grouping):
+    sub = COLUMN_BLOCKS[block]
+    init = _start(sub.shape[1], nonzero_start)
+    ref = init.copy()
+    algo3_block_reference(ref, sub, I0, make_rng(family, 42, dist))
+    for order, full, view in _outputs(init):
+        before = full.copy()
+        algo3_block(view, sub, I0, make_rng(family, 42, dist))
+        assert np.array_equal(view, ref), order
+        before[I0:I0 + D1, 2:2 + sub.shape[1]] = ref
+        assert np.array_equal(full, before), order
+    # A whole F-ordered block: its transpose is the compiled call's
+    # output itself, with no copy in or out.
+    whole = init.copy(order="F")
+    algo3_block(whole, sub, I0, make_rng(family, 42, dist))
+    assert np.array_equal(whole, ref)
+
+
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("block", sorted(COLUMN_BLOCKS))
+@pytest.mark.parametrize("dist", DISTS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_algo3_batched_equals_member_loop(family, dist, block, k, grouping):
+    sub = COLUMN_BLOCKS[block]
+    seeds = (42, 7, 1234)[:k]
+    init = _start(sub.shape[1], True)
+    members = []
+    for seed in seeds:
+        solo = init.copy()
+        algo3_block(solo, sub, I0, make_rng(family, seed, dist))
+        ref = init.copy()
+        algo3_block_reference(ref, sub, I0, make_rng(family, seed, dist))
+        assert np.array_equal(solo, ref)
+        members.append(solo)
+    full = np.zeros((k, D, N))
+    stack = full[:, I0:I0 + D1, 2:2 + sub.shape[1]]
+    stack[...] = init
+    algo3_block(stack, sub, I0, make_batched_rng(family, seeds, dist))
     for t in range(k):
         assert np.array_equal(stack[t], members[t]), t
 
@@ -158,8 +230,11 @@ def test_fma_canary():
     assert np.array_equal(out, ref)
     assert np.array_equal(out[:, 1:], np.zeros((d1, 2)))
     stack = np.full((2, d1, 3), y)
-    algo4_block_batched(stack, blk, 0, _ConstantRNG(x, batch=2))
+    algo4_block(stack, blk, 0, _ConstantRNG(x, batch=2))
     assert np.array_equal(stack[1], ref)
+    out = np.full((d1, 3), y)
+    algo3_block(out, blk.to_csc(), 0, _ConstantRNG(x))
+    assert np.array_equal(out, ref)
 
 
 def test_moved_scipy_kernel_is_a_config_error(monkeypatch):

@@ -8,13 +8,15 @@ record itself must carry the batch axis (digest-visible, JSON
 round-trippable) while single-sketch digests stay exactly as they were.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import SketchConfig
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.parallel import WorkerPoolConfig
+from repro.parallel import ResilienceConfig, WorkerPoolConfig
 from repro.plan import Planner, Runtime, SketchPlan
 from repro.sparse import random_sparse
 
@@ -118,6 +120,27 @@ class TestBatchedExecution:
         plan = compile_batched(A, driver="engine")
         result = Runtime().run(plan, A)
         assert result.stats.extra.get("batch") == len(SEEDS)
+
+    @pytest.mark.parametrize("kernel", ("algo3", "algo4"))
+    def test_rng_fault_is_repaired_by_the_guardrail(self, A, kernel):
+        # A corrupted generator on a batched tile yields finite but huge
+        # samples in every sketch: the magnitude guardrail must catch it
+        # and recompute, exactly as on a single-sketch tile.
+        cfg = dataclasses.replace(
+            _cfg(kernel=kernel),
+            resilience=ResilienceConfig(guardrail="recompute"))
+        plan = Planner().compile(A, cfg, d=D, driver="engine",
+                                 batch_seeds=(1, 2, 3))
+        clean = Runtime().run(plan, A).sketch
+        inj = FaultInjector(FaultPlan([FaultSpec(
+            kind="rng", task=(0, 0), max_hits=1, magnitude=1e6)]))
+        result = Runtime().run(plan, A, injector=inj)
+        health = result.stats.health
+        assert [f.kind for f in health.failures] == ["guardrail-magnitude"]
+        assert health.guardrail_violations == 1
+        assert health.corrupted_blocks_repaired == 1
+        assert [e.kind for e in inj.events] == ["rng"]
+        assert np.array_equal(result.sketch, clean)
 
     @pytest.mark.parametrize("fault", [
         FaultSpec(kind="kill_worker", task=(32, 40), max_hits=1),
