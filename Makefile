@@ -56,7 +56,9 @@ obs-smoke:
 # wrapped in a hard wall-clock timeout so a supervisor deadlock fails the
 # build instead of hanging it.
 procpool-smoke:
-	timeout 300 python -m pytest tests/parallel/test_procpool.py -q
+	timeout 300 python -m pytest tests/parallel/test_procpool.py \
+	  tests/parallel/test_procpool_ladder.py -q
+	timeout 300 python -m pytest tests/plan/test_contract.py -q
 	timeout 300 python -m pytest tests/plan/test_fleet_blocking.py -q
 	timeout 120 python -m repro sketch --random 200 60 0.05 \
 	  --driver process --workers 2 --worker-heartbeat 10

@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: even)")
 
     g_resil = sk.add_argument_group(
-        "resilience", "fault handling (any flag enables the guarded path)")
+        "resilience", "fault handling (any flag enables retries and the "
+        "health report)")
     g_resil.add_argument("--max-retries", type=int, default=None,
                          help="per-task retry budget")
     g_resil.add_argument("--task-timeout", type=float, default=None,

@@ -11,7 +11,7 @@ guarantees to the sketching hot path:
    metric); the run's output and exit code are unchanged.
 2. **Observers cannot slow-path a sketch.**  Only lifecycle events are
    subscribed — never the fault-injection hook events whose presence
-   makes the engine take its guarded per-block path — and an idle bus
+   makes the engine run its resilient per-task policy — and an idle bus
    keeps its lock-free no-subscriber fast path.
 
 Typical use::

@@ -1,7 +1,7 @@
-"""Shared-memory parallelism: task scheduling, resilient thread-pool
-execution with fault recovery and numerical guardrails, the supervised
-multi-process pool behind the ``process`` driver, and the
-bandwidth-saturation scaling model behind the Table VII reproduction."""
+"""Shared-memory parallelism: resilient thread-pool execution with fault
+recovery and numerical guardrails, the supervised multi-process pool
+behind the ``process`` driver, and the bandwidth-saturation scaling
+model behind the Table VII reproduction."""
 
 from .bandwidth import (
     PredictedRun,
@@ -28,7 +28,6 @@ from .scaling import (
     parallel_efficiency,
     simulate_strong_scaling,
 )
-from .scheduler import estimate_task_costs, partition_tasks
 
 __all__ = [
     "PredictedRun",
@@ -52,6 +51,4 @@ __all__ = [
     "measure_strong_scaling",
     "parallel_efficiency",
     "simulate_strong_scaling",
-    "estimate_task_costs",
-    "partition_tasks",
 ]

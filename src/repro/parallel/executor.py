@@ -13,24 +13,26 @@ thread-private.
 Reproducibility across thread counts: both generator families key their
 output on ``(seed, block row offset, sparse row)``, never on which thread
 runs the block, so the computed ``Ahat`` is bit-identical for any thread
-count and any partition strategy — the property tested in
-``tests/parallel``.  (This mirrors the paper's Section IV-C discussion:
-counter-based RNGs give thread-independent sketches; our checkpointed
-xoshiro is also thread-independent *given fixed blocking* because
-checkpoints are keyed by coordinates.)
+count and any task order — the property tested in ``tests/parallel``.
+(This mirrors the paper's Section IV-C discussion: counter-based RNGs
+give thread-independent sketches; our checkpointed xoshiro is also
+thread-independent *given fixed blocking* because checkpoints are keyed
+by coordinates.)
 
 The same coordinate-keying makes the engine *resilient*: a failed block
 task can be recomputed from a fresh generator and the result is
-bit-identical to a fault-free run.  The guarded path exploits this with
-per-task bounded retries, per-task deadlines with straggler
-re-execution, numerical guardrails (NaN/Inf/magnitude checks with
-``raise``/``recompute``/``mask`` policies), and a
+bit-identical to a fault-free run.  :meth:`PlanExecutionEngine.run_tasks`
+is the one in-process task loop (it also finishes the process pool's
+leftover tasks): with ``threads > 1`` it hands tasks out one per free
+pool slot, and each task gets bounded retries, a per-task deadline with
+straggler re-execution, numerical guardrails (NaN/Inf/magnitude checks
+with ``raise``/``recompute``/``mask`` policies), and a
 :class:`~repro.parallel.resilience.DegradationPolicy` that falls back
-algo4→algo3 and parallel→serial after repeated failures — every decision
-recorded in a :class:`~repro.parallel.resilience.RunHealth` report
-attached to the returned :class:`~repro.kernels.KernelStats`.  When no
-resilience options, no checkpoints, and no fault-hook subscribers are
-present, the engine takes the original zero-overhead path.
+algo4→algo3 and parallel→serial — every decision recorded in a
+:class:`~repro.parallel.resilience.RunHealth` report on the returned
+:class:`~repro.kernels.KernelStats`.  Without a resilience policy,
+checkpoints or fault-hook subscribers the loop runs a bare policy: one
+attempt, no fallback, the task's own exception, no health report.
 
 Observation happens through the plan layer's event bus rather than
 callbacks threaded through the internals: the engine emits
@@ -82,6 +84,7 @@ from ..sparse.csc import CSCMatrix
 from ..utils.flops import spmm_flops
 from ..utils.timing import Stopwatch, Timer
 from .resilience import (
+    DegradationPolicy,
     ResilienceConfig,
     RunHealth,
     TaskFailure,
@@ -90,7 +93,6 @@ from .resilience import (
     entry_abs_bound,
     validate_block,
 )
-from .scheduler import estimate_task_costs, partition_tasks
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
@@ -101,6 +103,11 @@ RngFactory = Callable[[int], SketchingRNG]
 
 Task = tuple[int, int, int, int]  # (i, d1, j, n1)
 
+#: The loop's policy for a plan that asks for no resilience: one attempt
+#: per task, no kernel or serial fallback, no guardrail.
+_BARE = ResilienceConfig(max_retries=0, degradation=DegradationPolicy(
+    kernel_fallback=False, serial_fallback=False))
+
 
 class PlanExecutionEngine:
     """Executes a compiled :class:`~repro.plan.SketchPlan` over block tasks.
@@ -109,7 +116,7 @@ class PlanExecutionEngine:
     ----------
     plan:
         The decision record: ``d``, kernel, blocking, backend, threads,
-        strategy, resilience policy, persistence policy.  The kernel
+        resilience policy, persistence policy.  The kernel
         must be ``algo3`` or ``algo4`` (``pregen`` has no block tasks
         and runs on the runtime's pregen driver).
     A, rng_factory:
@@ -117,7 +124,7 @@ class PlanExecutionEngine:
     bus:
         The :class:`~repro.plan.EventBus` lifecycle and fault-hook
         events fire on.  Hook subscriptions are snapshotted at
-        construction: their presence selects the guarded path, exactly
+        construction: their presence turns on the health report, exactly
         as passing ``injector=`` used to.
     blocked:
         Pre-built blocked CSR (Algorithm 4); built here (and timed) when
@@ -153,7 +160,6 @@ class PlanExecutionEngine:
         self.kernel = plan.kernel
         self.b_d = plan.b_d
         self.b_n = plan.b_n
-        self.strategy = plan.strategy
         self.backend = resolve_backend(plan.backend)
         self.rng_factory = rng_factory
         self.blocked = blocked
@@ -168,13 +174,14 @@ class PlanExecutionEngine:
         self.checkpoint_every = plan.persistence.every
         self._resume_requested = plan.persistence.resume
         self.resumed_from = None
-        # Durable checkpoints need the per-task commit hooks, so their
-        # presence selects the guarded path even without a resilience
-        # policy or fault-hook subscribers.
-        self.guarded = (plan.resilience is not None or self._hooked
-                        or self.checkpoint is not None)
-        self.resilience = (plan.resilience if plan.resilience is not None
-                           else ResilienceConfig()) if self.guarded else None
+        # A resilience policy, fault hooks or durable checkpoints make the
+        # run recover with the default policy and report its health;
+        # without any of them the loop runs under the bare policy.
+        self.resilient = (plan.resilience is not None or self._hooked
+                          or self.checkpoint is not None)
+        self.resilience = plan.resilience or (
+            ResilienceConfig() if self.resilient else _BARE)
+        self._deadline: float | None = None
 
         self.health = RunHealth()
 
@@ -186,15 +193,16 @@ class PlanExecutionEngine:
         self._all_rngs: list[SketchingRNG] = []
         self._all_watches: list[Stopwatch] = []
 
-        # Commit bookkeeping for the guarded path (speculative duplicates
-        # from straggler re-execution race to claim each block).
+        # Commit bookkeeping (speculative duplicates from straggler
+        # re-execution race to claim each block).
         self._claim_lock = threading.Lock()
         self._claimed: set[int] = set()
 
         self._colabs: np.ndarray | None = None
         self._entry_bound = 0.0
         self.Ahat: np.ndarray | None = None
-        self._block_by_offset: dict[int, object] = {}
+        self._block_by_offset: dict[int, object] = (
+            dict(blocked.iter_blocks()) if blocked is not None else {})
 
         # Row-block completion tracking for checkpoint barriers: a row
         # block is complete when all its column tiles have committed, at
@@ -287,10 +295,7 @@ class PlanExecutionEngine:
             self.blocked, conv = csc_to_blocked_csr(self.A, self.b_n,
                                                     threads=self.threads)
             conversion_seconds = conv.seconds
-        if self.kernel == "algo4":
-            assert self.blocked is not None
-            for j0, blk in self.blocked.iter_blocks():
-                self._block_by_offset[j0] = blk
+            self._block_by_offset = dict(self.blocked.iter_blocks())
         tasks = list(iter_block_tasks(self.d, n, self.b_d, self.b_n))
         shape = ((self.batch, self.d, n) if self.batch > 1
                  else (self.d, n))
@@ -331,35 +336,28 @@ class PlanExecutionEngine:
             return self.Ahat[:, i:i + d1, j:j + n1]
         return self.Ahat[i:i + d1, j:j + n1]
 
-    def _compute(self, task: Task, kernel: str, rng: SketchingRNG,
-                 watch: Stopwatch, out: np.ndarray) -> None:
-        """Run one kernel invocation for *task* into *out* (pre-zeroed)."""
-        i, _d1, j, n1 = task
-        compute_tile(kernel, out, self.A, self._block_by_offset, i, j, n1,
-                     rng, watch)
-
     def _finish_stats(self, tasks: list[Task], conversion_seconds: float,
                       total_seconds: float) -> KernelStats:
         # Two time axes: per-worker busy seconds sum (cpu_seconds) vs.
         # the driver's wall clock — with threads > 1 the former exceeds
         # the latter, and derived rates must not mix them up.
-        cpu_seconds = sum(w.total() for w in self._all_watches)
+        work = self.work_totals()
         stats = KernelStats(
             kernel=f"{self.kernel}-parallel",
-            sample_seconds=sum(w.total("sample") for w in self._all_watches),
-            compute_seconds=sum(w.total("compute") for w in self._all_watches),
+            sample_seconds=work["sample"],
+            compute_seconds=work["compute"],
             conversion_seconds=conversion_seconds,
             total_seconds=total_seconds,
-            cpu_seconds=cpu_seconds,
+            cpu_seconds=sum(w.total() for w in self._all_watches),
             wall_seconds=total_seconds,
-            samples_generated=sum(r.samples_generated for r in self._all_rngs),
+            samples_generated=work["samples"],
             flops=self.batch * spmm_flops(self.d, self.A.nnz),
             blocks_processed=len(tasks),
             d=self.d, b_d=self.b_d, b_n=self.b_n,
-            extra={"threads": self.threads, "strategy": self.strategy,
-                   "resilient": self.guarded, "backend": self.backend.name,
+            extra={"threads": self.threads, "resilient": self.resilient,
+                   "backend": self.backend.name,
                    **({"batch": self.batch} if self.batch > 1 else {})},
-            health=self.health if self.guarded else None,
+            health=self.health if self.resilient else None,
         )
         if self.checkpoint is not None:
             stats.extra["snapshots_written"] = self.checkpoint.snapshots_written
@@ -367,45 +365,21 @@ class PlanExecutionEngine:
                                            if self.resumed_from else None)
         return stats
 
+    def work_totals(self) -> dict:
+        """Sampling and compute seconds and samples drawn, summed over
+        every worker thread (and every retry's fresh generator)."""
+        return {
+            "sample": sum(w.total("sample") for w in self._all_watches),
+            "compute": sum(w.total("compute") for w in self._all_watches),
+            "samples": sum(r.samples_generated for r in self._all_rngs),
+        }
+
     def _post_scale(self) -> float:
         if self._all_rngs:
             return self._all_rngs[0].post_scale
         return self.rng_factory(0).post_scale
 
-    # -- fast path (seed behaviour, zero resilience overhead) --------------
-
-    def _run_fast(self, tasks: list[Task]) -> None:
-        costs = (estimate_task_costs(self.A, tasks)
-                 if self.strategy == "guided" else None)
-        buckets = partition_tasks(tasks, self.threads, self.strategy, costs)
-        track = self._track_blocks
-
-        def run_worker(w: int) -> None:
-            rng, watch = self.rng_factory(w), Stopwatch()
-            with self._ctx_lock:
-                self._all_rngs.append(rng)
-                self._all_watches.append(watch)
-            for task in buckets[w]:
-                i, d1, j, n1 = task
-                if track:
-                    self.bus.emit(BLOCK_START, task=(i, j), i=i, d1=d1,
-                                  j=j, n1=n1, kernel=self.kernel)
-                view = self._view(task)
-                self._compute(task, self.kernel, rng, watch, view)
-                if track:
-                    self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1,
-                                  j=j, n1=n1, kernel=self.kernel)
-
-        if self.threads == 1:
-            run_worker(0)
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                futures = [pool.submit(run_worker, w)
-                           for w in range(self.threads)]
-                for f in futures:
-                    f.result()  # propagate worker exceptions
-
-    # -- guarded path ------------------------------------------------------
+    # -- the task loop ----------------------------------------------------
 
     def _bound_for(self, task: Task) -> float | None:
         if self._colabs is None:
@@ -452,6 +426,9 @@ class PlanExecutionEngine:
         Raises :class:`SketchQualityError` (guardrail policy ``raise``) or
         :class:`RetryExhaustedError` when every recovery avenue within the
         task is spent; the driver may still degrade parallel→serial.
+        Under the bare policy the attempt's own exception is raised, and
+        a task that would start after the run deadline raises
+        :class:`TaskTimeoutError`.
         """
         cfg = self.resilience
         i, d1, j, n1 = task
@@ -459,6 +436,9 @@ class PlanExecutionEngine:
         with self._claim_lock:
             if idx in self._claimed:
                 return  # already committed by a speculative duplicate
+        if self._deadline is not None and time.monotonic() >= self._deadline:
+            raise TaskTimeoutError(
+                f"run deadline expired before task {key} started")
         if self._track_blocks:
             self.bus.emit(BLOCK_START, task=key, i=i, d1=d1, j=j, n1=n1,
                           kernel=self.kernel)
@@ -502,7 +482,8 @@ class PlanExecutionEngine:
                             RNG_REQUEST, task=key, kernel=kname,
                             context=context, attempt=attempt_no, rng=rng,
                         )["rng"]
-                    self._compute(task, kname, use_rng, watch, target)
+                    compute_tile(kname, target, self.A, self._block_by_offset,
+                                 i, j, n1, use_rng, watch)
                     if self._hooked:
                         self.bus.emit(BLOCK_COMPUTED, task=key, kernel=kname,
                                       context=context, attempt=attempt_no,
@@ -547,6 +528,8 @@ class PlanExecutionEngine:
                     # transient task failure would defeat the test.
                     raise
                 except Exception as exc:  # noqa: BLE001 - fault boundary
+                    if cfg is _BARE:
+                        raise
                     failure = (type(exc).__name__, str(exc))
                 self._note_failure(key, attempt_no, failure[0], failure[1],
                                    context)
@@ -572,19 +555,27 @@ class PlanExecutionEngine:
             f"task {key} failed after {attempt_no} attempts "
             f"({', '.join(k for k in kernels)}); see RunHealth.failures")
 
-    def _run_guarded(self, tasks: list[Task]) -> None:
+    def run_tasks(self, tasks: list[Task], out: np.ndarray, *,
+                  deadline: float | None = None) -> None:
+        """The task loop: compute each task's tile of *out* in place.
+
+        One thread runs the tasks in order; ``threads > 1`` hands them to
+        a pool one per free slot, then re-runs the ones that failed there
+        serially if the policy allows.  *out* is the run's accumulator
+        (pre-``post_scale``); the process pool passes its shared output
+        to finish the tasks its workers could not.  *deadline* is an
+        absolute ``time.monotonic()`` instant after which no task starts.
+        """
         cfg = self.resilience
-        self.health.tasks = len(tasks)
+        self.Ahat = out
+        self._deadline = deadline
         if cfg.guardrail is not None:
             self._colabs = column_abs_sums(self.A)
             self._entry_bound = entry_abs_bound(self.rng_factory(0).dist)
 
         if self.threads == 1:
             for idx, task in enumerate(tasks):
-                started = time.monotonic()
-                self._run_task(idx, task, "serial")
-                self._check_serial_deadline(task,
-                                            time.monotonic() - started)
+                self._run_serial(idx, task)
             return
 
         failed: list[tuple[int, Task, TaskFailedError]] = []
@@ -612,6 +603,8 @@ class PlanExecutionEngine:
                     self.bus.emit(RETRY, task=key, attempt=0,
                                   kind="straggler", context="serial")
                     self._run_task(idx, task, "serial")
+                except TaskTimeoutError:
+                    raise  # the run deadline outranks the serial rung
                 except TaskFailedError as exc:
                     failed.append((idx, task, exc))
         if failed:
@@ -625,13 +618,10 @@ class PlanExecutionEngine:
             self.bus.emit(DEGRADED, kind="serial_fallback",
                           tasks=len(failed))
             for idx, task, _exc in failed:
-                started = time.monotonic()
-                self._run_task(idx, task, "serial")
-                self._check_serial_deadline(task,
-                                            time.monotonic() - started)
+                self._run_serial(idx, task)
 
-    def _check_serial_deadline(self, task: Task, elapsed: float) -> None:
-        """Post-hoc per-task deadline for single-thread execution.
+    def _run_serial(self, idx: int, task: Task) -> None:
+        """Run *task* in the driver thread under a post-hoc deadline.
 
         A serial path cannot preempt a running kernel the way the
         parallel path's ``future.result(timeout=...)`` does, so the
@@ -643,6 +633,9 @@ class PlanExecutionEngine:
         only reproduce the same bytes slower, since generators are
         coordinate-keyed.
         """
+        started = time.monotonic()
+        self._run_task(idx, task, "serial")
+        elapsed = time.monotonic() - started
         cfg = self.resilience
         if cfg.task_timeout is None or elapsed <= cfg.task_timeout:
             return
@@ -664,18 +657,17 @@ class PlanExecutionEngine:
     def execute(self) -> tuple[np.ndarray, KernelStats]:
         """Execute the plan; returns ``(Ahat, stats)``.
 
-        ``stats.health`` carries the :class:`RunHealth` report on guarded
-        runs (``None`` on the fast path).
+        ``stats.health`` carries the :class:`RunHealth` report when the
+        plan has a resilience policy, checkpoints or fault hooks
+        (``None`` otherwise).
         """
         tasks, conversion_seconds = self._prepare()
-        if self.guarded:
-            self.health.backend = self.backend.name
+        self.health.tasks = len(tasks)
+        self.health.backend = self.backend.name
         with Timer() as total:
-            if self.guarded:
-                self._run_guarded(tasks)
-            else:
-                self._run_fast(tasks)
-            # Final snapshot (if one is pending) captures the completed
+            self.run_tasks(tasks, self.Ahat)
+            # The run's finish, which the pool's ladder leaves to the
+            # pool: the final snapshot (if one is pending) captures the
             # accumulation *before* post-scaling — the stored payload is
             # always the raw accumulator state, like an interrupted run's.
             self._maybe_checkpoint(force=True)

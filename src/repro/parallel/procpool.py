@@ -33,7 +33,10 @@ driver process:
 * when the pool cannot finish — every worker lost with the respawn
   budget spent, or quarantined poison tasks remain — the supervisor
   walks the **degradation ladder** process → thread → serial in the
-  driver process, emitting ``degraded`` events so
+  driver process: it hands the leftover tasks to the thread engine's
+  task loop (:meth:`~repro.parallel.executor.PlanExecutionEngine.run_tasks`),
+  which writes into the shared output and degrades thread → serial
+  itself.  Every step is emitted as a ``degraded`` event so
   :class:`~repro.parallel.resilience.RunHealth`, metrics, and traces
   all observe the decision.
 
@@ -52,7 +55,6 @@ from __future__ import annotations
 import heapq
 import os
 import signal
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -450,10 +452,6 @@ class ProcessPoolSupervisor:
             raise ConfigError(
                 f"the process driver requires kernel 'algo3' or 'algo4', "
                 f"got {plan.kernel!r}")
-        if plan.persistence.enabled:
-            raise ConfigError(
-                "the process driver cannot honour a persistence policy yet; "
-                "use driver='engine' for checkpointed runs")
         if blocked is not None and blocked.shape != A.shape:
             raise ConfigError(
                 f"blocked CSR shape {blocked.shape} does not match A "
@@ -489,8 +487,6 @@ class ProcessPoolSupervisor:
         self._worker_stats = {"sample": 0.0, "compute": 0.0, "samples": 0}
         self._conversion_seconds = 0.0
         self._track_blocks = False
-        self._fallback_blocks: dict[int, object] = {}
-        self._stats_lock = threading.Lock()
 
     # -- shared-memory plumbing --------------------------------------------
 
@@ -794,117 +790,47 @@ class ProcessPoolSupervisor:
 
     # -- degradation ladder ------------------------------------------------
 
-    def _compute_local(self, task: Task, out) -> None:
-        """One in-process kernel invocation (thread/serial rungs).
+    def _degrade(self, leftover: list[int], deadline: float | None) -> None:
+        """Finish *leftover* tasks in-process on the engine's task loop.
 
-        Each call uses a fresh coordinate-keyed generator and a private
-        stopwatch, so concurrent thread-rung calls never share mutable
-        state; the accounting is folded in under a lock afterwards.
+        The pool could not complete these (collapse or quarantine);
+        coordinate-keyed generators make the in-process tiles
+        bit-identical.  The loop writes into the shared output (zeroing
+        each tile before an attempt, so a dead worker's half-written
+        tile is never kept) on up to four threads, under the plan's
+        resilience policy or the default one, and counts into the pool's
+        :class:`RunHealth`.  The run *deadline* stops it and taints the
+        pool.
         """
-        from ..kernels.blocking import compute_tile
-        from ..utils.timing import Stopwatch
-
-        i, _d1, j, n1 = task
-        rng = self.rng_factory(0)
-        watch = Stopwatch()
-        out[:] = 0.0
-        compute_tile(self.plan.kernel, out, self.A, self._fallback_blocks,
-                     i, j, n1, rng, watch)
-        with self._stats_lock:
-            self._worker_stats["sample"] += watch.total("sample")
-            self._worker_stats["compute"] += watch.total("compute")
-            self._worker_stats["samples"] += rng.samples_generated
-
-    def _run_fallback(self, leftover: list[int],
-                      deadline: float | None = None) -> None:
-        """Finish *leftover* tasks in-process: thread rung, then serial.
-
-        The pool could not complete these (collapse or quarantine).
-        Tiles recompute bit-identically in the driver process because
-        generators are coordinate-keyed; each rung's decision is
-        emitted as a ``degraded`` event.  Deadlines still bind down
-        here: the plan's per-task ``task_timeout`` is enforced post-hoc
-        on every rung (strict when ``reexecute_stragglers`` is off),
-        and an absolute run *deadline* aborts between tasks.
-        """
-        from concurrent.futures import ThreadPoolExecutor
+        import dataclasses
 
         from ..plan.events import DEGRADED
+        from .executor import PlanExecutionEngine
+        from .resilience import ResilienceConfig
 
-        self._fallback_blocks = {}
-        if self.plan.kernel == "algo4":
-            # The supervisor's one conversion (built or cache-served at
-            # start) serves the degradation rungs too — no reconversion.
-            self._ensure_blocked()
-            for j0, blk in self.blocked.iter_blocks():
-                self._fallback_blocks[j0] = blk
-
+        self._ensure_blocked()
         self.health.degraded_to_thread = True
         self.health.record(
             f"{len(leftover)} task(s) unfinishable in the process pool; "
             f"degrading process -> thread")
         self.bus.emit(DEGRADED, kind="pool_fallback", tasks=len(leftover))
-
-        cfg = self.plan.resilience
-        timeout = cfg.task_timeout if cfg is not None else None
-        strict = cfg is not None and not cfg.reexecute_stragglers
-
-        def check_task_deadline(task: Task, elapsed: float) -> None:
-            # Post-hoc: an in-process rung cannot preempt a running
-            # kernel, but an overrun must still surface (and, under the
-            # strict contract, fail) rather than pass silently.
-            if timeout is None or elapsed <= timeout:
-                return
-            key = (task[0], task[2])
-            with self._stats_lock:
-                self.health.timeouts += 1
-                self.health.record(
-                    f"task {key}: fallback rung overran the {timeout}s "
-                    f"per-task deadline ({elapsed:.3f}s)")
-            if strict:
-                raise TaskTimeoutError(
-                    f"task {key} missed its {timeout}s deadline "
-                    f"({elapsed:.3f}s elapsed) on the degradation ladder")
-
-        def run_one(idx: int) -> None:
-            task = self._tasks[idx]
-            i, d1, j, n1 = task
-            self.health.attempts += 1
-            started = time.monotonic()
-            self._compute_local(task, self.Ahat[..., i:i + d1, j:j + n1])
-            check_task_deadline(task, time.monotonic() - started)
-
-        threads = max(1, min(4, self.plan.threads))
-        failed: list[int] = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {idx: pool.submit(run_one, idx) for idx in leftover}
-            for idx, fut in futures.items():
-                try:
-                    fut.result()
-                    self._committed.add(idx)
-                    self.health.completed += 1
-                except TaskTimeoutError:
-                    raise  # the deadline contract outranks the last rung
-                except Exception:  # noqa: BLE001 - last rung handles it
-                    failed.append(idx)
-        if not failed:
-            return
-        self.health.degraded_to_serial = True
-        self.health.record(
-            f"{len(failed)} task(s) failed on the thread rung; "
-            f"degrading thread -> serial")
-        self.bus.emit(DEGRADED, kind="serial_fallback", tasks=len(failed))
-        for idx in failed:
+        plan = dataclasses.replace(
+            self.plan, threads=max(1, min(4, self.plan.threads)),
+            resilience=self.plan.resilience or ResilienceConfig())
+        engine = PlanExecutionEngine(plan, self.A, self.rng_factory,
+                                     bus=self.bus, blocked=self.blocked)
+        engine.health = self.health  # the loop counts into this report
+        try:
+            engine.run_tasks([self._tasks[idx] for idx in leftover],
+                             self.Ahat, deadline=deadline)
+        except TaskTimeoutError:
             if deadline is not None and time.monotonic() >= deadline:
                 self._cancel_run(deadline)
-            self.health.attempts += 1
-            run = self._tasks[idx]
-            i, d1, j, n1 = run
-            started = time.monotonic()
-            self._compute_local(run, self.Ahat[..., i:i + d1, j:j + n1])
-            check_task_deadline(run, time.monotonic() - started)
-            self._committed.add(idx)
-            self.health.completed += 1
+            raise
+        finally:
+            for key, value in engine.work_totals().items():
+                self._worker_stats[key] += value
+        self._committed.update(leftover)
 
     # -- stats -------------------------------------------------------------
 
@@ -988,10 +914,6 @@ class ProcessPoolSupervisor:
             raise ConfigError(
                 f"warm pool's shared blocked-CSR uses b_n={base.b_n}; "
                 f"plan wants b_n={plan.b_n} (would force reconversion)")
-        if plan.persistence.enabled:
-            raise ConfigError(
-                "the process driver cannot honour a persistence policy yet; "
-                "use driver='engine' for checkpointed runs")
 
     def _fleet_want(self) -> int:
         """Workers the current plan can keep busy: one per block task,
@@ -1214,7 +1136,7 @@ class ProcessPoolSupervisor:
             if leftover:
                 if deadline is not None and time.monotonic() >= deadline:
                     self._cancel_run(deadline)
-                self._run_fallback(leftover, deadline=deadline)
+                self._degrade(leftover, deadline)
             # Detach the result: the shared segment is reused next run.
             result = np.array(self.Ahat, copy=True)
             post = self.rng_factory(0).post_scale
@@ -1231,7 +1153,7 @@ class ProcessPoolSupervisor:
         reused either.  Raises :class:`TaskTimeoutError`.
         """
         claimed = sum(len(h.assigned) for h in self._workers.values())
-        pending = len(self._tasks) - len(self._committed)
+        pending = len(self._tasks) - self.health.completed
         self._ready.clear()
         self._backoff_heap = []
         self._tainted = True

@@ -379,7 +379,7 @@ class RunHealth:
 def column_abs_sums(A: CSCMatrix) -> np.ndarray:
     """Per-column ``||A[:, k]||_1`` — the data half of the magnitude bound.
 
-    One O(nnz) pass, computed once per guarded run and shared by every
+    One O(nnz) pass, computed once per guardrailed run and shared by every
     task's validation.
     """
     out = np.zeros(A.shape[1], dtype=np.float64)

@@ -9,8 +9,8 @@ Three pieces (see ``docs/architecture.md``):
   :class:`~repro.core.SketchConfig` and a
   :class:`~repro.model.MachineModel`, consolidating the kernel dispatch,
   blocking heuristics, Eq. 4 model numbers, and autotuning in one place;
-* :class:`Runtime` — executes a plan through pluggable drivers (serial /
-  engine / pregen) and emits lifecycle events (``plan_compiled``,
+* :class:`Runtime` — executes a plan on one of its drivers (serial /
+  engine / pregen / process) and emits lifecycle events (``plan_compiled``,
   ``block_start``/``block_done``, ``checkpoint_written``, ``retry``,
   ``degraded``, ``done``) on an :class:`EventBus`.
 
@@ -98,8 +98,6 @@ __all__ = [
     "compile_plan",
     "Runtime",
     "SketchResult",
-    "register_driver",
-    "available_drivers",
 ]
 
 _LAZY = {
@@ -107,8 +105,6 @@ _LAZY = {
     "compile_plan": ("planner", "compile_plan"),
     "Runtime": ("runtime", "Runtime"),
     "SketchResult": ("runtime", "SketchResult"),
-    "register_driver": ("runtime", "register_driver"),
-    "available_drivers": ("runtime", "available_drivers"),
 }
 
 

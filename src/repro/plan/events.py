@@ -140,8 +140,8 @@ REQUESTS_COALESCED = "requests_coalesced"
 DEADLINE_MISSED = "deadline_missed"
 DRAIN_STARTED = "drain_started"
 
-#: Interposition hooks: fired around each task attempt on the guarded
-#: path so subscribers (the fault injector) can fail, delay, or corrupt
+#: Interposition hooks: fired around each task attempt of the engine's
+#: task loop so subscribers (the fault injector) can fail, delay, or corrupt
 #: an attempt.  Payloads are mutable; ``rng_request`` handlers may
 #: replace ``event["rng"]``.
 TASK_START = "task_start"
@@ -157,8 +157,9 @@ LIFECYCLE_EVENTS = (
     DEADLINE_MISSED, DRAIN_STARTED,
 )
 
-#: Hook events whose mere presence switches the engine onto the guarded
-#: (per-task bookkeeping) path, exactly as passing ``injector=`` used to.
+#: Hook events whose mere presence switches the engine onto its resilient
+#: policy (retries and a health report), exactly as passing
+#: ``injector=`` used to.
 FAULT_HOOK_EVENTS = (TASK_START, RNG_REQUEST, BLOCK_COMPUTED)
 
 
@@ -278,7 +279,7 @@ class EventBus:
 
         Returns the (possibly handler-mutated) :class:`Event` so emitters
         can read values subscribers handed back.  Intervention-handler
-        exceptions propagate to the emitter — the guarded executor treats
+        exceptions propagate to the emitter — the engine's task loop treats
         them as task failures, which is how injected faults enter the
         run.  Observer exceptions are swallowed and counted in
         :attr:`dropped_events`.

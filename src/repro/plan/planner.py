@@ -314,7 +314,7 @@ class Planner:
                         distribution=cfg.distribution,
                         normalize=cfg.normalize,
                         batch_seeds=batch_seeds),
-            threads=cfg.threads, strategy="static", driver=driver,
+            threads=cfg.threads, driver=driver,
             resilience=cfg.resilience, persistence=pol, pool=pool,
             partition=partition, decisions=tuple(decisions),
         )

@@ -69,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sparse.blocked_csr import BlockedCSR
     from ..sparse.csc import CSCMatrix
 
-__all__ = ["SketchResult", "Runtime", "register_driver", "available_drivers"]
+__all__ = ["SketchResult", "Runtime"]
 
 
 @dataclass
@@ -84,21 +84,6 @@ class SketchResult:
 
 
 RngFactory = Callable[[int], "SketchingRNG"]
-
-#: Driver registry: name -> callable(runtime, plan, A, factory, blocked,
-#: injector) -> (Ahat, stats).  ``register_driver`` adds entries, so a
-#: future distributed/async driver plugs in without touching the runtime.
-_DRIVERS: dict[str, Callable] = {}
-
-
-def register_driver(name: str, fn: Callable) -> None:
-    """Register an execution driver under *name* (replaces any previous)."""
-    _DRIVERS[name] = fn
-
-
-def available_drivers() -> tuple[str, ...]:
-    """Names of the registered execution drivers."""
-    return tuple(sorted(_DRIVERS))
 
 
 def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
@@ -121,7 +106,7 @@ def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
 
 def _engine_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
                    blocked, injector):
-    """The resilient block executor (guarded or fast, any thread count)."""
+    """The resilient block executor (any thread count)."""
     from ..parallel.executor import PlanExecutionEngine
 
     engine = PlanExecutionEngine(plan, A, factory, bus=runtime.bus,
@@ -147,10 +132,14 @@ def _process_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
     return supervisor.run()
 
 
-register_driver("serial", _serial_driver)
-register_driver("engine", _engine_driver)
-register_driver("pregen", _pregen_driver)
-register_driver("process", _process_driver)
+#: The drivers: name -> callable(runtime, plan, A, factory, blocked,
+#: injector) -> (Ahat, stats).
+_DRIVERS: dict[str, Callable] = {
+    "serial": _serial_driver,
+    "engine": _engine_driver,
+    "pregen": _pregen_driver,
+    "process": _process_driver,
+}
 
 
 class Runtime:
@@ -167,8 +156,8 @@ class Runtime:
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self.bus = bus if bus is not None else EventBus()
-        # Instance-local driver overrides: consulted before the global
-        # registry, so a long-lived caller (the serving daemon's warm
+        # Instance-local driver overrides: consulted before the built-in
+        # drivers, so a long-lived caller (the serving daemon's warm
         # process pool) can re-route e.g. "process" plans onto a reused
         # supervisor without mutating global dispatch for everyone.
         self._local_drivers: dict[str, Callable] = {}
@@ -176,9 +165,9 @@ class Runtime:
     def register_local_driver(self, name: str, fn: Callable) -> None:
         """Override driver *name* for this runtime instance only.
 
-        The callable has the global driver signature
+        The callable has the driver signature
         ``fn(runtime, plan, A, factory, blocked, injector)`` and shadows
-        the registry entry of the same name; other :class:`Runtime`
+        the built-in driver of the same name; other :class:`Runtime`
         instances are unaffected.
         """
         self._local_drivers[name] = fn
@@ -262,18 +251,15 @@ class Runtime:
         # Sharded plans resolve blocked-CSR per stripe inside
         # _run_sharded (shard-scoped cache keys).
         if cache is not None and driver_name != "pregen" \
-                and plan.partition is None:
+                and plan.partition is None and plan.kernel == "algo4":
             blocked, cached_conversion_seconds, blocked_source = \
-                self._cached_blocked(plan, A, blocked, cache)
-        if driver_name == "serial" and plan.persistence.enabled:
+                self._blocked_input(plan, A, blocked, cache)
+        if driver_name in ("serial", "process") \
+                and plan.persistence.enabled:
             raise ConfigError(
-                "the serial driver cannot honour a persistence policy; "
-                "use driver='engine' (or 'auto') for checkpointed runs"
-            )
-        if driver_name == "process" and plan.persistence.enabled:
-            raise ConfigError(
-                "the process driver cannot honour a persistence policy yet; "
-                "use driver='engine' for checkpointed runs"
+                f"the {driver_name} driver cannot honour a persistence "
+                f"policy; use driver='engine' (or 'auto') for checkpointed "
+                f"runs"
             )
         driver = self._local_drivers.get(driver_name)
         if driver is None:
@@ -281,8 +267,8 @@ class Runtime:
                 driver = _DRIVERS[driver_name]
             except KeyError:
                 raise ConfigError(
-                    f"unknown execution driver {driver_name!r}; registered: "
-                    f"{', '.join(available_drivers())}"
+                    f"unknown execution driver {driver_name!r}; expected "
+                    f"one of: {', '.join(sorted(_DRIVERS))}"
                 ) from None
         self.bus.emit(PLAN_COMPILED, plan=plan, driver=driver_name)
         if plan.partition is not None and driver_name != "pregen":
@@ -374,8 +360,8 @@ class Runtime:
                 c0, c1 = shard.col_start, shard.col_stop
                 A_s = A.col_block(c0, c1)
                 sub = self._shard_subplan(plan, shard, A_s.nnz, base)
-                blocked_s, conv_s, src_s = self._shard_blocked(
-                    sub, A, A_s, blocked, cache, shard)
+                blocked_s, conv_s, src_s = self._blocked_input(
+                    sub, A, blocked, cache, shard, A_s)
                 self.bus.emit(SHARD_START, shard=shard.index,
                               shards=len(shards), col_start=c0, col_stop=c1,
                               nnz=shard.nnz,
@@ -451,41 +437,6 @@ class Runtime:
         return dataclasses.replace(
             plan, problem=problem, partition=None, shard=shard,
             persistence=persistence, decisions=())
-
-    def _shard_blocked(self, sub: SketchPlan, A: "CSCMatrix",
-                       A_s: "CSCMatrix", blocked: "BlockedCSR | None",
-                       cache: "ArtifactCache | None", shard: ShardPlan
-                       ) -> tuple["BlockedCSR | None", float, str | None]:
-        """Resolve one shard's Algorithm 4 blocked-CSR input.
-
-        A caller-supplied whole-matrix structure is column-sliced (a
-        zero-copy view — stripe cuts are ``b_n``-aligned, so they fall
-        on block boundaries); with a cache, the stripe's conversion is
-        fetched from / stored under its shard-scoped key; otherwise
-        ``None`` is returned and the driver converts (and times) the
-        stripe itself.  Same return contract as :meth:`_cached_blocked`.
-        """
-        if sub.kernel != "algo4":
-            return None, 0.0, None
-        if blocked is not None:
-            return (blocked.column_slice(shard.col_start, shard.col_stop),
-                    0.0, "caller")
-        if cache is None:
-            return None, 0.0, None
-        from ..cache.artifacts import (
-            blocked_csr_key,
-            fetch_blocked_csr,
-            store_blocked_csr,
-        )
-        from ..sparse.convert import csc_to_blocked_csr
-
-        key = blocked_csr_key(A, sub.b_n, shard=shard)
-        cached = fetch_blocked_csr(cache, key, A_s.shape)
-        if cached is not None:
-            return cached, 0.0, "cache"
-        built, conv = csc_to_blocked_csr(A_s, sub.b_n)
-        store_blocked_csr(cache, key, built, b_n=sub.b_n, shard=shard)
-        return built, conv.seconds, "converted"
 
     def _repartition_checkpoints(self, plan: SketchPlan,
                                  shards: tuple[ShardPlan, ...], factory,
@@ -614,23 +565,35 @@ class Runtime:
 
     # -- artifact-cache plumbing --------------------------------------------
 
-    def _cached_blocked(self, plan: SketchPlan, A: "CSCMatrix",
-                        blocked: "BlockedCSR | None", cache: "ArtifactCache"
-                        ) -> tuple["BlockedCSR | None", float, str | None]:
-        """Resolve the Algorithm 4 blocked-CSR input through the cache.
+    def _blocked_input(self, plan: SketchPlan, A: "CSCMatrix",
+                       blocked: "BlockedCSR | None",
+                       cache: "ArtifactCache | None",
+                       shard: ShardPlan | None = None,
+                       A_s: "CSCMatrix | None" = None
+                       ) -> tuple["BlockedCSR | None", float, str | None]:
+        """Resolve the Algorithm 4 blocked-CSR input of *A*, or of the
+        column stripe *A_s* that *shard* cuts from it.
 
         Returns ``(blocked, conversion_seconds, source)`` where *source*
-        is ``"caller"`` (pre-built structure passed in), ``"cache"``
-        (verified disk/memory entry), ``"converted"`` (cache miss —
-        converted here, then stored), or ``None`` (not an Algorithm 4
-        plan, nothing to do).  On the ``"converted"`` path the measured
+        is ``"caller"`` (a pre-built whole-matrix structure, column-sliced
+        to the stripe as a zero-copy view — stripe cuts are
+        ``b_n``-aligned), ``"cache"`` (verified disk/memory entry under
+        the matrix's key, shard-scoped for a stripe), ``"converted"``
+        (cache miss — converted here, then stored), or ``None`` (not an
+        Algorithm 4 plan, or no cache: the driver converts and times the
+        input itself).  On the ``"converted"`` path the measured
         conversion time is returned so the run's stats stay truthful
         even though the driver sees a pre-built structure.
         """
         if plan.kernel != "algo4":
-            return blocked, 0.0, None
+            return None, 0.0, None
         if blocked is not None:
+            if shard is not None:
+                blocked = blocked.column_slice(shard.col_start,
+                                               shard.col_stop)
             return blocked, 0.0, "caller"
+        if cache is None:
+            return None, 0.0, None
         from ..cache.artifacts import (
             blocked_csr_key,
             fetch_blocked_csr,
@@ -638,10 +601,11 @@ class Runtime:
         )
         from ..sparse.convert import csc_to_blocked_csr
 
-        key = blocked_csr_key(A, plan.b_n)
-        cached = fetch_blocked_csr(cache, key, A.shape)
+        part = A if A_s is None else A_s
+        key = blocked_csr_key(A, plan.b_n, shard=shard)
+        cached = fetch_blocked_csr(cache, key, part.shape)
         if cached is not None:
             return cached, 0.0, "cache"
-        built, conv = csc_to_blocked_csr(A, plan.b_n)
-        store_blocked_csr(cache, key, built, b_n=plan.b_n)
+        built, conv = csc_to_blocked_csr(part, plan.b_n)
+        store_blocked_csr(cache, key, built, b_n=plan.b_n, shard=shard)
         return built, conv.seconds, "converted"

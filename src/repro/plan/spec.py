@@ -452,8 +452,9 @@ class SketchPlan:
         Resolved kernel-backend name; must be registered (``"numpy"``).
     rng:
         Generator recipe (family, seed, distribution, normalization).
-    threads, strategy:
-        Executor parallelism and task-partitioning strategy.
+    threads:
+        Executor parallelism (the engine hands tasks to threads one per
+        free slot, so there is no partition strategy to choose).
     driver:
         Execution driver: ``"auto"`` (runtime picks serial vs engine
         from the plan), ``"serial"`` (single-pass blocked loop),
@@ -461,7 +462,8 @@ class SketchPlan:
         or ``"process"`` (the supervised multi-process pool of
         :mod:`repro.parallel.procpool`).
     resilience:
-        Fault-handling policy, or ``None`` for the fast path.
+        Fault-handling policy, or ``None`` for the engine's bare policy
+        (one attempt per task, no fallback, no health report).
     persistence:
         Durable-checkpoint policy (see :class:`PersistencePolicy`).
     pool:
@@ -488,7 +490,6 @@ class SketchPlan:
     backend: str = "numpy"
     rng: RngSpec = RngSpec()
     threads: int = 1
-    strategy: str = "static"
     driver: str = "auto"
     resilience: ResilienceConfig | None = None
     persistence: PersistencePolicy = field(default_factory=PersistencePolicy)
@@ -630,7 +631,8 @@ class SketchPlan:
             "backend": self.backend,
             "rng": self.rng.to_dict(),
             "threads": int(self.threads),
-            "strategy": self.strategy,
+            # The one task order left; recorded so plan digests stay put.
+            "strategy": "static",
             "driver": self.driver,
             "resilience": resilience_to_dict(self.resilience),
             "persistence": self.persistence.to_dict(),
@@ -653,6 +655,11 @@ class SketchPlan:
                 f"plan format version {version} is newer than this library "
                 f"understands (max {PLAN_FORMAT_VERSION})"
             )
+        strategy = data.get("strategy", "static")
+        if strategy != "static":
+            raise ConfigError(
+                f"plan strategy must be 'static' (tasks are handed out one "
+                f"per free thread), got {strategy!r}")
         return cls(
             problem=ProblemSpec.from_dict(data["problem"]),
             kernel=data["kernel"],
@@ -661,7 +668,6 @@ class SketchPlan:
             backend=data.get("backend", "numpy"),
             rng=RngSpec.from_dict(data.get("rng", {})),
             threads=int(data.get("threads", 1)),
-            strategy=data.get("strategy", "static"),
             driver=data.get("driver", "auto"),
             resilience=resilience_from_dict(data.get("resilience")),
             persistence=PersistencePolicy.from_dict(
@@ -738,8 +744,7 @@ class SketchPlan:
                else f"seed={self.rng.seed} ")
             + f"{self.rng.distribution}"
             f"{' (normalized)' if self.rng.normalize else ''}",
-            f"  execution   : driver={self.driver}, threads={self.threads}, "
-            f"strategy={self.strategy}",
+            f"  execution   : driver={self.driver}, threads={self.threads}",
             f"  resilience  : "
             + ("off" if self.resilience is None else
                f"max_retries={self.resilience.max_retries}, "

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import iter_block_tasks
-from repro.parallel import bandwidth_at, partition_tasks
+from repro.parallel import bandwidth_at
 from repro.model import FRONTERA
 
 
@@ -28,40 +28,6 @@ class TestTaskGridProperties:
             assert 1 <= d1 <= b_d and 1 <= n1 <= b_n
             cover[i:i + d1, j:j + n1] += 1
         assert np.all(cover == 1)
-
-    @given(task_grids(), st.integers(min_value=1, max_value=9),
-           st.sampled_from(["static", "cyclic"]))
-    @settings(max_examples=50)
-    def test_partitions_are_exact_covers(self, grid, threads, strategy):
-        tasks = list(iter_block_tasks(*grid))
-        buckets = partition_tasks(tasks, threads, strategy)
-        assert len(buckets) == threads
-        flat = [t for b in buckets for t in b]
-        assert sorted(flat) == sorted(tasks)
-
-    @given(task_grids(), st.integers(min_value=1, max_value=9))
-    @settings(max_examples=30)
-    def test_guided_balances_within_max_cost(self, grid, threads):
-        """Greedy LPT keeps the heaviest bucket below total/threads +
-        max(single task) — the classical LPT guarantee."""
-        tasks = list(iter_block_tasks(*grid))
-        rng = np.random.default_rng(hash(grid) % 2**32)
-        costs = rng.uniform(0.1, 10.0, size=len(tasks))
-        buckets = partition_tasks(tasks, threads, "guided", costs)
-        index = {t: c for t, c in zip(tasks, costs)}
-        loads = [sum(index[t] for t in b) for b in buckets]
-        bound = costs.sum() / threads + costs.max()
-        assert max(loads) <= bound + 1e-9
-
-    @given(task_grids(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=25)
-    def test_static_buckets_contiguous(self, grid, threads):
-        tasks = list(iter_block_tasks(*grid))
-        buckets = partition_tasks(tasks, threads, "static")
-        pos = {t: k for k, t in enumerate(tasks)}
-        for b in buckets:
-            idx = [pos[t] for t in b]
-            assert idx == list(range(idx[0], idx[0] + len(idx))) if idx else True
 
 
 class TestBandwidthProperties:

@@ -22,8 +22,6 @@ from repro.plan import (
     RngSpec,
     Runtime,
     SketchPlan,
-    available_drivers,
-    register_driver,
 )
 from repro.sparse import random_sparse
 
@@ -76,9 +74,6 @@ class TestDriverResolution:
     def test_explicit_driver_wins(self, A):
         plan = make_plan(A, driver="engine")
         assert Runtime().resolve_driver(plan) == "engine"
-
-    def test_registry_contains_builtins(self):
-        assert {"serial", "engine", "pregen"} <= set(available_drivers())
 
 
 class TestValidation:
@@ -190,24 +185,19 @@ class TestExecution:
         assert result.sketch.shape == (60, 30)
 
 
-class TestDriverRegistry:
-    def test_register_custom_driver(self, A):
-        calls = []
+class TestDriverTable:
+    def test_unknown_driver_names_the_fixed_set(self, A):
+        rt = Runtime()
+        rt.resolve_driver = lambda *a, **k: "fake"
+        with pytest.raises(ConfigError,
+                           match="engine, pregen, process, serial"):
+            rt.run(make_plan(A, driver="serial"), A)
 
-        def fake_driver(runtime, plan, mat, factory, blocked, injector):
-            calls.append(plan.kernel)
-            real = Runtime().run(make_plan(mat, driver="serial"), mat)
-            return real.sketch, real.stats
-
-        register_driver("fake", fake_driver)
-        try:
-            plan = make_plan(A, driver="serial")
-            rt = Runtime()
-            rt.resolve_driver = lambda *a, **k: "fake"
-            result = rt.run(plan, A)
-            assert calls == ["algo3"]
-            assert result.sketch.shape == (36, 30)
-        finally:
-            from repro.plan.runtime import _DRIVERS
-
-            _DRIVERS.pop("fake", None)
+    @pytest.mark.parametrize("strategy", ["bogus", "cyclic", "guided"])
+    def test_from_dict_rejects_any_strategy_but_static(self, A, strategy):
+        record = make_plan(A).to_dict()
+        assert record["strategy"] == "static"
+        SketchPlan.from_dict(record)
+        record["strategy"] = strategy
+        with pytest.raises(ConfigError, match="strategy"):
+            SketchPlan.from_dict(record)
