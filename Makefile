@@ -101,7 +101,7 @@ shard-smoke:
 	timeout 600 python benchmarks/bench_shard_scaling.py
 
 # Batched multi-sketch leg: the batched-tier test suite (bit-identity of
-# k sketches per pass vs k independent runs, across drivers/backends and
+# k sketches per pass vs k independent runs, across drivers and
 # under injected worker faults, plus serve-side request coalescing),
 # then the throughput gate — every cell that met the 1.5x acceptance bar
 # in the committed benchmarks/reports/BENCH_batch.json must hold it.
@@ -118,7 +118,7 @@ bench-small:
 	REPRO_SCALE=small pytest benchmarks/ --benchmark-only
 	python benchmarks/summarize_reports.py
 
-# Backend perf-regression gate: re-measure the backend matrix and fail if
+# Kernel perf-regression gate: re-measure the kernel matrix and fail if
 # any cell dropped below the committed benchmarks/reports/BENCH_backend.json
 # by more than its per-metric tolerance (see GATE_TOLERANCES in
 # benchmarks/summarize_reports.py).

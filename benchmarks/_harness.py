@@ -197,6 +197,20 @@ def shape_check(condition: bool, message: str) -> str:
     return f"[shape OK] {message}" if condition else f"[shape WARNING] {message}"
 
 
+def drift(label: str, current: float, bound: float, baseline: float,
+          tolerance: float, *, fmt: str = "{:.2f}x", unit: str = "",
+          ceiling: bool = False, note: str = "") -> list[str]:
+    """One gate check of *current* against a floor, or with *ceiling* a
+    ceiling, set from the committed *baseline*: ``[]`` within the bound,
+    else the one failure line the gate prints."""
+    if not (current > bound if ceiling else current < bound):
+        return []
+    side = "> ceiling" if ceiling else "< floor"
+    return [f"{label} {fmt.format(current)}{unit} {side} {fmt.format(bound)} "
+            f"(baseline {fmt.format(baseline)}, {note}tolerance "
+            f"{tolerance:.0%})"]
+
+
 def record_or_gate(label: str, payload: dict, baseline: Path, record: bool,
                    failures: Callable[[dict], list[str]], ok: str) -> None:
     """The command-line tail every bench gate shares; always exits.

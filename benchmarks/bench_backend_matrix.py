@@ -31,7 +31,7 @@ import statistics
 import time
 from pathlib import Path
 
-from _harness import REPEATS, emit_report, record_or_gate
+from _harness import REPEATS, drift, emit_report, record_or_gate
 
 from repro.kernels import available_backends
 from repro.kernels.blocking import sketch_spmm
@@ -80,8 +80,7 @@ def measure_backend_matrix(repeats: int = REPEATS) -> dict:
                 for _ in range(max(1, repeats)):
                     rng = make_rng(RNG_KIND, 0, dist)
                     t0 = time.perf_counter()
-                    _, stats = sketch_spmm(A, d, rng, kernel=kernel,
-                                           backend=backend)
+                    _, stats = sketch_spmm(A, d, rng, kernel=kernel)
                     times.append(time.perf_counter() - t0)
                     samples = stats.samples_generated
                 secs = statistics.median(times)
@@ -115,14 +114,10 @@ def compare_to_baseline(baseline: dict, current: dict,
     base_entries = baseline.get("entries", {})
     for key, cur in current["entries"].items():
         base = base_entries.get(key)
-        if base is None:
-            continue
-        floor = base["gbs"] * (1.0 - tolerance)
-        if cur["gbs"] < floor:
-            failures.append(
-                f"{key}: {cur['gbs']:.3f} GB/s < floor {floor:.3f} "
-                f"(baseline {base['gbs']:.3f}, tolerance {tolerance:.0%})"
-            )
+        if base is not None:
+            failures += drift(f"{key}:", cur["gbs"],
+                              base["gbs"] * (1.0 - tolerance), base["gbs"],
+                              tolerance, fmt="{:.3f}", unit=" GB/s")
     return failures
 
 

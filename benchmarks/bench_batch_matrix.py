@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, record_or_gate, shape_check
+from _harness import REPEATS, drift, emit_report, record_or_gate, shape_check
 
 from repro.kernels.blocking import sketch_spmm
 from repro.rng import make_rng
@@ -70,7 +70,6 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
     """
     A = random_sparse(BATCH_M, BATCH_N, BATCH_DENSITY, seed=0)
     d = GAMMA_D
-    backend = "numpy"
     entries: dict[str, dict] = {}
     for kernel in KERNELS:
         for rng_kind in RNG_KINDS:
@@ -82,7 +81,7 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
                 for seed in SEEDS:
                     rng = make_rng(rng_kind, seed, "uniform")
                     Ahat, _ = sketch_spmm(A, d, rng, kernel=kernel,
-                                          b_d=B_D, b_n=B_N, backend=backend)
+                                          b_d=B_D, b_n=B_N)
                     outs.append(Ahat)
                 seq_best = min(seq_best, time.perf_counter() - t0)
                 solo = outs
@@ -92,8 +91,7 @@ def measure_batch_matrix(repeats: int = REPEATS) -> dict:
                 brng = make_batched_rng(rng_kind, SEEDS, "uniform")
                 t0 = time.perf_counter()
                 stacked, _ = sketch_spmm(
-                    A, d, brng, kernel=kernel, b_d=B_D, b_n=B_N,
-                    backend=backend)
+                    A, d, brng, kernel=kernel, b_d=B_D, b_n=B_N)
                 bat_best = min(bat_best, time.perf_counter() - t0)
             identical = all(np.array_equal(stacked[t], solo[t])
                             for t in range(len(SEEDS)))
@@ -139,14 +137,10 @@ def compare_to_baseline(baseline: dict, current: dict,
             failures.append(f"{key}: batched output is NOT bit-identical "
                             f"to the sequential runs")
         base = base_entries.get(key)
-        if base is None or base["ratio"] < TARGET_RATIO:
-            continue
-        floor = TARGET_RATIO * (1.0 - tolerance)
-        if cur["ratio"] < floor:
-            failures.append(
-                f"{key}: batched speedup {cur['ratio']:.2f}x < floor "
-                f"{floor:.2f}x (baseline {base['ratio']:.2f}x, "
-                f"target {TARGET_RATIO}x, tolerance {tolerance:.0%})")
+        if base is not None and base["ratio"] >= TARGET_RATIO:
+            failures += drift(f"{key}: batched speedup", cur["ratio"],
+                              TARGET_RATIO * (1.0 - tolerance), base["ratio"],
+                              tolerance, note=f"target {TARGET_RATIO}x, ")
     if current["best_ratio"] < TARGET_RATIO * (1.0 - tolerance):
         failures.append(
             f"headline: best cell {current['best_ratio']:.2f}x < "

@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, record_or_gate, shape_check
+from _harness import REPEATS, drift, emit_report, record_or_gate, shape_check
 
 from repro.cache import ArtifactCache, CachePolicy
 from repro.core import SketchConfig
@@ -150,14 +150,9 @@ def compare_to_baseline(baseline: dict, current: dict,
                         tolerance: float) -> list[str]:
     """Drift check against the committed baseline's warm speedup."""
     base = baseline.get("warm_speedup")
-    if base is None:
-        return []
-    floor = base * (1.0 - tolerance)
-    if current["warm_speedup"] < floor:
-        return [f"warm_speedup: {current['warm_speedup']:.2f}x < floor "
-                f"{floor:.2f}x (baseline {base:.2f}x, tolerance "
-                f"{tolerance:.0%})"]
-    return []
+    return [] if base is None else drift(
+        "warm_speedup:", current["warm_speedup"], base * (1.0 - tolerance),
+        base, tolerance)
 
 
 def _report_rows(payload: dict) -> list[list]:

@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from _harness import REPEATS, emit_report, record_or_gate, shape_check
+from _harness import REPEATS, drift, emit_report, record_or_gate, shape_check
 
 from repro.core import SketchConfig
 from repro.model import LAPTOP
@@ -158,14 +158,10 @@ def compare_to_baseline(baseline: dict, current: dict,
                         tolerance: float) -> list[str]:
     """Drift check against the committed baseline's measured ratio."""
     base = baseline.get("measured_ratio")
-    if base is None:
-        return []
-    ceiling = base * (1.0 + tolerance) + tolerance
-    if current["measured_ratio"] > ceiling:
-        return [f"measured_ratio: {current['measured_ratio']:.3f} > ceiling "
-                f"{ceiling:.3f} (baseline {base:.3f}, tolerance "
-                f"{tolerance:.0%})"]
-    return []
+    return [] if base is None else drift(
+        "measured_ratio:", current["measured_ratio"],
+        base * (1.0 + tolerance) + tolerance, base, tolerance, fmt="{:.3f}",
+        ceiling=True)
 
 
 def _report_rows(payload: dict) -> list[list]:

@@ -7,8 +7,8 @@ Three artifact classes are cached, each with its own key recipe:
     :func:`~repro.kernels.autotune_blocking` /
     :func:`~repro.kernels.autotune_kernel`.  Keyed by the **pattern**
     fingerprint (tuning depends on structure, not values), the machine
-    profile, the backend, and every tuning parameter including the
-    recorded ``tuning_seed``.
+    profile, and every tuning parameter including the recorded
+    ``tuning_seed``.
 ``kernel_choice``
     :class:`~repro.kernels.KernelChoice` records from
     :func:`~repro.kernels.choose_kernel` (the column-concentration scan
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..kernels.backends import NUMPY
 from ..persist.snapshot import _array_to_npy_bytes, _npy_bytes_to_array
 from ..sparse.blocked_csr import BlockedCSR
 from ..sparse.csr import CSRMatrix
@@ -56,7 +57,7 @@ BLOCKED_ARTIFACT = "blocked_csr"
 # -- autotune results --------------------------------------------------------
 
 
-def tune_key(A: "CSCMatrix", *, kernel: str, d: int, backend: str,
+def tune_key(A: "CSCMatrix", *, kernel: str, d: int,
              max_tuning_cols: int, repeats: int, tuning_seed: int,
              machine: "MachineModel | None" = None,
              candidates=None) -> str:
@@ -65,7 +66,7 @@ def tune_key(A: "CSCMatrix", *, kernel: str, d: int, backend: str,
     return cache_key(TUNE_ARTIFACT, {
         "pattern": pattern_fingerprint(A),
         "machine": machine_fingerprint(machine),
-        "backend": str(backend),
+        "backend": NUMPY.name,
         "kernel": str(kernel),
         "d": int(d),
         "max_tuning_cols": int(max_tuning_cols),
@@ -89,7 +90,7 @@ def fetch_tune_result(cache: ArtifactCache, key: str) -> "TuneResult | None":
 def store_tune_result(cache: ArtifactCache, key: str,
                       result: "TuneResult") -> None:
     cache.insert(TUNE_ARTIFACT, key,
-                 meta={"kernel": result.kernel, "backend": result.backend},
+                 meta={"kernel": result.kernel, "backend": NUMPY.name},
                  payloads={"tune.json": result.to_json().encode("utf-8")},
                  obj=result)
 
@@ -97,13 +98,12 @@ def store_tune_result(cache: ArtifactCache, key: str,
 # -- kernel choices ----------------------------------------------------------
 
 
-def kernel_choice_key(A: "CSCMatrix", *, backend: str,
-                      concentration_threshold: float,
+def kernel_choice_key(A: "CSCMatrix", *, concentration_threshold: float,
                       machine: "MachineModel | None" = None) -> str:
     return cache_key(CHOICE_ARTIFACT, {
         "pattern": pattern_fingerprint(A),
         "machine": machine_fingerprint(machine),
-        "backend": str(backend),
+        "backend": NUMPY.name,
         "concentration_threshold": float(concentration_threshold),
     })
 
@@ -122,7 +122,7 @@ def fetch_kernel_choice(cache: ArtifactCache,
 def store_kernel_choice(cache: ArtifactCache, key: str,
                         choice: "KernelChoice") -> None:
     cache.insert(CHOICE_ARTIFACT, key,
-                 meta={"kernel": choice.kernel, "backend": choice.backend},
+                 meta={"kernel": choice.kernel, "backend": NUMPY.name},
                  payloads={"choice.json": choice.to_json().encode("utf-8")},
                  obj=choice)
 

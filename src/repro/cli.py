@@ -86,27 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     g_kernel.add_argument("--dist", default="uniform")
     g_kernel.add_argument("--seed", type=int, default=0)
 
-    g_backend = sk.add_argument_group(
-        "backend", "kernel backend and parallel execution")
-    g_backend.add_argument("--backend", default="auto",
-                           choices=["auto", "numpy"],
-                           help="kernel backend (auto = numpy)")
-    g_backend.add_argument("--threads", type=int, default=1,
-                           help="worker threads for the execution engine")
-    g_backend.add_argument("--driver", default="auto",
-                           choices=["auto", "serial", "engine", "process"],
-                           help="execution driver (auto = serial or engine "
-                                "as the plan requires; process = the "
-                                "crash-tolerant supervised worker pool)")
-    g_backend.add_argument("--workers", type=int, default=None,
-                           help="worker processes for --driver process "
-                                "(default: 2)")
-    g_backend.add_argument("--worker-heartbeat", type=float, default=None,
-                           metavar="SECONDS",
-                           help="heartbeat deadline for --driver process: "
-                                "a worker silent this long with assigned "
-                                "tasks is declared hung and replaced "
-                                "(default: 30)")
+    g_exec = sk.add_argument_group("execution", "parallel execution")
+    g_exec.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the execution engine")
+    g_exec.add_argument("--driver", default="auto",
+                        choices=["auto", "serial", "engine", "process"],
+                        help="execution driver (auto = serial or engine "
+                             "as the plan requires; process = the "
+                             "crash-tolerant supervised worker pool)")
+    g_exec.add_argument("--workers", type=int, default=None,
+                        help="worker processes for --driver process "
+                             "(default: 2)")
+    g_exec.add_argument("--worker-heartbeat", type=float, default=None,
+                        metavar="SECONDS",
+                        help="heartbeat deadline for --driver process: "
+                             "a worker silent this long with assigned "
+                             "tasks is declared hung and replaced "
+                             "(default: 30)")
 
     g_shard = sk.add_argument_group(
         "sharding", "partition the input into column shards that execute "
@@ -360,8 +356,7 @@ def _cmd_sketch(args) -> dict:
 
     cfg = SketchConfig(gamma=args.gamma, distribution=args.dist,
                        rng_kind=args.rng, kernel=args.kernel, seed=args.seed,
-                       backend=args.backend, threads=args.threads,
-                       b_d=args.b_d, b_n=args.b_n,
+                       threads=args.threads, b_d=args.b_d, b_n=args.b_n,
                        resilience=_resilience_from_args(args))
     pol = PersistencePolicy(checkpoint_dir=args.checkpoint_dir,
                             every=args.checkpoint_every, resume=args.resume)

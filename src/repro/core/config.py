@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from ..kernels.backends import available_backends
 from ..parallel.resilience import ResilienceConfig
 from ..rng.base import SketchingRNG, make_rng
 from ..rng.distributions import get_distribution
@@ -44,9 +43,6 @@ class SketchConfig:
     kernel:
         ``"auto"`` dispatches via :func:`repro.kernels.choose_kernel` on
         the configured machine model; otherwise forces a kernel.
-    backend:
-        Kernel backend: ``"auto"`` (which is ``numpy``) or a registered
-        backend name (``"numpy"``).
     b_d, b_n:
         Blocking overrides; ``None`` uses heuristics/model recommendations.
     seed:
@@ -70,7 +66,6 @@ class SketchConfig:
     distribution: str = "uniform"
     rng_kind: str = "xoshiro"
     kernel: str = "auto"
-    backend: str = "auto"
     b_d: int | None = None
     b_n: int | None = None
     seed: int = 0
@@ -87,8 +82,6 @@ class SketchConfig:
         get_distribution(self.distribution)  # validates the name
         check_choice(self.rng_kind, "rng_kind", _RNG_KINDS)
         check_choice(self.kernel, "kernel", _KERNELS)
-        check_choice(self.backend, "backend",
-                     ("auto", *available_backends()))
         if self.b_d is not None:
             check_positive_int(self.b_d, "b_d")
         if self.b_n is not None:

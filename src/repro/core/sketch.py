@@ -21,8 +21,6 @@ and hands it to :class:`~repro.plan.Runtime` — the same engine behind
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
@@ -183,7 +181,6 @@ class SketchOperator:
 def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
            config: SketchConfig | None = None,
            machine: MachineModel | None = None,
-           backend: str | None = None,
            quality_check: bool = False,
            quality_threshold: float | None = None,
            max_resketch: int = 1,
@@ -202,10 +199,6 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
 
     Parameters
     ----------
-    backend:
-        Kernel backend override (``"numpy"``/``"auto"``); ``None``
-        keeps the config's setting.  See
-        :attr:`repro.core.SketchConfig.backend`.
     quality_check:
         Run the end-of-run distortion spot-check: measure the realized
         sketch's effective distortion for ``range(A)`` (a dense
@@ -240,8 +233,6 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
         either way.
     """
     cfg = config if config is not None else SketchConfig()
-    if backend is not None:
-        cfg = dataclasses.replace(cfg, backend=backend)
     if persistence is not None and persistence.enabled and quality_check:
         raise ConfigError(
             "persistence is incompatible with quality_check: automatic "

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, FormatError, ShapeError
-from ..kernels.backends import resolve_backend
 from ..kernels.blocking import default_block_sizes
 from ..plan.events import CHECKPOINT_WRITTEN, EventBus
 from ..plan.policy import PersistencePolicy
@@ -110,10 +109,6 @@ class StreamingSketch:
         block sizes are resolved eagerly (via
         :func:`repro.kernels.default_block_sizes`) so every batch uses the
         same grid and checkpoints can fingerprint it.
-    backend:
-        Kernel backend name/instance (resolved eagerly; recorded in
-        checkpoint fingerprints because accumulation order — and thus bit
-        patterns — is backend-specific).
     persistence:
         Durable crash recovery as a
         :class:`~repro.plan.PersistencePolicy` (see
@@ -141,7 +136,7 @@ class StreamingSketch:
 
     def __init__(self, d: int, n: int, rng: SketchingRNG, *,
                  kernel: str = "algo3", b_d: int | None = None,
-                 b_n: int | None = None, backend=None,
+                 b_n: int | None = None,
                  persistence: PersistencePolicy | None = None,
                  bus: "EventBus | None" = None) -> None:
         self.d = check_positive_int(d, "d")
@@ -154,7 +149,6 @@ class StreamingSketch:
         bd_default, bn_default = default_block_sizes(d, n)
         self.b_d = bd_default if b_d is None else check_positive_int(b_d, "b_d")
         self.b_n = bn_default if b_n is None else check_positive_int(b_n, "b_n")
-        self.backend = resolve_backend(backend)
         self.rows_seen = 0
         self.batches_absorbed = 0
         #: Row batches absorbed through :meth:`absorb` as ``(offset, rows)``
@@ -191,7 +185,6 @@ class StreamingSketch:
             problem=ProblemSpec(m=batch.shape[0], n=self.n, d=self.d,
                                 nnz=batch.nnz),
             kernel=self.kernel, b_d=self.b_d, b_n=self.b_n,
-            backend=self.backend.name,
             rng=RngSpec(kind=self.rng.family, seed=self.rng.seed,
                         distribution=self.rng.dist.name),
             driver="serial",
@@ -210,7 +203,7 @@ class StreamingSketch:
 
         return run_fingerprint(
             mode="streaming", d=self.d, n=self.n, b_d=self.b_d,
-            b_n=self.b_n, kernel=self.kernel, backend=self.backend.name,
+            b_n=self.b_n, kernel=self.kernel,
             rng_kind=self.rng.family, seed=self.rng.seed,
             distribution=self.rng.dist.name,
         )

@@ -10,7 +10,7 @@ pattern-sensitive dispatcher.
 from .algo3 import algo3_block, algo3_block_reference
 from .autotune import TuneResult, autotune_blocking, autotune_kernel
 from .algo4 import algo4_block, algo4_block_reference
-from .backends import available_backends, resolve_backend
+from .backends import available_backends
 from .blocking import (compute_tile, default_block_sizes, iter_block_tasks,
                        sketch_spmm)
 from .dispatch import KernelChoice, choose_kernel, column_concentration
@@ -36,7 +36,6 @@ __all__ = [
     "algo4_block",
     "algo4_block_reference",
     "available_backends",
-    "resolve_backend",
     "compute_tile",
     "default_block_sizes",
     "iter_block_tasks",

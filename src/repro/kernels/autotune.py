@@ -24,7 +24,7 @@ from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
 from ..utils.canonical import canonical_json
 from ..utils.validation import check_positive_int
-from .backends import NumpyBackend, resolve_backend
+from .backends import NUMPY
 from .blocking import sketch_spmm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,11 +40,10 @@ TUNE_RESULT_VERSION = 1
 class TuneResult:
     """Outcome of an autotuning run.
 
-    ``backend`` names the kernel backend the trials actually timed; a
-    cached result is only valid for that backend (another kernel
-    implementation shifts the (b_d, b_n) cost balance).  ``tuning_seed``
-    is the RNG seed the tuning column slice was derived from, so a
-    cached result names the exact subproblem it was measured on.
+    The serialized record names the one kernel backend (``"numpy"``), as
+    cached results always have.  ``tuning_seed`` is the RNG seed the
+    tuning column slice was derived from, so a cached result names the
+    exact subproblem it was measured on.
     """
 
     b_d: int
@@ -52,12 +51,11 @@ class TuneResult:
     kernel: str
     seconds: float                       # winning trial time (subsampled)
     trials: list = field(default_factory=list)  # (kernel, b_d, b_n, seconds)
-    backend: str = "numpy"
     tuning_seed: int = 0
 
     def describe(self) -> str:
         """One-line summary of the winner."""
-        return (f"{self.kernel} [{self.backend}] with "
+        return (f"{self.kernel} [{NUMPY.name}] with "
                 f"(b_d={self.b_d}, b_n={self.b_n}): "
                 f"{self.seconds:.4f}s on the tuning slice")
 
@@ -70,7 +68,7 @@ class TuneResult:
             "kernel": self.kernel, "seconds": float(self.seconds),
             "trials": [[k, int(bd), int(bn), float(s)]
                        for k, bd, bn, s in self.trials],
-            "backend": self.backend,
+            "backend": NUMPY.name,
             "tuning_seed": int(self.tuning_seed),
         }
 
@@ -91,7 +89,6 @@ class TuneResult:
             kernel=str(data["kernel"]), seconds=float(data["seconds"]),
             trials=[(str(k), int(bd), int(bn), float(s))
                     for k, bd, bn, s in data.get("trials", [])],
-            backend=str(data.get("backend", "numpy")),
             tuning_seed=int(data.get("tuning_seed", 0)),
         )
 
@@ -139,7 +136,6 @@ def autotune_blocking(
     candidates: Sequence[tuple[int, int]] | None = None,
     max_tuning_cols: int = 256,
     repeats: int = 2,
-    backend: "str | NumpyBackend | None" = None,
     tuning_seed: int = 0,
     cache: "ArtifactCache | None" = None,
 ) -> TuneResult:
@@ -155,16 +151,12 @@ def autotune_blocking(
         model recommendation for this problem's density.
     max_tuning_cols:
         Trials run on a seeded column slice of at most this width.
-    backend:
-        Kernel backend the trials time (name, instance, or
-        ``None``/``"auto"`` for ``numpy``).  The backend is resolved once
-        and recorded on the result.
     tuning_seed:
         Seed for the column-slice placement; recorded on the result so a
         cached tuning names the exact subproblem it measured.
     cache:
         Optional :class:`~repro.cache.ArtifactCache`; a prior result for
-        the same (pattern, machine, backend, tuning parameters) is
+        the same (pattern, machine, tuning parameters) is
         returned without running a single trial, and fresh results are
         stored for the next caller.
     """
@@ -172,12 +164,11 @@ def autotune_blocking(
     repeats = check_positive_int(repeats, "repeats")
     if kernel not in ("algo3", "algo4"):
         raise ConfigError(f"kernel must be 'algo3' or 'algo4', got {kernel!r}")
-    be = resolve_backend(backend)
     key = None
     if cache is not None:
         from ..cache.artifacts import fetch_tune_result, tune_key
 
-        key = tune_key(A, kernel=kernel, d=d, backend=be.name,
+        key = tune_key(A, kernel=kernel, d=d,
                        max_tuning_cols=max_tuning_cols, repeats=repeats,
                        tuning_seed=tuning_seed, candidates=candidates)
         cached = fetch_tune_result(cache, key)
@@ -202,15 +193,13 @@ def autotune_blocking(
             rng = rng_factory()
             t0 = time.perf_counter()
             sketch_spmm(slice_A, d, rng, kernel=kernel,
-                        b_d=min(b_d, d), b_n=min(b_n, n_slice),
-                        backend=be)
+                        b_d=min(b_d, d), b_n=min(b_n, n_slice))
             best = min(best, time.perf_counter() - t0)
         trials.append((kernel, int(min(b_d, d)), int(min(b_n, n_slice)), best))
 
     kernel_name, b_d, b_n, secs = min(trials, key=lambda t: t[3])
     result = TuneResult(b_d=b_d, b_n=b_n, kernel=kernel_name, seconds=secs,
-                        trials=trials, backend=be.name,
-                        tuning_seed=int(tuning_seed))
+                        trials=trials, tuning_seed=int(tuning_seed))
     if cache is not None:
         from ..cache.artifacts import store_tune_result
 
@@ -225,7 +214,6 @@ def autotune_kernel(
     *,
     max_tuning_cols: int = 256,
     repeats: int = 2,
-    backend: "str | NumpyBackend | None" = None,
     tuning_seed: int = 0,
     cache: "ArtifactCache | None" = None,
 ) -> TuneResult:
@@ -233,27 +221,24 @@ def autotune_kernel(
 
     The empirical counterpart of :func:`repro.kernels.choose_kernel` for
     hosts whose cache/RNG behaviour doesn't match a preset; Algorithm 4's
-    trials include its format-conversion cost, as Table IV would.  Both
-    algorithms race on the same resolved *backend* (resolved once here so
-    the comparison cannot straddle an environment change mid-race).
+    trials include its format-conversion cost, as Table IV would.
 
     With a *cache*, a prior race for the same inputs returns without any
     trials (the per-kernel legs cache their own entries too, so a race
     can also partially reuse a single-kernel tuning).
     """
-    be = resolve_backend(backend)
     key = None
     if cache is not None:
         from ..cache.artifacts import fetch_tune_result, tune_key
 
-        key = tune_key(A, kernel="race", d=d, backend=be.name,
+        key = tune_key(A, kernel="race", d=d,
                        max_tuning_cols=max_tuning_cols, repeats=repeats,
                        tuning_seed=tuning_seed, candidates=None)
         cached = fetch_tune_result(cache, key)
         if cached is not None:
             return cached
     results = [
-        autotune_blocking(A, d, rng_factory, kernel=k, backend=be,
+        autotune_blocking(A, d, rng_factory, kernel=k,
                           max_tuning_cols=max_tuning_cols, repeats=repeats,
                           tuning_seed=tuning_seed, cache=cache)
         for k in ("algo3", "algo4")
@@ -264,7 +249,7 @@ def autotune_kernel(
     winner = TuneResult(
         b_d=best.b_d, b_n=best.b_n, kernel=best.kernel, seconds=best.seconds,
         trials=[t for r in results for t in r.trials],
-        backend=best.backend, tuning_seed=best.tuning_seed,
+        tuning_seed=best.tuning_seed,
     )
     if cache is not None:
         from ..cache.artifacts import store_tune_result

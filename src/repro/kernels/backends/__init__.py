@@ -5,9 +5,9 @@ One backend ships, ``numpy``: :data:`NUMPY`, the
 run the vectorized kernels of :mod:`repro.kernels.algo3` and
 :mod:`repro.kernels.algo4`.  Outside :func:`repro.kernels.sketch_spmm`'s
 reference loop, every driver reaches them through one tile dispatch,
-:func:`repro.kernels.blocking.compute_tile`.  ``"auto"`` (and ``None``)
-resolve to ``numpy``; the name is what plans, cache keys and checkpoint
-fingerprints record.
+:func:`repro.kernels.blocking.compute_tile`.  Nothing selects a backend:
+``NUMPY.name`` is the ``"backend"`` that plans, cache keys, checkpoint
+fingerprints and run reports record.
 
 Bit-identity contract: both kernels add into every output entry in the
 order of their ``*_reference`` loops with a separate multiply and add, so
@@ -18,24 +18,11 @@ bit for bit, for one sketch or a ``(k, d1, n1)`` stack
 
 from __future__ import annotations
 
-from ...errors import ConfigError
 from .numpy_backend import NUMPY, NumpyBackend
 
-__all__ = ["NUMPY", "NumpyBackend", "available_backends", "resolve_backend"]
+__all__ = ["NUMPY", "NumpyBackend", "available_backends"]
 
 
 def available_backends() -> list[str]:
     """Names of the kernel backends, every one of which runs here."""
     return [NUMPY.name]
-
-
-def resolve_backend(name: "str | NumpyBackend | None" = None) -> NumpyBackend:
-    """The backend instance for *name*.
-
-    ``None`` and ``"auto"`` mean ``numpy``; any other name not in
-    :func:`available_backends` raises :class:`ConfigError`.
-    """
-    if isinstance(name, NumpyBackend) or name in (None, "auto", NUMPY.name):
-        return NUMPY
-    raise ConfigError(f"unknown kernel backend {name!r}; available: "
-                      f"{available_backends()}")

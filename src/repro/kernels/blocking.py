@@ -37,7 +37,7 @@ from ..utils.timing import Stopwatch, Timer
 from ..utils.validation import check_positive_int
 from .algo3 import algo3_block_reference
 from .algo4 import algo4_block_reference
-from .backends import NUMPY, NumpyBackend, resolve_backend
+from .backends import NUMPY
 from .stats import KernelStats
 
 __all__ = ["sketch_spmm", "compute_tile", "iter_block_tasks",
@@ -122,7 +122,6 @@ def sketch_spmm(
     blocked: BlockedCSR | None = None,
     out: np.ndarray | None = None,
     out_order: str = "F",
-    backend: str | NumpyBackend | None = None,
     on_block: Callable[[str, int, int, int, int], None] | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Compute the sketch ``Ahat = S @ A`` with on-the-fly generation of ``S``.
@@ -165,11 +164,6 @@ def sketch_spmm(
         updates of both kernels; pass ``"C"`` for row-major consumers.
         A batch's ``(k, d, n)`` stack is always C-ordered, so each
         sketch's ``(d, n)`` slice is contiguous.
-    backend:
-        Kernel backend name, instance, or ``None``/``"auto"`` for
-        ``numpy`` (see :func:`repro.kernels.backends.resolve_backend`).
-        Ignored on the ``reference`` path, which always runs the scalar
-        oracle.
     on_block:
         Optional observer called as ``on_block(phase, i, d1, j, n1)``
         with ``phase`` in ``("block_start", "block_done")`` around every
@@ -218,8 +212,6 @@ def sketch_spmm(
             raise ConfigError(f"out must have shape {shape}, got {out.shape}")
         out[:] = 0.0
         Ahat = out
-
-    be = resolve_backend(backend)
 
     sw = Stopwatch()
     samples_before = rng.samples_generated
@@ -273,7 +265,7 @@ def sketch_spmm(
         blocks_processed=tasks,
         d=d, b_d=b_d, b_n=b_n,
         extra={**conversion_extra,
-               "backend": "reference" if reference else be.name,
+               "backend": "reference" if reference else NUMPY.name,
                **({"batch": k} if k is not None else {})},
     )
     return Ahat, stats

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..sparse.csc import CSCMatrix
 from ..utils.canonical import canonical_json
+from .backends import NUMPY
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..model.machine import MachineModel
@@ -38,17 +39,14 @@ KERNEL_CHOICE_VERSION = 1
 class KernelChoice:
     """A kernel decision and the reasons behind it.
 
-    ``backend`` records which kernel backend the decision was resolved
-    for; autotune results and cached choices must not migrate across
-    backends (the cost balance between the algorithms shifts when the
-    RNG is fused into compiled loops).
+    The serialized record names the one kernel backend (``"numpy"``), as
+    cached choices always have.
     """
 
     kernel: str
     reason: str
     column_concentration: float
     machine_favors_reuse: bool
-    backend: str = "numpy"
 
     # -- serialization (stable: the artifact cache stores this verbatim) ----
 
@@ -59,7 +57,7 @@ class KernelChoice:
             "reason": self.reason,
             "column_concentration": float(self.column_concentration),
             "machine_favors_reuse": bool(self.machine_favors_reuse),
-            "backend": self.backend,
+            "backend": NUMPY.name,
         }
 
     def to_json(self) -> str:
@@ -79,7 +77,6 @@ class KernelChoice:
             reason=str(data.get("reason", "")),
             column_concentration=float(data["column_concentration"]),
             machine_favors_reuse=bool(data["machine_favors_reuse"]),
-            backend=str(data.get("backend", "numpy")),
         )
 
     @classmethod
@@ -108,8 +105,7 @@ def column_concentration(A: CSCMatrix, top_fraction: float = 0.01) -> float:
 
 
 def choose_kernel(machine: "MachineModel", A: CSCMatrix,
-                  concentration_threshold: float = 0.5,
-                  backend: str | None = None) -> KernelChoice:
+                  concentration_threshold: float = 0.5) -> KernelChoice:
     """Pick Algorithm 3 or 4 for *machine* and the pattern of *A*.
 
     The machine-level signal is
@@ -122,14 +118,7 @@ def choose_kernel(machine: "MachineModel", A: CSCMatrix,
     or nonzeros) or non-finite machine parameters raise
     :class:`~repro.errors.ConfigError` instead of propagating raw NumPy
     warnings through the concentration heuristic.
-
-    *backend* (name, ``None``, or ``"auto"``) resolves through
-    :func:`repro.kernels.backends.resolve_backend` and is recorded on the
-    returned choice so it can be kept backend-consistent downstream.
     """
-    from .backends import resolve_backend
-
-    backend_name = resolve_backend(backend).name
     m, n = A.shape
     if m == 0 or n == 0:
         raise ConfigError(
@@ -163,7 +152,6 @@ def choose_kernel(machine: "MachineModel", A: CSCMatrix,
             ),
             column_concentration=conc,
             machine_favors_reuse=False,
-            backend=backend_name,
         )
     if conc >= concentration_threshold:
         return KernelChoice(
@@ -175,7 +163,6 @@ def choose_kernel(machine: "MachineModel", A: CSCMatrix,
             ),
             column_concentration=conc,
             machine_favors_reuse=True,
-            backend=backend_name,
         )
     return KernelChoice(
         kernel="algo4",
@@ -185,5 +172,4 @@ def choose_kernel(machine: "MachineModel", A: CSCMatrix,
         ),
         column_concentration=conc,
         machine_favors_reuse=True,
-        backend=backend_name,
     )

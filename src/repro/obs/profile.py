@@ -234,13 +234,11 @@ def build_profile(result: "SketchResult | None" = None, *,
         m, n, d = plan.problem.m, plan.problem.n, plan.problem.d
         nnz = plan.problem.nnz
         kernel = plan.kernel
-        backend = plan.backend
     else:
         d = stats.d
         m = n = 0
         nnz = None
         kernel = stats.kernel
-        backend = str(stats.extra.get("backend", "numpy"))
     rho = None if (nnz is None or m == 0 or n == 0) else nnz / (m * n)
 
     attained = stats.gflops_rate
@@ -253,7 +251,7 @@ def build_profile(result: "SketchResult | None" = None, *,
 
     return ProfileReport(
         kernel=kernel,
-        backend=str(stats.extra.get("backend", backend)),
+        backend=str(stats.extra.get("backend", "numpy")),
         driver=driver,
         machine=machine.name,
         m=m, n=n, d=d, nnz=nnz, rho=rho,

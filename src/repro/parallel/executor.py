@@ -61,7 +61,7 @@ from ..errors import (
     TaskTimeoutError,
 )
 from ..faults.plan import InjectedCrashError
-from ..kernels.backends import resolve_backend
+from ..kernels.backends import NUMPY
 from ..kernels.blocking import compute_tile, iter_block_tasks
 from ..kernels.stats import KernelStats
 from ..plan.events import (
@@ -115,10 +115,10 @@ class PlanExecutionEngine:
     Parameters
     ----------
     plan:
-        The decision record: ``d``, kernel, blocking, backend, threads,
-        resilience policy, persistence policy.  The kernel
-        must be ``algo3`` or ``algo4`` (``pregen`` has no block tasks
-        and runs on the runtime's pregen driver).
+        The decision record: ``d``, kernel, blocking, threads,
+        resilience policy, persistence policy.  The kernel must be
+        ``algo3`` or ``algo4`` (``pregen`` has no block tasks and runs
+        on the runtime's pregen driver).
     A, rng_factory:
         The input matrix and the per-worker generator factory.
     bus:
@@ -160,7 +160,6 @@ class PlanExecutionEngine:
         self.kernel = plan.kernel
         self.b_d = plan.b_d
         self.b_n = plan.b_n
-        self.backend = resolve_backend(plan.backend)
         self.rng_factory = rng_factory
         self.blocked = blocked
         self.bus = bus if bus is not None else EventBus()
@@ -228,9 +227,8 @@ class PlanExecutionEngine:
         rng = self.rng_factory(0)
         fp = run_fingerprint(
             mode="blocked", d=self.d, n=self.A.shape[1], b_d=self.b_d,
-            b_n=self.b_n, kernel=self.kernel, backend=self.backend.name,
-            rng_kind=rng.family, seed=rng.seed,
-            distribution=rng.dist.name,
+            b_n=self.b_n, kernel=self.kernel, rng_kind=rng.family,
+            seed=rng.seed, distribution=rng.dist.name,
         )
         if self.plan.shard is not None:
             fp["shard_col_start"] = int(self.plan.shard.col_start)
@@ -355,7 +353,7 @@ class PlanExecutionEngine:
             blocks_processed=len(tasks),
             d=self.d, b_d=self.b_d, b_n=self.b_n,
             extra={"threads": self.threads, "resilient": self.resilient,
-                   "backend": self.backend.name,
+                   "backend": NUMPY.name,
                    **({"batch": self.batch} if self.batch > 1 else {})},
             health=self.health if self.resilient else None,
         )
@@ -579,7 +577,8 @@ class PlanExecutionEngine:
             return
 
         failed: list[tuple[int, Task, TaskFailedError]] = []
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+        pool = ThreadPoolExecutor(max_workers=self.threads)
+        try:
             futures = [pool.submit(self._run_task, idx, task, "parallel")
                        for idx, task in enumerate(tasks)]
             for idx, (fut, task) in enumerate(zip(futures, tasks)):
@@ -607,6 +606,10 @@ class PlanExecutionEngine:
                     raise  # the run deadline outranks the serial rung
                 except TaskFailedError as exc:
                     failed.append((idx, task, exc))
+        finally:
+            # After a failure that ends the run, drop the queued tasks
+            # rather than compute every remaining tile before raising.
+            pool.shutdown(cancel_futures=True)
         if failed:
             if not cfg.degradation.serial_fallback:
                 raise failed[0][2]
@@ -663,7 +666,7 @@ class PlanExecutionEngine:
         """
         tasks, conversion_seconds = self._prepare()
         self.health.tasks = len(tasks)
-        self.health.backend = self.backend.name
+        self.health.backend = NUMPY.name
         with Timer() as total:
             self.run_tasks(tasks, self.Ahat)
             # The run's finish, which the pool's ladder leaves to the

@@ -394,8 +394,8 @@ def _binding(plan: "SketchPlan") -> dict:
 class _WorkerHandle:
     """Supervisor-side record of one live worker process."""
 
-    __slots__ = ("wid", "proc", "conn", "last_seen", "assigned", "pid",
-                 "rng")
+    __slots__ = ("wid", "proc", "conn", "last_seen", "assigned", "current",
+                 "pid", "rng")
 
     def __init__(self, wid, proc, conn, rng: dict) -> None:
         self.wid = wid
@@ -403,6 +403,9 @@ class _WorkerHandle:
         self.conn = conn
         self.last_seen = time.monotonic()
         self.assigned: set[int] = set()
+        #: The task the worker is on: the head of its batch at dispatch,
+        #: then each ``("hb", wid, idx)`` it sends before the next one.
+        self.current: int | None = None
         self.pid = proc.pid
         #: The RNG spec (``RngSpec.to_dict()``) the worker generates with.
         self.rng = rng
@@ -444,7 +447,6 @@ class ProcessPoolSupervisor:
                  bus: "EventBus | None" = None,
                  injector: "FaultInjector | None" = None,
                  blocked: "BlockedCSR | None" = None) -> None:
-        from ..kernels.backends import resolve_backend
         from ..plan.events import EventBus
         from .resilience import RunHealth
 
@@ -463,7 +465,6 @@ class ProcessPoolSupervisor:
         self.bus = bus if bus is not None else EventBus()
         self.injector = injector
         self.pool = plan.pool if plan.pool is not None else WorkerPoolConfig()
-        self.backend = resolve_backend(plan.backend)
         self.health = RunHealth()
         self.Ahat = None
 
@@ -612,8 +613,15 @@ class ProcessPoolSupervisor:
                            f"requeued")
         self.bus.emit(WORKER_LOST, worker=handle.wid, pid=handle.pid,
                       reason=reason)
-        for idx in sorted(handle.assigned):
-            self._requeue(idx, f"worker_{reason}")
+        # Only the task the worker was on is charged a replay; the
+        # batch-mates it never reached go back to the queue uncharged.
+        mates = sorted(handle.assigned - {handle.current})
+        for idx in mates:
+            self._dispatches[idx] -= 1
+            self.health.attempts -= 1
+        self._ready.extendleft(reversed(mates))
+        if handle.current in handle.assigned:
+            self._requeue(handle.current, f"worker_{reason}")
         handle.assigned.clear()
 
     def _maybe_respawn(self, ctx, shm_names: dict) -> None:
@@ -699,6 +707,7 @@ class ProcessPoolSupervisor:
                 handle.conn.send(("tasks", items,
                                   rng if rng != handle.rng else None))
                 handle.rng = rng
+                handle.current = items[0][0]
                 handle.last_seen = time.monotonic()
             except (OSError, BrokenPipeError):
                 # The worker died between wait() and dispatch; undo the
@@ -773,7 +782,9 @@ class ProcessPoolSupervisor:
                     self._on_commit(handle, msg)
                 elif tag == "error":
                     self._on_error(handle, msg)
-                # "ready" and "hb" need no body: last_seen is refreshed.
+                elif tag == "hb":
+                    handle.current = msg[2]
+                # "ready" needs no body: last_seen is refreshed.
         except (EOFError, OSError):
             self._lose_worker(handle, "crashed")
 
@@ -836,6 +847,7 @@ class ProcessPoolSupervisor:
 
     def _finish_stats(self, total_seconds: float):
         from ..kernels.stats import KernelStats
+        from ..kernels.backends import NUMPY
         from ..utils.flops import spmm_flops
 
         sample = self._worker_stats["sample"]
@@ -856,7 +868,7 @@ class ProcessPoolSupervisor:
             d=self.plan.problem.d, b_d=self.plan.b_d, b_n=self.plan.b_n,
             extra={"driver": "process", "workers": self.pool.workers,
                    "start_method": pool_start_method(self.pool.start_method),
-                   "backend": self.backend.name,
+                   "backend": NUMPY.name,
                    "respawns_used": self._respawns_used,
                    **({"batch": self.plan.problem.batch}
                       if self.plan.problem.batch > 1 else {})},
@@ -885,7 +897,7 @@ class ProcessPoolSupervisor:
 
     def compatible(self, plan: "SketchPlan") -> bool:
         """True if *plan* can execute on this warm pool (same input
-        matrix shape, kernel, backend, and — for Algorithm 4 — the same
+        matrix shape, kernel, and — for Algorithm 4 — the same
         ``b_n`` partition, so the one shared conversion stays valid).
         The caller is responsible for matrix *identity*: a warm pool is
         bound to the matrix content it was started with."""
@@ -906,10 +918,6 @@ class ProcessPoolSupervisor:
             raise ConfigError(
                 f"warm pool workers are bound to kernel {base.kernel!r}; "
                 f"plan wants {plan.kernel!r}")
-        if plan.backend != base.backend:
-            raise ConfigError(
-                f"warm pool workers are bound to backend {base.backend!r}; "
-                f"plan wants {plan.backend!r}")
         if base.kernel == "algo4" and plan.b_n != base.b_n:
             raise ConfigError(
                 f"warm pool's shared blocked-CSR uses b_n={base.b_n}; "
@@ -1050,6 +1058,7 @@ class ProcessPoolSupervisor:
         import multiprocessing
         import numpy as np
 
+        from ..kernels.backends import NUMPY
         from ..kernels.blocking import iter_block_tasks
         from ..plan.events import BLOCK_DONE, BLOCK_START
         from ..utils.timing import Timer
@@ -1082,7 +1091,7 @@ class ProcessPoolSupervisor:
         self._tasks = list(iter_block_tasks(d, n, plan_.b_d, plan_.b_n))
         self._ready = deque(range(len(self._tasks)))
         self.health.tasks = len(self._tasks)
-        self.health.backend = self.backend.name
+        self.health.backend = NUMPY.name
         # The warm fleet serving this run was spawned at start(); count
         # it here so each run's health stands alone.
         self.health.workers_spawned = len(self._workers)

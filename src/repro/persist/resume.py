@@ -91,7 +91,7 @@ def _restore_streaming(snap: Snapshot, *, checkpoint_every: int | None,
 
     st = StreamingSketch(
         int(fp["d"]), int(fp["n"]), rng, kernel=fp["kernel"],
-        b_d=int(fp["b_d"]), b_n=int(fp["b_n"]), backend=fp["backend"],
+        b_d=int(fp["b_d"]), b_n=int(fp["b_n"]),
         persistence=PersistencePolicy(manager=manager),
     )
     st.checkpoint_every = checkpoint_every

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import CheckpointCorruptionError, CheckpointError, CheckpointMismatchError
+from ..kernels.backends import NUMPY
 from .checksum import checksum_bytes, default_algo
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,9 +74,12 @@ FINGERPRINT_KEYS = ("mode", "d", "n", "b_d", "b_n", "kernel", "backend",
 
 
 def run_fingerprint(*, mode: str, d: int, n: int, b_d: int, b_n: int,
-                    kernel: str, backend: str, rng_kind: str, seed: int,
+                    kernel: str, rng_kind: str, seed: int,
                     distribution: str, dtype: str = "float64") -> dict:
     """The immutable identity of a sketching run.
+
+    The ``backend`` entry is always ``"numpy"``, the one kernel backend;
+    it stays in the record so stored snapshots keep matching.
 
     Two runs with equal fingerprints produce bit-identical partial
     sketches at equal progress points, which is exactly the property
@@ -85,7 +89,7 @@ def run_fingerprint(*, mode: str, d: int, n: int, b_d: int, b_n: int,
     return {
         "mode": str(mode), "d": int(d), "n": int(n),
         "b_d": int(b_d), "b_n": int(b_n),
-        "kernel": str(kernel), "backend": str(backend),
+        "kernel": str(kernel), "backend": NUMPY.name,
         "rng_kind": str(rng_kind), "seed": int(seed),
         "distribution": str(distribution), "dtype": str(dtype),
     }

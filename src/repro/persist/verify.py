@@ -138,8 +138,9 @@ class _Replayer:
     """Recomputes tiles of a stored partial sketch from ``A`` + fingerprint."""
 
     def __init__(self, snap: Snapshot, A: CSCMatrix) -> None:
+        from ..kernels.backends import available_backends
         from ..rng.base import make_rng
-        from ..kernels.backends import resolve_backend
+        from ..utils.validation import check_choice
 
         fp = snap.fingerprint
         if A.shape[1] != int(fp["n"]):
@@ -153,7 +154,7 @@ class _Replayer:
         self.A = A
         self.rng = make_rng(fp["rng_kind"], fp["seed"], fp["distribution"])
         # Refuse a fingerprint naming a backend this build cannot run.
-        resolve_backend(fp["backend"])
+        check_choice(fp["backend"], "backend", available_backends())
         self.batches = [(int(o), int(c))
                         for o, c in snap.state.get("batches", [])]
         self._col_cache: dict[int, CSCMatrix] = {}

@@ -3,7 +3,7 @@
 Three pieces (see ``docs/architecture.md``):
 
 * :class:`SketchPlan` — an immutable, JSON-serializable record of every
-  decision a run needs (problem, ``d``, kernel, blocking, backend, RNG,
+  decision a run needs (problem, ``d``, kernel, blocking, RNG,
   resilience, persistence) plus the reasons behind each choice;
 * :class:`Planner` / :func:`compile_plan` — compiles a plan from a
   :class:`~repro.core.SketchConfig` and a

@@ -124,12 +124,9 @@ class Planner:
         :class:`~repro.cache.CachePolicy`) memoizes the expensive
         planning steps — the kernel-dispatch pattern scan and the
         ``tune="measure"`` autotune trials — keyed by ``A``'s sparsity
-        pattern, the machine profile, and the backend; the compiled plan
-        itself does not record the cache (outputs are identical either
-        way).
+        pattern and the machine profile; the compiled plan itself does
+        not record the cache (outputs are identical either way).
         """
-        from ..kernels.backends import resolve_backend
-
         cfg = config if config is not None else SketchConfig()
         m, n = A.shape
         check_positive_int(m, "m")
@@ -159,18 +156,16 @@ class Planner:
         else:
             choice = None
             choice_key = None
-            backend_name = resolve_backend(cfg.backend).name
             if cache is not None:
                 from ..cache.artifacts import fetch_kernel_choice, \
                     kernel_choice_key
 
                 choice_key = kernel_choice_key(
-                    A, backend=backend_name, concentration_threshold=0.5,
-                    machine=self.machine)
+                    A, concentration_threshold=0.5, machine=self.machine)
                 choice = fetch_kernel_choice(cache, choice_key)
             cached_choice = choice is not None
             if choice is None:
-                choice = choose_kernel(self.machine, A, backend=cfg.backend)
+                choice = choose_kernel(self.machine, A)
                 if cache is not None:
                     from ..cache.artifacts import store_kernel_choice
 
@@ -184,14 +179,6 @@ class Planner:
                     "machine": self.machine.name,
                     **({"cache": "hit"} if cached_choice else {}),
                 }))
-
-        # Backend: resolve once, record requested vs. resolved.
-        backend = resolve_backend(cfg.backend)
-        decisions.append(PlanDecision(
-            field="backend", value=backend.name,
-            reason=(f"requested {cfg.backend!r}"
-                    + ("" if cfg.backend in (backend.name,)
-                       else f", resolved to {backend.name!r}"))))
 
         # Blocking: cache heuristic -> model numbers -> explicit overrides
         # -> (optionally) the measured autotune winner.
@@ -211,7 +198,7 @@ class Planner:
             probes_before = 0 if cache is None else cache.hit_total()
             tuned = autotune_blocking(
                 A, d_eff, lambda: cfg.build_rng(), kernel=kernel,
-                backend=backend, cache=cache)
+                cache=cache)
             cached_tune = cache is not None and \
                 cache.hit_total() > probes_before
             b_d, b_n = tuned.b_d, tuned.b_n
@@ -309,7 +296,7 @@ class Planner:
         plan = SketchPlan(
             problem=ProblemSpec(m=m, n=n, d=d_eff, nnz=A.nnz,
                                 gamma=gamma_used, batch=batch),
-            kernel=kernel, b_d=b_d, b_n=b_n, backend=backend.name,
+            kernel=kernel, b_d=b_d, b_n=b_n,
             rng=RngSpec(kind=cfg.rng_kind, seed=cfg_seed,
                         distribution=cfg.distribution,
                         normalize=cfg.normalize,

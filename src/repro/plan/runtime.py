@@ -99,8 +99,7 @@ def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
                      kernel=plan.kernel)
     return sketch_spmm(
         A, plan.problem.d, factory(0), kernel=plan.kernel,
-        b_d=plan.b_d, b_n=plan.b_n, backend=plan.backend,
-        blocked=blocked, on_block=on_block,
+        b_d=plan.b_d, b_n=plan.b_n, blocked=blocked, on_block=on_block,
     )
 
 
@@ -460,7 +459,6 @@ class Runtime:
         Returns ``{shard index: {"rows": ..., "repartitioned": ...}}``
         for shards with state to resume (feeds ``shard_resumed`` events).
         """
-        from ..kernels.backends import resolve_backend
         from ..persist.resume import latest_verified_snapshot
         from ..persist.snapshot import (
             FINGERPRINT_KEYS,
@@ -469,13 +467,12 @@ class Runtime:
         )
 
         rng = factory(0)
-        backend = resolve_backend(plan.backend).name
 
         def shard_fp(shard: ShardPlan) -> dict:
             fp = run_fingerprint(
                 mode="blocked", d=plan.problem.d, n=shard.ncols,
                 b_d=plan.b_d, b_n=plan.b_n, kernel=plan.kernel,
-                backend=backend, rng_kind=rng.family, seed=rng.seed,
+                rng_kind=rng.family, seed=rng.seed,
                 distribution=rng.dist.name)
             fp["shard_col_start"] = int(shard.col_start)
             fp["shard_col_stop"] = int(shard.col_stop)

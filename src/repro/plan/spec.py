@@ -4,7 +4,7 @@ The paper's whole design is a *planning* problem: pick a kernel
 (Algorithm 3 vs 4), a blocking ``(b_d, b_n)``, an RNG family, and a
 layout from the machine model (Section III, Eq. 4–7).  A
 :class:`SketchPlan` is that decision record made explicit: everything
-needed to execute — problem shape, ``d``, kernel, blocking, backend,
+needed to execute — problem shape, ``d``, kernel, blocking,
 generator spec, resilience policy, persistence policy — plus a list of
 :class:`PlanDecision` entries recording *why* each choice was made
 (rendered by :meth:`SketchPlan.explain`).
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..errors import ConfigError
-from ..kernels.backends import available_backends
+from ..kernels.backends import NUMPY, available_backends
 from ..parallel.procpool import WorkerPoolConfig
 from ..parallel.resilience import DegradationPolicy, ResilienceConfig
 from ..rng.base import SketchingRNG, make_rng
@@ -448,8 +448,6 @@ class SketchPlan:
         ``"auto"`` (resolution is the planner's job).
     b_d, b_n:
         The Algorithm 1 blocking.
-    backend:
-        Resolved kernel-backend name; must be registered (``"numpy"``).
     rng:
         Generator recipe (family, seed, distribution, normalization).
     threads:
@@ -487,7 +485,6 @@ class SketchPlan:
     kernel: str
     b_d: int
     b_n: int
-    backend: str = "numpy"
     rng: RngSpec = RngSpec()
     threads: int = 1
     driver: str = "auto"
@@ -500,7 +497,6 @@ class SketchPlan:
 
     def __post_init__(self) -> None:
         check_choice(self.kernel, "kernel", _PLAN_KERNELS)
-        check_choice(self.backend, "backend", available_backends())
         check_choice(self.driver, "driver", _DRIVERS)
         check_positive_int(self.b_d, "b_d")
         check_positive_int(self.b_n, "b_n")
@@ -608,7 +604,7 @@ class SketchPlan:
         fp = run_fingerprint(
             mode=mode, d=self.problem.d, n=self.problem.n,
             b_d=self.b_d, b_n=self.b_n, kernel=self.kernel,
-            backend=self.backend, rng_kind=self.rng.kind,
+            rng_kind=self.rng.kind,
             seed=self.rng.seed, distribution=self.rng.distribution,
         )
         if self.shard is not None:
@@ -628,7 +624,8 @@ class SketchPlan:
             "kernel": self.kernel,
             "b_d": int(self.b_d),
             "b_n": int(self.b_n),
-            "backend": self.backend,
+            # The one kernel backend; recorded so plan digests stay put.
+            "backend": NUMPY.name,
             "rng": self.rng.to_dict(),
             "threads": int(self.threads),
             # The one task order left; recorded so plan digests stay put.
@@ -660,12 +657,13 @@ class SketchPlan:
             raise ConfigError(
                 f"plan strategy must be 'static' (tasks are handed out one "
                 f"per free thread), got {strategy!r}")
+        check_choice(data.get("backend", NUMPY.name), "backend",
+                     available_backends())
         return cls(
             problem=ProblemSpec.from_dict(data["problem"]),
             kernel=data["kernel"],
             b_d=int(data["b_d"]),
             b_n=int(data["b_n"]),
-            backend=data.get("backend", "numpy"),
             rng=RngSpec.from_dict(data.get("rng", {})),
             threads=int(data.get("threads", 1)),
             driver=data.get("driver", "auto"),
@@ -737,7 +735,7 @@ class SketchPlan:
             f"-> {p.d} x {p.n} sketch, d={p.d}{gamma}",
             f"  kernel      : {self.kernel}",
             f"  blocking    : b_d={self.b_d}, b_n={self.b_n}",
-            f"  backend     : {self.backend}",
+            f"  backend     : {NUMPY.name}",
             f"  rng         : {self.rng.kind} "
             + (f"batch_seeds={list(self.rng.batch_seeds)} "
                if self.rng.batch_seeds is not None

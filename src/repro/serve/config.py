@@ -55,7 +55,7 @@ class ServeConfig:
         bit-identical to a solo run).  1 disables coalescing.
     warm_pools:
         LRU bound on live :class:`ProcessPoolSupervisor` instances
-        (one per (matrix, kernel, backend, partition) binding).
+        (one per (matrix, kernel, partition) binding).
     max_matrices:
         LRU bound on input matrices held in memory.
     checkpoint_dir:

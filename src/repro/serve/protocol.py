@@ -52,8 +52,8 @@ __all__ = ["SketchRequest", "parse_request", "encode_result",
 OUTPUT_MODES = ("digest", "array", "none")
 
 _CONFIG_FIELDS = frozenset({
-    "gamma", "distribution", "rng_kind", "kernel", "backend", "b_d", "b_n",
-    "seed", "normalize", "threads", "resilience", "d", "driver", "workers",
+    "gamma", "distribution", "rng_kind", "kernel", "b_d", "b_n", "seed",
+    "normalize", "threads", "resilience", "d", "driver", "workers",
 })
 
 _CHAOS_FIELDS = frozenset({"faults", "seed", "slow_client", "kill_pool"})

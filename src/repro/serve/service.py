@@ -338,10 +338,10 @@ class SketchService:
         the request must not be coalesced.
 
         Two requests may share a batched run only when everything that
-        shapes the computation — matrix spec, kernel, backend,
-        blocking, distribution, generator family, driver, partition —
-        is identical; only the seed may differ (it becomes that
-        request's entry in ``batch_seeds``).  Frozen-plan requests,
+        shapes the computation — matrix spec, kernel, blocking,
+        distribution, generator family, driver, partition — is
+        identical; only the seed may differ (it becomes that request's
+        entry in ``batch_seeds``).  Frozen-plan requests,
         chaos requests, and the pregenerated kernel (which has no
         batched tier) always run solo.
         """
@@ -690,11 +690,11 @@ class SketchService:
         elif plan.partition is not None:
             shard = ("partition", int(plan.partition.shards),
                      plan.partition.strategy)
-        return (matrix_key, plan.kernel, plan.backend, b_n, shard)
+        return (matrix_key, plan.kernel, b_n, shard)
 
     def _get_pool(self, plan, A, matrix_key: str, blocked):
         """Fetch or build the warm pool bound to this (matrix, kernel,
-        backend, partition); LRU-evicts (and closes) excess pools."""
+        partition); LRU-evicts (and closes) excess pools."""
         from ..parallel.procpool import ProcessPoolSupervisor
 
         key = self._pool_key(plan, matrix_key)

@@ -33,10 +33,9 @@ def make_cache(tmp_path):
 class TestTuneRoundTrip:
     def test_disk_round_trip(self, tmp_path, A):
         result = TuneResult(kernel="algo3", b_d=16, b_n=8, seconds=0.01,
-                            trials=[("algo3", 16, 8, 0.01)],
-                            backend="numpy", tuning_seed=9)
-        key = tune_key(A, kernel="algo3", d=30, backend="numpy",
-                       max_tuning_cols=16, repeats=1, tuning_seed=9)
+                            trials=[("algo3", 16, 8, 0.01)], tuning_seed=9)
+        key = tune_key(A, kernel="algo3", d=30, max_tuning_cols=16,
+                       repeats=1, tuning_seed=9)
         store_tune_result(make_cache(tmp_path), key, result)
         got = fetch_tune_result(make_cache(tmp_path), key)
         assert got is not None
@@ -64,9 +63,8 @@ class TestKernelChoiceRoundTrip:
     def test_disk_round_trip(self, tmp_path, A):
         choice = KernelChoice(kernel="algo4", reason="concentrated",
                               column_concentration=0.4,
-                              machine_favors_reuse=True, backend="numpy")
-        key = kernel_choice_key(A, backend="numpy",
-                                concentration_threshold=0.5)
+                              machine_favors_reuse=True)
+        key = kernel_choice_key(A, concentration_threshold=0.5)
         store_kernel_choice(make_cache(tmp_path), key, choice)
         got = fetch_kernel_choice(make_cache(tmp_path), key)
         assert got is not None

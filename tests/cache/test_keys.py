@@ -67,13 +67,13 @@ class TestKeyRecipes:
             cache_key("tune", {"b": 2.5, "a": 1})
 
     def test_tune_key_tracks_every_input(self, small_sparse):
-        base = dict(kernel="algo3", d=30, backend="numpy",
-                    max_tuning_cols=16, repeats=1, tuning_seed=0)
+        base = dict(kernel="algo3", d=30, max_tuning_cols=16, repeats=1,
+                    tuning_seed=0)
         ref = tune_key(small_sparse, **base)
         assert tune_key(small_sparse, **base) == ref
         for field, value in [("kernel", "algo4"), ("d", 31),
-                             ("backend", "numba"), ("max_tuning_cols", 8),
-                             ("repeats", 2), ("tuning_seed", 1)]:
+                             ("max_tuning_cols", 8), ("repeats", 2),
+                             ("tuning_seed", 1)]:
             assert tune_key(small_sparse, **{**base, field: value}) != ref
         assert tune_key(small_sparse, **base,
                         candidates=[(4, 4)]) != ref
@@ -86,6 +86,6 @@ class TestKeyRecipes:
 
     def test_choice_key_shares_across_values(self, small_sparse):
         twin = _same_pattern_different_values(small_sparse)
-        kw = dict(backend="numpy", concentration_threshold=0.5)
+        kw = dict(concentration_threshold=0.5)
         assert kernel_choice_key(small_sparse, **kw) == \
             kernel_choice_key(twin, **kw)

@@ -1,6 +1,6 @@
-"""Tests for repro.kernels.backends — resolution, reuse, stats surface.
+"""Tests for repro.kernels.backends — the one backend, reuse, stats surface.
 
-* backend resolution (names, ``auto``, instance pass-through);
+* ``numpy`` is the one backend, and nothing can select another;
 * reused per-thread scratch must not change results;
 * every entry point records the backend that ran.
 """
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import SketchConfig, sketch
-from repro.errors import ConfigError
-from repro.kernels.backends import NUMPY, available_backends, resolve_backend
+from repro.kernels.backends import available_backends
 from repro.kernels.blocking import sketch_spmm
 from repro.plan import Planner, Runtime
 from repro.rng.base import make_rng
@@ -31,18 +30,6 @@ class TestRegistry:
     def test_registered_and_available(self):
         assert available_backends() == ["numpy"]
 
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(ConfigError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_resolve_accepts_instance(self):
-        assert resolve_backend(NUMPY) is NUMPY
-        assert resolve_backend("numpy") is NUMPY
-
-    def test_resolve_auto_is_numpy(self):
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("auto").name == "numpy"
-
 
 class TestKernelWorkspace:
     """Kernels keep no scratch of their own; what calls reuse is each
@@ -53,18 +40,16 @@ class TestKernelWorkspace:
     def test_workspace_reuse_is_bit_identical(self, kernel, dist):
         A = _matrix_with_empty_columns()
         base, _ = sketch_spmm(A, 48, make_rng("xoshiro", 5, dist),
-                              kernel=kernel, b_d=16, b_n=7, backend="numpy")
+                              kernel=kernel, b_d=16, b_n=7)
         for _ in range(3):  # steady state: buffers already grown
             again, _ = sketch_spmm(A, 48, make_rng("xoshiro", 5, dist),
-                                   kernel=kernel, b_d=16, b_n=7,
-                                   backend="numpy")
+                                   kernel=kernel, b_d=16, b_n=7)
             assert np.array_equal(base, again)
 
 
 class TestStatsSurface:
     def test_sketch_spmm_records_backend(self, tall_sparse):
-        _, stats = sketch_spmm(tall_sparse, 80, make_rng("xoshiro", 0),
-                               backend="numpy")
+        _, stats = sketch_spmm(tall_sparse, 80, make_rng("xoshiro", 0))
         assert stats.extra["backend"] == "numpy"
 
     def test_reference_path_reports_reference(self, small_sparse):
@@ -76,8 +61,7 @@ class TestStatsSurface:
         from repro.parallel import ResilienceConfig
 
         cfg = SketchConfig(rng_kind="xoshiro", seed=0, kernel="algo3",
-                           threads=2, backend="numpy",
-                           resilience=ResilienceConfig())
+                           threads=2, resilience=ResilienceConfig())
         plan = Planner().compile(tall_sparse, cfg, d=80, driver="engine")
         stats = Runtime().run(plan, tall_sparse).stats
         assert stats.health is not None
@@ -86,23 +70,31 @@ class TestStatsSurface:
         assert stats.health.as_dict()["backend"] == "numpy"
 
     def test_config_rejects_unregistered_backend(self):
-        with pytest.raises(ConfigError, match="backend"):
-            SketchConfig(backend="cython")
+        # No name is registered: SketchConfig has no backend setting.
+        for name in ("cython", "numpy", "auto"):
+            with pytest.raises(TypeError, match="backend"):
+                SketchConfig(backend=name)
 
     def test_sketch_backend_kwarg(self, tall_sparse):
-        res = sketch(tall_sparse, gamma=2.0, backend="numpy")
+        res = sketch(tall_sparse, gamma=2.0)
         assert res.stats.extra["backend"] == "numpy"
+        with pytest.raises(TypeError, match="backend"):
+            sketch(tall_sparse, gamma=2.0, backend="numpy")
 
     def test_cli_backend_flag(self, capsys):
-        from repro.cli import main
-
-        rc = main(["--json", "sketch", "--random", "200", "30", "0.05",
-                   "--backend", "numpy"])
-        assert rc == 0
         import json
 
+        from repro.cli import main
+
+        rc = main(["--json", "sketch", "--random", "200", "30", "0.05"])
+        assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "numpy"
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", "--random", "120", "20", "0.05",
+                  "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_rejects_numba(self, capsys):
         from repro.cli import main
@@ -111,4 +103,4 @@ class TestStatsSurface:
             main(["sketch", "--random", "120", "20", "0.05",
                   "--backend", "numba"])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
-from repro.kernels import algo3_block, algo4_block, available_backends
+from repro.kernels import algo3_block, algo4_block
 from repro.kernels.backends import NUMPY
 from repro.kernels.blocking import sketch_spmm
 from repro.rng.base import make_rng
@@ -138,9 +138,8 @@ class TestBackendBatched:
 
     A = _matrix_with_empty_structure(seed=7)
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("kernel", ("algo3", "algo4"))
-    def test_backend_batched_matches_base_loop(self, backend, kernel):
+    def test_backend_batched_matches_base_loop(self, kernel):
         d1, r = 20, 16
         brng = make_batched_rng("philox", SEEDS)
         A_blk = (self.A if kernel == "algo3"
@@ -158,22 +157,20 @@ class TestSketchSpmmBatched:
 
     A = random_sparse(300, 120, 0.05, seed=3)
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("kind", ("philox", "threefry", "xoshiro"))
     @pytest.mark.parametrize("kernel", ("algo3", "algo4"))
-    def test_bit_identical_to_independent_runs(self, kernel, kind, backend):
+    def test_bit_identical_to_independent_runs(self, kernel, kind):
         d, b_d, b_n = 64, 32, 40
         brng = make_batched_rng(kind, SEEDS)
         stacked, stats = sketch_spmm(
-            self.A, d, brng, kernel=kernel, b_d=b_d, b_n=b_n,
-            backend=backend)
+            self.A, d, brng, kernel=kernel, b_d=b_d, b_n=b_n)
         assert stacked.shape == (len(SEEDS), d, self.A.shape[1])
         assert stacked.flags.c_contiguous
         assert stats.extra["batch"] == len(SEEDS)
         for t, seed in enumerate(SEEDS):
             solo, solo_stats = sketch_spmm(
                 self.A, d, make_rng(kind, seed), kernel=kernel,
-                b_d=b_d, b_n=b_n, backend=backend)
+                b_d=b_d, b_n=b_n)
             assert np.array_equal(stacked[t], solo)
         # Sample accounting equals k independent runs too.
         assert stats.samples_generated == len(SEEDS) * solo_stats.samples_generated
@@ -204,8 +201,7 @@ class TestWorkspaceReuse:
                              b_d=b_d, b_n=b_n)
         return out
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_interleaved_geometries_one_workspace(self, backend):
+    def test_interleaved_geometries_one_workspace(self):
         # Interleave batched and solo runs with shrinking AND growing
         # shapes (d, b_d, b_n, batch) on one thread; every output must
         # match the single-sketch run bit for bit.
@@ -219,7 +215,7 @@ class TestWorkspaceReuse:
         for kernel, kind, d, b_d, b_n, seeds in schedule:
             stacked, _ = sketch_spmm(
                 self.A, d, make_batched_rng(kind, seeds), kernel=kernel,
-                b_d=b_d, b_n=b_n, backend=backend)
+                b_d=b_d, b_n=b_n)
             for t, seed in enumerate(seeds):
                 expected = self._expected(kernel, kind, seed, d, b_d, b_n)
                 assert np.array_equal(stacked[t], expected), \

@@ -1,5 +1,7 @@
 """Tests for repro.parallel.executor (thread-pool sketching)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,28 @@ class TestStats:
         with pytest.raises(RuntimeError, match="factory boom"):
             engine_sketch(A, 12, bad_factory, threads=2,
                           probe=PhiloxSketchRNG(0))
+
+    def test_fatal_failure_cancels_queued_tasks(self, A, monkeypatch):
+        # 4 x 10 = 40 tasks on 2 threads with no resilience policy: the
+        # first task's exception is final, so the queued tiles must be
+        # dropped rather than computed before the error surfaces.
+        from repro.parallel import executor
+
+        real = executor.compute_tile
+        computed = []
+
+        def tile(kernel, view, A_, blocks, i, j, n1, rng, watch=None):
+            if (i, j) == (0, 0):
+                raise RuntimeError("tile boom")
+            time.sleep(0.005)
+            real(kernel, view, A_, blocks, i, j, n1, rng, watch)
+            computed.append((i, j))
+
+        monkeypatch.setattr(executor, "compute_tile", tile)
+        with pytest.raises(RuntimeError, match="tile boom"):
+            engine_sketch(A, 40, lambda w: PhiloxSketchRNG(0), threads=2,
+                          b_d=10, b_n=3)
+        assert len(computed) < 39
 
     def test_invalid_kernel(self, A):
         with pytest.raises(ConfigError):

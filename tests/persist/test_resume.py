@@ -117,6 +117,26 @@ class TestResume:
                                    expect={"seed": 7, "kernel": "algo3"})
         assert resumed.rows_seen == 32
 
+    def test_foreign_backend_is_refused(self, tmp_path, A, monkeypatch):
+        # A snapshot whose fingerprint names a backend other than numpy
+        # comes from another build: neither resume nor the replay audit
+        # may trust it.
+        from repro.errors import ConfigError
+        from repro.persist import verify_snapshot
+
+        st = StreamingSketch(10, A.shape[1], make_rng("philox", 7),
+                             kernel="algo3",
+                             persistence=PersistencePolicy(
+                                 checkpoint_dir=str(tmp_path), every=16))
+        monkeypatch.setattr(st, "fingerprint",
+                            lambda: {**type(st).fingerprint(st),
+                                     "backend": "numba"})
+        st.absorb(_batches(A, 16)[0])
+        with pytest.raises(CheckpointMismatchError, match="backend"):
+            resume_streaming(tmp_path)
+        with pytest.raises(ConfigError, match="backend"):
+            verify_snapshot(tmp_path, A)
+
     def test_entry_mode_round_trip(self, tmp_path, A):
         coo = A.to_coo()
         ref = StreamingSketch(10, A.shape[1], make_rng("philox", 7),

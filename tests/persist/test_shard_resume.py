@@ -42,7 +42,7 @@ from repro.sparse import random_sparse
 ckdir = sys.argv[1]
 A = random_sparse(160, 48, 0.1, seed=13)
 cfg = SketchConfig(gamma=2.0, kernel="algo4", rng_kind="philox", seed=7,
-                   b_d=8, b_n=8, backend="numpy")
+                   b_d=8, b_n=8)
 rt = Runtime()
 
 def stall(event):
@@ -60,7 +60,7 @@ rt.run(plan, A)
 
 def _cfg():
     return SketchConfig(gamma=2.0, kernel="algo4", rng_kind="philox",
-                        seed=7, b_d=8, b_n=8, backend="numpy")
+                        seed=7, b_d=8, b_n=8)
 
 
 def _sigkill_child(tmp_path):

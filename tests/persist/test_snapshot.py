@@ -23,8 +23,7 @@ from repro.persist import (
 
 def _fp(**overrides):
     base = dict(mode="streaming", d=8, n=6, b_d=8, b_n=6, kernel="algo3",
-                backend="numpy", rng_kind="philox", seed=7,
-                distribution="uniform")
+                rng_kind="philox", seed=7, distribution="uniform")
     base.update(overrides)
     return run_fingerprint(**base)
 

@@ -7,7 +7,8 @@ kernel (``sketch_spmm(..., reference=True)``) run on the same seed.
 
 Hypothesis sweeps driver {serial, engine on 1 or 2 threads, process on
 2 workers} x kernel {algo3, algo4} x batch {1, 3} x cache {none, cold,
-warm}, and adds a fault that the drawn driver is expected to survive:
+warm} x partition {none, 2 shards ``even``, 2 shards ``nnz_balanced``},
+and adds a fault that the drawn driver is expected to survive:
 ``raise`` and ``rng`` under a resilience policy on the engine,
 ``kill_worker`` and ``corrupt_tile`` on the process driver, and a
 ``bitflip`` in every payload of a warm cache.  A hung worker and a
@@ -27,7 +28,7 @@ from repro.core import SketchConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.kernels import sketch_spmm
 from repro.parallel import ResilienceConfig, WorkerPoolConfig
-from repro.plan import Planner, Runtime
+from repro.plan import PartitionSpec, Planner, Runtime
 from repro.rng import make_rng
 from repro.sparse import random_sparse
 
@@ -56,6 +57,7 @@ class Case:
     rng_kind: str = "philox"
     distribution: str = "uniform"
     seed: int = 0
+    partition: str = "none"
 
 
 @st.composite
@@ -74,6 +76,7 @@ def cases(draw) -> Case:
         distribution=draw(st.sampled_from(
             ("uniform", "gaussian", "rademacher"))),
         seed=draw(st.integers(0, 2**31 - 1)),
+        partition=draw(st.sampled_from(("none", "even", "nnz_balanced"))),
     )
 
 
@@ -118,8 +121,11 @@ def _run(case: Case, cache_dir: Path | None):
              else None)
     cache = (None if cache_dir is None
              else ArtifactCache(CachePolicy(cache_dir=str(cache_dir))))
+    partition = (None if case.partition == "none"
+                 else PartitionSpec(shards=2, strategy=case.partition))
     plan = Planner().compile(A, cfg, d=D, driver=driver, pool=_pool(case),
-                             batch_seeds=seeds, cache=cache)
+                             batch_seeds=seeds, cache=cache,
+                             partition=partition)
     return Runtime().run(plan, A, injector=_injector(case), cache=cache)
 
 
@@ -161,7 +167,7 @@ def _check(case: Case) -> None:
     else:
         assert np.array_equal(got, want)
     if case.fault == "poison":
-        assert result.stats.health.quarantined_tasks >= 1
+        assert result.stats.health.quarantined_tasks == 1
         assert result.stats.health.degraded_to_thread
 
 

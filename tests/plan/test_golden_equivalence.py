@@ -5,7 +5,7 @@ The oracle is :func:`repro.kernels.sketch_spmm` — the kernel layer the
 refactor did not touch.  Every public entry point (``Runtime.run``,
 ``sketch()``, ``StreamingSketch``, an engine plan run with its own
 generator factory) must produce
-the same bits for the same ``(kernel, backend, seed)``, across thread
+the same bits for the same ``(kernel, seed)``, across thread
 counts and across a checkpoint/resume cycle, and a plan must survive
 JSON serialize -> deserialize -> run without changing a single bit.
 """
@@ -30,7 +30,6 @@ D, B_D, B_N = 36, 12, 10
 SEED = 9
 
 KERNELS = ("algo3", "algo4")
-BACKENDS = ("numpy",)
 
 
 @pytest.fixture(scope="module")
@@ -38,48 +37,45 @@ def A():
     return random_sparse(120, 30, 0.1, seed=301)
 
 
-def oracle(A, kernel, backend="numpy"):
+def oracle(A, kernel):
     """The pre-refactor ground truth: the untouched kernel layer."""
     out, _ = sketch_spmm(A, D, make_rng("philox", SEED), kernel=kernel,
-                         b_d=B_D, b_n=B_N, backend=backend)
+                         b_d=B_D, b_n=B_N)
     return out
 
 
-def make_plan(A, kernel, backend="numpy", **overrides):
+def make_plan(A, kernel, **overrides):
     base = dict(
         problem=ProblemSpec(m=A.shape[0], n=A.shape[1], d=D, nnz=A.nnz),
-        kernel=kernel, b_d=B_D, b_n=B_N, backend=backend,
+        kernel=kernel, b_d=B_D, b_n=B_N,
         rng=RngSpec(kind="philox", seed=SEED),
     )
     base.update(overrides)
     return SketchPlan(**base)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", KERNELS)
 class TestRuntimeMatchesKernelLayer:
-    def test_serial_driver(self, A, kernel, backend):
-        result = Runtime().run(make_plan(A, kernel, backend,
-                                         driver="serial"), A)
-        np.testing.assert_array_equal(result.sketch, oracle(A, kernel, backend))
+    def test_serial_driver(self, A, kernel):
+        result = Runtime().run(make_plan(A, kernel, driver="serial"), A)
+        np.testing.assert_array_equal(result.sketch, oracle(A, kernel))
 
-    def test_engine_driver_one_thread(self, A, kernel, backend):
-        result = Runtime().run(make_plan(A, kernel, backend,
-                                         driver="engine"), A)
-        np.testing.assert_array_equal(result.sketch, oracle(A, kernel, backend))
+    def test_engine_driver_one_thread(self, A, kernel):
+        result = Runtime().run(make_plan(A, kernel, driver="engine"), A)
+        np.testing.assert_array_equal(result.sketch, oracle(A, kernel))
 
-    def test_engine_driver_four_threads(self, A, kernel, backend):
-        result = Runtime().run(make_plan(A, kernel, backend, driver="engine",
+    def test_engine_driver_four_threads(self, A, kernel):
+        result = Runtime().run(make_plan(A, kernel, driver="engine",
                                          threads=4), A)
-        np.testing.assert_array_equal(result.sketch, oracle(A, kernel, backend))
+        np.testing.assert_array_equal(result.sketch, oracle(A, kernel))
 
-    def test_json_round_trip_then_run(self, A, kernel, backend, tmp_path):
+    def test_json_round_trip_then_run(self, A, kernel, tmp_path):
         """Serialize -> deserialize -> run reproduces the original bits."""
         path = tmp_path / "plan.json"
-        make_plan(A, kernel, backend).to_json(path)
+        make_plan(A, kernel).to_json(path)
         revived = SketchPlan.from_json(path)
         result = Runtime().run(revived, A)
-        np.testing.assert_array_equal(result.sketch, oracle(A, kernel, backend))
+        np.testing.assert_array_equal(result.sketch, oracle(A, kernel))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -80,7 +80,7 @@ class TestPlanValidation:
             SketchPlan.from_json(json.dumps(data))
 
     def test_numpy_plan_keeps_its_digest(self):
-        plan = make_plan(backend="numpy")
+        plan = make_plan()
         clone = SketchPlan.from_json(plan.to_json())
         assert clone.to_dict()["backend"] == "numpy"
         # Pinned: removing the other backends must not move a digest.
@@ -105,7 +105,6 @@ class TestPlanValidation:
 class TestJsonRoundTrip:
     def test_dict_round_trip_identity(self):
         plan = make_plan(
-            backend="numpy",
             rng=RngSpec(kind="philox", seed=7, distribution="rademacher",
                         normalize=True),
             threads=4, driver="engine",

@@ -54,6 +54,13 @@ class TestEndpoints:
         assert status == 400
         assert body["error"] == "ConfigError"
 
+    def test_backend_config_field_400(self, daemon):
+        status, body, _ = daemon.post({"matrix": MATRIX,
+                                       "config": {"backend": "numpy"}})
+        assert status == 400
+        assert body["error"] == "ConfigError"
+        assert "backend" in body["message"]
+
 
 class TestSigtermDrain:
     def test_drain_contract(self, daemon):

@@ -71,6 +71,12 @@ class TestParseRequest:
             parse_request({"matrix": GOOD["matrix"],
                            "config": {"dd": 8}})
 
+    def test_backend_is_an_unknown_config_field(self):
+        # numpy is the one kernel backend; nothing selects it.
+        with pytest.raises(ConfigError, match="unknown config field"):
+            parse_request({"matrix": GOOD["matrix"],
+                           "config": {"backend": "numpy"}})
+
     def test_deadline_must_be_positive(self):
         with pytest.raises(ConfigError, match="deadline_seconds"):
             parse_request({**GOOD, "deadline_seconds": -1})
