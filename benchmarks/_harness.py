@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -211,18 +212,39 @@ def drift(label: str, current: float, bound: float, baseline: float,
             f"{tolerance:.0%})"]
 
 
+def host_stamp() -> dict:
+    """Which code ran where, and how loaded the host was while it ran."""
+    import numpy
+    import scipy
+
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=Path(__file__).parent, capture_output=True,
+                             text=True, timeout=10).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = ""
+    return {"git_sha": sha or "unknown", "nproc": os.cpu_count(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "loadavg": [round(x, 2) for x in os.getloadavg()]}
+
+
 def record_or_gate(label: str, payload: dict, baseline: Path, record: bool,
                    failures: Callable[[dict], list[str]], ok: str) -> None:
     """The command-line tail every bench gate shares; always exits.
 
-    With *record*, *payload* becomes the baseline at *baseline* and the
-    process exits 0.  Otherwise the run is gated: a missing baseline
-    exits 1, and so does any line ``failures(baseline_payload)`` returns;
-    a pass prints *ok*.  Only an explicit ``--record`` writes the
-    baseline, so a gate cannot ratchet it down with slow drift.
+    With *record*, *payload* becomes the baseline at *baseline*, stamped
+    with :func:`host_stamp` under ``"host"``, and the process exits 0.
+    Otherwise the run is gated: a missing baseline exits 1, and so does
+    any line ``failures(baseline_payload)`` returns; each such line
+    carries the host's load averages, so a red on a loaded host can be
+    told from a regression (the load never passes or skips a check).  A
+    pass prints *ok*.  Only an explicit ``--record`` writes the baseline,
+    so a gate cannot ratchet it down with slow drift.
     """
+    stamp = host_stamp()
     if record:
         baseline.parent.mkdir(exist_ok=True)
+        payload = {**payload, "host": stamp}
         baseline.write_text(json.dumps(payload, indent=1, sort_keys=True))
         print(f"\n{label}: recorded the baseline to {baseline}")
         sys.exit(0)
@@ -232,9 +254,11 @@ def record_or_gate(label: str, payload: dict, baseline: Path, record: bool,
         sys.exit(1)
     lines = failures(json.loads(baseline.read_text()))
     if lines:
-        print(f"\n{label}: FAILED", file=sys.stderr)
+        load = "load {:.2f} {:.2f} {:.2f}".format(*stamp["loadavg"])
+        print(f"\n{label}: FAILED (nproc {stamp['nproc']}, {load})",
+              file=sys.stderr)
         for line in lines:
-            print(f"  {line}", file=sys.stderr)
+            print(f"  {line} [{load}]", file=sys.stderr)
         sys.exit(1)
     print(f"\n{label}: {ok}")
     sys.exit(0)

@@ -160,7 +160,9 @@ class SketchOperator:
         js = np.arange(self.m, dtype=np.int64)
         for r in range(0, self.d, b_d):
             d1 = min(b_d, self.d - r)
-            panel = rng.column_block_batch(r, d1, js)
+            # A C-ordered panel keeps BLAS on the call, and so the
+            # rounding, that ``S @ X`` has always made.
+            panel = np.ascontiguousarray(rng.column_block_batch(r, d1, js))
             out[r:r + d1, :] = panel @ X2
         out *= rng.post_scale * self.scale()
         return out[:, 0] if X.ndim == 1 else out

@@ -42,9 +42,9 @@ class _OffsetRNG(SketchingRNG):
     """View of a generator with its column (sparse-row) indices shifted.
 
     Wrapping rather than copying keeps the underlying family's counters
-    and checkpoint semantics; ``column_block_batch(r, d1, js)`` delegates
-    with ``js + offset`` so batch ``t``'s local row ``j`` addresses the
-    global column ``offset + j`` of ``S``.
+    and checkpoint semantics; ``_panel(r, d1, js)``, which every entry
+    point reads, delegates with ``js + offset`` so batch ``t``'s local
+    row ``j`` addresses the global column ``offset + j`` of ``S``.
     """
 
     def __init__(self, inner: SketchingRNG, offset: int) -> None:
@@ -55,9 +55,8 @@ class _OffsetRNG(SketchingRNG):
     def _bits_block(self, r, d1, js):  # pragma: no cover - not reached
         raise NotImplementedError
 
-    def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        js = np.asarray(js, dtype=np.int64)
-        return self._inner.column_block_batch(r, d1, js + self._offset)
+    def _panel(self, r, d1, js, out=None):
+        return self._inner._panel(r, d1, js + self._offset, out)
 
     @property
     def blocking_independent(self) -> bool:

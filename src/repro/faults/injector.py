@@ -71,8 +71,8 @@ class CorruptingRNG(SketchingRNG):
     A proper :class:`~repro.rng.base.SketchingRNG` subclass (mirroring the
     streaming layer's ``_OffsetRNG`` view): every derived entry point —
     :meth:`~repro.rng.base.SketchingRNG.column_block`,
-    :meth:`~repro.rng.base.SketchingRNG.materialize` — routes through the
-    corrupted :meth:`column_block_batch`, and the identity / counter
+    :meth:`~repro.rng.base.SketchingRNG.materialize`, a batched stack —
+    routes through the corrupted :meth:`_panel`, and the identity / counter
     properties forward to the wrapped generator (setters included), so the
     corruption composes with offset views in either nesting order and run
     accounting stays truthful.
@@ -86,8 +86,10 @@ class CorruptingRNG(SketchingRNG):
     def _bits_block(self, r, d1, js):  # pragma: no cover - not reached
         raise NotImplementedError
 
-    def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        return self._inner.column_block_batch(r, d1, js) * self._magnitude
+    def _panel(self, r, d1, js, out=None):
+        out = self._inner._panel(r, d1, js, out)
+        out *= self._magnitude
+        return out
 
     @property
     def blocking_independent(self) -> bool:

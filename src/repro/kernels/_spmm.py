@@ -34,13 +34,16 @@ def csr_matvecs(Ap: np.ndarray, Aj: np.ndarray, Ax: np.ndarray,
     """``Y += A @ X`` in place; row ``t`` of *X* or *Y* is one flat vector.
 
     The compiled code checks no bounds, so the shapes are checked here.
+    *Y* must be C-ordered.  The samplers write *X* C-ordered; any other
+    *X* (a stand-in generator's) is copied once.
     """
     if (X.shape[1:] != Y.shape[1:] or Ap.size != Y.shape[0] + 1
             or (Aj.size and Aj.max() >= X.shape[0])):
         raise ShapeError(f"CSR with {Ap.size - 1} rows and {Aj.size} "
                          f"entries does not fit X {X.shape}, Y {Y.shape}")
     _routine("csr_matvecs")(Y.shape[0], X.shape[0],
-                            X.size // max(X.shape[0], 1), Ap, Aj, Ax, X, Y)
+                            X.size // max(X.shape[0], 1), Ap, Aj, Ax,
+                            np.ascontiguousarray(X), Y)
 
 
 def csr_tocsc(n_row: int, n_col: int, Ap: np.ndarray, Aj: np.ndarray,

@@ -16,8 +16,9 @@ Two implementations:
 * :func:`algo3_block` — the production path.  Columns go in groups whose
   panel holds at most :data:`GROUP_ENTRIES` entries (whole columns, at
   least one per group).  One batched RNG call samples a group's panel
-  ``V`` (one sketch column per nonzero), and scipy's compiled ``csr_matvecs``
-  (:mod:`repro.kernels._spmm`) adds it, ``Ahat_subᵀ[cols] += P @ Vᵀ``.
+  ``Vᵀ`` (one row per nonzero, the sampler's native layout), and scipy's
+  compiled ``csr_matvecs`` (:mod:`repro.kernels._spmm`) adds it as it
+  is, ``Ahat_subᵀ[cols] += P @ Vᵀ``.
   ``P`` is the group's own CSC arrays read as CSR: the rebased column
   pointers, one panel column per nonzero, the values.  Every output entry
   receives ``a_jk * v_i`` with a separate multiply and add, in stored
@@ -72,9 +73,8 @@ def algo3_block_reference(Ahat_sub: np.ndarray, A_sub: CSCMatrix, r: int,
 
 
 #: Panel entries per column group, all sketches of a stack together
-#: (more only for a single longer column): the group's panel and its
-#: transposed copy stay cache-sized scratch, the role of the pseudocode's
-#: reusable vector ``v``.
+#: (more only for a single longer column): the group's panel stays
+#: cache-sized, the role of the pseudocode's reusable vector ``v``.
 GROUP_ENTRIES = 2 ** 18
 
 
@@ -115,8 +115,7 @@ def algo3_block(Ahat_sub: np.ndarray, A_sub: CSCMatrix, r: int,
                      else rng.column_block_batch(r, d1, js))
             with sw.bucket("compute"):
                 csr_matvecs(indptr[c:c_end + 1] - lo, np.arange(hi - lo),
-                            A_sub.data[lo:hi],
-                            np.ascontiguousarray(np.moveaxis(V, -1, 0)),
+                            A_sub.data[lo:hi], np.moveaxis(V, -1, 0),
                             Y[c:c_end])
         c = c_end
     if Y is not out_t:

@@ -13,8 +13,9 @@ the row's column pattern, and the auxiliary blocked-CSR structure.
 
 * :func:`algo4_block_reference` — the pseudocode verbatim.
 * :func:`algo4_block` — production path: one batched RNG call generates the
-  panel ``V`` for every non-empty row of the block (that is the entire RNG
-  cost, demonstrating the reuse), then :func:`apply_panel` adds it,
+  panel ``Vᵀ`` for every non-empty row of the block (that is the entire
+  RNG cost, demonstrating the reuse), in the layout the apply reads, then
+  :func:`apply_panel` adds it,
   ``Ahat_subᵀ += P @ Vᵀ``, with scipy's compiled ``csr_matvecs``
   (:mod:`repro.kernels._spmm`), one call per chunk of :data:`PANEL_ROWS`
   panel rows (``n1`` in wider blocks).  ``P`` is the block's
@@ -77,8 +78,8 @@ def algo4_block_reference(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
 
 
 #: Panel rows per compiled call (at least ``n1``, which bounds the chunks'
-#: column pointers by the block's size): a chunk's transposed panel copy
-#: stays cache-sized, faster than one call per block and no bigger.
+#: column pointers by the block's size): the rows a call reads stay
+#: cache-sized.
 PANEL_ROWS = 256
 
 #: Each block's chunked pattern, built on first use, dropped with the block.
@@ -115,12 +116,13 @@ def apply_panel(out_t: np.ndarray, V_t: np.ndarray, pattern: list) -> None:
     """``out_t += P @ V_t`` in the reference order, for one or k sketches.
 
     *out_t* is the output transposed, ``(n1, d1)`` or ``(n1, k, d1)``;
-    *V_t* the panel transposed the same way.  An *out_t* that is not
-    C-ordered goes through one copy in and one copy out.
+    *V_t* the panel in the same layout, as the sampler writes it.  An
+    *out_t* that is not C-ordered goes through one copy in and one copy
+    out.
     """
     Y = out_t if out_t.flags.c_contiguous else out_t.copy()
     for t0, t1, chunk in pattern:
-        csr_matvecs(*chunk, np.ascontiguousarray(V_t[t0:t1]), Y)
+        csr_matvecs(*chunk, V_t[t0:t1], Y)
     if Y is not out_t:
         np.copyto(out_t, Y)
 

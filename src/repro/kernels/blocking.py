@@ -141,8 +141,8 @@ def sketch_spmm(
         A :class:`~repro.rng.batched.BatchedSketchRNG`, or a sequence of
         generators (which is wrapped in one), computes ``k`` sketches of
         the same ``A`` in one blocked pass: the fixed-``A``, many-sketches
-        tier, where one traversal of the sparse structure and one stacked
-        RNG call per panel serve the whole batch.
+        tier, where one traversal of the sparse structure serves the
+        whole batch and each member samples its slice of one panel.
     kernel:
         ``"algo3"`` (kji, CSC-driven) or ``"algo4"`` (jki, blocked-CSR).
     b_d, b_n:

@@ -24,7 +24,6 @@ report alongside time (the "sample time" columns of Tables III and V).
 from __future__ import annotations
 
 import abc
-import math
 from typing import Callable
 
 import numpy as np
@@ -35,7 +34,7 @@ from .distributions import Distribution, get_distribution
 from .philox import PHILOX_DEFAULT_ROUNDS, key_from_seed, philox_uint64
 from .scratch import Scratch, thread_scratch
 from .threefry import THREEFRY_DEFAULT_ROUNDS, key_pair_from_seed, threefry_uint64
-from .xoshiro import DEFAULT_LANES, checkpoint_bits
+from .xoshiro import DEFAULT_LANES, checkpoint_panel
 
 __all__ = [
     "SketchingRNG",
@@ -47,7 +46,7 @@ __all__ = [
     "CHUNK_LANES",
 ]
 
-#: Entries (``k * d1 * column-chunk``) generated per pass of the sampling
+#: Entries (``d1 * column-chunk``) generated per pass of the sampling
 #: loop.  Every stage from counter to sample works on chunk-sized buffers
 #: reused from chunk to chunk (:mod:`repro.rng.scratch`), so the working
 #: set stays in cache instead of streaming panel-sized temporaries
@@ -69,17 +68,20 @@ def check_block(r, d1, js) -> tuple[int, int, np.ndarray]:
 
 
 def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
-                   dist: Distribution, lead: tuple[int, ...],
-                   js: np.ndarray, step_lanes: int = 0) -> np.ndarray:
-    """The sampling loop: entries of shape ``lead + (len(js),)``.
+                   dist: Distribution, d1: int, js: np.ndarray,
+                   step_lanes: int = 0,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The sampling loop: the ``(len(js), d1)`` panel, into *out* if given.
 
+    The panel is the block ``S[r:r+d1, js]`` transposed, one row per
+    column of ``S``: the layout the kernels' compiled apply consumes,
+    and one in which a chunk of columns is a contiguous run of rows.
     Walks ``js`` in chunks of about :data:`CHUNK_LANES` entries; for each
     chunk ``bits_of(cols, scratch)`` returns the raw bits of shape
-    ``lead + (len(cols),)`` and the distribution transform writes them
-    straight into one preallocated output.  Both stages draw their
-    temporaries from the thread's :class:`~repro.rng.scratch.Scratch`,
-    so every chunk — and every later call on the same thread — reuses
-    the same buffers.
+    ``(len(cols), d1)`` and the distribution transform writes them
+    straight into the panel.  Both stages draw their temporaries from
+    the thread's :class:`~repro.rng.scratch.Scratch`, so every chunk —
+    and every later call on the same thread — reuses the same buffers.
 
     A stepped generator (xoshiro) advances ``step_lanes`` states per
     column with each of its sequential steps, one NumPy call per
@@ -89,17 +91,17 @@ def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
     at a time.
     """
     g = int(js.size)
-    out = np.empty(lead + (g,), dtype=np.float64)
-    chunk = max(1, CHUNK_LANES // max(1, math.prod(lead)))
+    if out is None:
+        out = np.empty((g, d1), dtype=np.float64)
+    chunk = max(1, CHUNK_LANES // d1)
     group = max(chunk, CHUNK_LANES // step_lanes) if step_lanes else chunk
     scratch = thread_scratch()
     for glo in range(0, g, group):
         bits = bits_of(js[glo:glo + group], scratch)
-        width = bits.shape[-1]
+        width = bits.shape[0]
         for lo in range(0, width, chunk):
             hi = min(width, lo + chunk)
-            dist.sample_from_bits(bits[..., lo:hi],
-                                  out=out[..., glo + lo:glo + hi],
+            dist.sample_from_bits(bits[lo:hi], out=out[glo + lo:glo + hi],
                                   scratch=scratch)
     return out
 
@@ -107,10 +109,11 @@ def sample_chunked(bits_of: Callable[[np.ndarray, Scratch], np.ndarray],
 class SketchingRNG(abc.ABC):
     """Coordinate-addressable generator for entries of the sketch ``S``.
 
-    Subclasses define :meth:`column_block_batch`; the scalar
-    :meth:`column_block` (the paper's ``set_state``/``get_samples`` pair) is
-    derived from it, so batched and one-at-a-time access are bit-identical
-    by construction.
+    Subclasses define :meth:`_bits_block` (or, bypassing the bits path,
+    :meth:`_panel`); :meth:`column_block_batch` and the scalar
+    :meth:`column_block` (the paper's ``set_state``/``get_samples`` pair)
+    are derived from it, so batched and one-at-a-time access are
+    bit-identical by construction.
     """
 
     #: Registry name of the generator family (``"philox"`` etc.); used by
@@ -128,24 +131,37 @@ class SketchingRNG(abc.ABC):
     @abc.abstractmethod
     def _bits_block(self, r: int, d1: int, js: np.ndarray,
                     scratch: Scratch | None = None) -> np.ndarray:
-        """Raw ``uint64`` bits of shape ``(d1, len(js))`` for block ``(r, js)``.
+        """Raw ``uint64`` bits of shape ``(len(js), d1)`` for block ``(r, js)``.
 
-        With a *scratch*, the result may live in one of its buffers.
+        Row ``t`` holds the bits of ``S[r:r+d1, js[t]]``.  With a
+        *scratch*, the result may live in one of its buffers.
         """
+
+    def _panel(self, r: int, d1: int, js: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """``S[r:r+d1, js]`` transposed, ``(len(js), d1)``, into *out* if given.
+
+        The one producer of entries: :meth:`column_block_batch` and every
+        member of a :class:`~repro.rng.batched.BatchedSketchRNG` call it.
+        *out* may be any float64 view whose rows are contiguous.
+        """
+        out = sample_chunked(
+            lambda cols, scratch: self._bits_block(r, d1, cols, scratch),
+            self.dist, d1, js, self._step_lanes, out)
+        self.samples_generated += d1 * int(js.size)
+        return out
 
     def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
         """Entries ``S[r:r+d1, js]`` as a dense ``(d1, len(js))`` array.
 
         ``js`` holds sparse-matrix row indices (columns of ``S``); they need
         not be sorted or unique.  This is the batched form of Algorithm 3
-        lines 7-8 — the workhorse call of the vectorized kernels.
+        lines 7-8 — the workhorse call of the vectorized kernels.  The
+        array is the ``.T`` view of a C-ordered ``(len(js), d1)`` panel,
+        the layout the kernels' compiled apply reads as it is.
         """
         r, d1, js = check_block(r, d1, js)
-        out = sample_chunked(
-            lambda cols, scratch: self._bits_block(r, d1, cols, scratch),
-            self.dist, (d1,), js, self._step_lanes)
-        self.samples_generated += int(out.size)
-        return out
+        return self._panel(r, d1, js).T
 
     def column_block(self, r: int, d1: int, j: int) -> np.ndarray:
         """Entries ``S[r:r+d1, j]`` — the scalar ``set_state`` / ``get_samples``."""
@@ -212,8 +228,8 @@ class PhiloxSketchRNG(SketchingRNG):
 
     def _bits_block(self, r: int, d1: int, js: np.ndarray,
                     scratch: Scratch | None = None) -> np.ndarray:
-        rows = np.arange(r, r + d1, dtype=np.uint64)[:, None]
-        cols = js.astype(np.uint64)[None, :]
+        rows = np.arange(r, r + d1, dtype=np.uint64)[None, :]
+        cols = js.astype(np.uint64)[:, None]
         return philox_uint64(rows, cols, self._key, self.rounds, scratch)
 
     @property
@@ -240,8 +256,8 @@ class ThreefrySketchRNG(SketchingRNG):
 
     def _bits_block(self, r: int, d1: int, js: np.ndarray,
                     scratch: Scratch | None = None) -> np.ndarray:
-        rows = np.arange(r, r + d1, dtype=np.uint64)[:, None]
-        cols = js.astype(np.uint64)[None, :]
+        rows = np.arange(r, r + d1, dtype=np.uint64)[None, :]
+        cols = js.astype(np.uint64)[:, None]
         return threefry_uint64(rows, cols, self._key, self.rounds, scratch)
 
     @property
@@ -267,7 +283,7 @@ class XoshiroSketchRNG(SketchingRNG):
 
     def _bits_block(self, r: int, d1: int, js: np.ndarray,
                     scratch: Scratch | None = None) -> np.ndarray:
-        return checkpoint_bits(self.seed, r, js, d1, self.n_lanes, scratch)
+        return checkpoint_panel(self.seed, r, js, d1, self.n_lanes, scratch)
 
     @property
     def _step_lanes(self) -> int:
@@ -296,12 +312,13 @@ class JunkRNG(SketchingRNG):
     def _bits_block(self, r, d1, js, scratch=None):  # pragma: no cover
         raise NotImplementedError("JunkRNG bypasses the bits path")
 
-    def column_block_batch(self, r: int, d1: int, js: np.ndarray) -> np.ndarray:
-        r, d1, js = check_block(r, d1, js)
-        rows = np.arange(r, r + d1, dtype=np.int64)[:, None]
-        vals = ((rows + 3 * js[None, :]) % 7 - 3) / 3.0
-        self.samples_generated += int(vals.size)
-        return vals
+    def _panel(self, r, d1, js, out=None):
+        rows = np.arange(r, r + d1, dtype=np.int64)[None, :]
+        if out is None:
+            out = np.empty((js.size, d1), dtype=np.float64)
+        np.divide((rows + 3 * js[:, None]) % 7 - 3, 3.0, out=out)
+        self.samples_generated += int(out.size)
+        return out
 
     @property
     def blocking_independent(self) -> bool:

@@ -46,8 +46,10 @@ __all__ = [
     "get_distribution",
 ]
 
-_TWO31 = float(2**31)
-_TWO32 = float(2**32)
+# Exact powers of two: scaling by one is exact, so a multiply gives the
+# bits a divide would.
+_INV_TWO31 = 2.0**-31
+_INV_TWO32 = 2.0**-32
 _LO32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 
@@ -72,7 +74,7 @@ def _signed_low32(bits: np.ndarray, scratch: Scratch | None) -> np.ndarray:
 def _bits_to_uniform(bits: np.ndarray, out: np.ndarray | None = None,
                      scratch: Scratch | None = None) -> np.ndarray:
     """Map uint64 bits to uniform(-1, 1): signed low 32 bits divided by 2^31."""
-    return np.divide(_signed_low32(bits, scratch), _TWO31, out=out)
+    return np.multiply(_signed_low32(bits, scratch), _INV_TWO31, out=out)
 
 
 def _bits_to_uniform_scaled(bits: np.ndarray, out: np.ndarray | None = None,
@@ -120,10 +122,10 @@ def _bits_to_gaussian(bits: np.ndarray, out: np.ndarray | None = None,
     sc = scratch if scratch is not None else Scratch()
     u1 = np.right_shift(bits, _32, out=sc.take("gauss.u1", bits.shape))
     u1 += 0.5
-    u1 /= _TWO32
+    u1 *= _INV_TWO32
     u2 = np.bitwise_and(bits, _LO32, out=sc.take("gauss.u2", bits.shape))
     u2 += 0.5
-    u2 /= _TWO32
+    u2 *= _INV_TWO32
     radius = det_log(u1, out=u1, scratch=sc)
     radius *= -2.0
     np.sqrt(radius, out=radius)

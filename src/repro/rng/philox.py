@@ -49,60 +49,48 @@ def key_from_seed(seed: int) -> tuple[np.uint32, np.uint32]:
     return np.uint32(mixed & 0xFFFFFFFF), np.uint32((mixed >> 32) & 0xFFFFFFFF)
 
 
-def _philox_words(c0, c1, c2, c3, key, rounds: int,
-                  scratch: Scratch | None = None) -> list[np.ndarray]:
-    """Philox4x32 rounds on counter words held in ``uint64`` lanes.
+def _next_key(k0, k1):
+    return (k0 + _WEYL_A) & _LO32, (k1 + _WEYL_B) & _LO32
+
+
+def _rounds(x, p0, p1, k0, k1, n: int):
+    """*n* full Philox4x32 rounds on the lanes *x*, in place.
 
     Each 32-bit word lives in the low half of a ``uint64``, so the
-    32x32 -> 64 multiply is exact without casts.  Every round updates
-    the four lanes in place in buffers taken from *scratch*; the
-    returned lanes alias them.
+    32x32 -> 64 multiply is exact without casts; *p0* and *p1* hold the
+    products.  Returns the key of the round after the last.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    cs = [np.asarray(c, dtype=np.uint64) for c in (c0, c1, c2, c3)]
-    k0 = np.asarray(key[0], dtype=np.uint64)
-    k1 = np.asarray(key[1], dtype=np.uint64)
-    shape = np.broadcast_shapes(*(c.shape for c in cs), k0.shape, k1.shape)
-    sc = scratch if scratch is not None else Scratch()
-    x0, x1, x2, x3 = x = [sc.take(f"philox.x{w}", shape, np.uint64)
-                          for w in range(4)]
-    for xw, c in zip(x, cs):
-        xw[...] = c
-    p0 = sc.take("philox.p0", shape, np.uint64)
-    p1 = sc.take("philox.p1", shape, np.uint64)
-    # A batch's keys (one per leading-axis slice) are XORed as scalars
-    # into each member's slice: a broadcast (k, 1, 1) key walks d1 short
-    # rows per member, at about three times the cost per lane.
-    n_keys = k0.size
-    if k1.size != n_keys or n_keys > 1 and not k0.shape == k1.shape == (
-            (n_keys,) + (1,) * (len(shape) - 1)):
-        raise ValueError("key words must be scalars or one word per "
-                         "leading-axis slice, shape (k, 1, ..., 1)")
-    slices = list(zip(x0.reshape(n_keys, -1), x2.reshape(n_keys, -1)))
-    for _ in range(rounds):
+    x0, x1, x2, x3 = x
+    for _ in range(n):
         np.multiply(x0, _MUL_A, out=p0)
         np.multiply(x2, _MUL_B, out=p1)
         # Philox round permutation (Salmon et al., Table 2):
         # x0 <- hi(p1) ^ x1 ^ k0, x1 <- lo(p1), x2 <- hi(p0) ^ x3 ^ k1,
-        # x3 <- lo(p0).  Nothing reads x0 or x2 after their key XOR, so
-        # both XORs close the round.
+        # x3 <- lo(p0).
         np.right_shift(p1, _32, out=x0)
         x0 ^= x1
+        x0 ^= k0
         np.bitwise_and(p1, _LO32, out=x1)
         np.right_shift(p0, _32, out=x2)
         x2 ^= x3
+        x2 ^= k1
         np.bitwise_and(p0, _LO32, out=x3)
-        if n_keys == 1:
-            x0 ^= k0
-            x2 ^= k1
-        else:
-            for (lane0, lane2), w0, w1 in zip(slices, k0.flat, k1.flat):
-                lane0 ^= w0
-                lane2 ^= w1
-        k0 = (k0 + _WEYL_A) & _LO32
-        k1 = (k1 + _WEYL_B) & _LO32
-    return x
+        k0, k1 = _next_key(k0, k1)
+    return k0, k1
+
+
+def _setup(key, rounds: int, shape, scratch: Scratch | None):
+    """The scalar key words, and the four lanes and two products of *shape*."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    k0, k1 = (np.asarray(w, dtype=np.uint64) for w in key)
+    if k0.ndim or k1.ndim:
+        raise ValueError("key words must be scalars: a batch samples each "
+                         "member with its own key, not one key per "
+                         "leading-axis slice")
+    sc = scratch if scratch is not None else Scratch()
+    return (k0, k1), [sc.take(f"philox.{w}", shape, np.uint64)
+                      for w in ("x0", "x1", "x2", "x3", "p0", "p1")]
 
 
 def philox4x32(
@@ -121,11 +109,8 @@ def philox4x32(
         ``uint32`` arrays (broadcastable to a common shape) holding the four
         counter words of each lane.
     key:
-        ``(k0, k1)`` pair of ``uint32`` key words (see :func:`key_from_seed`).
-        Each word may also be a ``uint32`` *array* of shape ``(k, 1, ...,
-        1)`` holding one key per sketch of a batch; the round function is
-        purely elementwise, so every slice of the broadcast output is
-        bit-identical to a scalar-key call with that slice's key.
+        ``(k0, k1)`` pair of scalar ``uint32`` key words (see
+        :func:`key_from_seed`).
     rounds:
         Number of S-P rounds; 10 is the standard "crush-resistant" choice,
         7 is the commonly used faster variant.
@@ -135,9 +120,13 @@ def philox4x32(
     Four ``uint32`` arrays of the common broadcast shape: the random output
     words ``x0..x3`` for each lane.
     """
-    words = _philox_words(*(np.asarray(c, dtype=np.uint32)
-                            for c in (c0, c1, c2, c3)), key, rounds)
-    return tuple(w.astype(np.uint32) for w in words)
+    cs = [np.asarray(c, dtype=np.uint32) for c in (c0, c1, c2, c3)]
+    key, (*x, p0, p1) = _setup(
+        key, rounds, np.broadcast_shapes(*(c.shape for c in cs)), None)
+    for xw, c in zip(x, cs):
+        xw[...] = c
+    _rounds(x, p0, p1, *key, rounds)
+    return tuple(w.astype(np.uint32) for w in x)
 
 
 def philox_uint64(
@@ -160,8 +149,28 @@ def philox_uint64(
     """
     r = np.asarray(rows, dtype=np.uint64)
     c = np.asarray(cols, dtype=np.uint64)
-    x0, x1, _, _ = _philox_words(r & _LO32, r >> _32, c & _LO32, c >> _32,
-                                 key, rounds, scratch)
-    x1 <<= _32
+    (k0, k1), (*x, p0, p1) = _setup(
+        key, rounds, np.broadcast_shapes(r.shape, c.shape), scratch)
+    x0, x1, x2, x3 = x
+    # Round 1 on the counter (lo(r), hi(r), lo(c), hi(c)): p0 varies with
+    # the row only and p1 with the column only, so the products are taken
+    # on the 1-D words and each lane is one broadcast XOR or one fill.
+    r0 = (r & _LO32) * _MUL_A
+    c1 = (c & _LO32) * _MUL_B
+    np.bitwise_xor((c1 >> _32) ^ k0, r >> _32, out=x0)
+    x1[...] = c1 & _LO32
+    np.bitwise_xor((r0 >> _32) ^ k1, c >> _32, out=x2)
+    x3[...] = r0 & _LO32
+    k0, k1 = _rounds(x, p0, p1, *_next_key(k0, k1), rounds - 2)
+    if rounds > 1:
+        # The last round: the output reads only x0 and x1, so p0 and the
+        # x2, x3 updates are skipped; lo(p1) << 32 is p1 << 32.
+        np.multiply(x2, _MUL_B, out=p1)
+        np.right_shift(p1, _32, out=x0)
+        x0 ^= x1
+        x0 ^= k0
+        np.left_shift(p1, _32, out=x1)
+    else:
+        x1 <<= _32
     x0 |= x1
     return x0

@@ -54,11 +54,7 @@ def threefry2x64(
     c0, c1:
         ``uint64`` arrays (broadcastable) holding each lane's counter.
     key:
-        ``(k0, k1)`` key words (see :func:`key_pair_from_seed`).  Each word
-        may also be a ``uint64`` *array* (e.g. shape ``(k, 1, 1)`` holding
-        one key per sketch of a batch); the mix rounds are purely
-        elementwise, so every slice of the broadcast output is
-        bit-identical to a scalar-key call with that slice's key.
+        ``(k0, k1)`` scalar key words (see :func:`key_pair_from_seed`).
     rounds:
         Number of mix rounds; 20 is the crush-resistant standard, 13 the
         common fast variant.
@@ -72,13 +68,11 @@ def threefry2x64(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    k0 = np.asarray(key[0], dtype=np.uint64)
-    k1 = np.asarray(key[1], dtype=np.uint64)
-    k2 = _PARITY ^ k0 ^ k1
-    ks = (k0, k1, k2)
+    k0, k1 = np.uint64(key[0]), np.uint64(key[1])
+    ks = (k0, k1, _PARITY ^ k0 ^ k1)
     c0 = np.asarray(c0, dtype=np.uint64)
     c1 = np.asarray(c1, dtype=np.uint64)
-    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape, k1.shape)
+    shape = np.broadcast_shapes(c0.shape, c1.shape)
     sc = scratch if scratch is not None else Scratch()
     x0 = sc.take("threefry.x0", shape, np.uint64)
     x1 = sc.take("threefry.x1", shape, np.uint64)

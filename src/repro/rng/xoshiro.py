@@ -35,7 +35,7 @@ from .scratch import Scratch
 from .splitmix import GOLDEN_GAMMA, mix_key, splitmix64
 
 __all__ = ["DEFAULT_LANES", "seed_states", "xoshiro_next", "checkpoint_bits",
-           "checkpoint_bits_stacked"]
+           "checkpoint_panel"]
 
 #: Number of interleaved lanes.  The paper's SIMD kernels interleave 8
 #: 64-bit lanes (one 512-bit register); the NumPy realization amortizes
@@ -92,7 +92,7 @@ def xoshiro_next(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return result
 
 
-def checkpoint_bits(
+def checkpoint_panel(
     seed: int,
     r: int,
     js: np.ndarray,
@@ -102,14 +102,17 @@ def checkpoint_bits(
 ) -> np.ndarray:
     """Random bits for the checkpoints ``(r, j)`` for every ``j`` in *js*.
 
-    Returns a ``uint64`` array of shape ``(count, len(js))`` whose column
+    Returns a ``uint64`` array of shape ``(len(js), count)`` whose row
     ``t`` is the first *count* outputs of the checkpoint stream for
-    ``(r, js[t])``.  This is the batched form of the paper's
+    ``(r, js[t])``: the panel layout of the sampling loop, each row
+    contiguous.  This is the batched form of the paper's
     ``g.set_state(r, j); g.get_samples(v)`` pair (Algorithm 3 lines 7-8 /
-    Algorithm 4 lines 6-7), vectorized across both the sample index and the
-    sparse rows so a whole block's worth of sketch columns is produced with
-    a handful of wide NumPy operations.  With a *scratch*, the result
-    lives in one of its buffers.
+    Algorithm 4 lines 6-7), vectorized across both the sample index and
+    the sparse rows so a whole block's worth of sketch columns is
+    produced with a handful of wide NumPy operations: the lane states
+    are held as ``(4, len(js), n_lanes)``, and step ``t`` writes each
+    column's lane vector to its entries ``t * n_lanes + l``.  With a
+    *scratch*, the result lives in one of its buffers.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -118,57 +121,33 @@ def checkpoint_bits(
     js = np.asarray(js, dtype=np.int64)
     ncols = js.shape[0]
     if count == 0 or ncols == 0:
-        return np.zeros((count, ncols), dtype=np.uint64)
-    # Per-(j, lane) keys: shape (n_lanes, ncols).
-    lanes = np.arange(n_lanes, dtype=np.uint64)[:, None]
-    base = mix_key(np.int64(seed), np.int64(r), js)[None, :]  # (1, ncols)
+        return np.zeros((ncols, count), dtype=np.uint64)
+    # Per-(j, lane) keys: shape (ncols, n_lanes).
+    lanes = np.arange(n_lanes, dtype=np.uint64)[None, :]
+    base = mix_key(np.int64(seed), np.int64(r), js)[:, None]  # (ncols, 1)
     with np.errstate(over="ignore"):
         keys = splitmix64(base ^ (lanes * GOLDEN_GAMMA + np.uint64(1)))
-    state = seed_states(keys)  # (4, n_lanes, ncols)
+    state = seed_states(keys)  # (4, ncols, n_lanes)
     steps = -(-count // n_lanes)
     sc = scratch if scratch is not None else Scratch()
-    out = sc.take("xoshiro.out", (steps, n_lanes, ncols), np.uint64)
+    out = sc.take("xoshiro.out", (ncols, steps, n_lanes), np.uint64)
     for t in range(steps):
-        xoshiro_next(state, out=out[t])
-    return out.reshape(steps * n_lanes, ncols)[:count]
+        xoshiro_next(state, out=out[:, t])
+    return out.reshape(ncols, steps * n_lanes)[:, :count]
 
 
-def checkpoint_bits_stacked(
-    seeds,
+def checkpoint_bits(
+    seed: int,
     r: int,
     js: np.ndarray,
     count: int,
     n_lanes: int = DEFAULT_LANES,
     scratch: Scratch | None = None,
 ) -> np.ndarray:
-    """:func:`checkpoint_bits` for several seeds through one pipeline.
+    """Random bits for the checkpoints ``(r, j)``, one column per ``j``.
 
-    Returns a ``uint64`` array of shape ``(len(seeds), count, len(js))``
-    whose slice ``[t]`` is **bit-identical** to
-    ``checkpoint_bits(seeds[t], r, js, count, n_lanes)``: the seeds are
-    stacked along a leading axis of the lane-state arrays and every
-    seeding/advance operation is elementwise, so the per-seed streams are
-    unchanged — only the NumPy dispatch cost of the step loop is shared
-    across the batch.
+    The ``(count, len(js))`` transposed view of :func:`checkpoint_panel`:
+    column ``t`` is the first *count* outputs of the checkpoint stream
+    for ``(r, js[t])``.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if n_lanes < 1:
-        raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-    js = np.asarray(js, dtype=np.int64)
-    ncols = js.shape[0]
-    k = len(seeds)
-    if count == 0 or ncols == 0:
-        return np.zeros((k, count, ncols), dtype=np.uint64)
-    lanes = np.arange(n_lanes, dtype=np.uint64)[None, :, None]
-    base = np.stack([mix_key(np.int64(int(s)), np.int64(r), js)
-                     for s in seeds])[:, None, :]  # (k, 1, ncols)
-    with np.errstate(over="ignore"):
-        keys = splitmix64(base ^ (lanes * GOLDEN_GAMMA + np.uint64(1)))
-    state = seed_states(keys)  # (4, k, n_lanes, ncols)
-    steps = -(-count // n_lanes)
-    sc = scratch if scratch is not None else Scratch()
-    out = sc.take("xoshiro.out", (k, steps, n_lanes, ncols), np.uint64)
-    for t in range(steps):
-        xoshiro_next(state, out=out[:, t])
-    return out.reshape(k, steps * n_lanes, ncols)[:, :count]
+    return checkpoint_panel(seed, r, js, count, n_lanes, scratch).T

@@ -4,8 +4,8 @@ Single and batched sketches walk their columns in chunks of
 ``repro.rng.base.CHUNK_LANES`` entries (xoshiro fetches its bits in
 wider column groups and transforms them chunk by chunk), with every
 stage working on reused scratch buffers.  Whatever the chunk size, the
-result must equal one unchunked ``_bits_block`` (or ``_bits_chunk``)
-plus one transform, and the sample count must not move.  The in-place ``detmath`` functions
+result must equal one unchunked ``_bits_block`` (for a batch, each
+member's) plus one transform, and the sample count must not move.  The in-place ``detmath`` functions
 must also still equal their scalar ``*_reference`` oracles at every
 branch edge.  The scratch buffers belong to the thread: threads sampling
 at once never share them, and one thread's later calls reuse them.
@@ -61,18 +61,19 @@ class TestChunkBoundaries:
         rng = make_rng(family, 42, dist)
         got = rng.column_block_batch(R, d1, JS)
         assert rng.samples_generated == d1 * JS.size
+        # The unchunked bits are the (len(js), d1) panel.
         whole = rng.dist.sample_from_bits(rng._bits_block(R, d1, JS))
-        assert _bits_equal(got, whole)
+        assert _bits_equal(got, whole.T)
 
     def test_batched_matches_unchunked(self, family, dist, d1, chunk_lanes):
         brng = make_batched_rng(family, SEEDS, dist)
         got = brng.column_block_stack(R, d1, JS)
-        assert got.flags.c_contiguous
         for m in brng.members:
             assert m.samples_generated == d1 * JS.size
-        whole = brng.dist.sample_from_bits(brng._bits_chunk(R, d1, JS))
-        assert _bits_equal(got, whole)
         for t, seed in enumerate(SEEDS):
+            solo = make_rng(family, seed, dist)
+            whole = solo.dist.sample_from_bits(solo._bits_block(R, d1, JS))
+            assert _bits_equal(got[t], whole.T)
             assert _bits_equal(
                 got[t], make_rng(family, seed, dist).column_block_batch(
                     R, d1, JS))

@@ -56,18 +56,6 @@ class TestPhilox4x32:
             philox4x32(np.uint32(0), np.uint32(0), np.uint32(0), np.uint32(0),
                        key_from_seed(0), rounds=0)
 
-    def test_stacked_keys_match_scalar_keys(self):
-        rng = np.random.default_rng(1)
-        c = rng.integers(0, 2**32, size=(4, 3, 5), dtype=np.uint64).astype(np.uint32)
-        keys = [key_from_seed(s) for s in (3, 4, 5)]
-        stacked = tuple(np.array([k[w] for k in keys], dtype=np.uint32)
-                        .reshape(3, 1, 1) for w in (0, 1))
-        batch = philox4x32(c[0], c[1], c[2], c[3], stacked)
-        for t, key in enumerate(keys):
-            single = philox4x32(c[0], c[1], c[2], c[3], key)
-            for w in range(4):
-                assert np.array_equal(batch[w][t], single[w])
-
     @pytest.mark.parametrize("shapes", [((3,), (3,)), ((1, 3), (1, 3)),
                                         ((3, 1), ())])
     def test_key_not_per_leading_slice_rejected(self, shapes):
