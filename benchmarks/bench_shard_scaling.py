@@ -1,10 +1,13 @@
 """Sharded-execution benchmark and simulator-validation gate.
 
-The partition stage splits a sketch into column shards that execute as
-independent sub-plans and merge in propagation-blocking order.  On one
-host the shards run serially, so sharding is pure overhead — the merge
-sweep plus per-shard setup — and the honest question is whether the
-scaling simulator (:func:`repro.parallel.simulate_strong_scaling` with
+The partition stage runs a sketch's column shards as consecutive task
+groups of one driver run, each closed by a barrier that merges its
+stripe in propagation-blocking order.  There is no per-shard setup: the
+one worker fleet, the one shared copy of ``A`` and the one blocked-CSR
+conversion serve every stripe.  On one host the stripes run serially,
+so sharding is pure overhead — the merge sweep (the pool's per-stripe
+copy out of shared memory) plus the fleet draining at each barrier —
+and the honest question is whether the scaling simulator (:func:`repro.parallel.simulate_strong_scaling` with
 ``shards=``) predicts that overhead instead of pretending the reduction
 is free.  Two consumers:
 

@@ -33,7 +33,7 @@ from ..persist.snapshot import _array_to_npy_bytes, _npy_bytes_to_array
 from ..sparse.blocked_csr import BlockedCSR
 from ..sparse.csr import CSRMatrix
 from .keys import cache_key, machine_fingerprint, matrix_fingerprint, \
-    pattern_fingerprint, shard_component
+    pattern_fingerprint
 from .store import ArtifactCache, CacheEntry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,27 +130,20 @@ def store_kernel_choice(cache: ArtifactCache, key: str,
 # -- the blocked-CSR conversion ----------------------------------------------
 
 
-def blocked_csr_key(A: "CSCMatrix", b_n: int, *, shard=None) -> str:
+def blocked_csr_key(A: "CSCMatrix", b_n: int) -> str:
     """Key for ``A``'s width-``b_n`` blocked-CSR conversion (values pinned).
 
-    *shard* scopes the key to one column stripe of *A* (a
-    :class:`~repro.plan.ShardPlan` or ``(col_start, col_stop)`` pair):
-    the stripe's conversion is keyed by the **whole** matrix fingerprint
-    plus the stripe range, so sharded and unsharded runs of the same
-    matrix populate distinct, non-colliding entries.
+    One entry serves every shard count: a sharded run reads the same
+    whole-matrix conversion, its stripes being runs of its column blocks.
     """
-    components = {
+    return cache_key(BLOCKED_ARTIFACT, {
         "matrix": matrix_fingerprint(A),
         "b_n": int(b_n),
-    }
-    comp = shard_component(shard)
-    if comp is not None:
-        components["shard"] = comp
-    return cache_key(BLOCKED_ARTIFACT, components)
+    })
 
 
 def store_blocked_csr(cache: ArtifactCache, key: str, blocked: BlockedCSR,
-                      *, b_n: int, shard=None) -> None:
+                      *, b_n: int) -> None:
     """Serialize *blocked* into four npy payloads (one checksum each)."""
     m, n = blocked.shape
     indptr = np.stack([blk.indptr for blk in blocked.blocks]) \
@@ -161,9 +154,6 @@ def store_blocked_csr(cache: ArtifactCache, key: str, blocked: BlockedCSR,
         if blocked.n_blocks else np.zeros(0, dtype=np.float64)
     meta = {"m": int(m), "n": int(n), "b_n": int(b_n),
             "n_blocks": int(blocked.n_blocks), "nnz": int(blocked.nnz)}
-    comp = shard_component(shard)
-    if comp is not None:
-        meta["shard"] = comp
     cache.insert(
         BLOCKED_ARTIFACT, key,
         meta=meta,

@@ -38,7 +38,6 @@ __all__ = [
     "pattern_fingerprint",
     "matrix_fingerprint",
     "machine_fingerprint",
-    "shard_component",
     "cache_key",
 ]
 
@@ -96,25 +95,6 @@ def machine_fingerprint(machine: "MachineModel | None" = None) -> dict:
                 int(machine.bandwidth_saturation_threads),
         }
     return record
-
-
-def shard_component(shard) -> dict | None:
-    """JSON-ready key component identifying one column stripe.
-
-    Shard-scoped artifacts (a per-shard blocked-CSR conversion) are
-    keyed by the *whole* matrix fingerprint plus this component, so a
-    stripe entry can never be confused with the full-matrix entry — nor
-    with a different stripe of the same matrix.  Accepts a
-    :class:`~repro.plan.ShardPlan` or a ``(col_start, col_stop)`` pair;
-    ``None`` passes through (unsharded artifacts add no component).
-    """
-    if shard is None:
-        return None
-    if isinstance(shard, (tuple, list)):
-        c0, c1 = shard
-    else:
-        c0, c1 = shard.col_start, shard.col_stop
-    return {"col_start": int(c0), "col_stop": int(c1)}
 
 
 def cache_key(artifact: str, components: dict) -> str:

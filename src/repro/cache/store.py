@@ -415,57 +415,22 @@ class ArtifactCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    def _entry_shard(self, path: Path) -> dict | None:
-        """The ``shard`` meta component of one entry, if it carries one.
-
-        Best-effort manifest peek for accounting only: unreadable or
-        malformed manifests simply count as unsharded here — the read
-        path's full verification is the integrity authority.
-        """
-        try:
-            manifest = json.loads(
-                (path / ENTRY_MANIFEST_NAME).read_text(encoding="utf-8"))
-            shard = manifest.get("meta", {}).get("shard")
-        except (OSError, ValueError, AttributeError):
-            return None
-        return shard if isinstance(shard, dict) else None
-
     def stats(self) -> dict:
-        """Scorecard: entry counts and bytes per artifact plus counters.
-
-        Shard-scoped entries (artifacts whose meta carries a ``shard``
-        column-range component, e.g. per-shard blocked-CSR conversions)
-        are reported distinctly — ``shard_entries`` / ``shard_bytes``
-        per artifact and in the totals — so a cache serving a
-        partitioned workload shows how much of it is stripe-scoped
-        rather than whole-matrix.
-        """
+        """Scorecard: entry counts and bytes per artifact plus counters."""
         per: dict[str, dict] = {}
         entries = 0
         total = 0
-        shard_entries = 0
-        shard_bytes = 0
-        for artifact, _key, path, nbytes, _mtime in self._iter_entries():
-            record = per.setdefault(
-                artifact,
-                {"entries": 0, "bytes": 0,
-                 "shard_entries": 0, "shard_bytes": 0})
+        for artifact, _key, _path, nbytes, _mtime in self._iter_entries():
+            record = per.setdefault(artifact, {"entries": 0, "bytes": 0})
             record["entries"] += 1
             record["bytes"] += nbytes
             entries += 1
             total += nbytes
-            if self._entry_shard(path) is not None:
-                record["shard_entries"] += 1
-                record["shard_bytes"] += nbytes
-                shard_entries += 1
-                shard_bytes += nbytes
         with self._lock:
             return {
                 "cache_dir": str(self.root),
                 "entries": entries,
                 "total_bytes": total,
-                "shard_entries": shard_entries,
-                "shard_bytes": shard_bytes,
                 "max_bytes": int(self.policy.max_bytes),
                 "readonly": bool(self.policy.readonly),
                 "artifacts": per,
@@ -489,21 +454,15 @@ class ArtifactCache:
     def verify(self) -> dict:
         """Re-checksum every entry; quarantine the damaged ones.
 
-        Returns ``{"checked": n, "ok": n, "corrupt": [relative paths],
-        "shard_checked": n}`` — the last counts the shard-scoped entries
-        (per-shard blocked-CSR conversions) covered by the sweep, so a
-        partitioned workload's stripe artifacts are visibly audited.
+        Returns ``{"checked": n, "ok": n, "corrupt": [relative paths]}``.
         Unlike :meth:`fetch`, verification touches no counters and emits
         no events — it is an offline audit, not a lookup.
         """
-        checked = ok = shard_checked = 0
+        checked = ok = 0
         corrupt: list[str] = []
         for artifact, key, path, _nbytes, _mtime in self._iter_entries():
             checked += 1
             entry, why = self._verify_entry(artifact, key, path)
-            if entry is not None and \
-                    isinstance(entry.meta.get("shard"), dict):
-                shard_checked += 1
             if entry is None:
                 corrupt.append(f"{artifact}/{key}")
                 self._quarantine(path, why)
@@ -511,5 +470,4 @@ class ArtifactCache:
                     self._memo.pop((artifact, key), None)
             else:
                 ok += 1
-        return {"checked": checked, "ok": ok, "corrupt": corrupt,
-                "shard_checked": shard_checked}
+        return {"checked": checked, "ok": ok, "corrupt": corrupt}

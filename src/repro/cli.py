@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_shard = sk.add_argument_group(
         "sharding", "partition the input into column shards that execute "
-        "as independent sub-plans and merge in propagation-blocking order "
-        "(bit-identical to the unsharded run)")
+        "as consecutive task groups of one run and commit in "
+        "propagation-blocking order (bit-identical to the unsharded run)")
     g_shard.add_argument("--shards", type=int, default=None,
                          help="number of column shards (default: unsharded; "
                               "capped at the plan's column-block count)")

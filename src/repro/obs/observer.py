@@ -49,9 +49,9 @@ metric                          type      labels
 ``pool_workers_lost_total``     counter   ``reason`` (crashed/hung/shutdown)
 ``pool_respawns_total``         counter   —
 ``pool_requeues_total``         counter   ``reason``
-``shards_total``                counter   ``strategy`` (shard sub-plans started)
-``shard_merge_seconds``         histogram — (per-shard stripe-merge latency)
-``shard_merge_words_total``     counter   — (dense words copied by merges)
+``shards_total``                counter   ``strategy`` (stripes started)
+``shard_merge_seconds``         histogram — (per-stripe merge latency)
+``shard_merge_words_total``     counter   — (output words stripes commit)
 ``shard_requeues_total``        counter   ``shard`` (requeues while a shard ran)
 ``shards_resumed_total``        counter   ``repartitioned`` (yes/no)
 ``cache_hits_total``            counter   ``artifact``, ``source`` (memory/disk)
@@ -146,7 +146,7 @@ class RunObserver:
         self._checkpoint_max = 0.0
         self._retries = 0
         self._degraded = 0
-        # Shards execute serially inside Runtime._run_sharded, so the
+        # A run executes its stripes one task group at a time, so the
         # most recent shard_start names the shard any requeue belongs to.
         self._current_shard: int | None = None
         self._shard_merge_seconds = 0.0
@@ -209,13 +209,13 @@ class RunObserver:
             "Tasks requeued after a worker loss or failed commit.",
             ("reason",))
         self._m_shards = r.counter(
-            "shards_total", "Shard sub-plans started, by strategy.",
+            "shards_total", "Stripes started, by strategy.",
             ("strategy",))
         self._m_shard_merge_seconds = r.histogram(
-            "shard_merge_seconds", "Per-shard stripe-merge latency.")
+            "shard_merge_seconds", "Per-stripe merge latency.")
         self._m_shard_merge_words = r.counter(
             "shard_merge_words_total",
-            "Dense words copied by shard merges.")
+            "Output words committed by stripe merges.")
         self._m_shard_requeues = r.counter(
             "shard_requeues_total",
             "Tasks requeued while a shard was executing, by shard index.",

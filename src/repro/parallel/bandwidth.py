@@ -139,7 +139,7 @@ class ShardedPrediction:
 
     ``execute_seconds`` is the shard-execution wall time (nodes run their
     shards concurrently; shards co-located on a node run serially, which
-    is exactly what ``Runtime._run_sharded`` does on one host), and
+    is exactly how one host runs a partitioned plan's stripes), and
     ``merge_seconds`` is the propagation-blocking stripe-merge sweep that
     reassembles ``Ahat`` on the root.
     """

@@ -96,6 +96,7 @@ from .resilience import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
+    from ..plan.runtime import Stripes
 
 __all__ = ["PlanExecutionEngine"]
 
@@ -169,10 +170,16 @@ class PlanExecutionEngine:
         self._hooked = self.bus.has_subscribers(*FAULT_HOOK_EVENTS)
         self._track_blocks = self.bus.has_subscribers(BLOCK_START, BLOCK_DONE)
 
+        self._injector = injector
         self.checkpoint = plan.persistence.build_manager(injector)
         self.checkpoint_every = plan.persistence.every
         self._resume_requested = plan.persistence.resume
         self.resumed_from = None
+        self._snapshots_before = 0  # written by earlier stripes' lineages
+        # The stripe being run: its output columns and the fingerprint
+        # keys naming its checkpoint lineage.
+        self._window = (0, A.shape[1])
+        self._identity: dict = {}
         # A resilience policy, fault hooks or durable checkpoints make the
         # run recover with the default policy and report its health;
         # without any of them the loop runs under the bare policy.
@@ -218,21 +225,19 @@ class PlanExecutionEngine:
 
         Derived from the *live* generator factory rather than the plan's
         declarative RNG spec, so executor callers with custom factories
-        fingerprint what actually ran.  Per-shard sub-plans additionally
-        stamp their global column range so two equal-width shards can
-        never adopt each other's snapshots.
+        fingerprint what actually ran.  Describes the stripe being run:
+        its width, plus its global column range when the run is sharded.
         """
         from ..persist.snapshot import run_fingerprint
 
         rng = self.rng_factory(0)
+        c0, c1 = self._window
         fp = run_fingerprint(
-            mode="blocked", d=self.d, n=self.A.shape[1], b_d=self.b_d,
+            mode="blocked", d=self.d, n=c1 - c0, b_d=self.b_d,
             b_n=self.b_n, kernel=self.kernel, rng_kind=rng.family,
             seed=rng.seed, distribution=rng.dist.name,
         )
-        if self.plan.shard is not None:
-            fp["shard_col_start"] = int(self.plan.shard.col_start)
-            fp["shard_col_stop"] = int(self.plan.shard.col_stop)
+        fp.update(self._identity)
         return fp
 
     def _maybe_checkpoint(self, *, force: bool = False) -> None:
@@ -251,7 +256,8 @@ class PlanExecutionEngine:
                 return
             rows = sorted(self._completed_rows)
             self._rows_since_snapshot = 0
-        blocks = [(r, self.Ahat[r:r + min(self.b_d, self.d - r), :])
+        c0, c1 = self._window
+        blocks = [(r, self.Ahat[r:r + min(self.b_d, self.d - r), c0:c1])
                   for r in rows]
         with Timer() as write:
             path = self.checkpoint.save(blocks, self.fingerprint(),
@@ -260,49 +266,66 @@ class PlanExecutionEngine:
                       snapshots_written=self.checkpoint.snapshots_written,
                       seconds=write.elapsed)
 
-    def _resume_from_snapshot(self, tasks: list[Task]) -> list[Task]:
-        """Restore completed row blocks; return the tasks still to run."""
+    def _resume_from_snapshot(self, tasks: list[Task]):
+        """Restore the stripe's completed row blocks; return the tasks
+        still to run and the snapshot restored from (``None`` if none)."""
         from ..persist.resume import latest_verified_snapshot
         from ..persist.snapshot import FINGERPRINT_KEYS, check_fingerprint
 
         snap = latest_verified_snapshot(self.checkpoint.directory)
         if snap is None:
-            return tasks
-        keys = FINGERPRINT_KEYS
-        if self.plan.shard is not None:
-            keys = tuple(keys) + ("shard_col_start", "shard_col_stop")
-        check_fingerprint(snap.fingerprint, self.fingerprint(), keys=keys)
+            return tasks, None
+        check_fingerprint(snap.fingerprint, self.fingerprint(),
+                          keys=tuple(FINGERPRINT_KEYS) + tuple(self._identity))
         completed = {int(r) for r in snap.state.get("completed_rows", [])}
         if not completed:
-            return tasks
+            return tasks, None
         arr = snap.load_array(verify=False)  # verified at load
+        c0, c1 = self._window
         for r in sorted(completed):
             d1 = min(self.b_d, self.d - r)
-            self.Ahat[r:r + d1, :] = arr[r:r + d1, :]
+            self.Ahat[r:r + d1, c0:c1] = arr[r:r + d1, :]
         self._completed_rows = set(completed)
-        self.resumed_from = snap.path
-        return [t for t in tasks if t[0] not in completed]
+        return [t for t in tasks if t[0] not in completed], snap.path
 
     # -- shared setup -----------------------------------------------------
 
-    def _prepare(self) -> tuple[list[Task], float]:
-        """Build the blocked structure (if needed) and the task list."""
-        m, n = self.A.shape
+    def _prepare(self) -> float:
+        """Build the blocked structure (if needed) and the output; returns
+        the conversion time."""
+        n = self.A.shape[1]
         conversion_seconds = 0.0
         if self.kernel == "algo4" and self.blocked is None:
             self.blocked, conv = csc_to_blocked_csr(self.A, self.b_n,
                                                     threads=self.threads)
             conversion_seconds = conv.seconds
             self._block_by_offset = dict(self.blocked.iter_blocks())
-        tasks = list(iter_block_tasks(self.d, n, self.b_d, self.b_n))
         shape = ((self.batch, self.d, n) if self.batch > 1
                  else (self.d, n))
         self.Ahat = np.zeros(shape, dtype=np.float64)
+        return conversion_seconds
+
+    def _enter_stripe(self, stripes: "Stripes", k: int, tasks: list[Task]):
+        """Switch to stripe *k*: its columns, its checkpoint lineage and
+        its resumed rows.  Returns the stripe's tasks still to run and the
+        snapshot it restored from."""
+        self._window = stripes.bounds[k]
+        self._identity = stripes.identity(k)
+        if stripes.sharded and self.checkpoint is not None:
+            self._snapshots_before += self.checkpoint.snapshots_written
+            self.checkpoint = stripes.persistence(k).build_manager(
+                self._injector)
+        self._row_pending = {}
+        self._completed_rows = set()
+        self._rows_since_snapshot = 0
+        tasks = tasks[stripes.tasks(k)]
+        resumed = None
         if self._resume_requested:
-            tasks = self._resume_from_snapshot(tasks)
+            tasks, resumed = self._resume_from_snapshot(tasks)
+            self.resumed_from = self.resumed_from or resumed
         for i, _d1, _j, _n1 in tasks:
             self._row_pending[i] = self._row_pending.get(i, 0) + 1
-        return tasks, conversion_seconds
+        return tasks, resumed
 
     def _thread_ctx(self) -> tuple[SketchingRNG, Stopwatch]:
         tls = self._tls
@@ -334,7 +357,7 @@ class PlanExecutionEngine:
             return self.Ahat[:, i:i + d1, j:j + n1]
         return self.Ahat[i:i + d1, j:j + n1]
 
-    def _finish_stats(self, tasks: list[Task], conversion_seconds: float,
+    def _finish_stats(self, conversion_seconds: float,
                       total_seconds: float) -> KernelStats:
         # Two time axes: per-worker busy seconds sum (cpu_seconds) vs.
         # the driver's wall clock — with threads > 1 the former exceeds
@@ -350,7 +373,7 @@ class PlanExecutionEngine:
             wall_seconds=total_seconds,
             samples_generated=work["samples"],
             flops=self.batch * spmm_flops(self.d, self.A.nnz),
-            blocks_processed=len(tasks),
+            blocks_processed=self.health.tasks,
             d=self.d, b_d=self.b_d, b_n=self.b_n,
             extra={"threads": self.threads, "resilient": self.resilient,
                    "backend": NUMPY.name,
@@ -358,7 +381,8 @@ class PlanExecutionEngine:
             health=self.health if self.resilient else None,
         )
         if self.checkpoint is not None:
-            stats.extra["snapshots_written"] = self.checkpoint.snapshots_written
+            stats.extra["snapshots_written"] = (
+                self._snapshots_before + self.checkpoint.snapshots_written)
             stats.extra["resumed_from"] = (str(self.resumed_from)
                                            if self.resumed_from else None)
         return stats
@@ -371,11 +395,6 @@ class PlanExecutionEngine:
             "compute": sum(w.total("compute") for w in self._all_watches),
             "samples": sum(r.samples_generated for r in self._all_rngs),
         }
-
-    def _post_scale(self) -> float:
-        if self._all_rngs:
-            return self._all_rngs[0].post_scale
-        return self.rng_factory(0).post_scale
 
     # -- the task loop ----------------------------------------------------
 
@@ -567,6 +586,7 @@ class PlanExecutionEngine:
         cfg = self.resilience
         self.Ahat = out
         self._deadline = deadline
+        self._claimed = set()
         if cfg.guardrail is not None:
             self._colabs = column_abs_sums(self.A)
             self._entry_bound = entry_abs_bound(self.rng_factory(0).dist)
@@ -657,25 +677,43 @@ class PlanExecutionEngine:
 
     # -- entry point -------------------------------------------------------
 
-    def execute(self) -> tuple[np.ndarray, KernelStats]:
+    def execute(self, stripes: "Stripes | None" = None
+                ) -> tuple[np.ndarray, KernelStats]:
         """Execute the plan; returns ``(Ahat, stats)``.
 
+        *stripes* (:class:`~repro.plan.runtime.Stripes`; default one
+        full-width stripe) cuts the column-outer task list into groups:
+        each runs on :meth:`run_tasks` over its own checkpoint lineage,
+        then its barrier post-scales the stripe's columns.
         ``stats.health`` carries the :class:`RunHealth` report when the
         plan has a resilience policy, checkpoints or fault hooks
         (``None`` otherwise).
         """
-        tasks, conversion_seconds = self._prepare()
-        self.health.tasks = len(tasks)
+        if stripes is None:
+            from ..plan.runtime import Stripes
+
+            stripes = Stripes(self.plan, self.bus)
+        conversion_seconds = self._prepare()
+        all_tasks = list(iter_block_tasks(self.d, self.A.shape[1],
+                                          self.b_d, self.b_n))
         self.health.backend = NUMPY.name
         with Timer() as total:
-            self.run_tasks(tasks, self.Ahat)
-            # The run's finish, which the pool's ladder leaves to the
-            # pool: the final snapshot (if one is pending) captures the
-            # accumulation *before* post-scaling — the stored payload is
-            # always the raw accumulator state, like an interrupted run's.
-            self._maybe_checkpoint(force=True)
-            post = self._post_scale()
-            if post != 1.0:
-                self.Ahat *= post
-        return self.Ahat, self._finish_stats(tasks, conversion_seconds,
+            for k in range(len(stripes.bounds)):
+                stripes.start(k)
+                tasks, resumed = self._enter_stripe(stripes, k, all_tasks)
+                self.health.tasks += len(tasks)
+                self.run_tasks(tasks, self.Ahat)
+                # The stripe's finish, which the pool's ladder leaves to
+                # the pool: the final snapshot (if one is pending)
+                # captures the accumulation *before* post-scaling — the
+                # stored payload is always the raw accumulator state,
+                # like an interrupted run's.
+                self._maybe_checkpoint(force=True)
+                stripes.commit(k, self._post_scale_columns, resumed)
+        return self.Ahat, self._finish_stats(conversion_seconds,
                                              total.elapsed)
+
+    def _post_scale_columns(self, c0: int, c1: int) -> None:
+        post = self.rng_factory(0).post_scale
+        if post != 1.0:
+            self.Ahat[..., c0:c1] *= post

@@ -66,6 +66,7 @@ from ..utils.validation import check_choice, check_positive_int
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
     from ..plan.events import EventBus
+    from ..plan.runtime import Stripes
     from ..plan.spec import SketchPlan
     from ..sparse.blocked_csr import BlockedCSR
     from ..sparse.csc import CSCMatrix
@@ -382,12 +383,13 @@ def _binding(plan: "SketchPlan") -> dict:
 
     Two plans with equal bindings differ only in ``seed`` /
     ``batch_seeds`` and in fields workers never read (``resilience``,
-    ``decisions``), so a warm worker moves between them by rebuilding
-    its generator alone.
+    ``decisions``, ``partition``), so a warm worker moves between them
+    by rebuilding its generator alone.
     """
     record = plan.to_dict()
     del record["resilience"], record["decisions"], record["rng"]["seed"]
     record["rng"].pop("batch_seeds", None)
+    record.pop("partition", None)
     return record
 
 
@@ -842,6 +844,7 @@ class ProcessPoolSupervisor:
             for key, value in engine.work_totals().items():
                 self._worker_stats[key] += value
         self._committed.update(leftover)
+        self._quarantined = []
 
     # -- stats -------------------------------------------------------------
 
@@ -1011,14 +1014,14 @@ class ProcessPoolSupervisor:
 
     # -- entry points ------------------------------------------------------
 
-    def run(self):
+    def run(self, stripes: "Stripes | None" = None):
         """One-shot execution: start, execute, tear down.
 
         The classic ``process``-driver path; returns ``(Ahat, stats)``.
         """
         try:
             self.start()
-            result, stats = self.execute()
+            result, stats = self.execute(stripes=stripes)
         finally:
             self.close()
         # Keep the historical contract: after run() the attribute holds
@@ -1027,7 +1030,8 @@ class ProcessPoolSupervisor:
         return result, stats
 
     def execute(self, plan: "SketchPlan | None" = None, rng_factory=None, *,
-                injector=None, deadline: float | None = None):
+                injector=None, deadline: float | None = None,
+                stripes: "Stripes | None" = None):
         """Run one plan on the warm fleet; returns ``(Ahat, stats)``.
 
         Parameters
@@ -1051,11 +1055,15 @@ class ProcessPoolSupervisor:
             the pool is marked :attr:`tainted`, and
             :class:`~repro.errors.TaskTimeoutError` is raised.  A
             tainted pool must be :meth:`close`\\ d, not reused.
+        stripes:
+            The run's column stripes (:class:`~repro.plan.runtime.Stripes`;
+            default one full-width stripe).  The fleet runs them in
+            order, one task group at a time, and each stripe's barrier
+            copies its columns out of shared memory.
 
         Returns a *private copy* of the sketch — the shared segment is
         reused by the next run.
         """
-        import multiprocessing
         import numpy as np
 
         from ..kernels.backends import NUMPY
@@ -1077,6 +1085,10 @@ class ProcessPoolSupervisor:
         if injector is not None:
             self.injector = injector
 
+        if stripes is None:
+            from ..plan.runtime import Stripes
+
+            stripes = Stripes(self.plan, self.bus)
         plan_ = self.plan
         d, n = plan_.problem.d, plan_.problem.n
 
@@ -1086,10 +1098,8 @@ class ProcessPoolSupervisor:
         self._replays = {}
         self._dispatches = {}
         self._quarantined = []
-        self._backoff_heap = []
         self._worker_stats = {"sample": 0.0, "compute": 0.0, "samples": 0}
         self._tasks = list(iter_block_tasks(d, n, plan_.b_d, plan_.b_n))
-        self._ready = deque(range(len(self._tasks)))
         self.health.tasks = len(self._tasks)
         self.health.backend = NUMPY.name
         # The warm fleet serving this run was spawned at start(); count
@@ -1110,48 +1120,62 @@ class ProcessPoolSupervisor:
             while len(self._workers) < want:
                 self._spawn_worker(self._ctx, self._shm_names)
 
+        post = self.rng_factory(0).post_scale
+        result = np.empty_like(self.Ahat)
+
+        def detach(c0: int, c1: int) -> None:
+            # The shared segment is reused next run: copy the stripe out.
+            result[..., c0:c1] = self.Ahat[..., c0:c1]
+            if post != 1.0:
+                result[..., c0:c1] *= post
+
+        with Timer() as total:
+            for k in range(len(stripes.bounds)):
+                stripes.start(k)
+                self._run_group(range(len(self._tasks))[stripes.tasks(k)],
+                                deadline)
+                stripes.commit(k, detach)
+        return result, self._finish_stats(total.elapsed)
+
+    def _run_group(self, group: range, deadline: float | None) -> None:
+        """Run one stripe's tasks on the fleet; the degradation ladder
+        finishes what the fleet could not."""
+        import multiprocessing
+
+        self._ready = deque(group)
+        self._backoff_heap = []
         batch = self.pool.batch_size
         if batch <= 0:
             batch = max(1, min(
-                8, (len(self._tasks) + 4 * self.pool.workers - 1)
+                8, (len(group) + 4 * self.pool.workers - 1)
                 // (4 * self.pool.workers)))
         tick = min(0.05, self.pool.heartbeat_timeout / 5.0)
 
-        with Timer() as total:
-            while (self._workers
-                    and (self._ready or self._backoff_heap
-                         or any(h.assigned
-                                for h in self._workers.values()))):
-                if deadline is not None and time.monotonic() >= deadline:
-                    self._cancel_run(deadline)
-                self._drain_backoff()
-                for handle in list(self._workers.values()):
-                    if not handle.assigned and self._ready:
-                        self._dispatch(handle, batch)
-                conns = {h.conn: h for h in self._workers.values()}
-                if conns:
-                    readable = multiprocessing.connection.wait(
-                        list(conns), timeout=tick)
-                    for conn in readable:
-                        handle = conns.get(conn)
-                        if handle is not None \
-                                and handle.wid in self._workers:
-                            self._pump_worker(handle)
-                self._check_liveness()
-                self._maybe_respawn(self._ctx, self._shm_names)
+        while (self._workers
+                and (self._ready or self._backoff_heap
+                     or any(h.assigned for h in self._workers.values()))):
+            if deadline is not None and time.monotonic() >= deadline:
+                self._cancel_run(deadline)
+            self._drain_backoff()
+            for handle in list(self._workers.values()):
+                if not handle.assigned and self._ready:
+                    self._dispatch(handle, batch)
+            conns = {h.conn: h for h in self._workers.values()}
+            if conns:
+                readable = multiprocessing.connection.wait(
+                    list(conns), timeout=tick)
+                for conn in readable:
+                    handle = conns.get(conn)
+                    if handle is not None and handle.wid in self._workers:
+                        self._pump_worker(handle)
+            self._check_liveness()
+            self._maybe_respawn(self._ctx, self._shm_names)
 
-            leftover = sorted(
-                set(range(len(self._tasks))) - self._committed)
-            if leftover:
-                if deadline is not None and time.monotonic() >= deadline:
-                    self._cancel_run(deadline)
-                self._degrade(leftover, deadline)
-            # Detach the result: the shared segment is reused next run.
-            result = np.array(self.Ahat, copy=True)
-            post = self.rng_factory(0).post_scale
-            if post != 1.0:
-                result *= post
-        return result, self._finish_stats(total.elapsed)
+        leftover = [idx for idx in group if idx not in self._committed]
+        if leftover:
+            if deadline is not None and time.monotonic() >= deadline:
+                self._cancel_run(deadline)
+            self._degrade(leftover, deadline)
 
     def _cancel_run(self, deadline: float) -> None:
         """Abort the in-flight run at its deadline.

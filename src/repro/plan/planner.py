@@ -112,7 +112,8 @@ class Planner:
         so the sketch keeps every bit).  *partition* requests sharded
         execution: a :class:`~repro.plan.PartitionSpec` (or a bare shard
         count, which selects the ``even`` strategy) that the runtime
-        resolves into per-shard sub-plans; every strategy produces a
+        resolves into column stripes run as consecutive task groups of
+        the one driver run; every strategy produces a
         sketch bit-identical to the unsharded run.  *batch_seeds* (a
         sequence of per-sketch seeds) compiles a *batched* plan: the run
         produces a ``(len(batch_seeds), d, n)`` stack whose slice ``[t]``

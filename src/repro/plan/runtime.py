@@ -28,7 +28,10 @@ with lifecycle events on its :class:`~repro.plan.EventBus`:
 Lifecycle events: ``plan_compiled`` at entry, ``block_start`` /
 ``block_done`` around kernel invocations, ``checkpoint_written`` after
 each durable snapshot, ``retry`` / ``degraded`` when the resilience
-machinery intervenes, and ``done`` with the final stats.  Fault
+machinery intervenes, ``shard_start`` / ``shard_merged`` /
+``shard_resumed`` around each column stripe of a partitioned plan (see
+:class:`Stripes`; the driver still runs once), and ``done`` with the
+final stats.  Fault
 injection subscribes to the ``task_start`` / ``rng_request`` /
 ``block_computed`` hook events (see
 :meth:`repro.faults.FaultInjector.register`) instead of being threaded
@@ -37,7 +40,6 @@ through executor internals.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -59,7 +61,7 @@ from .events import (
     EventBus,
 )
 from .policy import PersistencePolicy
-from .spec import ProblemSpec, ShardPlan, SketchPlan, compute_shards
+from .spec import ShardPlan, SketchPlan, compute_shards
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cache.policy import CachePolicy
@@ -69,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sparse.blocked_csr import BlockedCSR
     from ..sparse.csc import CSCMatrix
 
-__all__ = ["SketchResult", "Runtime"]
+__all__ = ["SketchResult", "Runtime", "Stripes"]
 
 
 @dataclass
@@ -86,35 +88,167 @@ class SketchResult:
 RngFactory = Callable[[int], "SketchingRNG"]
 
 
+def _shard_dir(base: Path, shard: ShardPlan) -> Path:
+    """Checkpoint subdirectory for one stripe (named by column range,
+    so lineage survives any change in shard *count*)."""
+    return Path(base) / f"shard-{shard.col_start:08d}-{shard.col_stop:08d}"
+
+
+class Stripes:
+    """A run's column stripes in commit order, and the barrier after each.
+
+    Every driver runs one column-outer task list over the whole input;
+    stripe ``k`` is the contiguous run of tasks whose column offset lies
+    in ``bounds[k]``, closed by :meth:`commit`.  An unsharded run is one
+    full-width stripe with no shard identity: its barrier emits no event
+    and records no extra.
+
+    Stripes are ``b_n``-aligned and both generator families key entries
+    on ``(row-block offset, sparse row index)``, never the column
+    offset, so the stripe order moves no bit of the sketch.  Stripes
+    commit in ascending column order (the propagation-blocking sweep of
+    Gu et al.); the measured cost of each barrier's merge is surfaced as
+    ``merge_seconds`` / ``merge_words`` in the run's stats and on each
+    ``shard_merged`` event.
+    """
+
+    def __init__(self, plan: SketchPlan, bus: EventBus,
+                 shards: tuple[ShardPlan, ...] = (),
+                 checkpoint_base: Path | None = None,
+                 seeded: dict[int, dict] | None = None) -> None:
+        self.plan = plan
+        self.bus = bus
+        self.shards = tuple(shards)
+        self.bounds = (tuple((s.col_start, s.col_stop) for s in self.shards)
+                       or ((0, plan.problem.n),))
+        self._base = checkpoint_base
+        self._seeded = seeded or {}
+        self.merge_seconds = 0.0
+        self.merge_words = 0
+        self.resumed = 0
+
+    @property
+    def sharded(self) -> bool:
+        return bool(self.shards)
+
+    def tasks(self, k: int) -> slice:
+        """Stripe *k*'s run of the column-outer task list
+        (:func:`~repro.kernels.blocking.iter_block_tasks`)."""
+        c0, c1 = self.bounds[k]
+        p = self.plan
+        rows = -(-p.problem.d // p.b_d)
+        return slice(c0 // p.b_n * rows, -(-c1 // p.b_n) * rows)
+
+    def identity(self, k: int) -> dict:
+        """Fingerprint keys naming stripe *k*'s checkpoint lineage (none
+        when unsharded), so two equal-width stripes can never adopt each
+        other's snapshots."""
+        if not self.sharded:
+            return {}
+        c0, c1 = self.bounds[k]
+        return {"shard_col_start": int(c0), "shard_col_stop": int(c1)}
+
+    def persistence(self, k: int) -> PersistencePolicy:
+        """Stripe *k*'s checkpoint policy: the plan's own when unsharded,
+        else the same knobs over the stripe's lineage directory."""
+        policy = self.plan.persistence
+        if not self.sharded or not policy.enabled:
+            return policy
+        return PersistencePolicy(
+            checkpoint_dir=str(_shard_dir(self._base, self.shards[k])),
+            every=policy.every, keep=policy.keep, resume=policy.resume)
+
+    def start(self, k: int) -> None:
+        """Announce that stripe *k*'s task group begins."""
+        if self.sharded:
+            shard = self.shards[k]
+            self.bus.emit(SHARD_START, shard=k, shards=len(self.shards),
+                          col_start=shard.col_start,
+                          col_stop=shard.col_stop, nnz=shard.nnz,
+                          strategy=self.plan.partition.strategy)
+
+    def commit(self, k: int, merge: Callable[[int, int], None] | None = None,
+               resumed: object = None) -> None:
+        """The barrier closing stripe *k*: run and time its *merge* (the
+        driver's last pass over the stripe's output columns, called as
+        ``merge(c0, c1)``), account it, and announce it.  *resumed* is
+        the snapshot the stripe restored from, if any."""
+        c0, c1 = self.bounds[k]
+        with Timer() as timer:
+            if merge is not None:
+                merge(c0, c1)
+        if not self.sharded:
+            return
+        words = self.plan.problem.batch * self.plan.problem.d * (c1 - c0)
+        self.merge_seconds += timer.elapsed
+        self.merge_words += words
+        self.bus.emit(SHARD_MERGED, shard=k, col_start=c0, col_stop=c1,
+                      seconds=timer.elapsed, words=words)
+        if resumed:
+            self.resumed += 1
+            info = self._seeded.get(k, {})
+            self.bus.emit(SHARD_RESUMED, shard=k, rows=info.get("rows"),
+                          repartitioned=bool(info.get("repartitioned")),
+                          source=str(resumed))
+
+    def record(self, stats: KernelStats) -> None:
+        """Stamp the run's partition accounting onto its stats."""
+        if not self.sharded:
+            return
+        stats.extra["shards"] = len(self.shards)
+        stats.extra["partition_strategy"] = self.plan.partition.strategy
+        stats.extra["merge_seconds"] = self.merge_seconds
+        stats.extra["merge_words"] = self.merge_words
+        if self._base is not None:
+            stats.extra["shards_resumed"] = self.resumed
+
+
 def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                   blocked, injector):
-    """Single-pass blocked loop — the pre-refactor sequential path."""
+                   blocked, injector, stripes: Stripes):
+    """Single-pass blocked loop — the pre-refactor sequential path.
+
+    Stripe boundaries come from ``sketch_spmm``'s ``on_block`` hook.
+    Tiles land in place and the whole sketch is post-scaled once, so a
+    stripe's barrier has nothing left to move.
+    """
     from ..kernels.blocking import sketch_spmm
 
     bus = runtime.bus
+    track = bus.has_subscribers(BLOCK_START, BLOCK_DONE)
     on_block = None
-    if bus.has_subscribers(BLOCK_START, BLOCK_DONE):
+    k = -1  # the open stripe
+    if track or stripes.sharded:
         def on_block(phase: str, i: int, d1: int, j: int, n1: int) -> None:
-            bus.emit(phase, task=(i, j), i=i, d1=d1, j=j, n1=n1,
-                     kernel=plan.kernel)
-    return sketch_spmm(
+            nonlocal k
+            if phase == BLOCK_START and (k < 0 or j >= stripes.bounds[k][1]):
+                if k >= 0:
+                    stripes.commit(k)
+                k += 1
+                stripes.start(k)
+            if track:
+                bus.emit(phase, task=(i, j), i=i, d1=d1, j=j, n1=n1,
+                         kernel=plan.kernel)
+    result = sketch_spmm(
         A, plan.problem.d, factory(0), kernel=plan.kernel,
         b_d=plan.b_d, b_n=plan.b_n, blocked=blocked, on_block=on_block,
     )
+    if k >= 0:
+        stripes.commit(k)
+    return result
 
 
 def _engine_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                   blocked, injector):
+                   blocked, injector, stripes: Stripes):
     """The resilient block executor (any thread count)."""
     from ..parallel.executor import PlanExecutionEngine
 
     engine = PlanExecutionEngine(plan, A, factory, bus=runtime.bus,
                                  blocked=blocked, injector=injector)
-    return engine.execute()
+    return engine.execute(stripes)
 
 
 def _pregen_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                   blocked, injector):
+                   blocked, injector, stripes: Stripes):
     """Materialize ``S`` densely, then one GEMM (baseline kernel)."""
     from ..kernels.pregen import pregen_full
 
@@ -122,17 +256,17 @@ def _pregen_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
 
 
 def _process_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                    blocked, injector):
+                    blocked, injector, stripes: Stripes):
     """The supervised multi-process worker pool (crash-tolerant)."""
     from ..parallel.procpool import ProcessPoolSupervisor
 
     supervisor = ProcessPoolSupervisor(plan, A, factory, bus=runtime.bus,
                                        injector=injector, blocked=blocked)
-    return supervisor.run()
+    return supervisor.run(stripes)
 
 
 #: The drivers: name -> callable(runtime, plan, A, factory, blocked,
-#: injector) -> (Ahat, stats).
+#: injector, stripes) -> (Ahat, stats).
 _DRIVERS: dict[str, Callable] = {
     "serial": _serial_driver,
     "engine": _engine_driver,
@@ -165,7 +299,8 @@ class Runtime:
         """Override driver *name* for this runtime instance only.
 
         The callable has the driver signature
-        ``fn(runtime, plan, A, factory, blocked, injector)`` and shadows
+        ``fn(runtime, plan, A, factory, blocked, injector, stripes)``
+        (see :class:`Stripes`) and shadows
         the built-in driver of the same name; other :class:`Runtime`
         instances are unaffected.
         """
@@ -247,10 +382,8 @@ class Runtime:
         misses_before = 0 if cache is None else cache.miss_total()
         blocked_source = None
         cached_conversion_seconds = 0.0
-        # Sharded plans resolve blocked-CSR per stripe inside
-        # _run_sharded (shard-scoped cache keys).
         if cache is not None and driver_name != "pregen" \
-                and plan.partition is None and plan.kernel == "algo4":
+                and plan.kernel == "algo4":
             blocked, cached_conversion_seconds, blocked_source = \
                 self._blocked_input(plan, A, blocked, cache)
         if driver_name in ("serial", "process") \
@@ -270,11 +403,10 @@ class Runtime:
                     f"one of: {', '.join(sorted(_DRIVERS))}"
                 ) from None
         self.bus.emit(PLAN_COMPILED, plan=plan, driver=driver_name)
-        if plan.partition is not None and driver_name != "pregen":
-            Ahat, stats = self._run_sharded(plan, A, factory, blocked,
-                                            injector, cache, driver)
-        else:
-            Ahat, stats = driver(self, plan, A, factory, blocked, injector)
+        stripes = self._stripes(plan, A, factory)
+        Ahat, stats = driver(self, plan, A, factory, blocked, injector,
+                             stripes)
+        stripes.record(stats)
         s = plan.scale()
         if s != 1.0:
             Ahat *= s
@@ -303,139 +435,28 @@ class Runtime:
 
     # -- sharded execution ---------------------------------------------------
 
-    def _run_sharded(self, plan: SketchPlan, A: "CSCMatrix", factory,
-                     blocked: "BlockedCSR | None",
-                     injector: "FaultInjector | None",
-                     cache: "ArtifactCache | None",
-                     driver: Callable) -> tuple[np.ndarray, KernelStats]:
-        """Execute a partitioned plan shard by shard and merge the stripes.
+    def _stripes(self, plan: SketchPlan, A: "CSCMatrix",
+                 factory) -> Stripes:
+        """Resolve the plan's partition into the run's column stripes.
 
         The partition request resolves to contiguous, ``b_n``-aligned
-        column stripes (:func:`~repro.plan.compute_shards`).  Each shard
-        runs the plan's own driver over its stripe ``A[:, c0:c1)`` with
-        an identical RNG recipe — both generator families key entries on
-        ``(row-block offset, sparse row index)``, never the column
-        offset, so the per-shard RNG derivation is the identity and the
-        merged sketch is bit-identical to the unsharded run for every
-        strategy and shard count.
-
-        The merge stage is communication-avoiding by construction:
-        stripes are disjoint column ranges of the output, folded in
-        ascending column order (the propagation-blocking sweep of Gu et
-        al.), so merging is a sequential-write copy, never a reduction.
-        Its measured cost is surfaced as ``merge_seconds`` /
-        ``merge_words`` in the returned :class:`KernelStats` and on each
-        ``shard_merged`` event.
+        column stripes (:func:`~repro.plan.compute_shards`); an
+        unsharded plan is one full-width stripe.  A resumed,
+        checkpointed run first re-partitions prior stripe lineages onto
+        the new stripes (:meth:`_repartition_checkpoints`).
         """
+        if plan.partition is None:
+            return Stripes(plan, self.bus)
         shards = compute_shards(plan.partition, n=plan.problem.n,
                                 b_n=plan.b_n, col_nnz=A.col_nnz())
         base = None
+        seeded: dict[int, dict] = {}
         if plan.persistence.enabled:
             base = Path(plan.persistence.to_dict()["checkpoint_dir"])
-        seeded: dict[int, dict] = {}
-        if base is not None and plan.persistence.resume:
-            seeded = self._repartition_checkpoints(plan, shards, factory,
-                                                   base)
-        d = plan.problem.d
-        batch = plan.problem.batch
-        shape = (batch, d, plan.problem.n) if batch > 1 \
-            else (d, plan.problem.n)
-        Ahat = np.zeros(shape, dtype=np.float64)
-        # The run aggregate is a FRESH record seeded from the plan's
-        # kernel name — never an alias of a shard's own stats.  Aliasing
-        # shard 0 (the previous behaviour) silently turned that shard's
-        # record into the run total: any layer retaining per-shard
-        # records and reconciling their sum against the aggregate
-        # double-counted shard 0, and a second-level merge (a sharded
-        # run folded into a service aggregate) double-counted the
-        # ``merge_seconds``/``merge_words`` extras attached below.
-        stats: KernelStats | None = None
-        merge_seconds = 0.0
-        merge_words = 0
-        shards_resumed = 0
-        sources: set[str] = set()
-        with Timer() as loop:
-            for shard in shards:
-                c0, c1 = shard.col_start, shard.col_stop
-                A_s = A.col_block(c0, c1)
-                sub = self._shard_subplan(plan, shard, A_s.nnz, base)
-                blocked_s, conv_s, src_s = self._blocked_input(
-                    sub, A, blocked, cache, shard, A_s)
-                self.bus.emit(SHARD_START, shard=shard.index,
-                              shards=len(shards), col_start=c0, col_stop=c1,
-                              nnz=shard.nnz,
-                              strategy=plan.partition.strategy)
-                Ahat_s, stats_s = driver(self, sub, A_s, factory, blocked_s,
-                                         injector)
-                with Timer() as merge:
-                    # Stripe copy along the trailing (column) axis: the
-                    # same sweep for (d, n) sketches and (batch, d, n)
-                    # batched stacks.
-                    Ahat[..., c0:c1] = Ahat_s
-                merge_seconds += merge.elapsed
-                merge_words += batch * d * shard.ncols
-                self.bus.emit(SHARD_MERGED, shard=shard.index, col_start=c0,
-                              col_stop=c1, seconds=merge.elapsed,
-                              words=batch * d * shard.ncols)
-                resumed = stats_s.extra.get("resumed_from")
-                if resumed:
-                    shards_resumed += 1
-                    info = seeded.get(shard.index, {})
-                    self.bus.emit(SHARD_RESUMED, shard=shard.index,
-                                  rows=info.get("rows"),
-                                  repartitioned=bool(
-                                      info.get("repartitioned")),
-                                  source=str(resumed))
-                if src_s == "converted":
-                    stats_s.conversion_seconds += conv_s
-                if src_s is not None:
-                    sources.add(src_s)
-                if stats is None:
-                    stats = KernelStats(kernel=stats_s.kernel)
-                stats.merge(stats_s)
-        # Shards execute sequentially in this loop, so the run's wall
-        # clock is the loop, not the max of any one shard; per-shard
-        # sums (total/cpu/sample seconds) stay meaningful as-is.
-        stats.wall_seconds = loop.elapsed
-        stats.extra["threads"] = plan.threads
-        stats.extra["shards"] = len(shards)
-        stats.extra["partition_strategy"] = plan.partition.strategy
-        stats.extra["merge_seconds"] = merge_seconds
-        stats.extra["merge_words"] = merge_words
-        if base is not None:
-            stats.extra["shards_resumed"] = shards_resumed
-        if len(sources) == 1:
-            stats.extra["blocked_csr_source"] = sources.pop()
-        return Ahat, stats
-
-    @staticmethod
-    def _shard_dir(base: Path, shard: ShardPlan) -> Path:
-        """Checkpoint subdirectory for one stripe (named by column range,
-        so lineage survives any change in shard *count*)."""
-        return Path(base) / \
-            f"shard-{shard.col_start:08d}-{shard.col_stop:08d}"
-
-    def _shard_subplan(self, plan: SketchPlan, shard: ShardPlan, nnz: int,
-                       base: "Path | None") -> SketchPlan:
-        """The per-shard sub-plan: same decisions, stripe-scoped problem.
-
-        The sub-plan keeps the parent's kernel/blocking/RNG verbatim
-        (bit-identity depends on it), narrows the problem to the stripe,
-        swaps ``partition`` for the shard identity, and redirects
-        persistence into the stripe's own snapshot lineage directory.
-        """
-        persistence = plan.persistence
-        if persistence.enabled:
-            persistence = PersistencePolicy(
-                checkpoint_dir=str(self._shard_dir(base, shard)),
-                every=persistence.every, keep=persistence.keep,
-                resume=persistence.resume)
-        problem = ProblemSpec(m=plan.problem.m, n=shard.ncols,
-                              d=plan.problem.d, nnz=int(nnz),
-                              batch=plan.problem.batch)
-        return dataclasses.replace(
-            plan, problem=problem, partition=None, shard=shard,
-            persistence=persistence, decisions=())
+            if plan.persistence.resume:
+                seeded = self._repartition_checkpoints(plan, shards,
+                                                       factory, base)
+        return Stripes(plan, self.bus, shards, base, seeded)
 
     def _repartition_checkpoints(self, plan: SketchPlan,
                                  shards: tuple[ShardPlan, ...], factory,
@@ -522,7 +543,7 @@ class Runtime:
         for shard in shards:
             c0, c1 = shard.col_start, shard.col_stop
             fp = shard_fp(shard)
-            own = verified(self._shard_dir(base, shard))
+            own = verified(_shard_dir(base, shard))
             if own is not None and all(own.fingerprint.get(k) == fp.get(k)
                                        for k in own_keys):
                 seeded[shard.index] = {
@@ -553,7 +574,7 @@ class Runtime:
                 a0, a1 = max(c0, o0), min(c1, o1)
                 arr[:, a0 - c0:a1 - c0] = old[:, a0 - o0:a1 - o0]
             blocks = [(r, arr[r:r + min(b_d, d - r), :]) for r in row_list]
-            manager = CheckpointManager(self._shard_dir(base, shard),
+            manager = CheckpointManager(_shard_dir(base, shard),
                                         keep=plan.persistence.keep)
             manager.save(blocks, fp, {"completed_rows": row_list})
             seeded[shard.index] = {"rows": len(row_list),
@@ -564,33 +585,20 @@ class Runtime:
 
     def _blocked_input(self, plan: SketchPlan, A: "CSCMatrix",
                        blocked: "BlockedCSR | None",
-                       cache: "ArtifactCache | None",
-                       shard: ShardPlan | None = None,
-                       A_s: "CSCMatrix | None" = None
+                       cache: "ArtifactCache"
                        ) -> tuple["BlockedCSR | None", float, str | None]:
-        """Resolve the Algorithm 4 blocked-CSR input of *A*, or of the
-        column stripe *A_s* that *shard* cuts from it.
+        """Resolve the Algorithm 4 blocked-CSR input of *A*.
 
         Returns ``(blocked, conversion_seconds, source)`` where *source*
-        is ``"caller"`` (a pre-built whole-matrix structure, column-sliced
-        to the stripe as a zero-copy view — stripe cuts are
-        ``b_n``-aligned), ``"cache"`` (verified disk/memory entry under
-        the matrix's key, shard-scoped for a stripe), ``"converted"``
-        (cache miss — converted here, then stored), or ``None`` (not an
-        Algorithm 4 plan, or no cache: the driver converts and times the
-        input itself).  On the ``"converted"`` path the measured
-        conversion time is returned so the run's stats stay truthful
-        even though the driver sees a pre-built structure.
+        is ``"caller"`` (a pre-built structure), ``"cache"`` (verified
+        disk/memory entry under the matrix's key) or ``"converted"``
+        (cache miss — converted here, then stored).  On the
+        ``"converted"`` path the measured conversion time is returned so
+        the run's stats stay truthful even though the driver sees a
+        pre-built structure.  One entry serves every shard count.
         """
-        if plan.kernel != "algo4":
-            return None, 0.0, None
         if blocked is not None:
-            if shard is not None:
-                blocked = blocked.column_slice(shard.col_start,
-                                               shard.col_stop)
             return blocked, 0.0, "caller"
-        if cache is None:
-            return None, 0.0, None
         from ..cache.artifacts import (
             blocked_csr_key,
             fetch_blocked_csr,
@@ -598,11 +606,10 @@ class Runtime:
         )
         from ..sparse.convert import csc_to_blocked_csr
 
-        part = A if A_s is None else A_s
-        key = blocked_csr_key(A, plan.b_n, shard=shard)
-        cached = fetch_blocked_csr(cache, key, part.shape)
+        key = blocked_csr_key(A, plan.b_n)
+        cached = fetch_blocked_csr(cache, key, A.shape)
         if cached is not None:
             return cached, 0.0, "cache"
-        built, conv = csc_to_blocked_csr(part, plan.b_n)
-        store_blocked_csr(cache, key, built, b_n=plan.b_n, shard=shard)
+        built, conv = csc_to_blocked_csr(A, plan.b_n)
+        store_blocked_csr(cache, key, built, b_n=plan.b_n)
         return built, conv.seconds, "converted"

@@ -304,10 +304,9 @@ class ShardPlan:
 
     A shard owns the contiguous, ``b_n``-aligned global column range
     ``[col_start, col_stop)`` of the input (and therefore the same
-    column stripe of the output sketch).  Sub-plans carry their
-    ``ShardPlan`` so every downstream layer — process-pool workers,
-    checkpoint fingerprints, warm-pool keys — knows which stripe it is
-    computing.
+    column stripe of the output sketch).  The driver runs the stripe's
+    block tasks as one contiguous group of the run's task list; the
+    range also names the stripe's checkpoint lineage.
     """
 
     index: int          # shard ordinal, 0-based
@@ -331,20 +330,6 @@ class ShardPlan:
     def ncols(self) -> int:
         """Stripe width in columns."""
         return self.col_stop - self.col_start
-
-    def to_dict(self) -> dict:
-        return {"index": int(self.index), "shards": int(self.shards),
-                "col_start": int(self.col_start),
-                "col_stop": int(self.col_stop),
-                "nnz": (None if self.nnz is None else int(self.nnz))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardPlan":
-        return cls(index=int(data["index"]), shards=int(data["shards"]),
-                   col_start=int(data["col_start"]),
-                   col_stop=int(data["col_stop"]),
-                   nnz=(None if data.get("nnz") is None
-                        else int(data["nnz"])))
 
 
 def compute_shards(spec: "PartitionSpec", *, n: int, b_n: int,
@@ -471,12 +456,9 @@ class SketchPlan:
         the driver is ``"process"``).
     partition:
         Column-partition request (see :class:`PartitionSpec`); ``None``
-        for an unsharded run.  The runtime resolves it into per-shard
-        sub-plans via :func:`compute_shards`.
-    shard:
-        Set only on runtime-derived per-shard sub-plans: this plan's
-        stripe identity (see :class:`ShardPlan`).  Mutually exclusive
-        with ``partition``.
+        for an unsharded run.  The runtime resolves it into column
+        stripes via :func:`compute_shards`; the driver runs them as
+        consecutive groups of one task list.
     decisions:
         Why each choice was made; rendered by :meth:`explain`.
     """
@@ -492,7 +474,6 @@ class SketchPlan:
     persistence: PersistencePolicy = field(default_factory=PersistencePolicy)
     pool: WorkerPoolConfig | None = None
     partition: "PartitionSpec | None" = None
-    shard: "ShardPlan | None" = None
     decisions: tuple = ()
 
     def __post_init__(self) -> None:
@@ -542,22 +523,6 @@ class SketchPlan:
                     "sharded execution is not supported for the 'pregen' "
                     "kernel (it has no column-block structure to partition)"
                 )
-        if self.shard is not None:
-            if not isinstance(self.shard, ShardPlan):
-                raise ConfigError(
-                    f"shard must be a ShardPlan or None, got "
-                    f"{type(self.shard).__name__}"
-                )
-            if self.partition is not None:
-                raise ConfigError(
-                    "a plan cannot carry both a partition request and a "
-                    "shard identity (sub-plans drop the partition)"
-                )
-            if self.shard.ncols != self.problem.n:
-                raise ConfigError(
-                    f"shard covers {self.shard.ncols} column(s) but the "
-                    f"plan's problem has n={self.problem.n}"
-                )
         if self.resilience is not None and \
                 not isinstance(self.resilience, ResilienceConfig):
             raise ConfigError(
@@ -593,12 +558,7 @@ class SketchPlan:
         return self.rng.normalization(self.problem.d)
 
     def fingerprint(self, mode: str = "blocked") -> dict:
-        """Immutable run identity for checkpoint compatibility checks.
-
-        Per-shard sub-plans extend the base fingerprint with their
-        global column range, so two shards of equal width can never
-        adopt each other's snapshots.
-        """
+        """Immutable run identity for checkpoint compatibility checks."""
         from ..persist.snapshot import run_fingerprint
 
         fp = run_fingerprint(
@@ -607,9 +567,6 @@ class SketchPlan:
             rng_kind=self.rng.kind,
             seed=self.rng.seed, distribution=self.rng.distribution,
         )
-        if self.shard is not None:
-            fp["shard_col_start"] = int(self.shard.col_start)
-            fp["shard_col_stop"] = int(self.shard.col_stop)
         if self.problem.batch != 1:
             fp["batch"] = int(self.problem.batch)
             fp["batch_seeds"] = [int(s) for s in self.rng.batch_seeds]
@@ -640,8 +597,6 @@ class SketchPlan:
         # canonical JSON (and therefore their pinned digests).
         if self.partition is not None:
             record["partition"] = self.partition.to_dict()
-        if self.shard is not None:
-            record["shard"] = self.shard.to_dict()
         return record
 
     @classmethod
@@ -674,8 +629,6 @@ class SketchPlan:
                   else WorkerPoolConfig.from_dict(data["pool"])),
             partition=(None if data.get("partition") is None
                        else PartitionSpec.from_dict(data["partition"])),
-            shard=(None if data.get("shard") is None
-                   else ShardPlan.from_dict(data["shard"])),
             decisions=tuple(PlanDecision.from_dict(d)
                             for d in data.get("decisions", ())),
         )
@@ -769,10 +722,6 @@ class SketchPlan:
             lines.append(
                 f"  partition   : shards={self.partition.shards}, "
                 f"strategy={self.partition.strategy}")
-        if self.shard is not None:
-            lines.append(
-                f"  shard       : {self.shard.index + 1}/{self.shard.shards}"
-                f", columns [{self.shard.col_start}, {self.shard.col_stop})")
         if self.decisions:
             lines.append("decisions:")
             for dec in self.decisions:

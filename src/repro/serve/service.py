@@ -579,14 +579,6 @@ class SketchService:
         gamma = cfg_fields.pop("gamma", None)
         driver = cfg_fields.pop("driver", "auto")
         workers = cfg_fields.pop("workers", None)
-        shards = cfg_fields.pop("shards", None)
-        strategy = cfg_fields.pop("partition_strategy", "even")
-        partition = None
-        if shards is not None:
-            from ..plan.spec import PartitionSpec
-
-            partition = PartitionSpec(shards=int(shards),
-                                      strategy=str(strategy))
         resilience = cfg_fields.pop("resilience", None)
         if resilience is not None:
             if not isinstance(resilience, dict):
@@ -604,7 +596,7 @@ class SketchService:
         if workers is not None:
             pool = WorkerPoolConfig(workers=int(workers))
         return Planner().compile(A, cfg, d=d, gamma=gamma, driver=driver,
-                                 pool=pool, partition=partition,
+                                 pool=pool,
                                  batch_seeds=batch_seeds, cache=self.cache)
 
     def _propagate_deadline(self, plan, ticket: Ticket):
@@ -678,23 +670,14 @@ class SketchService:
         return entry
 
     def _pool_key(self, plan, matrix_key: str) -> tuple:
+        # One pool per matrix: a sharded run uses the same fleet, whole
+        # A and whole blocked CSR as an unsharded one.
         b_n = plan.b_n if plan.kernel == "algo4" else None
-        # Sharded execution must never share a warm pool across stripes:
-        # a per-shard sub-plan's workers hold that stripe of A in shared
-        # memory, so the stripe identity (and, for a parent plan, the
-        # partition request) is part of the pool's address.
-        shard = None
-        if plan.shard is not None:
-            shard = ("shard", int(plan.shard.col_start),
-                     int(plan.shard.col_stop))
-        elif plan.partition is not None:
-            shard = ("partition", int(plan.partition.shards),
-                     plan.partition.strategy)
-        return (matrix_key, plan.kernel, b_n, shard)
+        return (matrix_key, plan.kernel, b_n)
 
     def _get_pool(self, plan, A, matrix_key: str, blocked):
         """Fetch or build the warm pool bound to this (matrix, kernel,
-        partition); LRU-evicts (and closes) excess pools."""
+        ``b_n``); LRU-evicts (and closes) excess pools."""
         from ..parallel.procpool import ProcessPoolSupervisor
 
         key = self._pool_key(plan, matrix_key)
@@ -729,7 +712,7 @@ class SketchService:
             pool.close()
 
     def _warm_process_driver(self, runtime, plan, A, factory, blocked,
-                             injector):
+                             injector, stripes):
         """Instance-local ``process`` driver: execute on the warm,
         reused supervisor instead of building one per request."""
         ticket: Ticket = self._tl.ticket
@@ -740,7 +723,8 @@ class SketchService:
         try:
             return pool.execute(plan, factory, injector=injector,
                                 deadline=ticket.deadline
-                                if ticket is not None else None)
+                                if ticket is not None else None,
+                                stripes=stripes)
         finally:
             if pool.tainted:
                 self._recycle_pool(plan, matrix_key)

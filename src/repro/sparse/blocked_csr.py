@@ -100,29 +100,6 @@ class BlockedCSR:
         for b, blk in enumerate(self.blocks):
             yield int(self.block_starts[b]), blk
 
-    def column_slice(self, j0: int, j1: int) -> "BlockedCSR":
-        """The vertical sub-structure covering global columns ``[j0, j1)``.
-
-        *j0*/*j1* must fall on block boundaries (sharded execution cuts
-        stripes at multiples of ``b_n``, so this always holds there);
-        the returned structure shares the underlying block CSRMatrix
-        objects — no data is copied — with ``block_starts`` re-based so
-        local offsets start at zero.
-        """
-        bs = self.block_starts
-        if not (0 <= j0 < j1 <= self.shape[1]):
-            raise ShapeError(
-                f"column slice [{j0}, {j1}) out of range for n="
-                f"{self.shape[1]}")
-        b0 = int(np.searchsorted(bs, j0))
-        b1 = int(np.searchsorted(bs, j1))
-        if bs[b0] != j0 or bs[b1] != j1:
-            raise ShapeError(
-                f"column slice [{j0}, {j1}) does not fall on block "
-                f"boundaries {bs.tolist()}")
-        return BlockedCSR((self.shape[0], j1 - j0), bs[b0:b1 + 1] - j0,
-                          self.blocks[b0:b1], check=False)
-
     # -- conversions --------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:

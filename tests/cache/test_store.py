@@ -168,6 +168,18 @@ class TestMaintenance:
         assert report["corrupt"] == ["tune/bad"]
         assert not (tmp_path / "tune" / "bad").exists()
 
+    def test_old_shard_scoped_entries_are_ordinary(self, tmp_path):
+        """Per-stripe entries an older release wrote (``meta.shard``)
+        verify, count and clear like any other entry."""
+        cache = make_cache(tmp_path)
+        cache.insert("blocked_csr", "stripe",
+                     meta={"shard": {"col_start": 0, "col_stop": 48}},
+                     payloads={"x.bin": b"abcd"})
+        fresh = make_cache(tmp_path)
+        assert fresh.verify() == {"checked": 1, "ok": 1, "corrupt": []}
+        assert fresh.stats()["artifacts"]["blocked_csr"]["entries"] == 1
+        assert fresh.clear() == 1
+
     def test_manifest_identity_is_checked(self, tmp_path):
         """An entry copied/renamed to the wrong key must not be served."""
         cache = make_cache(tmp_path)

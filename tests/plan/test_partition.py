@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cache import ArtifactCache, CachePolicy
-from repro.cache.artifacts import blocked_csr_key
 from repro.core import SketchConfig
 from repro.errors import ConfigError
 from repro.parallel import WorkerPoolConfig
@@ -14,10 +13,10 @@ from repro.plan import (
     PARTITION_STRATEGIES,
     SHARD_MERGED,
     SHARD_START,
+    WORKER_SPAWNED,
     PartitionSpec,
     Planner,
     Runtime,
-    ShardPlan,
     SketchPlan,
     compute_shards,
 )
@@ -49,20 +48,6 @@ class TestPartitionSpec:
         back = SketchPlan.from_dict(plan.to_dict())
         assert back.partition == plan.partition
         assert back.digest() == plan.digest()
-
-    def test_shard_field_round_trips(self, A):
-        shard = ShardPlan(index=1, shards=3, col_start=32, col_stop=64,
-                          nnz=17)
-        plan = Planner().compile(A, _cfg())
-        import dataclasses
-
-        from repro.plan.spec import ProblemSpec
-
-        sub = dataclasses.replace(
-            plan, problem=ProblemSpec(A.shape[0], 32, plan.problem.d, 17),
-            shard=shard)
-        back = SketchPlan.from_dict(sub.to_dict())
-        assert back.shard == shard
 
     def test_digest_stable_across_compiles(self, A):
         p1 = Planner().compile(A, _cfg(), partition=PartitionSpec(shards=4))
@@ -195,27 +180,69 @@ class TestShardEventsAndStats:
         assert extra["merge_words"] == d * A.shape[1]
 
 
-class TestShardCacheKeys:
-    def test_shard_scopes_the_blocked_csr_key(self, A):
-        whole = blocked_csr_key(A, 16)
-        s1 = blocked_csr_key(A, 16, shard=(0, 48))
-        s2 = blocked_csr_key(A, 16, shard=(48, 96))
-        assert len({whole, s1, s2}) == 3
-        assert blocked_csr_key(A, 16, shard=(0, 48)) == s1
+class TestOneDriverRun:
+    """A partitioned plan is one driver run: one worker fleet, and stats
+    that count the batch and the fleet once, not once per stripe."""
 
-    def test_sharded_run_populates_shard_entries(self, A, tmp_path):
-        cache = ArtifactCache(CachePolicy(cache_dir=str(tmp_path)))
-        plan = Planner().compile(A, _cfg(), cache=cache,
+    @pytest.mark.parametrize("driver", ["serial", "engine"])
+    def test_driver_called_once(self, A, driver):
+        from repro.plan.runtime import _DRIVERS
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return _DRIVERS[driver](*args)
+
+        rt = Runtime()
+        rt.register_local_driver(driver, counting)
+        plan = Planner().compile(A, _cfg(), driver=driver,
                                  partition=PartitionSpec(shards=3))
-        ref = Runtime().run(Planner().compile(A, _cfg()), A)
-        res = Runtime().run(plan, A, cache=cache)
+        rt.run(plan, A)
+        assert len(calls) == 1
+        assert len(calls[0].bounds) == 3
+
+    def test_process_run_spawns_one_fleet(self, A):
+        rt = Runtime()
+        spawned = []
+        rt.bus.subscribe_observer(WORKER_SPAWNED, spawned.append)
+        plan = Planner().compile(A, _cfg(), driver="process",
+                                 pool=WorkerPoolConfig(workers=2),
+                                 partition=PartitionSpec(shards=3))
+        res = rt.run(plan, A)
+        assert res.stats.extra["shards"] == 3
+        assert len(spawned) == 2
+        assert res.stats.health.workers_spawned == 2
+        assert res.stats.extra["workers"] == 2
+
+    @pytest.mark.parametrize("driver", ["serial", "engine", "process"])
+    def test_batched_run_reports_its_batch_once(self, A, driver):
+        kw = {"pool": WorkerPoolConfig(workers=2)} \
+            if driver == "process" else {}
+        ref = Runtime().run(Planner().compile(
+            A, _cfg(), driver=driver, batch_seeds=[1, 2], **kw), A)
+        res = Runtime().run(Planner().compile(
+            A, _cfg(), driver=driver, batch_seeds=[1, 2],
+            partition=PartitionSpec(shards=3), **kw), A)
         np.testing.assert_array_equal(res.sketch, ref.sketch)
-        stats = cache.stats()
-        assert stats["shard_entries"] == 3
-        # A second run serves every stripe from the cache, bit-identically.
-        cache2 = ArtifactCache(CachePolicy(cache_dir=str(tmp_path)))
-        plan2 = Planner().compile(A, _cfg(), cache=cache2,
-                                  partition=PartitionSpec(shards=3))
-        res2 = Runtime().run(plan2, A, cache=cache2)
-        np.testing.assert_array_equal(res2.sketch, ref.sketch)
-        assert cache2.misses.get("blocked_csr", 0) == 0
+        assert res.stats.extra["shards"] == 3
+        assert res.stats.extra["batch"] == 2
+        assert res.stats.samples_generated == ref.stats.samples_generated
+        assert res.stats.blocks_processed == ref.stats.blocks_processed
+
+
+class TestShardCacheKeys:
+    def test_one_blocked_csr_entry_serves_every_shard_count(self, A,
+                                                            tmp_path):
+        def run(partition):
+            cache = ArtifactCache(CachePolicy(cache_dir=str(tmp_path)))
+            plan = Planner().compile(A, _cfg(), cache=cache,
+                                     partition=partition)
+            return Runtime().run(plan, A, cache=cache), cache
+
+        ref, _ = run(None)
+        for shards in (3, 2):
+            res, cache = run(PartitionSpec(shards=shards))
+            np.testing.assert_array_equal(res.sketch, ref.sketch)
+            assert res.stats.extra["shards"] == shards
+            assert cache.misses.get("blocked_csr", 0) == 0

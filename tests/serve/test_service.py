@@ -19,13 +19,15 @@ from repro.errors import (
     RequestDeadlineError,
     RequestShedError,
 )
-from repro.plan import Planner, Runtime
+from repro.parallel import WorkerPoolConfig
+from repro.plan import PartitionSpec, Planner, Runtime
 from repro.plan.events import (
     DEADLINE_MISSED,
     DRAIN_STARTED,
     REQUEST_ADMITTED,
     REQUEST_DONE,
     REQUEST_SHED,
+    SHARD_START,
 )
 from repro.serve import ServeConfig, SketchService
 from repro.sparse import random_sparse
@@ -85,6 +87,30 @@ class TestServing:
         # same supervisor object, and the warm run paid no conversion
         assert next(iter(service._pools.values())) is pool
         assert doc["stats"]["conversion_seconds"] == 0.0
+
+    def test_sharded_and_unsharded_requests_share_one_pool(self, service):
+        A = random_sparse(300, 60, 0.05, seed=11)
+
+        def plan(partition):
+            return Planner().compile(
+                A, SketchConfig(seed=4, b_n=16), d=12, driver="process",
+                pool=WorkerPoolConfig(workers=2),
+                partition=partition).to_dict()
+
+        starts = []
+        service.bus.subscribe_observer(SHARD_START, starts.append)
+        sharded = service.handle({"matrix": MATRIX, "output": "array",
+                                  "plan": plan(PartitionSpec(shards=3))})
+        assert len(starts) == 3
+        pool = next(iter(service._pools.values()))
+        binding = pool._binding
+        plain = service.handle({"matrix": MATRIX, "output": "array",
+                                "plan": plan(None)})
+        assert len(service._pools) == 1
+        # Same binding object: the switch sent the workers no reload.
+        assert pool._binding is binding
+        assert np.array_equal(decode(sharded), serial_reference())
+        assert np.array_equal(decode(plain), serial_reference())
 
     def test_warm_pool_fills_its_fleet(self, service):
         # d=64 over 128 columns is one default block; the planner splits
