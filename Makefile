@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: install test faults faults-persist plan-smoke deprecation-strict obs-smoke procpool-smoke cache-smoke serve-smoke shard-smoke batch-smoke bench bench-small bench-gate docs examples all clean
+.PHONY: install test faults faults-persist plan-smoke deprecation-strict obs-smoke procpool-smoke cache-smoke serve-smoke shard-smoke batch-smoke bench bench-small bench-gate docs examples loc all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -136,6 +136,15 @@ examples:
 	python examples/ordering_and_structure.py
 	python examples/low_rank_approximation.py
 	python examples/streaming_sketch.py
+
+# Line counts: the src/ total and the three execution files (the
+# engine's scheduler, the process pool, the runtime).  Prints only.
+EXEC_FILES = src/repro/parallel/executor.py src/repro/parallel/procpool.py \
+	src/repro/plan/runtime.py
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l \
+	  | awk '{print "src/ total:", $$1}'
+	@wc -l $(EXEC_FILES)
 
 all: install test bench docs
 

@@ -1,53 +1,49 @@
-"""Plan-driven execution engine for the blocked sketching SpMM.
+"""Plan-driven execution engine: the one task scheduler of every parallel plan.
 
 :class:`PlanExecutionEngine` is the ``"engine"`` driver of
-:class:`repro.plan.Runtime`: it executes a compiled
-:class:`~repro.plan.SketchPlan` over Algorithm 1's block tasks with real
-shared-memory parallelism, optional fault handling, and durable
-checkpoints.  Every task writes a disjoint block of ``Ahat`` and reads
-only immutable inputs, so the execution is race-free by construction;
-each worker gets its *own* :class:`~repro.rng.SketchingRNG` instance
-(from a factory), so RNG state and instrumentation counters are
-thread-private.
+:class:`repro.plan.Runtime`, and its :meth:`~PlanExecutionEngine.run_tasks`
+schedules the ``"process"`` driver's runs too.  Each block task writes a
+disjoint tile of ``Ahat``, and generators key their output on ``(seed,
+block row offset, sparse row)``, never on the thread or process that
+computes it, so a task may run, retry or replay anywhere with the same
+bits (paper Section IV-C; ``tests/plan/test_contract.py``).
 
-Reproducibility across thread counts: both generator families key their
-output on ``(seed, block row offset, sparse row)``, never on which thread
-runs the block, so the computed ``Ahat`` is bit-identical for any thread
-count and any task order — the property tested in ``tests/parallel``.
-(This mirrors the paper's Section IV-C discussion: counter-based RNGs
-give thread-independent sketches; our checkpointed xoshiro is also
-thread-independent *given fixed blocking* because checkpoints are keyed
-by coordinates.)
+The scheduler owns the ready queue, the commit claim and count, the
+charge for a failed attempt (failure note, budget, deterministic
+:func:`~repro.parallel.resilience.backoff_seconds` delay, ``retry`` or
+``task_requeued`` event), the run deadline, and the work totals behind
+the run's one :class:`~repro.kernels.KernelStats`.  It walks a ladder of
+rungs:
 
-The same coordinate-keying makes the engine *resilient*: a failed block
-task can be recomputed from a fresh generator and the result is
-bit-identical to a fault-free run.  :meth:`PlanExecutionEngine.run_tasks`
-is the one in-process task loop (it also finishes the process pool's
-leftover tasks): with ``threads > 1`` it hands tasks out one per free
-pool slot, and each task gets bounded retries, a per-task deadline with
-straggler re-execution, numerical guardrails (NaN/Inf/magnitude checks
-with ``raise``/``recompute``/``mask`` policies), and a
-:class:`~repro.parallel.resilience.DegradationPolicy` that falls back
-algo4→algo3 and parallel→serial — every decision recorded in a
-:class:`~repro.parallel.resilience.RunHealth` report on the returned
-:class:`~repro.kernels.KernelStats`.  Without a resilience policy,
-checkpoints or fault-hook subscribers the loop runs a bare policy: one
-attempt, no fallback, the task's own exception, no health report.
+* **processes** (process plans only): a
+  :class:`~repro.parallel.procpool.ProcessPoolSupervisor`'s live workers,
+  one task in flight each, waited on with
+  :func:`multiprocessing.connection.wait` from the scheduler's thread;
+  ``WorkerPoolConfig.max_requeues`` replays a task;
+* **threads** (``threads > 1``; at most four under a process plan):
+  futures, two per thread; ``ResilienceConfig.max_retries`` retries per
+  kernel (algo4 falls back to algo3), and a task past ``task_timeout``
+  is re-executed in the scheduler's thread (first commit wins);
+* **serial**: the scheduler's thread, one task at a time, with
+  ``task_timeout`` enforced after the fact.
 
-Observation happens through the plan layer's event bus rather than
-callbacks threaded through the internals: the engine emits
-``block_start``/``block_done``, ``retry``, ``degraded``, and
-``checkpoint_written`` lifecycle events, and fires the
-``task_start``/``rng_request``/``block_computed`` hook events that fault
-injection subscribes to (see :meth:`repro.faults.FaultInjector.register`).
+Tasks a rung cannot finish go down with one ``degraded`` event
+(``pool_fallback``, ``serial_fallback``); every decision lands in the
+run's :class:`~repro.parallel.resilience.RunHealth`.  Without a
+resilience policy, checkpoints or fault-hook subscribers the engine runs
+bare: one attempt, no fallback, the task's own exception, no health
+report.  Fault injection subscribes to the ``task_start`` /
+``rng_request`` / ``block_computed`` hooks
+(:meth:`repro.faults.FaultInjector.register`).
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -57,7 +53,6 @@ from ..errors import (
     RetryExhaustedError,
     ShapeError,
     SketchQualityError,
-    TaskFailedError,
     TaskTimeoutError,
 )
 from ..faults.plan import InjectedCrashError
@@ -73,6 +68,7 @@ from ..plan.events import (
     FAULT_HOOK_EVENTS,
     RETRY,
     RNG_REQUEST,
+    TASK_REQUEUED,
     TASK_START,
     EventBus,
 )
@@ -97,12 +93,18 @@ from .resilience import (
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
     from ..plan.runtime import Stripes
+    from .procpool import ProcessPoolSupervisor
 
 __all__ = ["PlanExecutionEngine"]
 
 RngFactory = Callable[[int], SketchingRNG]
 
 Task = tuple[int, int, int, int]  # (i, d1, j, n1)
+
+#: A finished attempt as a rung reports it: the task index, ``None``
+#: (committed) or the failure's ``(kind, message)``, and for a tile a
+#: worker process computed, its work record for the commit to count.
+Outcome = tuple[int, "tuple[str, str] | None", "dict | None"]
 
 #: The loop's policy for a plan that asks for no resilience: one attempt
 #: per task, no kernel or serial fallback, no guardrail.
@@ -125,8 +127,7 @@ class PlanExecutionEngine:
     bus:
         The :class:`~repro.plan.EventBus` lifecycle and fault-hook
         events fire on.  Hook subscriptions are snapshotted at
-        construction: their presence turns on the health report, exactly
-        as passing ``injector=`` used to.
+        construction: their presence turns on the health report.
     blocked:
         Pre-built blocked CSR (Algorithm 4); built here (and timed) when
         absent.
@@ -134,6 +135,11 @@ class PlanExecutionEngine:
         Passed through to the checkpoint manager's storage-fault hooks
         only; task-level injection reaches the engine via bus
         subscriptions (:meth:`repro.faults.FaultInjector.register`).
+    fleet:
+        A started :class:`~repro.parallel.procpool.ProcessPoolSupervisor`
+        whose workers form the ladder's first rung.  Its in-process rungs
+        then run on at most four threads under the plan's resilience
+        policy (or the default one), and the health report is always on.
     """
 
     def __init__(
@@ -145,6 +151,7 @@ class PlanExecutionEngine:
         bus: EventBus | None = None,
         blocked: BlockedCSR | None = None,
         injector: "FaultInjector | None" = None,
+        fleet: "ProcessPoolSupervisor | None" = None,
     ) -> None:
         if plan.kernel not in ("algo3", "algo4"):
             raise ConfigError(
@@ -157,13 +164,15 @@ class PlanExecutionEngine:
         # once (the batch axis is never split across tasks — that is
         # what amortizes the RNG pipeline).
         self.batch = plan.problem.batch
-        self.threads = plan.threads
+        self.threads = (plan.threads if fleet is None
+                        else max(1, min(4, plan.threads)))
         self.kernel = plan.kernel
         self.b_d = plan.b_d
         self.b_n = plan.b_n
         self.rng_factory = rng_factory
         self.blocked = blocked
         self.bus = bus if bus is not None else EventBus()
+        self._fleet = fleet
         # Hook subscriptions are sampled once: the injector registers
         # before the run starts, and per-attempt has_subscribers calls
         # would put a lock acquisition on the hot path.
@@ -180,11 +189,12 @@ class PlanExecutionEngine:
         # keys naming its checkpoint lineage.
         self._window = (0, A.shape[1])
         self._identity: dict = {}
-        # A resilience policy, fault hooks or durable checkpoints make the
-        # run recover with the default policy and report its health;
-        # without any of them the loop runs under the bare policy.
+        # A resilience policy, fault hooks, durable checkpoints or a
+        # worker fleet make the run recover with the default policy and
+        # report its health; without any of them the loop runs bare.
         self.resilient = (plan.resilience is not None or self._hooked
-                          or self.checkpoint is not None)
+                          or self.checkpoint is not None
+                          or fleet is not None)
         self.resilience = plan.resilience or (
             ResilienceConfig() if self.resilient else _BARE)
         self._deadline: float | None = None
@@ -192,17 +202,23 @@ class PlanExecutionEngine:
         self.health = RunHealth()
 
         # Thread-private RNG / stopwatch contexts, registered for the
-        # final stats aggregation.
+        # final stats aggregation; worker processes report their time and
+        # samples with each commit (the first watch, ``_remote_samples``).
         self._tls = threading.local()
         self._ctx_lock = threading.Lock()
         self._worker_counter = 0
         self._all_rngs: list[SketchingRNG] = []
-        self._all_watches: list[Stopwatch] = []
+        self._all_watches: list[Stopwatch] = [Stopwatch()]
+        self._remote_samples = 0
 
-        # Commit bookkeeping (speculative duplicates from straggler
-        # re-execution race to claim each block).
+        # Scheduler state: the task list being run, the commit claims
+        # (a straggler's speculative duplicate races its original), and
+        # the current rung's failed attempts per task.
+        self._tasks: list[Task] = []
         self._claim_lock = threading.Lock()
         self._claimed: set[int] = set()
+        self._tries: dict[int, int] = {}
+        self._violated: set[int] = set()
 
         self._colabs: np.ndarray | None = None
         self._entry_bound = 0.0
@@ -311,71 +327,80 @@ class PlanExecutionEngine:
         snapshot it restored from."""
         self._window = stripes.bounds[k]
         self._identity = stripes.identity(k)
-        if stripes.sharded and self.checkpoint is not None:
+        tasks = tasks[stripes.tasks(k)]
+        if self.checkpoint is None:
+            return tasks, None
+        if stripes.sharded:
             self._snapshots_before += self.checkpoint.snapshots_written
             self.checkpoint = stripes.persistence(k).build_manager(
                 self._injector)
         self._row_pending = {}
         self._completed_rows = set()
         self._rows_since_snapshot = 0
-        tasks = tasks[stripes.tasks(k)]
         resumed = None
         if self._resume_requested:
+            stripe_tasks = len(tasks)
             tasks, resumed = self._resume_from_snapshot(tasks)
+            self.health.tasks -= stripe_tasks - len(tasks)
             self.resumed_from = self.resumed_from or resumed
         for i, _d1, _j, _n1 in tasks:
             self._row_pending[i] = self._row_pending.get(i, 0) + 1
         return tasks, resumed
 
-    def _thread_ctx(self) -> tuple[SketchingRNG, Stopwatch]:
+    def _thread_ctx(self, fresh: bool = False
+                    ) -> tuple[SketchingRNG, Stopwatch]:
+        """This thread's generator and stopwatch.  *fresh* re-derives the
+        generator for a retry, discarding any corrupted checkpoint state
+        (safe because generators are coordinate-keyed)."""
         tls = self._tls
-        if not hasattr(tls, "rng"):
+        if not hasattr(tls, "watch"):
             with self._ctx_lock:
                 tls.worker = self._worker_counter
                 self._worker_counter += 1
+                tls.watch = Stopwatch()
+                self._all_watches.append(tls.watch)
+            fresh = True
+        if fresh:
             tls.rng = self.rng_factory(tls.worker)
-            tls.watch = Stopwatch()
             with self._ctx_lock:
                 self._all_rngs.append(tls.rng)
-                self._all_watches.append(tls.watch)
         return tls.rng, tls.watch
-
-    def _fresh_rng(self) -> SketchingRNG:
-        """Fresh RNG re-derivation for a retry (discards any corrupted
-        checkpoint state; safe because generators are coordinate-keyed)."""
-        tls = self._tls
-        rng = self.rng_factory(getattr(tls, "worker", 0))
-        tls.rng = rng
-        with self._ctx_lock:
-            self._all_rngs.append(rng)
-        return rng
 
     def _view(self, task: Task) -> np.ndarray:
         """The output tile for *task*: every sketch's (i, j) block."""
         i, d1, j, n1 = task
-        if self.batch > 1:
-            return self.Ahat[:, i:i + d1, j:j + n1]
-        return self.Ahat[i:i + d1, j:j + n1]
+        return self.Ahat[..., i:i + d1, j:j + n1]
 
     def _finish_stats(self, conversion_seconds: float,
                       total_seconds: float) -> KernelStats:
-        # Two time axes: per-worker busy seconds sum (cpu_seconds) vs.
-        # the driver's wall clock — with threads > 1 the former exceeds
-        # the latter, and derived rates must not mix them up.
-        work = self.work_totals()
+        # Two time axes: busy seconds summed over threads or worker
+        # processes (cpu_seconds) vs. the driver's wall clock — with
+        # several slots the former exceeds the latter, and derived rates
+        # must not mix them up.
+        # Worker processes' time sits in the first watch, their samples
+        # in _remote_samples; retries' fresh generators count too.
+        work = {
+            "sample": sum(w.total("sample") for w in self._all_watches),
+            "compute": sum(w.total("compute") for w in self._all_watches),
+            "samples": (self._remote_samples
+                        + sum(r.samples_generated for r in self._all_rngs)),
+        }
+        fleet = self._fleet
         stats = KernelStats(
-            kernel=f"{self.kernel}-parallel",
+            kernel=self.kernel + ("-parallel" if fleet is None
+                                  else "-procpool"),
             sample_seconds=work["sample"],
             compute_seconds=work["compute"],
             conversion_seconds=conversion_seconds,
             total_seconds=total_seconds,
-            cpu_seconds=sum(w.total() for w in self._all_watches),
+            cpu_seconds=work["sample"] + work["compute"],
             wall_seconds=total_seconds,
             samples_generated=work["samples"],
             flops=self.batch * spmm_flops(self.d, self.A.nnz),
             blocks_processed=self.health.tasks,
             d=self.d, b_d=self.b_d, b_n=self.b_n,
-            extra={"threads": self.threads, "resilient": self.resilient,
+            extra={**({"threads": self.threads, "resilient": self.resilient}
+                      if fleet is None else fleet.stats_extra()),
                    "backend": NUMPY.name,
                    **({"batch": self.batch} if self.batch > 1 else {})},
             health=self.health if self.resilient else None,
@@ -387,333 +412,494 @@ class PlanExecutionEngine:
                                            if self.resumed_from else None)
         return stats
 
-    def work_totals(self) -> dict:
-        """Sampling and compute seconds and samples drawn, summed over
-        every worker thread (and every retry's fresh generator)."""
-        return {
-            "sample": sum(w.total("sample") for w in self._all_watches),
-            "compute": sum(w.total("compute") for w in self._all_watches),
-            "samples": sum(r.samples_generated for r in self._all_rngs),
-        }
+    # -- one attempt ------------------------------------------------------
 
-    # -- the task loop ----------------------------------------------------
-
-    def _bound_for(self, task: Task) -> float | None:
+    def _bound_for(self, task: Task) -> float:
         if self._colabs is None:
-            return None
+            self._colabs = column_abs_sums(self.A)
+            self._entry_bound = entry_abs_bound(self.rng_factory(0).dist)
         i, d1, j, n1 = task
         seg = self._colabs[j:j + n1]
         mx = float(seg.max()) if seg.size else 0.0
         return self.resilience.guardrail_bound_factor * self._entry_bound * mx
 
-    def _note_failure(self, key: tuple[int, int], attempt: int, kind: str,
-                      message: str, context: str) -> None:
-        with self._ctx_lock:
-            self.health.failures.append(TaskFailure(
-                task=key, attempt=attempt, kind=kind,
-                message=message, context=context))
-
-    def _commit(self, idx: int, task: Task, target: np.ndarray,
-                use_scratch: bool) -> None:
-        i, d1, j, n1 = task
+    def _commit(self, idx: int, target: np.ndarray | None = None,
+                work: dict | None = None) -> None:
+        """Claim task *idx* and count it: *target* is an attempt's private
+        tile to copy in, *work* a worker process's time and samples."""
+        i, d1, j, n1 = self._tasks[idx]
         row_done = False
         with self._claim_lock:
             if idx in self._claimed:
                 return  # a speculative duplicate won the race; discard
             self._claimed.add(idx)
-            if use_scratch:
-                self._view(task)[...] = target
+            if target is not None:
+                self._view(self._tasks[idx])[...] = target
             if self._row_pending:
                 left = self._row_pending[i] = self._row_pending[i] - 1
                 if left == 0:
                     self._completed_rows.add(i)
                     self._rows_since_snapshot += 1
                     row_done = True
-        with self._ctx_lock:
             self.health.completed += 1
+            if work is not None:
+                self._all_watches[0].add("sample", work["sample"])
+                self._all_watches[0].add("compute", work["compute"])
+                self._remote_samples += work["samples"]
         if self._track_blocks:
+            times = ({} if work is None else
+                     {"sample_seconds": work["sample"],
+                      "compute_seconds": work["compute"]})
             self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1, j=j, n1=n1,
-                          kernel=self.kernel)
+                          kernel=self.kernel, **times)
         if row_done:
             self._maybe_checkpoint()
 
-    def _run_task(self, idx: int, task: Task, context: str) -> None:
-        """Retry / guardrail / kernel-fallback state machine for one task.
+    def _attempt(self, idx: int, kernel: str, attempt: int,
+                 context: str) -> "tuple[str, str] | None":
+        """Run one attempt at task *idx* in the calling thread.
 
-        Raises :class:`SketchQualityError` (guardrail policy ``raise``) or
-        :class:`RetryExhaustedError` when every recovery avenue within the
-        task is spent; the driver may still degrade parallel→serial.
-        Under the bare policy the attempt's own exception is raised, and
-        a task that would start after the run deadline raises
-        :class:`TaskTimeoutError`.
+        Returns ``None`` once the tile is committed (or a duplicate beat
+        it), else the failure ``(kind, message)`` for the scheduler to
+        charge.  Raises what no retry can mend: a guardrail ``raise``
+        (:class:`SketchQualityError`), configuration errors, a simulated
+        crash, and under the bare policy the attempt's own exception.
         """
         cfg = self.resilience
+        task = self._tasks[idx]
         i, d1, j, n1 = task
         key = (i, j)
-        with self._claim_lock:
-            if idx in self._claimed:
-                return  # already committed by a speculative duplicate
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            raise TaskTimeoutError(
-                f"run deadline expired before task {key} started")
-        if self._track_blocks:
-            self.bus.emit(BLOCK_START, task=key, i=i, d1=d1, j=j, n1=n1,
-                          kernel=self.kernel)
         view = self._view(task)
         # Scratch buffers are only needed when speculative duplicates can
         # race on the same block (deadline-triggered re-execution).
-        use_scratch = (cfg.task_timeout is not None and self.threads > 1)
-        rng, watch = self._thread_ctx()
-
-        kernels = [self.kernel]
-        if cfg.degradation.kernel_fallback and self.kernel == "algo4":
-            kernels.append("algo3")
-        budget = 1 + cfg.max_retries
-        attempt_no = 0
-        had_violation = False
-
-        for ki, kname in enumerate(kernels):
-            if ki > 0:
-                with self._ctx_lock:
-                    self.health.kernel_fallbacks += 1
-                    self.health.record(
-                        f"task {key}: {kernels[ki - 1]} exhausted its "
-                        f"retries; degrading to pattern-oblivious {kname}")
-                self.bus.emit(DEGRADED, kind="kernel_fallback", task=key,
-                              from_kernel=kernels[ki - 1], to_kernel=kname)
-            for local in range(budget):
-                attempt_no += 1
-                with self._ctx_lock:
-                    self.health.attempts += 1
-                # A private scratch per attempt: speculative duplicates of
-                # the same block never alias.
-                target = np.empty(view.shape) if use_scratch else view
-                target[:] = 0.0
-                failure: tuple[str, str] | None = None
-                try:
-                    use_rng = rng
-                    if self._hooked:
-                        self.bus.emit(TASK_START, task=key, kernel=kname,
-                                      context=context, attempt=attempt_no)
-                        use_rng = self.bus.emit(
-                            RNG_REQUEST, task=key, kernel=kname,
-                            context=context, attempt=attempt_no, rng=rng,
-                        )["rng"]
-                    compute_tile(kname, target, self.A, self._block_by_offset,
-                                 i, j, n1, use_rng, watch)
-                    if self._hooked:
-                        self.bus.emit(BLOCK_COMPUTED, task=key, kernel=kname,
-                                      context=context, attempt=attempt_no,
-                                      block=target)
-                    violation = (validate_block(target, self._bound_for(task))
-                                 if cfg.guardrail is not None else None)
-                    if violation is None:
-                        self._commit(idx, task, target, use_scratch)
-                        if had_violation and cfg.guardrail == "recompute":
-                            with self._ctx_lock:
-                                self.health.corrupted_blocks_repaired += 1
-                                self.health.record(
-                                    f"task {key}: corrupted block repaired "
-                                    f"by recompute (attempt {attempt_no})")
-                        return
+        scratch = cfg.task_timeout is not None and self.threads > 1
+        rng, watch = self._thread_ctx(fresh=attempt > 1)
+        target = np.zeros(view.shape) if scratch else view
+        if not scratch:
+            target[:] = 0.0
+        try:
+            if self._hooked:
+                self.bus.emit(TASK_START, task=key, kernel=kernel,
+                              context=context, attempt=attempt)
+                rng = self.bus.emit(RNG_REQUEST, task=key, kernel=kernel,
+                                    context=context, attempt=attempt,
+                                    rng=rng)["rng"]
+            compute_tile(kernel, target, self.A, self._block_by_offset,
+                         i, j, n1, rng, watch)
+            if self._hooked:
+                self.bus.emit(BLOCK_COMPUTED, task=key, kernel=kernel,
+                              context=context, attempt=attempt, block=target)
+            violation = (validate_block(target, self._bound_for(task))
+                         if cfg.guardrail is not None else None)
+            if violation is None:
+                self._commit(idx, target if scratch else None)
+                if idx in self._violated and cfg.guardrail == "recompute":
                     with self._ctx_lock:
-                        self.health.guardrail_violations += 1
-                    if cfg.guardrail == "raise":
-                        raise SketchQualityError(
-                            f"task {key}: {violation} values in computed "
-                            f"block (guardrail policy 'raise')")
-                    if cfg.guardrail == "mask":
-                        target[:] = 0.0
-                        self._commit(idx, task, target, use_scratch)
-                        with self._ctx_lock:
-                            self.health.masked_blocks += 1
-                            self.health.record(
-                                f"task {key}: {violation} block masked to "
-                                f"zero (guardrail policy 'mask')")
-                        return
-                    # policy 'recompute': count as a failed attempt.
-                    had_violation = True
-                    failure = (f"guardrail-{violation}",
-                               f"{violation} values in computed block")
-                except SketchQualityError:
-                    raise
-                except (ConfigError, ShapeError):
-                    raise  # configuration bugs are not transient: no retry
-                except InjectedCrashError:
-                    # A torn_write fault fired while _commit checkpointed:
-                    # it simulates process death, so retrying it as a
-                    # transient task failure would defeat the test.
-                    raise
-                except Exception as exc:  # noqa: BLE001 - fault boundary
-                    if cfg is _BARE:
-                        raise
-                    failure = (type(exc).__name__, str(exc))
-                self._note_failure(key, attempt_no, failure[0], failure[1],
-                                   context)
-                if local + 1 < budget:
-                    with self._ctx_lock:
-                        self.health.retries += 1
+                        self.health.corrupted_blocks_repaired += 1
                         self.health.record(
-                            f"task {key}: attempt {attempt_no} failed "
-                            f"({failure[0]}); retrying with fresh RNG")
-                    self.bus.emit(RETRY, task=key, attempt=attempt_no,
-                                  kind=failure[0], context=context)
-                    if cfg.retry_backoff > 0.0:
-                        # Deterministic jitter keyed on the task's RNG
-                        # coordinates: two runs of the same plan sleep the
-                        # same amount, so retry timing never introduces
-                        # wall-clock entropy into recorded traces.
-                        time.sleep(backoff_seconds(
-                            cfg.retry_backoff, cfg.retry_backoff_factor,
-                            cfg.retry_backoff_max, seed=self.plan.rng.seed,
-                            task=key, attempt=attempt_no))
-                    rng = self._fresh_rng()
-        raise RetryExhaustedError(
-            f"task {key} failed after {attempt_no} attempts "
-            f"({', '.join(k for k in kernels)}); see RunHealth.failures")
+                            f"task {key}: corrupted block repaired by "
+                            f"recompute (attempt {attempt})")
+                return None
+            with self._ctx_lock:
+                self.health.guardrail_violations += 1
+            if cfg.guardrail == "raise":
+                raise SketchQualityError(
+                    f"task {key}: {violation} values in computed block "
+                    f"(guardrail policy 'raise')")
+            if cfg.guardrail == "mask":
+                target[:] = 0.0
+                self._commit(idx, target if scratch else None)
+                with self._ctx_lock:
+                    self.health.masked_blocks += 1
+                    self.health.record(
+                        f"task {key}: {violation} block masked to zero "
+                        f"(guardrail policy 'mask')")
+                return None
+            # policy 'recompute': a failed attempt like any other.
+            return (f"guardrail-{violation}",
+                    f"{violation} values in computed block")
+        except (SketchQualityError, ConfigError, ShapeError,
+                InjectedCrashError):
+            # Not transient: configuration bugs, and a torn_write fault
+            # that fired while _commit checkpointed (it simulates process
+            # death, so retrying it would defeat the test).
+            raise
+        except Exception as exc:  # noqa: BLE001 - fault boundary
+            if cfg is _BARE:
+                raise
+            return type(exc).__name__, str(exc)
+
+    # -- the scheduler ----------------------------------------------------
+
+    def _kernels(self) -> list[str]:
+        fallback = (self.resilience.degradation.kernel_fallback
+                    and self.kernel == "algo4")
+        return [self.kernel] + (["algo3"] if fallback else [])
+
+    def _kernel_for(self, idx: int) -> str:
+        """The kernel of task *idx*'s next in-process attempt."""
+        budget = 1 + self.resilience.max_retries
+        return self._kernels()[self._tries.get(idx, 0) // budget]
+
+    def _overran(self, idx: int, detail: str) -> tuple[int, int]:
+        """Count task *idx* past its ``task_timeout``; raise unless the
+        policy keeps going.  Returns the task's key."""
+        i, _d1, j, _n1 = self._tasks[idx]
+        self.health.timeouts += 1
+        if not self.resilience.reexecute_stragglers:
+            raise TaskTimeoutError(
+                f"task {(i, j)} missed its {self.resilience.task_timeout}s "
+                f"deadline {detail}")
+        return (i, j)
+
+    def _start(self, context: str, idx: int) -> tuple[str, int]:
+        """Count an attempt at task *idx*; returns its kernel and number."""
+        self.health.attempts += 1
+        if self._track_blocks:
+            i, d1, j, n1 = self._tasks[idx]
+            self.bus.emit(BLOCK_START, task=(i, j), i=i, d1=d1, j=j, n1=n1,
+                          kernel=self.kernel)
+        kernel = self.kernel if context == "process" else self._kernel_for(idx)
+        return kernel, self._tries.get(idx, 0) + 1
+
+    def _charge(self, context: str, idx: int, kind: str,
+                message: str) -> float | None:
+        """Charge a failed attempt at task *idx* on the *context* rung.
+
+        Notes the failure, then returns the delay before the task may run
+        again, or ``None`` once the rung's budget for it is spent: worker
+        replays (``max_requeues``) on the process rung, retries per
+        kernel (``max_retries``) on the in-process rungs.
+        """
+        i, _d1, j, _n1 = self._tasks[idx]
+        key = (i, j)
+        n = self._tries[idx] = self._tries.get(idx, 0) + 1
+        health = self.health
+        health.failures.append(TaskFailure(task=key, attempt=n, kind=kind,
+                                           message=message, context=context))
+        if context == "process":
+            pool = self._fleet.pool
+            if n > pool.max_requeues:
+                health.quarantined_tasks += 1
+                health.record(
+                    f"task {key}: poison — {n - 1} replays failed ({kind}); "
+                    f"quarantined for the degradation ladder")
+                return None
+            delay = backoff_seconds(pool.backoff_base, pool.backoff_factor,
+                                    pool.backoff_max, seed=self.plan.rng.seed,
+                                    task=key, attempt=n)
+            health.tasks_requeued += 1
+            health.record(
+                f"task {key}: requeued ({kind}), replay {n}"
+                f"/{pool.max_requeues}, backoff {delay * 1e3:.1f} ms")
+            self.bus.emit(TASK_REQUEUED, task=key, reason=kind, replays=n,
+                          backoff=delay)
+            return delay
+        cfg = self.resilience
+        if kind.startswith("guardrail-"):
+            self._violated.add(idx)
+        budget = 1 + cfg.max_retries
+        kernels = self._kernels()
+        if n % budget:
+            health.retries += 1
+            health.record(f"task {key}: attempt {n} failed ({kind}); "
+                          f"retrying with fresh RNG")
+            self.bus.emit(RETRY, task=key, attempt=n, kind=kind,
+                          context=context)
+            # Deterministic jitter keyed on the task's RNG coordinates:
+            # two runs of the same plan wait the same amount, so retry
+            # timing never introduces wall-clock entropy into traces.
+            return backoff_seconds(
+                cfg.retry_backoff, cfg.retry_backoff_factor,
+                cfg.retry_backoff_max, seed=self.plan.rng.seed, task=key,
+                attempt=n)
+        if n // budget < len(kernels):
+            old, new = kernels[n // budget - 1], kernels[n // budget]
+            health.kernel_fallbacks += 1
+            health.record(f"task {key}: {old} exhausted its retries; "
+                          f"degrading to pattern-oblivious {new}")
+            self.bus.emit(DEGRADED, kind="kernel_fallback", task=key,
+                          from_kernel=old, to_kernel=new)
+            return 0.0
+        return None
+
+    def _exhausted(self, idx: int) -> RetryExhaustedError:
+        i, _d1, j, _n1 = self._tasks[idx]
+        return RetryExhaustedError(
+            f"task {(i, j)} failed after {self._tries[idx]} attempts "
+            f"({', '.join(self._kernels())}); see RunHealth.failures")
+
+    def _check_deadline(self, in_flight: int) -> None:
+        """Raise :class:`TaskTimeoutError` once the run deadline passed."""
+        if self._deadline is None or time.monotonic() < self._deadline:
+            return
+        health = self.health
+        pending = health.tasks - health.completed
+        health.timeouts += 1
+        health.record(f"run deadline expired: {pending} task(s) "
+                      f"unfinished, {in_flight} in flight cancelled")
+        raise TaskTimeoutError(
+            f"run deadline expired with {pending}/{health.tasks} task(s) "
+            f"unfinished ({in_flight} claimed-but-uncommitted cancelled)")
+
+    def _drive(self, rung, queue: list[int], last: bool) -> list[int]:
+        """Run the tasks *queue* indexes on *rung*'s slots; returns the
+        ones it hands down the ladder, in task order."""
+        ready = deque(queue)
+        due: list[tuple[float, int]] = []  # backoff heap: (instant, idx)
+        down: list[int] = []
+        self._tries, self._violated = {}, set()
+        while True:
+            self._check_deadline(rung.busy)
+            now = time.monotonic()
+            while due and due[0][0] <= now:
+                ready.append(heapq.heappop(due)[1])
+            while ready and rung.free():
+                idx = ready.popleft()
+                if idx not in self._claimed:
+                    rung.dispatch(idx, self._tasks[idx],
+                                  *self._start(rung.context, idx))
+            if not (ready or due or rung.busy):
+                break
+            wake = [t for t in (due[0][0] if due else None, self._deadline)
+                    if t is not None]
+            timeout = max(0.0, min(wake) - now) if wake else None
+            for idx, failure, work in rung.poll(timeout):
+                if failure is None and work is not None:
+                    self._commit(idx, work=work)
+                if failure is None or idx in self._claimed:
+                    continue
+                delay = self._charge(rung.context, idx, *failure)
+                if delay is None and last:
+                    raise self._exhausted(idx)
+                if delay is None:
+                    down.append(idx)
+                elif delay > 0:
+                    heapq.heappush(due, (time.monotonic() + delay, idx))
+                else:
+                    ready.append(idx)
+            if rung is self._fleet:
+                # Respawn lost workers while work is left; a fleet with
+                # none left hands the rest down the ladder.
+                rung.top_up(len(ready) + len(due) + rung.busy)
+                if not rung.alive:
+                    break
+        left = set(down).union(ready, (idx for _t, idx in due))
+        return sorted(left - self._claimed)
+
+    def _serial(self, queue: list[int]) -> None:
+        """The last rung: the scheduler's thread runs each task until it
+        commits or its retries are spent.
+
+        A serial attempt cannot be preempted, so ``task_timeout`` binds
+        after the fact: an overrun fails the run (the strict contract a
+        request deadline needs) or is recorded and the committed result
+        kept — re-running would only reproduce the same bytes slower.
+        """
+        self._tries, self._violated = {}, set()
+        limit = self.resilience.task_timeout
+        for idx in queue:
+            while idx not in self._claimed:
+                self._check_deadline(0)
+                started = time.monotonic()
+                failure = self._attempt(idx, *self._start("serial", idx),
+                                        "serial")
+                elapsed = time.monotonic() - started
+                if failure is not None:
+                    delay = self._charge("serial", idx, *failure)
+                    if delay is None:
+                        raise self._exhausted(idx)
+                    time.sleep(delay)
+                elif limit is not None and elapsed > limit:
+                    key = self._overran(
+                        idx, f"({elapsed:.3f}s elapsed) on the serial path")
+                    self.health.record(
+                        f"task {key}: serial execution overran the {limit}s "
+                        f"deadline ({elapsed:.3f}s); committed result kept "
+                        f"(serial re-execution is bit-identical)")
 
     def run_tasks(self, tasks: list[Task], out: np.ndarray, *,
                   deadline: float | None = None) -> None:
-        """The task loop: compute each task's tile of *out* in place.
+        """The scheduler: compute each task's tile of *out* in place.
 
-        One thread runs the tasks in order; ``threads > 1`` hands them to
-        a pool one per free slot, then re-runs the ones that failed there
-        serially if the policy allows.  *out* is the run's accumulator
-        (pre-``post_scale``); the process pool passes its shared output
-        to finish the tasks its workers could not.  *deadline* is an
-        absolute ``time.monotonic()`` instant after which no task starts.
+        Walks the ladder — the fleet's worker processes, then threads,
+        then the scheduler's own thread — handing each rung the tasks
+        the one above could not finish.  *out* is the run's accumulator
+        (pre-``post_scale``).  *deadline* is an absolute
+        ``time.monotonic()`` instant after which the run stops with
+        :class:`TaskTimeoutError`.
         """
-        cfg = self.resilience
         self.Ahat = out
+        self._tasks = tasks
         self._deadline = deadline
         self._claimed = set()
-        if cfg.guardrail is not None:
-            self._colabs = column_abs_sums(self.A)
-            self._entry_bound = entry_abs_bound(self.rng_factory(0).dist)
+        queue = list(range(len(tasks)))
+        above = None  # the context of the rung that handed *queue* down
+        if self._fleet is not None:
+            queue, above = self._drive(self._fleet, queue, False), "process"
+        if queue and self.threads > 1:
+            if above:
+                self._step_down(above, len(queue))
+            rung = _Threads(self)
+            try:
+                queue = self._drive(
+                    rung, queue,
+                    last=not self.resilience.degradation.serial_fallback)
+            finally:
+                # Drop queued tasks and join the running ones — a
+                # straggler's original, or the other slots when a failure
+                # ends the run — so no slot thread outlives the run.
+                rung.pool.shutdown(cancel_futures=True)
+            above = rung.context
+        if queue:
+            if above:
+                self._step_down(above, len(queue))
+            self._serial(queue)
 
-        if self.threads == 1:
-            for idx, task in enumerate(tasks):
-                self._run_serial(idx, task)
-            return
+    def _step_down(self, context: str, count: int) -> None:
+        kind, flag, what = (
+            ("pool_fallback", "degraded_to_thread", "unfinishable in the "
+             "process pool; degrading process -> thread")
+            if context == "process" else
+            ("serial_fallback", "degraded_to_serial", "unrecoverable in the "
+             "pool; degrading parallel -> serial re-execution"))
+        setattr(self.health, flag, True)
+        self.health.record(f"{count} task(s) {what}")
+        self.bus.emit(DEGRADED, kind=kind, tasks=count)
 
-        failed: list[tuple[int, Task, TaskFailedError]] = []
-        pool = ThreadPoolExecutor(max_workers=self.threads)
-        try:
-            futures = [pool.submit(self._run_task, idx, task, "parallel")
-                       for idx, task in enumerate(tasks)]
-            for idx, (fut, task) in enumerate(zip(futures, tasks)):
-                key = (task[0], task[2])
-                try:
-                    fut.result(timeout=cfg.task_timeout)
-                except FuturesTimeoutError:
-                    with self._ctx_lock:
-                        self.health.timeouts += 1
-                    if not cfg.reexecute_stragglers:
-                        raise TaskTimeoutError(
-                            f"task {key} missed its {cfg.task_timeout}s "
-                            f"deadline and straggler re-execution is "
-                            f"disabled") from None
-                    with self._ctx_lock:
-                        self.health.stragglers_reexecuted += 1
-                        self.health.record(
-                            f"task {key}: straggler past the "
-                            f"{cfg.task_timeout}s deadline; speculatively "
-                            f"re-executing in the driver thread")
-                    self.bus.emit(RETRY, task=key, attempt=0,
-                                  kind="straggler", context="serial")
-                    self._run_task(idx, task, "serial")
-                except TaskTimeoutError:
-                    raise  # the run deadline outranks the serial rung
-                except TaskFailedError as exc:
-                    failed.append((idx, task, exc))
-        finally:
-            # After a failure that ends the run, drop the queued tasks
-            # rather than compute every remaining tile before raising.
-            pool.shutdown(cancel_futures=True)
-        if failed:
-            if not cfg.degradation.serial_fallback:
-                raise failed[0][2]
-            with self._ctx_lock:
-                self.health.degraded_to_serial = True
-                self.health.record(
-                    f"{len(failed)} task(s) unrecoverable in the pool; "
-                    f"degrading parallel -> serial re-execution")
-            self.bus.emit(DEGRADED, kind="serial_fallback",
-                          tasks=len(failed))
-            for idx, task, _exc in failed:
-                self._run_serial(idx, task)
+    # -- entry points ------------------------------------------------------
 
-    def _run_serial(self, idx: int, task: Task) -> None:
-        """Run *task* in the driver thread under a post-hoc deadline.
-
-        A serial path cannot preempt a running kernel the way the
-        parallel path's ``future.result(timeout=...)`` does, so the
-        deadline is enforced after the fact: an overrun either fails
-        the run (``reexecute_stragglers=False`` — the strict contract a
-        request deadline needs even after the degradation ladder
-        bottoms out at serial) or is recorded in the health report and
-        the already-committed result kept — re-executing serially would
-        only reproduce the same bytes slower, since generators are
-        coordinate-keyed.
-        """
-        started = time.monotonic()
-        self._run_task(idx, task, "serial")
-        elapsed = time.monotonic() - started
-        cfg = self.resilience
-        if cfg.task_timeout is None or elapsed <= cfg.task_timeout:
-            return
-        key = (task[0], task[2])
-        with self._ctx_lock:
-            self.health.timeouts += 1
-        if not cfg.reexecute_stragglers:
-            raise TaskTimeoutError(
-                f"task {key} missed its {cfg.task_timeout}s deadline "
-                f"({elapsed:.3f}s elapsed) on the serial path")
-        with self._ctx_lock:
-            self.health.record(
-                f"task {key}: serial execution overran the "
-                f"{cfg.task_timeout}s deadline ({elapsed:.3f}s); committed "
-                f"result kept (serial re-execution is bit-identical)")
-
-    # -- entry point -------------------------------------------------------
-
-    def execute(self, stripes: "Stripes | None" = None
-                ) -> tuple[np.ndarray, KernelStats]:
-        """Execute the plan; returns ``(Ahat, stats)``.
+    def run(self, stripes: "Stripes | None", merge: Callable[[int, int], None],
+            *, out: np.ndarray | None = None, deadline: float | None = None,
+            conversion_seconds: float = 0.0) -> KernelStats:
+        """Run every stripe's task group into *out* (default ``Ahat``).
 
         *stripes* (:class:`~repro.plan.runtime.Stripes`; default one
         full-width stripe) cuts the column-outer task list into groups:
         each runs on :meth:`run_tasks` over its own checkpoint lineage,
-        then its barrier post-scales the stripe's columns.
-        ``stats.health`` carries the :class:`RunHealth` report when the
-        plan has a resilience policy, checkpoints or fault hooks
-        (``None`` otherwise).
+        then its barrier calls ``merge(c0, c1)`` on the stripe's columns.
+        Returns the run's stats.
         """
         if stripes is None:
             from ..plan.runtime import Stripes
 
             stripes = Stripes(self.plan, self.bus)
-        conversion_seconds = self._prepare()
+        if out is not None:
+            self.Ahat = out
         all_tasks = list(iter_block_tasks(self.d, self.A.shape[1],
                                           self.b_d, self.b_n))
+        self.health.tasks = len(all_tasks)
         self.health.backend = NUMPY.name
         with Timer() as total:
             for k in range(len(stripes.bounds)):
                 stripes.start(k)
                 tasks, resumed = self._enter_stripe(stripes, k, all_tasks)
-                self.health.tasks += len(tasks)
-                self.run_tasks(tasks, self.Ahat)
-                # The stripe's finish, which the pool's ladder leaves to
-                # the pool: the final snapshot (if one is pending)
-                # captures the accumulation *before* post-scaling — the
+                self.run_tasks(tasks, self.Ahat, deadline=deadline)
+                # The final snapshot (if one is pending) captures the
+                # accumulation *before* the merge post-scales — the
                 # stored payload is always the raw accumulator state,
                 # like an interrupted run's.
                 self._maybe_checkpoint(force=True)
-                stripes.commit(k, self._post_scale_columns, resumed)
-        return self.Ahat, self._finish_stats(conversion_seconds,
-                                             total.elapsed)
+                stripes.commit(k, merge, resumed)
+        return self._finish_stats(conversion_seconds, total.elapsed)
+
+    def execute(self, stripes: "Stripes | None" = None
+                ) -> tuple[np.ndarray, KernelStats]:
+        """Execute the plan; returns ``(Ahat, stats)``.
+
+        ``stats.health`` carries the :class:`RunHealth` report when the
+        plan has a resilience policy, checkpoints or fault hooks
+        (``None`` otherwise).
+        """
+        conversion_seconds = self._prepare()
+        return self.Ahat, self.run(stripes, self._post_scale_columns,
+                                   conversion_seconds=conversion_seconds)
 
     def _post_scale_columns(self, c0: int, c1: int) -> None:
         post = self.rng_factory(0).post_scale
         if post != 1.0:
             self.Ahat[..., c0:c1] *= post
+
+
+# -- the thread rung ----------------------------------------------------------
+#
+# A rung is a set of slots: ``free()`` says whether it can take a task,
+# ``dispatch`` hands it one, ``poll(timeout)`` waits for finished attempts
+# (at most *timeout* seconds; ``None`` waits for the next one) and
+# ``busy`` counts tasks dispatched but not yet polled.  The process rung is
+# the ProcessPoolSupervisor itself, which also answers ``alive`` and
+# ``top_up`` (respawns).
+
+
+class _Threads:
+    """The thread rung: futures, stragglers re-executed in the scheduler's
+    thread."""
+
+    context = "parallel"
+
+    def __init__(self, engine: PlanExecutionEngine) -> None:
+        self.engine = engine
+        self.pool = ThreadPoolExecutor(max_workers=engine.threads)
+        #: future -> [task index, start instant (set by its thread), overdue]
+        self.running: dict = {}
+
+    @property
+    def busy(self) -> int:
+        return len(self.running)
+
+    def free(self) -> bool:
+        # Two tasks per thread: a thread that finishes one starts the next
+        # at once, without waiting for the scheduler's thread to wake.
+        return len(self.running) < 2 * self.engine.threads
+
+    def dispatch(self, idx: int, task: Task, kernel: str,
+                 attempt: int) -> None:
+        slot = [idx, None, False]
+        self.running[self.pool.submit(self._run, slot, kernel, attempt)] = slot
+
+    def _run(self, slot: list, kernel: str, attempt: int):
+        slot[1] = time.monotonic()  # time queued behind another is no overrun
+        return self.engine._attempt(slot[0], kernel, attempt, self.context)
+
+    def poll(self, timeout: float | None) -> list[Outcome]:
+        if not self.running:
+            time.sleep(timeout)  # a retry's backoff
+            return []
+        limit = self.engine.resilience.task_timeout
+        if limit is not None:
+            # Wake when the next task turns straggler; a task still queued
+            # is timed from now.
+            now = time.monotonic()
+            due = [(started or now) + limit - now
+                   for _idx, started, overdue in self.running.values()
+                   if not overdue]
+            if due:
+                timeout = max(0.0, min(due if timeout is None
+                                       else due + [timeout]))
+        done, _ = wait(self.running, timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        out = [(self.running.pop(fut)[0], fut.result(), None)
+               for fut in done]
+        if limit is not None:
+            now = time.monotonic()
+            for slot in self.running.values():
+                idx, started, overdue = slot
+                if not overdue and started and now - started > limit:
+                    slot[2] = True
+                    out.append((idx, self._straggler(idx), None))
+        return out
+
+    def _straggler(self, idx: int) -> "tuple[str, str] | None":
+        """Re-execute an overdue task in the scheduler's thread."""
+        engine = self.engine
+        key = engine._overran(idx, "and straggler re-execution is disabled")
+        health = engine.health
+        health.stragglers_reexecuted += 1
+        health.record(f"task {key}: straggler past the "
+                      f"{engine.resilience.task_timeout}s deadline; "
+                      f"speculatively re-executing in the driver thread")
+        engine.bus.emit(RETRY, task=key, attempt=0, kind="straggler",
+                        context="serial")
+        health.attempts += 1
+        return engine._attempt(idx, engine._kernel_for(idx),
+                               engine._tries.get(idx, 0) + 1, "serial")

@@ -1,62 +1,43 @@
 """Crash-tolerant multi-process execution: the ``process`` Runtime driver.
 
-The thread-pool engine (:mod:`repro.parallel.executor`) is GIL-bound:
-with the numpy backend, worker threads only overlap inside individual
-NumPy calls, so a multi-core machine is mostly idle and a single wedged
-worker can stall a whole sketch.  This module runs the same Algorithm 1
-block tasks across N long-lived **worker processes** supervised by the
-driver process:
+Thread-pool execution is GIL-bound and one wedged thread can stall a
+sketch, so this driver runs Algorithm 1's block tasks on N long-lived
+**worker processes**.  They form the first rung of the engine's one
+scheduler (:meth:`~repro.parallel.executor.PlanExecutionEngine.run_tasks`),
+one task in flight per worker; this module keeps only what needs
+processes:
 
 * the frozen, JSON-round-trippable :class:`~repro.plan.SketchPlan` is
-  exactly the unit that ships to a worker — each worker rebuilds the
-  input matrix from :mod:`multiprocessing.shared_memory` segments and
-  derives its generators from the plan's RNG spec, so any worker can
-  compute any tile bit-identically;
-* output tiles are collected through a **claimed-before-commit**
-  protocol: the worker writes the tile into the shared output buffer,
-  checksums the *correct* bytes (:mod:`repro.persist.checksum`), and
-  commits a claim record over its pipe; the supervisor re-reads the
-  shared bytes and only accepts the commit when the digest matches —
-  a torn or corrupted write is requeued, never trusted;
-* **liveness** is supervised per worker: dispatch counts as the first
-  heartbeat, and the worker heartbeats before each later task of a
-  batch, so a SIGKILLed worker surfaces as a dead pipe and a hung
-  worker as a stale heartbeat past its deadline; either way the
-  supervisor requeues the worker's uncommitted tasks (bit-identical
-  RNG re-derivation makes the replay exact), kills what is left of the
-  worker, and warm-respawns a replacement within a bounded budget;
-* replays use **deterministic exponential backoff**
-  (:func:`~repro.parallel.resilience.backoff_seconds`, jitter keyed on
-  the task's RNG coordinates) and a task that keeps killing its worker
-  is **quarantined** after ``max_requeues`` replays instead of being
-  retried forever;
-* when the pool cannot finish — every worker lost with the respawn
-  budget spent, or quarantined poison tasks remain — the supervisor
-  walks the **degradation ladder** process → thread → serial in the
-  driver process: it hands the leftover tasks to the thread engine's
-  task loop (:meth:`~repro.parallel.executor.PlanExecutionEngine.run_tasks`),
-  which writes into the shared output and degrades thread → serial
-  itself.  Every step is emitted as a ``degraded`` event so
-  :class:`~repro.parallel.resilience.RunHealth`, metrics, and traces
-  all observe the decision.
+  the unit that ships to a worker — each worker maps the input from
+  :mod:`multiprocessing.shared_memory` and derives its generators from
+  the plan's RNG spec, so any worker computes any tile bit-identically;
+* **claimed-before-commit**: the worker writes its tile into the shared
+  output, checksums the *correct* bytes (:mod:`repro.persist.checksum`)
+  and commits the digest over its pipe; the supervisor re-reads the
+  shared bytes and reports a commit only when they match;
+* **liveness**: a task's dispatch and its commit are the only messages,
+  so a SIGKILLed worker surfaces as a dead pipe and a worker silent
+  past ``heartbeat_timeout`` with a task in flight as hung; either way
+  it is killed, its task reported failed for the scheduler to requeue,
+  and a replacement warm-respawned within a bounded budget;
+* **warm pools** outlive runs: a plan over the same matrix reloads the
+  workers in place, a seed-only change rides on the next dispatch, and
+  a pool cut at a deadline or left without workers is
+  :attr:`~ProcessPoolSupervisor.tainted` and must be rebuilt.
 
-Supervision events (``worker_spawned`` / ``worker_lost`` /
-``task_requeued``) fire on the runtime's
-:class:`~repro.plan.EventBus` from the supervisor process only; worker
-processes never touch the bus, the injector, or the checkpoint stack.
-Process-level fault injection (``kill_worker`` / ``hang_worker`` /
-``corrupt_tile``) is claimed supervisor-side at dispatch time — so
+Supervision events (``worker_spawned`` / ``worker_lost``) fire on the
+runtime's :class:`~repro.plan.EventBus` from the supervisor process
+only.  Process-level faults (``kill_worker`` / ``hang_worker`` /
+``corrupt_tile``) are claimed supervisor-side at dispatch — so
 ``max_hits`` budgets are exact across requeues and respawns — and
 shipped to the worker as plain instructions it applies mechanically.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import signal
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -103,14 +84,9 @@ class WorkerPoolConfig:
         Number of long-lived worker processes.
     heartbeat_timeout:
         Seconds of heartbeat silence after which a worker *with claimed
-        tasks* is declared hung, killed, and its tasks requeued.  Idle
-        workers never time out.  Dispatch counts as the first
-        heartbeat; after it every pipe message doubles as one, and
-        workers send one before each later task of a batch.
-    batch_size:
-        Tasks shipped per dispatch message (0 = auto-sized from the
-        task count and worker count).  Smaller batches narrow the blast
-        radius of a lost worker; larger ones cut pipe round trips.
+        task* is declared hung, killed, and its task requeued.  Idle
+        workers never time out.  A worker holds one task at a time: its
+        dispatch is the heartbeat, and the commit answers it.
     max_requeues:
         Replay budget per task.  A task that exceeds it (it keeps
         killing, hanging, or corrupting) is quarantined and finished on
@@ -131,7 +107,6 @@ class WorkerPoolConfig:
 
     workers: int = 2
     heartbeat_timeout: float = 30.0
-    batch_size: int = 0
     max_requeues: int = 3
     max_respawns: int = 8
     backoff_base: float = 0.05
@@ -141,42 +116,25 @@ class WorkerPoolConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.workers, "workers")
-        if not self.heartbeat_timeout > 0:
-            raise ConfigError(
-                f"heartbeat_timeout must be positive, got "
-                f"{self.heartbeat_timeout}"
-            )
-        if self.batch_size < 0:
-            raise ConfigError(
-                f"batch_size must be >= 0 (0 = auto), got {self.batch_size}"
-            )
-        if self.max_requeues < 0:
-            raise ConfigError(
-                f"max_requeues must be >= 0, got {self.max_requeues}"
-            )
-        if self.max_respawns < 0:
-            raise ConfigError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if not self.backoff_base >= 0:
-            raise ConfigError(
-                f"backoff_base must be non-negative, got {self.backoff_base}"
-            )
-        if not self.backoff_factor >= 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not self.backoff_max >= 0:
-            raise ConfigError(
-                f"backoff_max must be non-negative, got {self.backoff_max}"
-            )
+        for name, ok, rule in (
+                ("heartbeat_timeout", self.heartbeat_timeout > 0, "positive"),
+                ("max_requeues", self.max_requeues >= 0, ">= 0"),
+                ("max_respawns", self.max_respawns >= 0, ">= 0"),
+                ("backoff_base", self.backoff_base >= 0, "non-negative"),
+                ("backoff_factor", self.backoff_factor >= 1.0, ">= 1"),
+                ("backoff_max", self.backoff_max >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
         check_choice(self.start_method, "start_method", _START_METHODS)
 
     def to_dict(self) -> dict:
         return {
             "workers": int(self.workers),
             "heartbeat_timeout": float(self.heartbeat_timeout),
-            "batch_size": int(self.batch_size),
+            # Retired: one task per message.  Still written, so plan
+            # digests and fingerprints of process plans do not move.
+            "batch_size": 0,
             "max_requeues": int(self.max_requeues),
             "max_respawns": int(self.max_respawns),
             "backoff_base": float(self.backoff_base),
@@ -187,10 +145,13 @@ class WorkerPoolConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkerPoolConfig":
+        if data.get("batch_size", 0) != 0:
+            raise ConfigError(
+                f"batch_size is retired (workers take one task per "
+                f"message); got {data['batch_size']!r}, expected 0")
         return cls(
             workers=int(data.get("workers", 2)),
             heartbeat_timeout=float(data.get("heartbeat_timeout", 30.0)),
-            batch_size=int(data.get("batch_size", 0)),
             max_requeues=int(data.get("max_requeues", 3)),
             max_respawns=int(data.get("max_respawns", 8)),
             backoff_base=float(data.get("backoff_base", 0.05)),
@@ -203,72 +164,34 @@ class WorkerPoolConfig:
 # -- worker process ---------------------------------------------------------
 
 
-def _open_shared_matrix(shm_seg, spec):
-    """Rebuild a :class:`CSCMatrix` over shared-memory-backed arrays."""
-    import numpy as np
-
-    from ..sparse.csc import CSCMatrix
-
-    def arr(name, dtype, shape):
-        return np.ndarray(shape, dtype=dtype, buffer=shm_seg[name].buf)
-
-    indptr = arr("indptr", np.int64, (spec["n"] + 1,))
-    indices = arr("indices", np.int64, (spec["nnz"],))
-    data = arr("data", np.float64, (spec["nnz"],))
-    return CSCMatrix((spec["m"], spec["n"]), indptr, indices, data,
-                     check=False)
-
-
-def _open_shared_blocked(shm_seg, spec):
-    """Rebuild the supervisor's blocked CSR over shared-memory arrays.
-
-    The supervisor converts (or loads from the artifact cache) exactly
-    once and ships the four flat arrays; every worker maps them as
-    zero-copy views instead of re-running the O(nnz) conversion
-    per process.
-    """
-    import numpy as np
-
-    from ..cache.artifacts import blocked_csr_from_arrays
-
-    def arr(name, dtype, shape):
-        return np.ndarray(shape, dtype=dtype, buffer=shm_seg[name].buf)
-
-    n_blocks = spec["n_blocks"]
-    block_starts = arr("blk_starts", np.int64, (n_blocks + 1,))
-    indptr = arr("blk_indptr", np.int64, (n_blocks, spec["m"] + 1))
-    indices = arr("blk_indices", np.int64, (spec["blk_nnz"],))
-    data = arr("blk_data", np.float64, (spec["blk_nnz"],))
-    return blocked_csr_from_arrays((spec["m"], spec["n"]), block_starts,
-                                   indptr, indices, data)
-
-
 def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                  problem: dict) -> None:
     """Entry point of one worker process.
 
-    Rebuilds the input matrix from shared memory, derives its own
-    generators from the shipped plan, then serves task batches until a
-    ``shutdown`` message or pipe closure.  A ``reload`` message rebinds
-    the worker to a *new plan over the same input matrix* (remapping any
-    replaced segments — typically the output buffer); a task batch that
-    carries an RNG spec rebinds only the generator, for a plan that
-    differs in its seeds alone.  That is how the serving daemon keeps a
-    warm fleet across requests.  Injected process faults arrive as plain
-    dicts attached to each task and are applied mechanically — the
-    worker holds no injector state.
+    Maps the input from shared memory, derives its generators from the
+    shipped plan, then serves one task per message until ``shutdown`` or
+    pipe closure.  A ``reload`` rebinds it to a new plan over the same
+    input (remapping replaced segments, typically the output); a task
+    that carries an RNG spec rebinds only the generator, which is how a
+    warm fleet serves a new seed.  Injected process faults arrive as
+    plain dicts with the task and are applied mechanically.
     """
     import dataclasses
 
     import numpy as np
     from multiprocessing import shared_memory
 
+    from ..cache.artifacts import blocked_csr_from_arrays
     from ..kernels.blocking import compute_tile
     from ..persist.checksum import checksum_bytes, default_algo
     from ..plan.spec import RngSpec, SketchPlan
+    from ..sparse.csc import CSCMatrix
     from ..utils.timing import Stopwatch
 
     segs = {}
+
+    def arr(name, dtype, shape):
+        return np.ndarray(shape, dtype=dtype, buffer=segs[name].buf)
 
     def remap(names: dict) -> None:
         for name, shm_name in names.items():
@@ -283,7 +206,10 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
     try:
         remap(shm_names)
         plan = SketchPlan.from_dict(plan_data)
-        A = _open_shared_matrix(segs, problem)
+        m, n, nnz = problem["m"], problem["n"], problem["nnz"]
+        A = CSCMatrix((m, n), arr("indptr", np.int64, (n + 1,)),
+                      arr("indices", np.int64, (nnz,)),
+                      arr("data", np.float64, (nnz,)), check=False)
         watch = Stopwatch()
         algo = default_algo()
 
@@ -293,16 +219,18 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
             d, n = plan.problem.d, plan.problem.n
             batch = plan.problem.batch
             shape = (batch, d, n) if batch > 1 else (d, n)
-            Ahat = np.ndarray(shape, dtype=np.float64,
-                              buffer=segs["ahat"].buf)
+            Ahat = arr("ahat", np.float64, shape)
             rng = plan.rng_factory()(wid)
             block_by_offset = {}
             if plan.kernel == "algo4":
                 # Zero-copy views over the supervisor's one shared
                 # conversion — workers never re-run csc_to_blocked_csr.
-                blocked = _open_shared_blocked(segs, problem)
-                for j0, blk in blocked.iter_blocks():
-                    block_by_offset[j0] = blk
+                nb, bnnz = problem["n_blocks"], problem["blk_nnz"]
+                block_by_offset = dict(blocked_csr_from_arrays(
+                    (m, n), arr("blk_starts", np.int64, (nb + 1,)),
+                    arr("blk_indptr", np.int64, (nb, m + 1)),
+                    arr("blk_indices", np.int64, (bnnz,)),
+                    arr("blk_data", np.float64, (bnnz,))).iter_blocks())
             return Ahat, rng, block_by_offset
 
         Ahat, rng, block_by_offset = bind(plan, problem)
@@ -314,7 +242,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 break
             if msg[0] == "reload":
                 # A new plan over the same input matrix.  Pipe order
-                # guarantees the reload is applied before any task batch
+                # guarantees the reload is applied before any task
                 # the supervisor sends afterwards, so no ack is needed.
                 _tag, plan_data, shm_updates, problem = msg
                 remap(shm_updates)
@@ -323,48 +251,44 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 continue
             if msg[0] != "tasks":  # pragma: no cover - protocol guard
                 continue
-            _tag, items, rng_data = msg
+            _tag, (task, faults), rng_data = msg
             if rng_data is not None:
                 # Same binding, new seeds: only the generator changes.
                 plan = dataclasses.replace(plan,
                                            rng=RngSpec.from_dict(rng_data))
                 rng = plan.rng_factory()(wid)
-            for k, (idx, task, faults) in enumerate(items):
-                if k:  # the dispatch itself was the first heartbeat
-                    conn.send(("hb", wid, idx))
-                i, d1, j, n1 = task
-                kinds = {f["kind"] for f in faults}
-                try:
-                    if "kill_worker" in kinds:
-                        # A real process death: no cleanup, no goodbye.
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    if "hang_worker" in kinds:
-                        # Wedge without heartbeating; the supervisor's
-                        # deadline, not this sleep, decides our fate.
-                        time.sleep(max(f["sleep_seconds"] for f in faults
-                                       if f["kind"] == "hang_worker"))
-                    samples0 = rng.samples_generated
-                    s0 = watch.total("sample")
-                    c0 = watch.total("compute")
-                    tile = np.zeros(Ahat.shape[:-2] + (d1, n1))
-                    compute_tile(plan.kernel, tile, A, block_by_offset, i, j,
-                                 n1, rng, watch)
-                    Ahat[..., i:i + d1, j:j + n1] = tile
-                    # Claimed-before-commit: digest the *correct* bytes;
-                    # the supervisor re-reads shared memory and verifies.
-                    digest = checksum_bytes(memoryview(tile), algo)
-                    if "corrupt_tile" in kinds and tile.size:
-                        # Corrupt the shared tile after checksumming — the
-                        # supervisor must reject this commit.
-                        Ahat[..., i + d1 // 2, j + n1 // 2] = np.nan
-                    conn.send(("commit", wid, idx, task, algo, digest, {
-                        "sample": watch.total("sample") - s0,
-                        "compute": watch.total("compute") - c0,
-                        "samples": rng.samples_generated - samples0,
-                    }))
-                except Exception as exc:  # noqa: BLE001 - fault boundary
-                    conn.send(("error", wid, idx, task,
-                               type(exc).__name__, str(exc)))
+            i, d1, j, n1 = task
+            kinds = {f["kind"] for f in faults}
+            try:
+                if "kill_worker" in kinds:
+                    # A real process death: no cleanup, no goodbye.
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if "hang_worker" in kinds:
+                    # Wedge without answering; the supervisor's deadline,
+                    # not this sleep, decides our fate.
+                    time.sleep(max(f["sleep_seconds"] for f in faults
+                                   if f["kind"] == "hang_worker"))
+                samples0 = rng.samples_generated
+                s0 = watch.total("sample")
+                c0 = watch.total("compute")
+                tile = np.zeros(Ahat.shape[:-2] + (d1, n1))
+                compute_tile(plan.kernel, tile, A, block_by_offset, i, j,
+                             n1, rng, watch)
+                Ahat[..., i:i + d1, j:j + n1] = tile
+                # Claimed-before-commit: digest the *correct* bytes; the
+                # supervisor re-reads shared memory and verifies.
+                digest = checksum_bytes(memoryview(tile), algo)
+                if "corrupt_tile" in kinds and tile.size:
+                    # Corrupt the shared tile after checksumming — the
+                    # supervisor must reject this commit.
+                    Ahat[..., i + d1 // 2, j + n1 // 2] = np.nan
+                conn.send(("commit", algo, digest, {
+                    "sample": watch.total("sample") - s0,
+                    "compute": watch.total("compute") - c0,
+                    "samples": rng.samples_generated - samples0,
+                }))
+            except Exception as exc:  # noqa: BLE001 - fault boundary
+                conn.send(("error", type(exc).__name__, str(exc)))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
         pass  # supervisor went away; nothing to report to
     finally:
@@ -394,20 +318,17 @@ def _binding(plan: "SketchPlan") -> dict:
 
 
 class _WorkerHandle:
-    """Supervisor-side record of one live worker process."""
+    """Supervisor-side record of one live worker process: one slot."""
 
-    __slots__ = ("wid", "proc", "conn", "last_seen", "assigned", "current",
-                 "pid", "rng")
+    __slots__ = ("wid", "proc", "conn", "last_seen", "task", "pid", "rng")
 
     def __init__(self, wid, proc, conn, rng: dict) -> None:
         self.wid = wid
         self.proc = proc
         self.conn = conn
         self.last_seen = time.monotonic()
-        self.assigned: set[int] = set()
-        #: The task the worker is on: the head of its batch at dispatch,
-        #: then each ``("hb", wid, idx)`` it sends before the next one.
-        self.current: int | None = None
+        #: The task in flight on this worker, ``(idx, (i, d1, j, n1))``.
+        self.task: tuple[int, Task] | None = None
         self.pid = proc.pid
         #: The RNG spec (``RngSpec.to_dict()``) the worker generates with.
         self.rng = rng
@@ -416,33 +337,33 @@ class _WorkerHandle:
 class ProcessPoolSupervisor:
     """Supervises N worker processes executing one plan's block tasks.
 
-    The ``process`` driver of :class:`repro.plan.Runtime`: constructed
-    per run, returns ``(Ahat, stats)`` from :meth:`run`.  All lifecycle
-    and supervision events fire on *bus* from the supervisor process.
+    The ``process`` driver of :class:`repro.plan.Runtime` (one-shot
+    :meth:`run`), kept warm across requests by the serving daemon with
+    :meth:`start` / :meth:`execute` / :meth:`close`.  A run's scheduler,
+    :meth:`~repro.parallel.executor.PlanExecutionEngine.run_tasks`, drives
+    the fleet as its process rung (:meth:`free`, :meth:`dispatch`,
+    :meth:`poll`, :meth:`top_up`) from its own thread, so workers are
+    spawned and respawned on that thread only.
 
     Parameters
     ----------
     plan:
-        The compiled :class:`~repro.plan.SketchPlan`; ``plan.pool``
-        (or a default :class:`WorkerPoolConfig`) sets the supervision
-        policy.  The kernel must be ``algo3`` or ``algo4``.
+        The compiled :class:`~repro.plan.SketchPlan` (kernel ``algo3`` or
+        ``algo4``); ``plan.pool`` (or a default :class:`WorkerPoolConfig`)
+        sets the supervision policy.
     A, rng_factory:
-        The input matrix and the generator factory.  Worker processes
-        derive their generators from ``plan.rng`` — a custom factory
-        only affects the in-process degradation ladder and the final
-        ``post_scale`` — so factories that do not match the plan's RNG
-        spec are unsupported on this driver.
+        The input matrix and the generator factory.  Workers derive their
+        generators from ``plan.rng``; a custom factory only reaches the
+        in-process rungs and the final ``post_scale``, so one that does
+        not match the plan's RNG spec is unsupported on this driver.
     bus, injector:
         Event bus for lifecycle/supervision events, and the optional
-        fault injector whose process-level faults
-        (``kill_worker``/``hang_worker``/``corrupt_tile``) are claimed
-        at dispatch time.
+        fault injector whose process-level faults are claimed at
+        dispatch.
     blocked:
-        Pre-built blocked CSR for Algorithm 4 plans (e.g. served from
-        the artifact cache by the runtime).  With or without it the
-        supervisor materializes the conversion exactly **once** and
-        ships it to workers through shared memory; workers map the
-        blocks as zero-copy views and never reconvert.
+        Pre-built blocked CSR for Algorithm 4 plans.  With or without it
+        the supervisor materializes the conversion **once** and ships it
+        through shared memory; workers map zero-copy views.
     """
 
     def __init__(self, plan: "SketchPlan", A: "CSCMatrix", rng_factory, *,
@@ -467,6 +388,7 @@ class ProcessPoolSupervisor:
         self.bus = bus if bus is not None else EventBus()
         self.injector = injector
         self.pool = plan.pool if plan.pool is not None else WorkerPoolConfig()
+        #: The last run's health report (the scheduler's, during a run).
         self.health = RunHealth()
         self.Ahat = None
 
@@ -480,27 +402,16 @@ class ProcessPoolSupervisor:
         self._shm_names: dict[str, str] = {}
         self._binding: dict | None = None
         self._ahat_shape: tuple[int, int] | None = None
-        self._committed: set[int] = set()
-        self._replays: dict[int, int] = {}
-        self._dispatches: dict[int, int] = {}
-        self._quarantined: list[int] = []
-        self._ready: deque[int] = deque()
-        self._backoff_heap: list[tuple[float, int]] = []
-        self._tasks: list[Task] = []
-        self._worker_stats = {"sample": 0.0, "compute": 0.0, "samples": 0}
+        #: Finished attempts not yet polled: ``(idx, failure, work)``.
+        self._done: list[tuple] = []
         self._conversion_seconds = 0.0
-        self._track_blocks = False
 
     # -- shared-memory plumbing --------------------------------------------
 
     def _ensure_blocked(self) -> None:
-        """Materialize the Algorithm 4 conversion once, supervisor-side.
-
-        A pre-built structure (from the caller or the artifact cache)
-        is used as-is with zero conversion cost; otherwise the
-        supervisor converts here — once per run, not once per worker —
-        and records the time in the run's ``conversion_seconds``.
-        """
+        """Convert for Algorithm 4 once per pool, not once per worker
+        (a pre-built structure costs nothing); the next run's stats
+        carry the time."""
         if self.plan.kernel != "algo4" or self.blocked is not None:
             return
         from ..sparse.convert import csc_to_blocked_csr
@@ -509,48 +420,43 @@ class ProcessPoolSupervisor:
                                                 threads=1)
         self._conversion_seconds = conv.seconds
 
-    def _create_segments(self) -> dict[str, str]:
-        """Allocate shared segments for A's arrays and the output buffer."""
+    def _segment(self, name: str, dtype, shape) -> "np.ndarray":
+        """A fresh shared segment *name* viewed as a *dtype* array."""
         import numpy as np
         from multiprocessing import shared_memory
 
-        d, n = self.plan.problem.d, self.plan.problem.n
-        batch = self.plan.problem.batch
-        out_shape = (batch, d, n) if batch > 1 else (d, n)
+        nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+        seg = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._segs[name] = seg
+        self._shm_names[name] = seg.name
+        return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
-        def create(name, src_dtype, shape):
-            count = 1
-            for s in shape:
-                count *= s
-            nbytes = max(1, count * np.dtype(src_dtype).itemsize)
-            seg = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._segs[name] = seg
-            return np.ndarray(shape, dtype=src_dtype, buffer=seg.buf)
+    def _create_segments(self) -> None:
+        """Publish A's arrays (and its blocked CSR) and the output buffer."""
+        import numpy as np
 
-        create("indptr", np.int64, self.A.indptr.shape)[:] = self.A.indptr
-        create("indices", np.int64, self.A.indices.shape)[:] = self.A.indices
-        create("data", np.float64, self.A.data.shape)[:] = self.A.data
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("data", np.float64)):
+            src = getattr(self.A, name)
+            self._segment(name, dtype, src.shape)[:] = src
         if self.blocked is not None:
-            m = self.A.shape[0]
             blocked = self.blocked
-            n_blocks = blocked.n_blocks
-            create("blk_starts", np.int64, (n_blocks + 1,))[:] = \
+            n_blocks, m = blocked.n_blocks, self.A.shape[0]
+            self._segment("blk_starts", np.int64, (n_blocks + 1,))[:] = \
                 blocked.block_starts
-            blk_indptr = create("blk_indptr", np.int64, (n_blocks, m + 1))
+            blk_indptr = self._segment("blk_indptr", np.int64,
+                                       (n_blocks, m + 1))
+            blk_indices = self._segment("blk_indices", np.int64,
+                                        (blocked.nnz,))
+            blk_data = self._segment("blk_data", np.float64, (blocked.nnz,))
             offset = 0
-            blk_indices = create("blk_indices", np.int64, (blocked.nnz,))
-            blk_data = create("blk_data", np.float64, (blocked.nnz,))
             for b, blk in enumerate(blocked.blocks):
                 blk_indptr[b, :] = blk.indptr
                 nnz_b = blk.indices.size
                 blk_indices[offset:offset + nnz_b] = blk.indices
                 blk_data[offset:offset + nnz_b] = blk.data
                 offset += nnz_b
-        ahat = create("ahat", np.float64, out_shape)
-        ahat[:] = 0.0
-        self.Ahat = ahat
-        self._ahat_shape = out_shape
-        return {name: seg.name for name, seg in self._segs.items()}
+        self._refresh_output_segment()
 
     def _release_segments(self) -> None:
         for seg in self._segs.values():
@@ -560,25 +466,31 @@ class ProcessPoolSupervisor:
             except (OSError, FileNotFoundError):  # pragma: no cover
                 pass
         self._segs.clear()
+        self._shm_names = {}
+        self._ahat_shape = None
 
-    # -- worker lifecycle --------------------------------------------------
-
-    def _spawn_worker(self, ctx, shm_names: dict, *,
-                      respawn: bool = False) -> _WorkerHandle:
-        from ..plan.events import WORKER_SPAWNED
-
-        wid = self._next_wid
-        self._next_wid += 1
-        parent_conn, child_conn = ctx.Pipe()
+    def _problem(self) -> dict:
+        """The input's shape record workers map shared memory with."""
         problem = {"m": self.A.shape[0], "n": self.A.shape[1],
                    "nnz": int(self.A.nnz)}
         if self.blocked is not None:
             problem["n_blocks"] = int(self.blocked.n_blocks)
             problem["blk_nnz"] = int(self.blocked.nnz)
+        return problem
+
+    # -- worker lifecycle --------------------------------------------------
+
+    def _spawn_worker(self, *, respawn: bool = False) -> _WorkerHandle:
+        from ..plan.events import WORKER_SPAWNED
+
+        wid = self._next_wid
+        self._next_wid += 1
+        parent_conn, child_conn = self._ctx.Pipe()
         plan_data = self.plan.to_dict()
-        proc = ctx.Process(
+        proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, plan_data, shm_names, problem),
+            args=(wid, child_conn, plan_data, self._shm_names,
+                  self._problem()),
             daemon=True, name=f"repro-worker-{wid}")
         proc.start()
         child_conn.close()
@@ -595,40 +507,25 @@ class ProcessPoolSupervisor:
         return handle
 
     def _lose_worker(self, handle: _WorkerHandle, reason: str) -> None:
-        """Declare *handle* dead: kill, requeue its tasks, maybe respawn."""
+        """Declare *handle* dead: kill it and report its task failed."""
         from ..plan.events import WORKER_LOST
 
-        self._workers.pop(handle.wid, None)
-        if handle.proc.is_alive():
-            try:
-                os.kill(handle.pid, signal.SIGKILL)
-            except (OSError, ProcessLookupError):  # pragma: no cover
-                pass
-        handle.proc.join(timeout=5)
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - teardown best effort
-            pass
+        self._reap(handle)
+        lost = f"worker {handle.wid} (pid {handle.pid}) lost: {reason}"
         self.health.workers_lost += 1
-        self.health.record(f"worker {handle.wid} (pid {handle.pid}) lost: "
-                           f"{reason}; {len(handle.assigned)} task(s) "
-                           f"requeued")
         self.bus.emit(WORKER_LOST, worker=handle.wid, pid=handle.pid,
                       reason=reason)
-        # Only the task the worker was on is charged a replay; the
-        # batch-mates it never reached go back to the queue uncharged.
-        mates = sorted(handle.assigned - {handle.current})
-        for idx in mates:
-            self._dispatches[idx] -= 1
-            self.health.attempts -= 1
-        self._ready.extendleft(reversed(mates))
-        if handle.current in handle.assigned:
-            self._requeue(handle.current, f"worker_{reason}")
-        handle.assigned.clear()
+        if handle.task is None:
+            self.health.record(lost)
+            return
+        idx, (i, _d1, j, _n1) = handle.task
+        self.health.record(f"{lost} with task {(i, j)} in flight")
+        self._done.append((idx, (f"worker_{reason}", lost), None))
+        handle.task = None
 
-    def _maybe_respawn(self, ctx, shm_names: dict) -> None:
-        remaining = (len(self._tasks) - len(self._committed)
-                     - len(self._quarantined))
+    def top_up(self, remaining: int) -> None:
+        """Respawn lost workers while *remaining* tasks need them, within
+        the pool's lifetime ``max_respawns`` budget."""
         # Top up only to the fleet size actually spawned at startup
         # (capped by the task count), so a small problem never triggers
         # phantom "respawns" of workers that were never wanted.
@@ -636,261 +533,121 @@ class ProcessPoolSupervisor:
         while (remaining > 0 and len(self._workers) < target
                 and self._respawns_used < self.pool.max_respawns):
             self._respawns_used += 1
-            self._spawn_worker(ctx, shm_names, respawn=True)
+            self._spawn_worker(respawn=True)
 
-    # -- task bookkeeping --------------------------------------------------
+    # -- the scheduler's process rung: one slot per live worker -------------
 
-    def _key(self, idx: int) -> tuple[int, int]:
-        t = self._tasks[idx]
-        return (t[0], t[2])
+    context = "process"
 
-    def _requeue(self, idx: int, reason: str) -> None:
-        from ..plan.events import TASK_REQUEUED
-        from .resilience import backoff_seconds
+    @property
+    def alive(self) -> bool:
+        return bool(self._workers)
 
-        if idx in self._committed:
-            return
-        key = self._key(idx)
-        replays = self._replays.get(idx, 0) + 1
-        self._replays[idx] = replays
-        if replays > self.pool.max_requeues:
-            self._quarantined.append(idx)
-            self.health.quarantined_tasks += 1
-            self.health.record(
-                f"task {key}: poison — {replays - 1} replays failed "
-                f"({reason}); quarantined for the degradation ladder")
-            return
-        pool = self.pool
-        delay = backoff_seconds(pool.backoff_base, pool.backoff_factor,
-                                pool.backoff_max, seed=self.plan.rng.seed,
-                                task=key, attempt=replays)
-        self.health.tasks_requeued += 1
-        self.health.record(
-            f"task {key}: requeued ({reason}), replay {replays}"
-            f"/{pool.max_requeues}, backoff {delay * 1e3:.1f} ms")
-        self.bus.emit(TASK_REQUEUED, task=key, reason=reason,
-                      replays=replays, backoff=delay)
-        if delay > 0:
-            heapq.heappush(self._backoff_heap,
-                           (time.monotonic() + delay, idx))
-        else:
-            self._ready.append(idx)
+    @property
+    def busy(self) -> int:
+        """Tasks dispatched but not yet polled: in flight on a worker, or
+        finished (a failed send included) and waiting for :meth:`poll`."""
+        return len(self._done) + sum(h.task is not None
+                                     for h in self._workers.values())
 
-    def _drain_backoff(self) -> None:
+    def free(self) -> bool:
+        return any(h.task is None for h in self._workers.values())
+
+    def dispatch(self, idx: int, task: Task, kernel: str,
+                 attempt: int) -> None:
+        """Send task *idx* (its *attempt*-th dispatch) to an idle worker."""
+        handle = next(h for h in self._workers.values() if h.task is None)
+        faults = (self.injector.process_faults((task[0], task[2]),
+                                               self.plan.kernel, attempt)
+                  if self.injector is not None else [])
+        rng = self.plan.rng.to_dict()
+        handle.task = (idx, task)
+        handle.last_seen = time.monotonic()
+        try:
+            handle.conn.send(("tasks", (task, faults),
+                              rng if rng != handle.rng else None))
+            handle.rng = rng
+        except (OSError, BrokenPipeError):
+            self._lose_worker(handle, "crashed")
+
+    def poll(self, timeout: float | None) -> list[tuple]:
+        """Wait for worker messages (at most one heartbeat tick), check
+        liveness, and return the finished attempts as ``(idx, failure,
+        work)``: ``failure`` is ``None`` for a verified commit (``work``
+        then holds the worker's sample and compute seconds and samples)
+        or the failure's ``(kind, message)``."""
+        from multiprocessing.connection import wait
+
+        tick = min(0.05, self.pool.heartbeat_timeout / 5.0)
+        conns = {h.conn: h for h in self._workers.values()}
+        if conns and not self._done:
+            ready = wait(list(conns),
+                         timeout=tick if timeout is None
+                         else min(tick, timeout))
+            for conn in ready:
+                handle = conns[conn]
+                if handle.wid in self._workers:
+                    self._pump(handle)
         now = time.monotonic()
-        while self._backoff_heap and self._backoff_heap[0][0] <= now:
-            _due, idx = heapq.heappop(self._backoff_heap)
-            self._ready.append(idx)
+        for handle in list(self._workers.values()):
+            if not handle.proc.is_alive():
+                self._pump(handle)  # salvage a buffered commit
+                if handle.wid in self._workers:
+                    self._lose_worker(handle, "crashed")
+            elif (handle.task is not None
+                    and now - handle.last_seen > self.pool.heartbeat_timeout):
+                self._lose_worker(handle, "hung")
+        done, self._done = self._done, []
+        return done
 
-    def _dispatch(self, handle: _WorkerHandle, batch: int) -> None:
-        from ..plan.events import BLOCK_START
-
-        items = []
-        while self._ready and len(items) < batch:
-            idx = self._ready.popleft()
-            if idx in self._committed:
-                continue
-            task = self._tasks[idx]
-            key = (task[0], task[2])
-            attempt = self._dispatches.get(idx, 0) + 1
-            self._dispatches[idx] = attempt
-            faults = (self.injector.process_faults(key, self.plan.kernel,
-                                                   attempt)
-                      if self.injector is not None else [])
-            self.health.attempts += 1
-            if self._track_blocks:
-                self.bus.emit(BLOCK_START, task=key, i=task[0], d1=task[1],
-                              j=task[2], n1=task[3], kernel=self.plan.kernel)
-            items.append((idx, task, faults))
-            handle.assigned.add(idx)
-        if items:
-            rng = self.plan.rng.to_dict()
-            try:
-                handle.conn.send(("tasks", items,
-                                  rng if rng != handle.rng else None))
-                handle.rng = rng
-                handle.current = items[0][0]
-                handle.last_seen = time.monotonic()
-            except (OSError, BrokenPipeError):
-                # The worker died between wait() and dispatch; undo the
-                # claim and let the liveness pass requeue cleanly.
-                for idx, _task, _faults in items:
-                    handle.assigned.discard(idx)
-                    self._dispatches[idx] -= 1
-                    self.health.attempts -= 1
-                    self._ready.appendleft(idx)
-                self._lose_worker(handle, "crashed")
-
-    # -- message handling --------------------------------------------------
-
-    def _verify_commit(self, idx: int, task: Task, algo: str,
-                       digest: str) -> bool:
+    def _pump(self, handle: _WorkerHandle) -> None:
+        """Drain every buffered message from one worker's pipe."""
         import numpy as np
 
         from ..persist.checksum import checksum_bytes
 
-        i, d1, j, n1 = task
-        view = np.ascontiguousarray(self.Ahat[..., i:i + d1, j:j + n1])
-        return checksum_bytes(memoryview(view), algo) == digest
-
-    def _on_commit(self, handle: _WorkerHandle, msg) -> None:
-        from ..plan.events import BLOCK_DONE
-        from .resilience import TaskFailure
-
-        _tag, _wid, idx, task, algo, digest, stats = msg
-        handle.assigned.discard(idx)
-        if idx in self._committed:
-            return  # duplicate from a worker we already replaced
-        if not self._verify_commit(idx, tuple(task), algo, digest):
-            i, d1, j, n1 = task
-            self.Ahat[..., i:i + d1, j:j + n1] = 0.0
-            self.health.failures.append(TaskFailure(
-                task=(task[0], task[2]),
-                attempt=self._dispatches.get(idx, 1),
-                kind="checksum_mismatch",
-                message="shared-memory tile bytes do not match the "
-                        "committed digest",
-                context="process"))
-            self._requeue(idx, "checksum_mismatch")
-            return
-        self._committed.add(idx)
-        self.health.completed += 1
-        for k in ("sample", "compute"):
-            self._worker_stats[k] += float(stats.get(k, 0.0))
-        self._worker_stats["samples"] += int(stats.get("samples", 0))
-        if self._track_blocks:
-            i, d1, j, n1 = task
-            self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1, j=j, n1=n1,
-                          kernel=self.plan.kernel)
-
-    def _on_error(self, handle: _WorkerHandle, msg) -> None:
-        from .resilience import TaskFailure
-
-        _tag, _wid, idx, task, kind, message = msg
-        handle.assigned.discard(idx)
-        self.health.failures.append(TaskFailure(
-            task=(task[0], task[2]), attempt=self._dispatches.get(idx, 1),
-            kind=kind, message=message, context="process"))
-        self._requeue(idx, kind)
-
-    def _pump_worker(self, handle: _WorkerHandle) -> None:
-        """Drain every buffered message from one worker's pipe."""
         try:
             while handle.conn.poll():
                 msg = handle.conn.recv()
                 handle.last_seen = time.monotonic()
-                tag = msg[0]
-                if tag == "commit":
-                    self._on_commit(handle, msg)
-                elif tag == "error":
-                    self._on_error(handle, msg)
-                elif tag == "hb":
-                    handle.current = msg[2]
+                if msg[0] == "commit":
+                    _tag, algo, digest, work = msg
+                    idx, (i, d1, j, n1) = handle.task
+                    tile = self.Ahat[..., i:i + d1, j:j + n1]
+                    if checksum_bytes(memoryview(np.ascontiguousarray(tile)),
+                                      algo) == digest:
+                        self._done.append((idx, None, work))
+                    else:
+                        tile[...] = 0.0
+                        self._done.append((idx, (
+                            "checksum_mismatch", "shared-memory tile bytes "
+                            "do not match the committed digest"), None))
+                    handle.task = None
+                elif msg[0] == "error":
+                    _tag, kind, message = msg
+                    self._done.append((handle.task[0], (kind, message), None))
+                    handle.task = None
                 # "ready" needs no body: last_seen is refreshed.
         except (EOFError, OSError):
             self._lose_worker(handle, "crashed")
 
-    def _check_liveness(self) -> None:
-        now = time.monotonic()
-        for handle in list(self._workers.values()):
-            if not handle.proc.is_alive():
-                self._pump_worker(handle)  # salvage buffered commits
-                if handle.wid in self._workers:
-                    self._lose_worker(handle, "crashed")
-            elif (handle.assigned
-                    and now - handle.last_seen > self.pool.heartbeat_timeout):
-                self._lose_worker(handle, "hung")
-
-    # -- degradation ladder ------------------------------------------------
-
-    def _degrade(self, leftover: list[int], deadline: float | None) -> None:
-        """Finish *leftover* tasks in-process on the engine's task loop.
-
-        The pool could not complete these (collapse or quarantine);
-        coordinate-keyed generators make the in-process tiles
-        bit-identical.  The loop writes into the shared output (zeroing
-        each tile before an attempt, so a dead worker's half-written
-        tile is never kept) on up to four threads, under the plan's
-        resilience policy or the default one, and counts into the pool's
-        :class:`RunHealth`.  The run *deadline* stops it and taints the
-        pool.
-        """
-        import dataclasses
-
-        from ..plan.events import DEGRADED
-        from .executor import PlanExecutionEngine
-        from .resilience import ResilienceConfig
-
-        self._ensure_blocked()
-        self.health.degraded_to_thread = True
-        self.health.record(
-            f"{len(leftover)} task(s) unfinishable in the process pool; "
-            f"degrading process -> thread")
-        self.bus.emit(DEGRADED, kind="pool_fallback", tasks=len(leftover))
-        plan = dataclasses.replace(
-            self.plan, threads=max(1, min(4, self.plan.threads)),
-            resilience=self.plan.resilience or ResilienceConfig())
-        engine = PlanExecutionEngine(plan, self.A, self.rng_factory,
-                                     bus=self.bus, blocked=self.blocked)
-        engine.health = self.health  # the loop counts into this report
-        try:
-            engine.run_tasks([self._tasks[idx] for idx in leftover],
-                             self.Ahat, deadline=deadline)
-        except TaskTimeoutError:
-            if deadline is not None and time.monotonic() >= deadline:
-                self._cancel_run(deadline)
-            raise
-        finally:
-            for key, value in engine.work_totals().items():
-                self._worker_stats[key] += value
-        self._committed.update(leftover)
-        self._quarantined = []
-
-    # -- stats -------------------------------------------------------------
-
-    def _finish_stats(self, total_seconds: float):
-        from ..kernels.stats import KernelStats
-        from ..kernels.backends import NUMPY
-        from ..utils.flops import spmm_flops
-
-        sample = self._worker_stats["sample"]
-        compute = self._worker_stats["compute"]
-        samples = self._worker_stats["samples"]
-        stats = KernelStats(
-            kernel=f"{self.plan.kernel}-procpool",
-            sample_seconds=sample,
-            compute_seconds=compute,
-            conversion_seconds=self._conversion_seconds,
-            total_seconds=total_seconds,
-            cpu_seconds=sample + compute,
-            wall_seconds=total_seconds,
-            samples_generated=samples,
-            flops=(self.plan.problem.batch
-                   * spmm_flops(self.plan.problem.d, self.A.nnz)),
-            blocks_processed=len(self._tasks),
-            d=self.plan.problem.d, b_d=self.plan.b_d, b_n=self.plan.b_n,
-            extra={"driver": "process", "workers": self.pool.workers,
-                   "start_method": pool_start_method(self.pool.start_method),
-                   "backend": NUMPY.name,
-                   "respawns_used": self._respawns_used,
-                   **({"batch": self.plan.problem.batch}
-                      if self.plan.problem.batch > 1 else {})},
-            health=self.health,
-        )
-        # Conversion happens once per pool (at start); attribute it to
-        # the run that paid for it so warm runs report pure kernel time.
-        self._conversion_seconds = 0.0
-        return stats
-
     # -- warm-pool lifecycle -----------------------------------------------
+
+    def stats_extra(self) -> dict:
+        """The pool's fields of a run's ``KernelStats.extra``."""
+        return {"driver": "process", "workers": self.pool.workers,
+                "start_method": pool_start_method(self.pool.start_method),
+                "respawns_used": self._respawns_used}
 
     @property
     def tainted(self) -> bool:
-        """True once a run was cancelled mid-flight (deadline abort).
+        """True once a run was cancelled mid-flight or lost its fleet.
 
-        A tainted pool may still hold workers with claimed tasks that
-        would write into a reused output segment; callers must
-        :meth:`close` it rather than reuse it.
+        A run cut at its deadline (or by any error) may leave workers
+        with tasks in flight that would write into a reused output
+        segment, and a fleet that lost its last worker with the respawn
+        budget spent has nothing left to run on; either way callers must
+        :meth:`close` the pool rather than reuse it.
         """
         return self._tainted
 
@@ -904,27 +661,22 @@ class ProcessPoolSupervisor:
         ``b_n`` partition, so the one shared conversion stays valid).
         The caller is responsible for matrix *identity*: a warm pool is
         bound to the matrix content it was started with."""
-        try:
-            self._check_compatible(plan)
-        except ConfigError:
-            return False
-        return True
+        return self._mismatch(plan) is None
 
-    def _check_compatible(self, plan: "SketchPlan") -> None:
+    def _mismatch(self, plan: "SketchPlan") -> str | None:
         base = self.plan
         if (plan.problem.m, plan.problem.n) != (base.problem.m,
                                                 base.problem.n):
-            raise ConfigError(
-                f"warm pool is bound to a {base.problem.m}x{base.problem.n} "
-                f"input; plan expects {plan.problem.m}x{plan.problem.n}")
+            return (f"warm pool is bound to a {base.problem.m}x"
+                    f"{base.problem.n} input; plan expects "
+                    f"{plan.problem.m}x{plan.problem.n}")
         if plan.kernel != base.kernel:
-            raise ConfigError(
-                f"warm pool workers are bound to kernel {base.kernel!r}; "
-                f"plan wants {plan.kernel!r}")
+            return (f"warm pool workers are bound to kernel {base.kernel!r}; "
+                    f"plan wants {plan.kernel!r}")
         if base.kernel == "algo4" and plan.b_n != base.b_n:
-            raise ConfigError(
-                f"warm pool's shared blocked-CSR uses b_n={base.b_n}; "
-                f"plan wants b_n={plan.b_n} (would force reconversion)")
+            return (f"warm pool's shared blocked-CSR uses b_n={base.b_n}; "
+                    f"plan wants b_n={plan.b_n} (would force reconversion)")
+        return None
 
     def _fleet_want(self) -> int:
         """Workers the current plan can keep busy: one per block task,
@@ -950,9 +702,9 @@ class ProcessPoolSupervisor:
         self._ctx = multiprocessing.get_context(
             pool_start_method(self.pool.start_method))
         self._ensure_blocked()
-        self._shm_names = self._create_segments()
+        self._create_segments()
         for _ in range(self._fleet_want()):
-            self._spawn_worker(self._ctx, self._shm_names)
+            self._spawn_worker()
         self._binding = _binding(self.plan)
         self._started = True
         return self
@@ -963,7 +715,6 @@ class ProcessPoolSupervisor:
         self._release_segments()
         self._started = False
         self._ctx = None
-        self._shm_names = {}
 
     def _refresh_output_segment(self) -> dict[str, str]:
         """Make the shared output buffer match the current plan's shape.
@@ -971,7 +722,6 @@ class ProcessPoolSupervisor:
         Returns the segment remappings workers must apply (empty when
         the existing buffer is reused — it is zeroed in place)."""
         import numpy as np
-        from multiprocessing import shared_memory
 
         d, n = self.plan.problem.d, self.plan.problem.n
         batch = self.plan.problem.batch
@@ -986,24 +736,16 @@ class ProcessPoolSupervisor:
                 old.unlink()
             except (OSError, FileNotFoundError):  # pragma: no cover
                 pass
-        seg = shared_memory.SharedMemory(create=True,
-                                         size=max(1, batch * d * n * 8))
-        self._segs["ahat"] = seg
-        self.Ahat = np.ndarray(shape, dtype=np.float64, buffer=seg.buf)
+        self.Ahat = self._segment("ahat", np.float64, shape)
         self.Ahat[:] = 0.0
         self._ahat_shape = shape
-        self._shm_names["ahat"] = seg.name
-        return {"ahat": seg.name}
+        return {"ahat": self._shm_names["ahat"]}
 
     def _reload_workers(self, shm_updates: dict[str, str]) -> None:
         """Rebind live workers to the current plan (new output segment,
         generator recipe, block views).  Pipe ordering guarantees the
-        reload lands before any task batch sent afterwards."""
-        problem = {"m": self.A.shape[0], "n": self.A.shape[1],
-                   "nnz": int(self.A.nnz)}
-        if self.blocked is not None:
-            problem["n_blocks"] = int(self.blocked.n_blocks)
-            problem["blk_nnz"] = int(self.blocked.nnz)
+        reload lands before any task sent afterwards."""
+        problem = self._problem()
         plan_data = self.plan.to_dict()
         for handle in list(self._workers.values()):
             try:
@@ -1037,27 +779,24 @@ class ProcessPoolSupervisor:
         Parameters
         ----------
         plan:
-            Optional replacement plan for this run.  Must satisfy
-            :meth:`compatible`.  A plan that differs only in its seeds
-            (and resilience policy) rebinds each worker's generator on
-            its next dispatch; any other change reloads the workers
-            with a ``reload`` message.  The shared output buffer is
-            recreated only when its shape changes.  ``None`` reuses the
-            current plan.  The
-            supervision policy (``pool``) stays the one the pool was
-            started with — it sized the fleet.
+            Optional replacement plan (``None`` reuses the current one);
+            it must satisfy :meth:`compatible`.  A seed-only change
+            rebinds each worker's generator on its next dispatch; any
+            other change sends a ``reload``, and the shared output is
+            recreated only when its shape changes.  The supervision
+            policy (``pool``) stays the one that sized the fleet.
         rng_factory, injector:
             Per-run overrides; ``None`` keeps the constructor's.
         deadline:
             Absolute ``time.monotonic()`` instant.  When it passes
-            mid-run the dispatch loop aborts: queued tasks are dropped,
-            claimed-but-uncommitted tiles are abandoned (never served),
-            the pool is marked :attr:`tainted`, and
+            mid-run the scheduler stops: queued tasks are dropped,
+            tiles in flight are abandoned (never served), the pool is
+            marked :attr:`tainted`, and
             :class:`~repro.errors.TaskTimeoutError` is raised.  A
             tainted pool must be :meth:`close`\\ d, not reused.
         stripes:
             The run's column stripes (:class:`~repro.plan.runtime.Stripes`;
-            default one full-width stripe).  The fleet runs them in
+            default one full-width stripe).  The scheduler runs them in
             order, one task group at a time, and each stripe's barrier
             copies its columns out of shared memory.
 
@@ -1066,60 +805,41 @@ class ProcessPoolSupervisor:
         """
         import numpy as np
 
-        from ..kernels.backends import NUMPY
-        from ..kernels.blocking import iter_block_tasks
-        from ..plan.events import BLOCK_DONE, BLOCK_START
-        from ..utils.timing import Timer
-        from .resilience import RunHealth
+        from .executor import PlanExecutionEngine
 
         if not self._started:
             raise ConfigError("pool is not started; call start() or run()")
         if self._tainted:
             raise ConfigError(
-                "pool is tainted by a cancelled run; close() and rebuild")
+                "pool is tainted by a cancelled run or a lost fleet; "
+                "close() and rebuild")
         if plan is not None and plan is not self.plan:
-            self._check_compatible(plan)
+            mismatch = self._mismatch(plan)
+            if mismatch:
+                raise ConfigError(mismatch)
             self.plan = plan
         if rng_factory is not None:
             self.rng_factory = rng_factory
         if injector is not None:
             self.injector = injector
 
-        if stripes is None:
-            from ..plan.runtime import Stripes
-
-            stripes = Stripes(self.plan, self.bus)
-        plan_ = self.plan
-        d, n = plan_.problem.d, plan_.problem.n
-
-        # Fresh per-run state: each execute() reports its own health.
-        self.health = RunHealth()
-        self._committed = set()
-        self._replays = {}
-        self._dispatches = {}
-        self._quarantined = []
-        self._worker_stats = {"sample": 0.0, "compute": 0.0, "samples": 0}
-        self._tasks = list(iter_block_tasks(d, n, plan_.b_d, plan_.b_n))
-        self.health.tasks = len(self._tasks)
-        self.health.backend = NUMPY.name
-        # The warm fleet serving this run was spawned at start(); count
-        # it here so each run's health stands alone.
-        self.health.workers_spawned = len(self._workers)
-        self._track_blocks = self.bus.has_subscribers(BLOCK_START, BLOCK_DONE)
-
         shm_updates = self._refresh_output_segment()
-        binding = _binding(plan_)
+        binding = _binding(self.plan)
         if shm_updates or binding != self._binding:
             self._reload_workers(shm_updates)
             self._binding = binding
-        # Grow the fleet for a bigger plan (fresh members, not respawns)
-        # — but never resurrect a collapsed pool: that is the caller's
-        # signal to recycle it.
-        if self._workers:
-            want = self._fleet_want()
-            while len(self._workers) < want:
-                self._spawn_worker(self._ctx, self._shm_names)
+        # Grow the fleet for a bigger plan (fresh members, not respawns).
+        want = self._fleet_want()
+        while len(self._workers) < want:
+            self._spawn_worker()
 
+        engine = PlanExecutionEngine(self.plan, self.A, self.rng_factory,
+                                     bus=self.bus, blocked=self.blocked,
+                                     fleet=self)
+        # Each run reports its own health, counting the warm fleet that
+        # serves it.
+        self.health = engine.health
+        self.health.workers_spawned = len(self._workers)
         post = self.rng_factory(0).post_scale
         result = np.empty_like(self.Ahat)
 
@@ -1129,95 +849,50 @@ class ProcessPoolSupervisor:
             if post != 1.0:
                 result[..., c0:c1] *= post
 
-        with Timer() as total:
-            for k in range(len(stripes.bounds)):
-                stripes.start(k)
-                self._run_group(range(len(self._tasks))[stripes.tasks(k)],
-                                deadline)
-                stripes.commit(k, detach)
-        return result, self._finish_stats(total.elapsed)
-
-    def _run_group(self, group: range, deadline: float | None) -> None:
-        """Run one stripe's tasks on the fleet; the degradation ladder
-        finishes what the fleet could not."""
-        import multiprocessing
-
-        self._ready = deque(group)
-        self._backoff_heap = []
-        batch = self.pool.batch_size
-        if batch <= 0:
-            batch = max(1, min(
-                8, (len(group) + 4 * self.pool.workers - 1)
-                // (4 * self.pool.workers)))
-        tick = min(0.05, self.pool.heartbeat_timeout / 5.0)
-
-        while (self._workers
-                and (self._ready or self._backoff_heap
-                     or any(h.assigned for h in self._workers.values()))):
+        try:
+            stats = engine.run(stripes, detach, out=self.Ahat,
+                               deadline=deadline,
+                               conversion_seconds=self._conversion_seconds)
+        except TaskTimeoutError:
+            # Cut at the run deadline: tiles may still be in flight.
             if deadline is not None and time.monotonic() >= deadline:
-                self._cancel_run(deadline)
-            self._drain_backoff()
-            for handle in list(self._workers.values()):
-                if not handle.assigned and self._ready:
-                    self._dispatch(handle, batch)
-            conns = {h.conn: h for h in self._workers.values()}
-            if conns:
-                readable = multiprocessing.connection.wait(
-                    list(conns), timeout=tick)
-                for conn in readable:
-                    handle = conns.get(conn)
-                    if handle is not None and handle.wid in self._workers:
-                        self._pump_worker(handle)
-            self._check_liveness()
-            self._maybe_respawn(self._ctx, self._shm_names)
+                self._tainted = True
+            raise
+        finally:
+            # Collapsed, or cut short with a task in flight that would
+            # land in the next run: the caller rebuilds.
+            if not self._workers or self.busy:
+                self._tainted = True
+        # Conversion happens once per pool (at start); attribute it to
+        # the run that paid for it so warm runs report pure kernel time.
+        self._conversion_seconds = 0.0
+        return result, stats
 
-        leftover = [idx for idx in group if idx not in self._committed]
-        if leftover:
-            if deadline is not None and time.monotonic() >= deadline:
-                self._cancel_run(deadline)
-            self._degrade(leftover, deadline)
-
-    def _cancel_run(self, deadline: float) -> None:
-        """Abort the in-flight run at its deadline.
-
-        Queued work is dropped and claimed-but-uncommitted tiles are
-        abandoned; whatever those workers later write lands in a buffer
-        nobody will serve, but the pool is tainted so it cannot be
-        reused either.  Raises :class:`TaskTimeoutError`.
-        """
-        claimed = sum(len(h.assigned) for h in self._workers.values())
-        pending = len(self._tasks) - self.health.completed
-        self._ready.clear()
-        self._backoff_heap = []
-        self._tainted = True
-        self.health.timeouts += 1
-        self.health.record(
-            f"run deadline expired: {pending} task(s) unfinished, "
-            f"{claimed} claimed-but-uncommitted cancelled; pool tainted")
-        raise TaskTimeoutError(
-            f"run deadline expired with {pending}/{len(self._tasks)} "
-            f"task(s) unfinished ({claimed} claimed-but-uncommitted "
-            f"cancelled)")
+    def _reap(self, handle: _WorkerHandle, grace: float = 0.0) -> None:
+        """Stop *handle*'s process — SIGKILL once *grace* seconds pass —
+        and close its pipe."""
+        self._workers.pop(handle.wid, None)
+        if grace:
+            handle.proc.join(timeout=grace)
+        if handle.proc.is_alive():
+            try:
+                os.kill(handle.pid, signal.SIGKILL)
+            except (OSError, ProcessLookupError):  # pragma: no cover
+                pass
+        handle.proc.join(timeout=5)
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover - teardown best effort
+            pass
 
     def _shutdown_workers(self) -> None:
         from ..plan.events import WORKER_LOST
 
         for handle in list(self._workers.values()):
-            self._workers.pop(handle.wid, None)
             try:
                 handle.conn.send(("shutdown",))
             except (OSError, BrokenPipeError):
                 pass
-            handle.proc.join(timeout=2)
-            if handle.proc.is_alive():  # pragma: no cover - stuck worker
-                try:
-                    os.kill(handle.pid, signal.SIGKILL)
-                except (OSError, ProcessLookupError):
-                    pass
-                handle.proc.join(timeout=5)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
+            self._reap(handle, grace=2.0)
             self.bus.emit(WORKER_LOST, worker=handle.wid, pid=handle.pid,
                           reason="shutdown")

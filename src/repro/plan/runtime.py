@@ -20,10 +20,10 @@ with lifecycle events on its :class:`~repro.plan.EventBus`:
     so no checkpointing).
 ``process``
     The crash-tolerant multi-process pool
-    (:mod:`repro.parallel.procpool`): N supervised worker processes,
-    shared-memory tiles with claimed-before-commit verification,
-    heartbeat liveness, deterministic requeue, and the
-    process → thread → serial degradation ladder.
+    (:mod:`repro.parallel.procpool`): N supervised worker processes as
+    the first rung of the engine's scheduler, shared-memory tiles with
+    claimed-before-commit verification, liveness, deterministic
+    requeue, and the process → thread → serial degradation ladder.
 
 Lifecycle events: ``plan_compiled`` at entry, ``block_start`` /
 ``block_done`` around kernel invocations, ``checkpoint_written`` after

@@ -10,6 +10,7 @@ dead worker would have produced.
 """
 
 import json
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from repro.sparse import random_sparse
 D, B_D, B_N = 36, 12, 10   # 3 x 3 = 9 block tasks over a 120 x 30 input
 TASKS = [(i, j) for i in (0, 12, 24) for j in (0, 10, 20)]
 
-# A short deadline keeps the hung-worker tests fast; clean workers send a
-# heartbeat per task, so this never false-positives on a healthy fleet.
+# A short deadline keeps the hung-worker tests fast; a clean worker answers
+# each task's dispatch with its commit well inside it, so this never
+# false-positives on a healthy fleet.
 FAST_POOL = WorkerPoolConfig(workers=2, heartbeat_timeout=1.0,
                              backoff_base=0.0)
 
@@ -67,7 +69,7 @@ class TestWorkerPoolConfig:
 
     def test_custom_round_trip(self):
         pool = WorkerPoolConfig(workers=3, heartbeat_timeout=2.5,
-                                batch_size=4, max_requeues=1, max_respawns=2,
+                                max_requeues=1, max_respawns=2,
                                 backoff_base=0.01, backoff_factor=3.0,
                                 backoff_max=0.5, start_method="fork")
         assert WorkerPoolConfig.from_dict(pool.to_dict()) == pool
@@ -85,6 +87,14 @@ class TestWorkerPoolConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             WorkerPoolConfig(**kwargs)
+
+    def test_retired_batch_size_keeps_the_record(self):
+        # Plan records (and so their digests) still carry batch_size 0;
+        # any other value no longer means anything and is refused.
+        record = WorkerPoolConfig().to_dict()
+        assert record["batch_size"] == 0
+        with pytest.raises(ConfigError, match="batch_size"):
+            WorkerPoolConfig.from_dict({**record, "batch_size": 4})
 
     def test_start_method_resolves(self):
         assert pool_start_method("auto") in ("fork", "spawn")
@@ -310,3 +320,76 @@ class TestDeterministicBackoff:
         result = Runtime().run(plan, A, injector=inj)
         np.testing.assert_array_equal(result.sketch, reference["algo3"])
         assert result.stats.health.retries == 1
+
+
+class TestOneTaskPerMessage:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return random_sparse(120, 80, 0.1, seed=302)
+
+    def test_every_dispatch_carries_one_task(self, wide, monkeypatch):
+        # 4 x 8 = 32 block tasks on 2 workers: one ``tasks`` message per
+        # task, each answered by its commit before the worker gets more.
+        tags = []
+        send = Connection.send
+
+        def recording_send(conn, obj):
+            tags.append(obj[0])
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", recording_send)
+        cfg = SketchConfig(kernel="algo3", rng_kind="philox", seed=9,
+                           b_d=12, b_n=10)
+        plan = Planner().compile(wide, cfg, d=48, driver="process",
+                                 pool=FAST_POOL)
+        result = Runtime().run(plan, wide)
+        assert result.stats.health.tasks == 32
+        assert tags.count("tasks") == 32
+        serial = Runtime().run(
+            Planner().compile(wide, cfg, d=48, driver="serial"), wide)
+        np.testing.assert_array_equal(result.sketch, serial.sketch)
+
+    def test_block_done_carries_worker_time(self, A):
+        # Each process tile's block_done event carries the worker's own
+        # sampling and compute seconds; over a run they sum to the stats.
+        from repro.plan.events import BLOCK_DONE
+
+        rt = Runtime()
+        done = []
+        rt.bus.subscribe_observer(BLOCK_DONE, done.append)
+        result, health = run_process(A, runtime=rt)
+        assert len(done) == health.tasks == len(TASKS)
+        stats = result.stats
+        assert stats.sample_seconds > 0 and stats.compute_seconds > 0
+        assert sum(e["sample_seconds"] for e in done) == \
+            pytest.approx(stats.sample_seconds, rel=1e-12)
+        assert sum(e["compute_seconds"] for e in done) == \
+            pytest.approx(stats.compute_seconds, rel=1e-12)
+
+
+class TestFailedSend:
+    @pytest.mark.parametrize("respawns", [8, 0])
+    def test_last_dispatch_is_never_dropped(self, A, reference, monkeypatch,
+                                            respawns):
+        # One worker, and its pipe breaks on the run's last dispatch with
+        # nothing else in flight: the task goes to a respawned worker, or
+        # down the ladder when no respawn is left, and is never lost.
+        send = Connection.send
+        dispatches = []
+
+        def flaky_send(conn, obj):
+            if obj[0] == "tasks":
+                dispatches.append(obj)
+                if len(dispatches) == len(TASKS):
+                    raise BrokenPipeError("pipe closed")
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", flaky_send)
+        pool = WorkerPoolConfig(workers=1, heartbeat_timeout=1.0,
+                                backoff_base=0.0, max_respawns=respawns)
+        result, health = run_process(A, pool=pool)
+        np.testing.assert_array_equal(result.sketch, reference["algo3"])
+        assert health.completed == health.tasks == len(TASKS)
+        assert health.workers_lost == 1
+        assert health.worker_respawns == (respawns > 0)
+        assert health.degraded_to_thread == (respawns == 0)

@@ -8,7 +8,6 @@ loop's retries and health land in the pool's report, and the pool's
 absolute run deadline stops the loop and taints the pool.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -78,22 +77,6 @@ def test_ladder_retries_and_reports_into_the_pool_health(A):
     assert [(f.task, f.kind) for f in health.failures
             if f.context != "process"] == [((12, 10), "InjectedFaultError")]
     assert bus_events == ["pool_fallback"]
-
-
-def test_only_the_poison_task_is_quarantined(A):
-    # Batches of two: the poison task (0, 0) leads its batch, so its
-    # worker dies before reaching the healthy batch-mate.  Only the task
-    # the worker was on is charged a replay; the mate goes back to the
-    # queue uncharged and a live worker commits it.
-    plan = make_plan(A, pool=dataclasses.replace(POISON_POOL, batch_size=2))
-    result = Runtime().run(plan, A,
-                           injector=FaultInjector(FaultPlan(poison((0, 0)))))
-    serial = Runtime().run(make_plan(A, driver="serial"), A).sketch
-    assert np.array_equal(result.sketch, serial)
-    health = result.stats.health
-    assert health.workers_lost >= 1
-    assert health.quarantined_tasks == 1
-    assert health.degraded_to_thread
 
 
 def test_run_deadline_binds_on_the_ladder_and_taints(A):

@@ -22,7 +22,7 @@ from repro.errors import ConfigError, TaskTimeoutError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.parallel import WorkerPoolConfig
 from repro.parallel.procpool import ProcessPoolSupervisor
-from repro.plan import Planner, Runtime
+from repro.plan import BLOCK_DONE, Planner, Runtime
 from repro.sparse import random_sparse
 
 POOL = WorkerPoolConfig(workers=2, heartbeat_timeout=2.0, backoff_base=0.0)
@@ -123,6 +123,23 @@ class TestDeadline:
         # still be writing into the shared output segment
         with pytest.raises(ConfigError, match="tainted"):
             pool.execute(plan, plan.rng_factory())
+
+    def test_an_error_with_a_task_in_flight_taints(self, A, pool):
+        # A block_done handler fails on the first commit while the other
+        # worker still sleeps on task (0, 0): that worker's commit would
+        # be counted in the next run, so the pool must not be reused.
+        plan = pool.plan
+        inj = FaultInjector(FaultPlan([
+            FaultSpec(kind="hang_worker", task=(0, 0), sleep_seconds=1.0),
+        ]))
+
+        def fail(event):
+            raise RuntimeError("handler failed")
+
+        pool.bus.subscribe(BLOCK_DONE, fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            pool.execute(plan, plan.rng_factory(), injector=inj)
+        assert pool.tainted
 
     def test_generous_deadline_is_harmless(self, A, pool):
         plan = pool.plan

@@ -228,6 +228,28 @@ class TestCrashRecovery:
         assert doc["status"] == "ok"
         assert np.array_equal(decode(doc), serial_reference())
 
+    def test_collapsed_warm_pool_is_recycled(self, service):
+        # With no respawn budget, a massacre leaves the warm pool with no
+        # workers.  The pool must be rebuilt, not reused: a later request
+        # on the same matrix runs on a fresh fleet, undegraded.
+        A = random_sparse(300, 60, 0.05, seed=11)
+        plan = Planner().compile(
+            A, SketchConfig(seed=4), d=12, driver="process",
+            pool=WorkerPoolConfig(workers=2, max_respawns=0)).to_dict()
+        first = service.handle({
+            "matrix": MATRIX, "output": "array", "plan": plan,
+            "chaos": {"kill_pool": True,
+                      "faults": [{"kind": "hang_worker",
+                                  "sleep_seconds": 0.4}]}})
+        assert first["status"] == "ok"
+        docs = [service.handle({"matrix": MATRIX, "output": "array",
+                                "plan": plan}) for _ in range(2)]
+        for doc in [first] + docs:
+            assert np.array_equal(decode(doc), serial_reference())
+        assert not docs[-1]["health"]["degraded_to_thread"]
+        pool = next(iter(service._pools.values()))
+        assert len(pool.worker_pids()) == 2
+
     def test_injected_kill_worker_still_served(self, service):
         doc = service.handle({
             "matrix": MATRIX,
