@@ -137,13 +137,16 @@ examples:
 	python examples/low_rank_approximation.py
 	python examples/streaming_sketch.py
 
-# Line counts: the src/ total and the three execution files (the
-# engine's scheduler, the process pool, the runtime).  Prints only.
+# Line counts: the src/ and benchmarks/ totals and the three execution
+# files (the engine's scheduler, the process pool, the runtime).  Prints
+# only.
 EXEC_FILES = src/repro/parallel/executor.py src/repro/parallel/procpool.py \
 	src/repro/plan/runtime.py
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | wc -l \
 	  | awk '{print "src/ total:", $$1}'
+	@find benchmarks -name '*.py' -print0 | xargs -0 cat | wc -l \
+	  | awk '{print "benchmarks/ total:", $$1}'
 	@wc -l $(EXEC_FILES)
 
 all: install test bench docs

@@ -11,8 +11,8 @@ maintained incrementally —
 — one blocked-kernel call per arriving row batch, without revisiting old
 data.  That is the streaming regime much of the RandNLA literature
 targets (single pass over data too large to store), and it falls out of
-the paper's RNG contract for free: :meth:`StreamingSketch.absorb` passes
-each batch through :func:`repro.kernels.sketch_spmm` with the generator's
+the paper's RNG contract for free: :meth:`StreamingSketch.absorb` runs
+each batch through :class:`repro.plan.Runtime` with the generator's
 column indices offset by the rows seen so far.
 
 Determinism: for the counter-based families the final sketch is
@@ -104,7 +104,8 @@ class StreamingSketch:
         The sketch generator; its state object is shared across batches so
         instrumentation (``samples_generated``) accumulates.
     kernel, b_d, b_n:
-        Kernel options forwarded to :func:`repro.kernels.sketch_spmm`;
+        Kernel options of each batch's plan, run by
+        :class:`repro.plan.Runtime`;
         block sizes are resolved eagerly (via
         :func:`repro.kernels.default_block_sizes`) so every batch uses the
         same grid and checkpoints can fingerprint it.

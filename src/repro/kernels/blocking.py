@@ -21,7 +21,7 @@ sketches of a fixed ``A`` in one pass.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .backends import NUMPY
 from .stats import KernelStats
 
 __all__ = ["sketch_spmm", "compute_tile", "iter_block_tasks",
-           "block_task_count", "default_block_sizes"]
+           "block_task_count", "default_block_sizes", "zeros_in_apply_layout"]
 
 KernelName = Literal["algo3", "algo4"]
 
@@ -87,6 +87,19 @@ def block_task_count(d: int, n: int, b_d: int, b_n: int) -> int:
     return ((d + b_d - 1) // b_d) * ((n + b_n - 1) // b_n)
 
 
+def zeros_in_apply_layout(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 sketch accumulator in the layout the kernels apply to.
+
+    A ``(d, n)`` sketch is F-ordered: each tile's columns are what
+    Algorithm 4's transposed apply and Algorithm 3's group updates write
+    (a full-height tile needs no copy in or out), and it matches Julia's
+    column-major arrays.  A ``(k, d, n)`` stack stays C-ordered, so each
+    sketch's ``(d, n)`` slice is contiguous.
+    """
+    return np.zeros(shape, dtype=np.float64,
+                    order="F" if len(shape) == 2 else "C")
+
+
 def compute_tile(kernel: KernelName, out: np.ndarray, A: CSCMatrix,
                  blocks: Mapping[int, CSRMatrix], i: int, j: int, n1: int,
                  rng, watch: Stopwatch | None = None) -> None:
@@ -121,8 +134,6 @@ def sketch_spmm(
     reference: bool = False,
     blocked: BlockedCSR | None = None,
     out: np.ndarray | None = None,
-    out_order: str = "F",
-    on_block: Callable[[str, int, int, int, int], None] | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Compute the sketch ``Ahat = S @ A`` with on-the-fly generation of ``S``.
 
@@ -156,20 +167,9 @@ def sketch_spmm(
         ``b_n``.
     out:
         Optional preallocated output (zeroed by the driver): ``(d, n)``,
-        or ``(k, d, n)`` for a batch.
-    out_order:
-        Memory layout for a driver-allocated output: ``"F"`` (default)
-        matches Julia's column-major arrays — the layout the paper's
-        kernels stream — and measures ~20-25% faster for the column-wise
-        updates of both kernels; pass ``"C"`` for row-major consumers.
-        A batch's ``(k, d, n)`` stack is always C-ordered, so each
-        sketch's ``(d, n)`` slice is contiguous.
-    on_block:
-        Optional observer called as ``on_block(phase, i, d1, j, n1)``
-        with ``phase`` in ``("block_start", "block_done")`` around every
-        kernel invocation — how the plan runtime's serial driver feeds
-        lifecycle events to its bus without this module knowing about
-        event buses.  ``None`` (the default) costs nothing.
+        or ``(k, d, n)`` for a batch.  Without it the driver allocates
+        :func:`zeros_in_apply_layout`; a buffer in another layout works
+        through the kernels' copy path.
 
     Returns
     -------
@@ -201,12 +201,9 @@ def sketch_spmm(
     b_d = bd_default if b_d is None else check_positive_int(b_d, "b_d")
     b_n = bn_default if b_n is None else check_positive_int(b_n, "b_n")
 
-    if out_order not in ("C", "F"):
-        raise ConfigError(f"out_order must be 'C' or 'F', got {out_order!r}")
     shape = (d, n) if k is None else (k, d, n)
     if out is None:
-        Ahat = np.zeros(shape, dtype=np.float64,
-                        order=out_order if k is None else "C")
+        Ahat = zeros_in_apply_layout(shape)
     else:
         if out.shape != shape:
             raise ConfigError(f"out must have shape {shape}, got {out.shape}")
@@ -239,8 +236,6 @@ def sketch_spmm(
         else:
             grid = iter_block_tasks(d, n, b_d, b_n)
         for i, d1, j, n1 in grid:
-            if on_block is not None:
-                on_block("block_start", i, d1, j, n1)
             view = Ahat[..., i:i + d1, j:j + n1]
             if not reference:
                 compute_tile(kernel, view, A, blocks, i, j, n1, rng, sw)
@@ -249,8 +244,6 @@ def sketch_spmm(
             else:
                 algo3_block_reference(view, A.col_block(j, j + n1), i, rng)
             tasks += 1
-            if on_block is not None:
-                on_block("block_done", i, d1, j, n1)
         if rng.post_scale != 1.0:
             Ahat *= rng.post_scale
 

@@ -1,8 +1,10 @@
-"""Plan-driven execution engine: the one task scheduler of every parallel plan.
+"""Plan-driven execution engine: the one task scheduler of every block-task plan.
 
 :class:`PlanExecutionEngine` is the ``"engine"`` driver of
-:class:`repro.plan.Runtime`, and its :meth:`~PlanExecutionEngine.run_tasks`
-schedules the ``"process"`` driver's runs too.  Each block task writes a
+:class:`repro.plan.Runtime` and, pinned to its serial rung, the
+``"serial"`` driver every plain ``sketch()`` call runs on; its
+:meth:`~PlanExecutionEngine.run_tasks` schedules the ``"process"``
+driver's runs too.  Each block task writes a
 disjoint tile of ``Ahat``, and generators key their output on ``(seed,
 block row offset, sparse row)``, never on the thread or process that
 computes it, so a task may run, retry or replay anywhere with the same
@@ -26,6 +28,11 @@ rungs:
   is re-executed in the scheduler's thread (first commit wins);
 * **serial**: the scheduler's thread, one task at a time, with
   ``task_timeout`` enforced after the fact.
+
+The engine's own accumulator is born zeroed in the kernels' apply layout
+(:func:`~repro.kernels.blocking.zeros_in_apply_layout`), so its tile is
+zeroed again only before a repeat attempt at the task; a tile of an
+output handed in (the process pool's shared segment) before every one.
 
 Tasks a rung cannot finish go down with one ``degraded`` event
 (``pool_fallback``, ``serial_fallback``); every decision lands in the
@@ -57,7 +64,11 @@ from ..errors import (
 )
 from ..faults.plan import InjectedCrashError
 from ..kernels.backends import NUMPY
-from ..kernels.blocking import compute_tile, iter_block_tasks
+from ..kernels.blocking import (
+    compute_tile,
+    iter_block_tasks,
+    zeros_in_apply_layout,
+)
 from ..kernels.stats import KernelStats
 from ..plan.events import (
     BLOCK_COMPUTED,
@@ -140,6 +151,10 @@ class PlanExecutionEngine:
         whose workers form the ladder's first rung.  Its in-process rungs
         then run on at most four threads under the plan's resilience
         policy (or the default one), and the health report is always on.
+    serial:
+        Pin the scheduler to its serial rung (the runtime's ``"serial"``
+        driver): one thread whatever ``plan.threads`` says, and stats
+        that name the bare kernel.
     """
 
     def __init__(
@@ -152,6 +167,7 @@ class PlanExecutionEngine:
         blocked: BlockedCSR | None = None,
         injector: "FaultInjector | None" = None,
         fleet: "ProcessPoolSupervisor | None" = None,
+        serial: bool = False,
     ) -> None:
         if plan.kernel not in ("algo3", "algo4"):
             raise ConfigError(
@@ -164,8 +180,10 @@ class PlanExecutionEngine:
         # once (the batch axis is never split across tasks — that is
         # what amortizes the RNG pipeline).
         self.batch = plan.problem.batch
-        self.threads = (plan.threads if fleet is None
+        self.threads = (1 if serial else plan.threads if fleet is None
                         else max(1, min(4, plan.threads)))
+        self._label = ("" if serial else "-parallel" if fleet is None
+                       else "-procpool")  # the stats' kernel suffix
         self.kernel = plan.kernel
         self.b_d = plan.b_d
         self.b_n = plan.b_n
@@ -185,10 +203,10 @@ class PlanExecutionEngine:
         self._resume_requested = plan.persistence.resume
         self.resumed_from = None
         self._snapshots_before = 0  # written by earlier stripes' lineages
-        # The stripe being run: its output columns and the fingerprint
-        # keys naming its checkpoint lineage.
+        # The stripe being run: its output columns, and whether the run is
+        # sharded (each stripe then has its own checkpoint lineage).
         self._window = (0, A.shape[1])
-        self._identity: dict = {}
+        self._sharded = False
         # A resilience policy, fault hooks, durable checkpoints or a
         # worker fleet make the run recover with the default policy and
         # report its health; without any of them the loop runs bare.
@@ -217,6 +235,8 @@ class PlanExecutionEngine:
         self._tasks: list[Task] = []
         self._claim_lock = threading.Lock()
         self._claimed: set[int] = set()
+        self._written: set[int] = set()  # tasks an attempt began on
+        self._fresh: np.ndarray | None = None  # _prepare's zeroed output
         self._tries: dict[int, int] = {}
         self._violated: set[int] = set()
 
@@ -244,17 +264,10 @@ class PlanExecutionEngine:
         fingerprint what actually ran.  Describes the stripe being run:
         its width, plus its global column range when the run is sharded.
         """
-        from ..persist.snapshot import run_fingerprint
+        from ..persist.shards import stripe_fingerprint
 
-        rng = self.rng_factory(0)
-        c0, c1 = self._window
-        fp = run_fingerprint(
-            mode="blocked", d=self.d, n=c1 - c0, b_d=self.b_d,
-            b_n=self.b_n, kernel=self.kernel, rng_kind=rng.family,
-            seed=rng.seed, distribution=rng.dist.name,
-        )
-        fp.update(self._identity)
-        return fp
+        return stripe_fingerprint(self.plan, self.rng_factory(0),
+                                  *self._window, sharded=self._sharded)
 
     def _maybe_checkpoint(self, *, force: bool = False) -> None:
         """Snapshot the completed row blocks if a checkpoint is due.
@@ -286,13 +299,13 @@ class PlanExecutionEngine:
         """Restore the stripe's completed row blocks; return the tasks
         still to run and the snapshot restored from (``None`` if none)."""
         from ..persist.resume import latest_verified_snapshot
-        from ..persist.snapshot import FINGERPRINT_KEYS, check_fingerprint
+        from ..persist.snapshot import check_fingerprint
 
         snap = latest_verified_snapshot(self.checkpoint.directory)
         if snap is None:
             return tasks, None
-        check_fingerprint(snap.fingerprint, self.fingerprint(),
-                          keys=tuple(FINGERPRINT_KEYS) + tuple(self._identity))
+        fp = self.fingerprint()
+        check_fingerprint(snap.fingerprint, fp, keys=tuple(fp))
         completed = {int(r) for r in snap.state.get("completed_rows", [])}
         if not completed:
             return tasks, None
@@ -316,9 +329,8 @@ class PlanExecutionEngine:
                                                     threads=self.threads)
             conversion_seconds = conv.seconds
             self._block_by_offset = dict(self.blocked.iter_blocks())
-        shape = ((self.batch, self.d, n) if self.batch > 1
-                 else (self.d, n))
-        self.Ahat = np.zeros(shape, dtype=np.float64)
+        self.Ahat = self._fresh = zeros_in_apply_layout(
+            (self.batch, self.d, n) if self.batch > 1 else (self.d, n))
         return conversion_seconds
 
     def _enter_stripe(self, stripes: "Stripes", k: int, tasks: list[Task]):
@@ -326,7 +338,7 @@ class PlanExecutionEngine:
         its resumed rows.  Returns the stripe's tasks still to run and the
         snapshot it restored from."""
         self._window = stripes.bounds[k]
-        self._identity = stripes.identity(k)
+        self._sharded = stripes.sharded
         tasks = tasks[stripes.tasks(k)]
         if self.checkpoint is None:
             return tasks, None
@@ -387,8 +399,7 @@ class PlanExecutionEngine:
         }
         fleet = self._fleet
         stats = KernelStats(
-            kernel=self.kernel + ("-parallel" if fleet is None
-                                  else "-procpool"),
+            kernel=self.kernel + self._label,
             sample_seconds=work["sample"],
             compute_seconds=work["compute"],
             conversion_seconds=conversion_seconds,
@@ -475,8 +486,10 @@ class PlanExecutionEngine:
         scratch = cfg.task_timeout is not None and self.threads > 1
         rng, watch = self._thread_ctx(fresh=attempt > 1)
         target = np.zeros(view.shape) if scratch else view
-        if not scratch:
+        if not scratch and (self.Ahat is not self._fresh
+                            or idx in self._written):
             target[:] = 0.0
+        self._written.add(idx)
         try:
             if self._hooked:
                 self.bus.emit(TASK_START, task=key, kernel=kernel,
@@ -732,7 +745,7 @@ class PlanExecutionEngine:
         self.Ahat = out
         self._tasks = tasks
         self._deadline = deadline
-        self._claimed = set()
+        self._claimed, self._written = set(), set()
         queue = list(range(len(tasks)))
         above = None  # the context of the rung that handed *queue* down
         if self._fleet is not None:

@@ -8,13 +8,15 @@ holding a plan; the runtime resolves the plan to one of its *drivers*
 and brackets the execution
 with lifecycle events on its :class:`~repro.plan.EventBus`:
 
-``serial``
-    The single-pass blocked loop (:func:`repro.kernels.sketch_spmm`) —
-    the zero-overhead path for sequential, non-resilient,
-    non-checkpointed runs.
 ``engine``
-    The resilient block executor (any thread count): per-task retries,
-    deadlines, guardrails, degradation, durable checkpoints.
+    The block scheduler (:class:`~repro.parallel.executor.PlanExecutionEngine`,
+    any thread count): per-task retries, deadlines, guardrails,
+    degradation, durable checkpoints.
+``serial``
+    The same scheduler pinned to its serial rung: one thread whatever
+    ``plan.threads`` says, no checkpoints, and stats that name the bare
+    kernel.  ``"auto"`` resolves to it for plans that need no per-task
+    machinery.
 ``pregen``
     The materialize-``S``-then-GEMM baseline (no row-block structure,
     so no checkpointing).
@@ -41,6 +43,7 @@ through executor internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -50,8 +53,6 @@ from ..errors import ConfigError, ShapeError
 from ..kernels.stats import KernelStats
 from ..utils.timing import Timer
 from .events import (
-    BLOCK_DONE,
-    BLOCK_START,
     DONE,
     FAULT_HOOK_EVENTS,
     PLAN_COMPILED,
@@ -86,12 +87,6 @@ class SketchResult:
 
 
 RngFactory = Callable[[int], "SketchingRNG"]
-
-
-def _shard_dir(base: Path, shard: ShardPlan) -> Path:
-    """Checkpoint subdirectory for one stripe (named by column range,
-    so lineage survives any change in shard *count*)."""
-    return Path(base) / f"shard-{shard.col_start:08d}-{shard.col_stop:08d}"
 
 
 class Stripes:
@@ -139,23 +134,16 @@ class Stripes:
         rows = -(-p.problem.d // p.b_d)
         return slice(c0 // p.b_n * rows, -(-c1 // p.b_n) * rows)
 
-    def identity(self, k: int) -> dict:
-        """Fingerprint keys naming stripe *k*'s checkpoint lineage (none
-        when unsharded), so two equal-width stripes can never adopt each
-        other's snapshots."""
-        if not self.sharded:
-            return {}
-        c0, c1 = self.bounds[k]
-        return {"shard_col_start": int(c0), "shard_col_stop": int(c1)}
-
     def persistence(self, k: int) -> PersistencePolicy:
         """Stripe *k*'s checkpoint policy: the plan's own when unsharded,
         else the same knobs over the stripe's lineage directory."""
+        from ..persist.shards import stripe_dir
+
         policy = self.plan.persistence
         if not self.sharded or not policy.enabled:
             return policy
         return PersistencePolicy(
-            checkpoint_dir=str(_shard_dir(self._base, self.shards[k])),
+            checkpoint_dir=str(stripe_dir(self._base, *self.bounds[k])),
             every=policy.every, keep=policy.keep, resume=policy.resume)
 
     def start(self, k: int) -> None:
@@ -167,7 +155,7 @@ class Stripes:
                           col_stop=shard.col_stop, nnz=shard.nnz,
                           strategy=self.plan.partition.strategy)
 
-    def commit(self, k: int, merge: Callable[[int, int], None] | None = None,
+    def commit(self, k: int, merge: Callable[[int, int], None],
                resumed: object = None) -> None:
         """The barrier closing stripe *k*: run and time its *merge* (the
         driver's last pass over the stripe's output columns, called as
@@ -175,8 +163,7 @@ class Stripes:
         the snapshot the stripe restored from, if any."""
         c0, c1 = self.bounds[k]
         with Timer() as timer:
-            if merge is not None:
-                merge(c0, c1)
+            merge(c0, c1)
         if not self.sharded:
             return
         words = self.plan.problem.batch * self.plan.problem.d * (c1 - c0)
@@ -203,47 +190,15 @@ class Stripes:
             stats.extra["shards_resumed"] = self.resumed
 
 
-def _serial_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                   blocked, injector, stripes: Stripes):
-    """Single-pass blocked loop — the pre-refactor sequential path.
-
-    Stripe boundaries come from ``sketch_spmm``'s ``on_block`` hook.
-    Tiles land in place and the whole sketch is post-scaled once, so a
-    stripe's barrier has nothing left to move.
-    """
-    from ..kernels.blocking import sketch_spmm
-
-    bus = runtime.bus
-    track = bus.has_subscribers(BLOCK_START, BLOCK_DONE)
-    on_block = None
-    k = -1  # the open stripe
-    if track or stripes.sharded:
-        def on_block(phase: str, i: int, d1: int, j: int, n1: int) -> None:
-            nonlocal k
-            if phase == BLOCK_START and (k < 0 or j >= stripes.bounds[k][1]):
-                if k >= 0:
-                    stripes.commit(k)
-                k += 1
-                stripes.start(k)
-            if track:
-                bus.emit(phase, task=(i, j), i=i, d1=d1, j=j, n1=n1,
-                         kernel=plan.kernel)
-    result = sketch_spmm(
-        A, plan.problem.d, factory(0), kernel=plan.kernel,
-        b_d=plan.b_d, b_n=plan.b_n, blocked=blocked, on_block=on_block,
-    )
-    if k >= 0:
-        stripes.commit(k)
-    return result
-
-
 def _engine_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
-                   blocked, injector, stripes: Stripes):
-    """The resilient block executor (any thread count)."""
+                   blocked, injector, stripes: Stripes, *,
+                   serial: bool = False):
+    """The block scheduler; *serial* pins it to its serial rung."""
     from ..parallel.executor import PlanExecutionEngine
 
     engine = PlanExecutionEngine(plan, A, factory, bus=runtime.bus,
-                                 blocked=blocked, injector=injector)
+                                 blocked=blocked, injector=injector,
+                                 serial=serial)
     return engine.execute(stripes)
 
 
@@ -268,7 +223,7 @@ def _process_driver(runtime: "Runtime", plan: SketchPlan, A, factory,
 #: The drivers: name -> callable(runtime, plan, A, factory, blocked,
 #: injector, stripes) -> (Ahat, stats).
 _DRIVERS: dict[str, Callable] = {
-    "serial": _serial_driver,
+    "serial": partial(_engine_driver, serial=True),
     "engine": _engine_driver,
     "pregen": _pregen_driver,
     "process": _process_driver,
@@ -443,7 +398,7 @@ class Runtime:
         column stripes (:func:`~repro.plan.compute_shards`); an
         unsharded plan is one full-width stripe.  A resumed,
         checkpointed run first re-partitions prior stripe lineages onto
-        the new stripes (:meth:`_repartition_checkpoints`).
+        the new stripes (:func:`repro.persist.shards.repartition_checkpoints`).
         """
         if plan.partition is None:
             return Stripes(plan, self.bus)
@@ -454,132 +409,11 @@ class Runtime:
         if plan.persistence.enabled:
             base = Path(plan.persistence.to_dict()["checkpoint_dir"])
             if plan.persistence.resume:
-                seeded = self._repartition_checkpoints(plan, shards,
-                                                       factory, base)
+                from ..persist.shards import repartition_checkpoints
+
+                seeded = repartition_checkpoints(plan, shards, factory(0),
+                                                 base)
         return Stripes(plan, self.bus, shards, base, seeded)
-
-    def _repartition_checkpoints(self, plan: SketchPlan,
-                                 shards: tuple[ShardPlan, ...], factory,
-                                 base: Path) -> dict[int, dict]:
-        """Seed each stripe's checkpoint lineage from prior verified state.
-
-        A resumed sharded run may use a *different* shard count than the
-        interrupted one.  Stripe lineages are keyed by column range, so
-        this pass re-partitions: for every new stripe without its own
-        usable snapshot, it assembles the stripe's payload from the
-        verified snapshots of overlapping prior stripes (any layout,
-        including the legacy unsharded base-directory lineage treated as
-        one full-width stripe) and writes it as the stripe's first
-        snapshot.  A row block counts as completed only when *every*
-        overlapping prior stripe completed it — partial rows are simply
-        recomputed, which is always correct (generators are
-        coordinate-keyed).  Damaged or fingerprint-incompatible prior
-        state is skipped, never trusted: the fallback is a fresh
-        compute, not a wrong resume.
-
-        Returns ``{shard index: {"rows": ..., "repartitioned": ...}}``
-        for shards with state to resume (feeds ``shard_resumed`` events).
-        """
-        from ..persist.resume import latest_verified_snapshot
-        from ..persist.snapshot import (
-            FINGERPRINT_KEYS,
-            CheckpointManager,
-            run_fingerprint,
-        )
-
-        rng = factory(0)
-
-        def shard_fp(shard: ShardPlan) -> dict:
-            fp = run_fingerprint(
-                mode="blocked", d=plan.problem.d, n=shard.ncols,
-                b_d=plan.b_d, b_n=plan.b_n, kernel=plan.kernel,
-                rng_kind=rng.family, seed=rng.seed,
-                distribution=rng.dist.name)
-            fp["shard_col_start"] = int(shard.col_start)
-            fp["shard_col_stop"] = int(shard.col_stop)
-            return fp
-
-        # Stripe-independent identity: every key except the stripe width
-        # and range must match for prior state to be re-partitionable.
-        compat_keys = tuple(k for k in FINGERPRINT_KEYS if k != "n")
-        ref = shard_fp(shards[0])
-
-        def compatible(stored: dict) -> bool:
-            return all(stored.get(k) == ref.get(k) for k in compat_keys)
-
-        def verified(directory: Path):
-            try:
-                return latest_verified_snapshot(directory)
-            except Exception:  # noqa: BLE001 - damaged lineage: recompute
-                return None
-
-        sources: list[tuple[int, int, object]] = []
-        if base.is_dir():
-            for entry in sorted(base.iterdir()):
-                if not (entry.is_dir() and entry.name.startswith("shard-")):
-                    continue
-                try:
-                    o0, o1 = (int(p) for p in
-                              entry.name[len("shard-"):].split("-"))
-                except ValueError:
-                    continue
-                snap = verified(entry)
-                if snap is None or not compatible(snap.fingerprint):
-                    continue
-                if int(snap.fingerprint.get("n", -1)) != o1 - o0:
-                    continue
-                sources.append((o0, o1, snap))
-            legacy = verified(base)
-            if legacy is not None and compatible(legacy.fingerprint) \
-                    and int(legacy.fingerprint.get("n", -1)) \
-                    == plan.problem.n \
-                    and legacy.fingerprint.get("shard_col_start") is None:
-                sources.append((0, plan.problem.n, legacy))
-
-        d, b_d = plan.problem.d, plan.b_d
-        seeded: dict[int, dict] = {}
-        own_keys = tuple(FINGERPRINT_KEYS) + ("shard_col_start",
-                                              "shard_col_stop")
-        for shard in shards:
-            c0, c1 = shard.col_start, shard.col_stop
-            fp = shard_fp(shard)
-            own = verified(_shard_dir(base, shard))
-            if own is not None and all(own.fingerprint.get(k) == fp.get(k)
-                                       for k in own_keys):
-                seeded[shard.index] = {
-                    "rows": len(own.state.get("completed_rows", [])),
-                    "repartitioned": False}
-                continue
-            overlaps = sorted(
-                ((o0, o1, snap) for o0, o1, snap in sources
-                 if o0 < c1 and o1 > c0 and not (o0 == c0 and o1 == c1)),
-                key=lambda t: (t[0], t[1]))
-            cover = c0
-            for o0, o1, _snap in overlaps:
-                if o0 > cover:
-                    break
-                cover = max(cover, o1)
-            if not overlaps or cover < c1:
-                continue
-            rows: set[int] | None = None
-            for _o0, _o1, snap in overlaps:
-                got = {int(r) for r in snap.state.get("completed_rows", [])}
-                rows = got if rows is None else rows & got
-            row_list = sorted(rows or ())
-            if not row_list:
-                continue
-            arr = np.zeros((d, shard.ncols), dtype=np.float64)
-            for o0, o1, snap in overlaps:
-                old = snap.load_array(verify=False)  # verified at discovery
-                a0, a1 = max(c0, o0), min(c1, o1)
-                arr[:, a0 - c0:a1 - c0] = old[:, a0 - o0:a1 - o0]
-            blocks = [(r, arr[r:r + min(b_d, d - r), :]) for r in row_list]
-            manager = CheckpointManager(_shard_dir(base, shard),
-                                        keep=plan.persistence.keep)
-            manager.save(blocks, fp, {"completed_rows": row_list})
-            seeded[shard.index] = {"rows": len(row_list),
-                                   "repartitioned": True}
-        return seeded
 
     # -- artifact-cache plumbing --------------------------------------------
 

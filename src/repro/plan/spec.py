@@ -440,7 +440,7 @@ class SketchPlan:
         free slot, so there is no partition strategy to choose).
     driver:
         Execution driver: ``"auto"`` (runtime picks serial vs engine
-        from the plan), ``"serial"`` (single-pass blocked loop),
+        from the plan), ``"serial"`` (the engine pinned to one thread),
         ``"engine"`` (the resilient block executor, any thread count),
         or ``"process"`` (the supervised multi-process pool of
         :mod:`repro.parallel.procpool`).

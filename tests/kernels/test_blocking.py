@@ -202,18 +202,11 @@ class TestOutputLayout:
                               b_d=6, b_n=6)
         assert Ahat.flags.f_contiguous
 
-    def test_c_order_option(self, A):
-        Ahat, _ = sketch_spmm(A, 12, PhiloxSketchRNG(1), kernel="algo3",
-                              b_d=6, b_n=6, out_order="C")
-        assert Ahat.flags.c_contiguous
-
     def test_layouts_agree(self, A):
         f, _ = sketch_spmm(A, 12, PhiloxSketchRNG(1), kernel="algo4",
-                           b_d=6, b_n=6, out_order="F")
+                           b_d=6, b_n=6)
+        buf = np.zeros((12, A.shape[1]), order="C")
         c, _ = sketch_spmm(A, 12, PhiloxSketchRNG(1), kernel="algo4",
-                           b_d=6, b_n=6, out_order="C")
+                           b_d=6, b_n=6, out=buf)
+        assert c is buf and c.flags.c_contiguous
         np.testing.assert_array_equal(f, c)
-
-    def test_invalid_order(self, A):
-        with pytest.raises(ConfigError):
-            sketch_spmm(A, 12, PhiloxSketchRNG(1), out_order="K")
