@@ -47,6 +47,7 @@ __all__ = [
     "tune_key", "fetch_tune_result", "store_tune_result",
     "kernel_choice_key", "fetch_kernel_choice", "store_kernel_choice",
     "blocked_csr_key", "fetch_blocked_csr", "store_blocked_csr",
+    "blocked_csr_arrays", "blocked_csr_from_arrays",
 ]
 
 TUNE_ARTIFACT = "tune"
@@ -146,25 +147,32 @@ def store_blocked_csr(cache: ArtifactCache, key: str, blocked: BlockedCSR,
                       *, b_n: int) -> None:
     """Serialize *blocked* into four npy payloads (one checksum each)."""
     m, n = blocked.shape
-    indptr = np.stack([blk.indptr for blk in blocked.blocks]) \
-        if blocked.n_blocks else np.zeros((0, m + 1), dtype=np.int64)
-    indices = np.concatenate([blk.indices for blk in blocked.blocks]) \
-        if blocked.n_blocks else np.zeros(0, dtype=np.int64)
-    data = np.concatenate([blk.data for blk in blocked.blocks]) \
-        if blocked.n_blocks else np.zeros(0, dtype=np.float64)
     meta = {"m": int(m), "n": int(n), "b_n": int(b_n),
             "n_blocks": int(blocked.n_blocks), "nnz": int(blocked.nnz)}
     cache.insert(
         BLOCKED_ARTIFACT, key,
         meta=meta,
-        payloads={
-            "block_starts.npy": _array_to_npy_bytes(blocked.block_starts),
-            "indptr.npy": _array_to_npy_bytes(indptr),
-            "indices.npy": _array_to_npy_bytes(indices),
-            "data.npy": _array_to_npy_bytes(data),
-        },
+        payloads={f"{name}.npy": _array_to_npy_bytes(arr)
+                  for name, arr in blocked_csr_arrays(blocked).items()},
         obj=blocked,
     )
+
+
+def blocked_csr_arrays(blocked: BlockedCSR) -> dict[str, np.ndarray]:
+    """*blocked*'s flat layout, as the cache stores it and the process pool
+    publishes it: ``block_starts``, the blocks' ``indptr`` stacked, and
+    their ``indices`` and ``data`` concatenated."""
+    m = blocked.shape[0]
+    blocks = blocked.blocks
+    return {
+        "block_starts": blocked.block_starts,
+        "indptr": (np.stack([blk.indptr for blk in blocks]) if blocks
+                   else np.zeros((0, m + 1), dtype=np.int64)),
+        "indices": (np.concatenate([blk.indices for blk in blocks])
+                    if blocks else np.zeros(0, dtype=np.int64)),
+        "data": (np.concatenate([blk.data for blk in blocks]) if blocks
+                 else np.zeros(0, dtype=np.float64)),
+    }
 
 
 def blocked_csr_from_arrays(shape: tuple[int, int], block_starts: np.ndarray,
@@ -203,12 +211,9 @@ def fetch_blocked_csr(cache: ArtifactCache, key: str,
                 f"cached blocked CSR has shape {shape}, expected "
                 f"{tuple(expected_shape)}"
             )
-        block_starts = _npy_bytes_to_array(entry.payloads["block_starts.npy"])
-        indptr = _npy_bytes_to_array(entry.payloads["indptr.npy"])
-        indices = _npy_bytes_to_array(entry.payloads["indices.npy"])
-        data = _npy_bytes_to_array(entry.payloads["data.npy"])
-        blocked = blocked_csr_from_arrays(shape, block_starts, indptr,
-                                          indices, data)
+        blocked = blocked_csr_from_arrays(shape, **{
+            name: _npy_bytes_to_array(entry.payloads[f"{name}.npy"])
+            for name in ("block_starts", "indptr", "indices", "data")})
         if blocked.n_blocks != int(meta["n_blocks"]) or \
                 blocked.nnz != int(meta["nnz"]):
             raise ValueError("cached blocked CSR does not match its manifest")

@@ -142,10 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "in --checkpoint-dir instead of starting "
                                 "over")
     g_persist.add_argument("--verify", action="store_true",
-                           help="audit the newest snapshot in "
-                                "--checkpoint-dir against the input matrix "
-                                "(RNG replay of sampled tiles) instead of "
-                                "sketching")
+                           help="audit the newest snapshot of each "
+                                "lineage in --checkpoint-dir against the "
+                                "input matrix (RNG replay of sampled "
+                                "tiles) instead of sketching")
     g_persist.add_argument("--verify-exhaustive", action="store_true",
                            help="with --verify: replay every tile, not a "
                                 "sample")
@@ -343,12 +343,15 @@ def _cmd_sketch(args) -> dict:
             from .errors import ConfigError
 
             raise ConfigError("--verify requires --checkpoint-dir")
-        from .persist import verify_snapshot
+        from .persist import verify_checkpoints
 
-        report = verify_snapshot(args.checkpoint_dir, A,
-                                 exhaustive=args.verify_exhaustive,
-                                 seed=args.seed)
-        out = report.as_dict()
+        reports = verify_checkpoints(args.checkpoint_dir, A,
+                                     exhaustive=args.verify_exhaustive,
+                                     seed=args.seed)
+        # A sharded run's directory holds one lineage per column stripe.
+        out = (reports[0].as_dict() if len(reports) == 1 else
+               {"ok": all(r.ok for r in reports),
+                "lineages": [r.as_dict() for r in reports]})
         out["input_shape"] = list(A.shape)
         out["input_nnz"] = A.nnz
         return out

@@ -12,10 +12,14 @@ bits (paper Section IV-C; ``tests/plan/test_contract.py``).
 
 The scheduler owns the ready queue, the commit claim and count, the
 charge for a failed attempt (failure note, budget, deterministic
-:func:`~repro.parallel.resilience.backoff_seconds` delay, ``retry`` or
-``task_requeued`` event), the run deadline, and the work totals behind
-the run's one :class:`~repro.kernels.KernelStats`.  It walks a ladder of
-rungs:
+:func:`~repro.parallel.resilience.backoff_seconds` delay on one due-heap,
+``retry`` or ``task_requeued`` event), the run deadline, and the work
+totals behind the run's one :class:`~repro.kernels.KernelStats`; it only
+schedules.  What a checkpointing run persists (stripe lineages,
+row-block completion, cadence, resume) belongs to
+:class:`~repro.persist.shards.StripeCheckpoints`, which the scheduler
+tells of each stripe and each commit.  One loop, ``_drive``, walks a
+ladder of rungs, each a set of slots:
 
 * **processes** (process plans only): a
   :class:`~repro.parallel.procpool.ProcessPoolSupervisor`'s live workers,
@@ -26,8 +30,8 @@ rungs:
   futures, two per thread; ``ResilienceConfig.max_retries`` retries per
   kernel (algo4 falls back to algo3), and a task past ``task_timeout``
   is re-executed in the scheduler's thread (first commit wins);
-* **serial**: the scheduler's thread, one task at a time, with
-  ``task_timeout`` enforced after the fact.
+* **serial** (one thread, or ``serial_fallback``): one slot, the
+  scheduler's own thread, with ``task_timeout`` enforced after the fact.
 
 The engine's own accumulator is born zeroed in the kernels' apply layout
 (:func:`~repro.kernels.blocking.zeros_in_apply_layout`), so its tile is
@@ -50,7 +54,6 @@ import heapq
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -74,7 +77,6 @@ from ..plan.events import (
     BLOCK_COMPUTED,
     BLOCK_DONE,
     BLOCK_START,
-    CHECKPOINT_WRITTEN,
     DEGRADED,
     FAULT_HOOK_EVENTS,
     RETRY,
@@ -198,20 +200,14 @@ class PlanExecutionEngine:
         self._track_blocks = self.bus.has_subscribers(BLOCK_START, BLOCK_DONE)
 
         self._injector = injector
-        self.checkpoint = plan.persistence.build_manager(injector)
-        self.checkpoint_every = plan.persistence.every
-        self._resume_requested = plan.persistence.resume
-        self.resumed_from = None
-        self._snapshots_before = 0  # written by earlier stripes' lineages
-        # The stripe being run: its output columns, and whether the run is
-        # sharded (each stripe then has its own checkpoint lineage).
-        self._window = (0, A.shape[1])
-        self._sharded = False
+        #: The run's :class:`~repro.persist.shards.StripeCheckpoints`
+        #: (built by :meth:`run` when the plan persists).
+        self.checkpoints = None
         # A resilience policy, fault hooks, durable checkpoints or a
         # worker fleet make the run recover with the default policy and
         # report its health; without any of them the loop runs bare.
         self.resilient = (plan.resilience is not None or self._hooked
-                          or self.checkpoint is not None
+                          or plan.persistence.enabled
                           or fleet is not None)
         self.resilience = plan.resilience or (
             ResilienceConfig() if self.resilient else _BARE)
@@ -246,77 +242,6 @@ class PlanExecutionEngine:
         self._block_by_offset: dict[int, object] = (
             dict(blocked.iter_blocks()) if blocked is not None else {})
 
-        # Row-block completion tracking for checkpoint barriers: a row
-        # block is complete when all its column tiles have committed, at
-        # which point its rows of Ahat are final (pre-post_scale) and safe
-        # to persist while other row blocks are still being computed.
-        self._row_pending: dict[int, int] = {}
-        self._completed_rows: set[int] = set()
-        self._rows_since_snapshot = 0
-
-    # -- durable checkpoints ------------------------------------------------
-
-    def fingerprint(self) -> dict:
-        """Immutable run identity for checkpoint compatibility checks.
-
-        Derived from the *live* generator factory rather than the plan's
-        declarative RNG spec, so executor callers with custom factories
-        fingerprint what actually ran.  Describes the stripe being run:
-        its width, plus its global column range when the run is sharded.
-        """
-        from ..persist.shards import stripe_fingerprint
-
-        return stripe_fingerprint(self.plan, self.rng_factory(0),
-                                  *self._window, sharded=self._sharded)
-
-    def _maybe_checkpoint(self, *, force: bool = False) -> None:
-        """Snapshot the completed row blocks if a checkpoint is due.
-
-        Called by whichever worker completes a row block; the manager
-        serializes concurrent writers.  Row blocks still in flight are
-        excluded, so every persisted byte is final.
-        """
-        if self.checkpoint is None:
-            return
-        with self._claim_lock:
-            if self._rows_since_snapshot == 0:
-                return
-            if not force and self._rows_since_snapshot < self.checkpoint_every:
-                return
-            rows = sorted(self._completed_rows)
-            self._rows_since_snapshot = 0
-        c0, c1 = self._window
-        blocks = [(r, self.Ahat[r:r + min(self.b_d, self.d - r), c0:c1])
-                  for r in rows]
-        with Timer() as write:
-            path = self.checkpoint.save(blocks, self.fingerprint(),
-                                        {"completed_rows": rows})
-        self.bus.emit(CHECKPOINT_WRITTEN, path=path, rows=rows,
-                      snapshots_written=self.checkpoint.snapshots_written,
-                      seconds=write.elapsed)
-
-    def _resume_from_snapshot(self, tasks: list[Task]):
-        """Restore the stripe's completed row blocks; return the tasks
-        still to run and the snapshot restored from (``None`` if none)."""
-        from ..persist.resume import latest_verified_snapshot
-        from ..persist.snapshot import check_fingerprint
-
-        snap = latest_verified_snapshot(self.checkpoint.directory)
-        if snap is None:
-            return tasks, None
-        fp = self.fingerprint()
-        check_fingerprint(snap.fingerprint, fp, keys=tuple(fp))
-        completed = {int(r) for r in snap.state.get("completed_rows", [])}
-        if not completed:
-            return tasks, None
-        arr = snap.load_array(verify=False)  # verified at load
-        c0, c1 = self._window
-        for r in sorted(completed):
-            d1 = min(self.b_d, self.d - r)
-            self.Ahat[r:r + d1, c0:c1] = arr[r:r + d1, :]
-        self._completed_rows = set(completed)
-        return [t for t in tasks if t[0] not in completed], snap.path
-
     # -- shared setup -----------------------------------------------------
 
     def _prepare(self) -> float:
@@ -332,32 +257,6 @@ class PlanExecutionEngine:
         self.Ahat = self._fresh = zeros_in_apply_layout(
             (self.batch, self.d, n) if self.batch > 1 else (self.d, n))
         return conversion_seconds
-
-    def _enter_stripe(self, stripes: "Stripes", k: int, tasks: list[Task]):
-        """Switch to stripe *k*: its columns, its checkpoint lineage and
-        its resumed rows.  Returns the stripe's tasks still to run and the
-        snapshot it restored from."""
-        self._window = stripes.bounds[k]
-        self._sharded = stripes.sharded
-        tasks = tasks[stripes.tasks(k)]
-        if self.checkpoint is None:
-            return tasks, None
-        if stripes.sharded:
-            self._snapshots_before += self.checkpoint.snapshots_written
-            self.checkpoint = stripes.persistence(k).build_manager(
-                self._injector)
-        self._row_pending = {}
-        self._completed_rows = set()
-        self._rows_since_snapshot = 0
-        resumed = None
-        if self._resume_requested:
-            stripe_tasks = len(tasks)
-            tasks, resumed = self._resume_from_snapshot(tasks)
-            self.health.tasks -= stripe_tasks - len(tasks)
-            self.resumed_from = self.resumed_from or resumed
-        for i, _d1, _j, _n1 in tasks:
-            self._row_pending[i] = self._row_pending.get(i, 0) + 1
-        return tasks, resumed
 
     def _thread_ctx(self, fresh: bool = False
                     ) -> tuple[SketchingRNG, Stopwatch]:
@@ -416,11 +315,8 @@ class PlanExecutionEngine:
                    **({"batch": self.batch} if self.batch > 1 else {})},
             health=self.health if self.resilient else None,
         )
-        if self.checkpoint is not None:
-            stats.extra["snapshots_written"] = (
-                self._snapshots_before + self.checkpoint.snapshots_written)
-            stats.extra["resumed_from"] = (str(self.resumed_from)
-                                           if self.resumed_from else None)
+        if self.checkpoints is not None:
+            self.checkpoints.record(stats)
         return stats
 
     # -- one attempt ------------------------------------------------------
@@ -439,19 +335,12 @@ class PlanExecutionEngine:
         """Claim task *idx* and count it: *target* is an attempt's private
         tile to copy in, *work* a worker process's time and samples."""
         i, d1, j, n1 = self._tasks[idx]
-        row_done = False
         with self._claim_lock:
             if idx in self._claimed:
                 return  # a speculative duplicate won the race; discard
             self._claimed.add(idx)
             if target is not None:
                 self._view(self._tasks[idx])[...] = target
-            if self._row_pending:
-                left = self._row_pending[i] = self._row_pending[i] - 1
-                if left == 0:
-                    self._completed_rows.add(i)
-                    self._rows_since_snapshot += 1
-                    row_done = True
             self.health.completed += 1
             if work is not None:
                 self._all_watches[0].add("sample", work["sample"])
@@ -463,8 +352,8 @@ class PlanExecutionEngine:
                       "compute_seconds": work["compute"]})
             self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1, j=j, n1=n1,
                           kernel=self.kernel, **times)
-        if row_done:
-            self._maybe_checkpoint()
+        if self.checkpoints is not None:
+            self.checkpoints.commit(i)
 
     def _attempt(self, idx: int, kernel: str, attempt: int,
                  context: str) -> "tuple[str, str] | None":
@@ -700,37 +589,6 @@ class PlanExecutionEngine:
         left = set(down).union(ready, (idx for _t, idx in due))
         return sorted(left - self._claimed)
 
-    def _serial(self, queue: list[int]) -> None:
-        """The last rung: the scheduler's thread runs each task until it
-        commits or its retries are spent.
-
-        A serial attempt cannot be preempted, so ``task_timeout`` binds
-        after the fact: an overrun fails the run (the strict contract a
-        request deadline needs) or is recorded and the committed result
-        kept — re-running would only reproduce the same bytes slower.
-        """
-        self._tries, self._violated = {}, set()
-        limit = self.resilience.task_timeout
-        for idx in queue:
-            while idx not in self._claimed:
-                self._check_deadline(0)
-                started = time.monotonic()
-                failure = self._attempt(idx, *self._start("serial", idx),
-                                        "serial")
-                elapsed = time.monotonic() - started
-                if failure is not None:
-                    delay = self._charge("serial", idx, *failure)
-                    if delay is None:
-                        raise self._exhausted(idx)
-                    time.sleep(delay)
-                elif limit is not None and elapsed > limit:
-                    key = self._overran(
-                        idx, f"({elapsed:.3f}s elapsed) on the serial path")
-                    self.health.record(
-                        f"task {key}: serial execution overran the {limit}s "
-                        f"deadline ({elapsed:.3f}s); committed result kept "
-                        f"(serial re-execution is bit-identical)")
-
     def run_tasks(self, tasks: list[Task], out: np.ndarray, *,
                   deadline: float | None = None) -> None:
         """The scheduler: compute each task's tile of *out* in place.
@@ -746,29 +604,29 @@ class PlanExecutionEngine:
         self._tasks = tasks
         self._deadline = deadline
         self._claimed, self._written = set(), set()
+        ladder = [self._fleet] if self._fleet is not None else []
+        if self.threads > 1:
+            ladder.append(_Threads(self))
+        if self.threads == 1 or self.resilience.degradation.serial_fallback:
+            ladder.append(_Serial(self))
         queue = list(range(len(tasks)))
         above = None  # the context of the rung that handed *queue* down
-        if self._fleet is not None:
-            queue, above = self._drive(self._fleet, queue, False), "process"
-        if queue and self.threads > 1:
-            if above:
-                self._step_down(above, len(queue))
-            rung = _Threads(self)
-            try:
-                queue = self._drive(
-                    rung, queue,
-                    last=not self.resilience.degradation.serial_fallback)
-            finally:
-                # Drop queued tasks and join the running ones — a
-                # straggler's original, or the other slots when a failure
-                # ends the run — so no slot thread outlives the run.
-                rung.pool.shutdown(cancel_futures=True)
-            above = rung.context
-        if queue:
-            if above:
-                self._step_down(above, len(queue))
-            self._serial(queue)
-
+        try:
+            for rung in ladder:
+                if not queue:
+                    break
+                if above:
+                    self._step_down(above, len(queue))
+                queue = self._drive(rung, queue, last=rung is ladder[-1])
+                above = rung.context
+        finally:
+            for rung in ladder:
+                if isinstance(rung, _Threads):
+                    # Drop queued tasks and join the running ones — a
+                    # straggler's original, or the other slots when a
+                    # failure ends the run — so no slot thread outlives
+                    # the run.
+                    rung.pool.shutdown(cancel_futures=True)
     def _step_down(self, context: str, count: int) -> None:
         kind, flag, what = (
             ("pool_fallback", "degraded_to_thread", "unfinishable in the "
@@ -789,9 +647,11 @@ class PlanExecutionEngine:
 
         *stripes* (:class:`~repro.plan.runtime.Stripes`; default one
         full-width stripe) cuts the column-outer task list into groups:
-        each runs on :meth:`run_tasks` over its own checkpoint lineage,
-        then its barrier calls ``merge(c0, c1)`` on the stripe's columns.
-        Returns the run's stats.
+        each runs on :meth:`run_tasks`, then its barrier calls
+        ``merge(c0, c1)`` on the stripe's columns.  A plan that persists
+        hands each stripe's checkpoints to
+        :class:`~repro.persist.shards.StripeCheckpoints`.  Returns the
+        run's stats.
         """
         if stripes is None:
             from ..plan.runtime import Stripes
@@ -799,6 +659,13 @@ class PlanExecutionEngine:
             stripes = Stripes(self.plan, self.bus)
         if out is not None:
             self.Ahat = out
+        if self.plan.persistence.enabled:
+            from ..persist.shards import StripeCheckpoints
+
+            self.checkpoints = StripeCheckpoints(
+                self.plan, self.rng_factory(0), stripes, self.bus,
+                injector=self._injector)
+        ckpt = self.checkpoints
         all_tasks = list(iter_block_tasks(self.d, self.A.shape[1],
                                           self.b_d, self.b_n))
         self.health.tasks = len(all_tasks)
@@ -806,13 +673,14 @@ class PlanExecutionEngine:
         with Timer() as total:
             for k in range(len(stripes.bounds)):
                 stripes.start(k)
-                tasks, resumed = self._enter_stripe(stripes, k, all_tasks)
+                tasks, resumed = all_tasks[stripes.tasks(k)], None
+                if ckpt is not None:
+                    left, resumed = ckpt.enter(k, tasks, self.Ahat)
+                    self.health.tasks -= len(tasks) - len(left)
+                    tasks = left
                 self.run_tasks(tasks, self.Ahat, deadline=deadline)
-                # The final snapshot (if one is pending) captures the
-                # accumulation *before* the merge post-scales — the
-                # stored payload is always the raw accumulator state,
-                # like an interrupted run's.
-                self._maybe_checkpoint(force=True)
+                if ckpt is not None:
+                    ckpt.seal()
                 stripes.commit(k, merge, resumed)
         return self._finish_stats(conversion_seconds, total.elapsed)
 
@@ -834,7 +702,7 @@ class PlanExecutionEngine:
             self.Ahat[..., c0:c1] *= post
 
 
-# -- the thread rung ----------------------------------------------------------
+# -- the in-process rungs -----------------------------------------------------
 #
 # A rung is a set of slots: ``free()`` says whether it can take a task,
 # ``dispatch`` hands it one, ``poll(timeout)`` waits for finished attempts
@@ -844,6 +712,52 @@ class PlanExecutionEngine:
 # ``top_up`` (respawns).
 
 
+class _Serial:
+    """The last rung: one slot, the scheduler's own thread.
+
+    :meth:`dispatch` runs the attempt at once.  A serial attempt cannot
+    be preempted, so ``task_timeout`` binds after the fact: an overrun
+    fails the run (the strict contract a request deadline needs) or is
+    recorded and the committed result kept — re-running would only
+    reproduce the same bytes slower.
+    """
+
+    context = "serial"
+
+    def __init__(self, engine: PlanExecutionEngine) -> None:
+        self.engine = engine
+        self.done: list[Outcome] = []
+
+    @property
+    def busy(self) -> int:
+        return len(self.done)
+
+    def free(self) -> bool:
+        return not self.done
+
+    def dispatch(self, idx: int, task: Task, kernel: str,
+                 attempt: int) -> None:
+        engine = self.engine
+        started = time.monotonic()
+        failure = engine._attempt(idx, kernel, attempt, self.context)
+        elapsed = time.monotonic() - started
+        limit = engine.resilience.task_timeout
+        if failure is None and limit is not None and elapsed > limit:
+            key = engine._overran(
+                idx, f"({elapsed:.3f}s elapsed) on the serial path")
+            engine.health.record(
+                f"task {key}: serial execution overran the {limit}s "
+                f"deadline ({elapsed:.3f}s); committed result kept "
+                f"(serial re-execution is bit-identical)")
+        self.done.append((idx, failure, None))
+
+    def poll(self, timeout: float | None) -> list[Outcome]:
+        if not self.done:
+            time.sleep(timeout)  # a retry's backoff
+        done, self.done = self.done, []
+        return done
+
+
 class _Threads:
     """The thread rung: futures, stragglers re-executed in the scheduler's
     thread."""
@@ -851,6 +765,8 @@ class _Threads:
     context = "parallel"
 
     def __init__(self, engine: PlanExecutionEngine) -> None:
+        from concurrent.futures import ThreadPoolExecutor
+
         self.engine = engine
         self.pool = ThreadPoolExecutor(max_workers=engine.threads)
         #: future -> [task index, start instant (set by its thread), overdue]
@@ -889,6 +805,8 @@ class _Threads:
             if due:
                 timeout = max(0.0, min(due if timeout is None
                                        else due + [timeout]))
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         done, _ = wait(self.running, timeout=timeout,
                        return_when=FIRST_COMPLETED)
         out = [(self.running.pop(fut)[0], fut.result(), None)

@@ -9,8 +9,12 @@ processes:
 
 * the frozen, JSON-round-trippable :class:`~repro.plan.SketchPlan` is
   the unit that ships to a worker — each worker maps the input from
-  :mod:`multiprocessing.shared_memory` and derives its generators from
-  the plan's RNG spec, so any worker computes any tile bit-identically;
+  :mod:`multiprocessing.shared_memory` (``A``'s CSC arrays and the
+  blocked CSR in the cache's flat layout,
+  :func:`~repro.cache.artifacts.blocked_csr_arrays`, each segment shipped
+  as ``(shm name, dtype, shape)``) and derives its generators from the
+  plan's RNG spec, so any worker computes any tile bit-identically; the
+  shared output is never cleared, since every tile is written whole;
 * **claimed-before-commit**: the worker writes its tile into the shared
   output, checksums the *correct* bytes (:mod:`repro.persist.checksum`)
   and commits the digest over its pipe; the supervisor re-reads the
@@ -164,17 +168,18 @@ class WorkerPoolConfig:
 # -- worker process ---------------------------------------------------------
 
 
-def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
-                 problem: dict) -> None:
+def _worker_main(wid: int, conn, plan_data: dict, segments: dict) -> None:
     """Entry point of one worker process.
 
-    Maps the input from shared memory, derives its generators from the
-    shipped plan, then serves one task per message until ``shutdown`` or
-    pipe closure.  A ``reload`` rebinds it to a new plan over the same
-    input (remapping replaced segments, typically the output); a task
-    that carries an RNG spec rebinds only the generator, which is how a
-    warm fleet serves a new seed.  Injected process faults arrive as
-    plain dicts with the task and are applied mechanically.
+    Maps the published *segments* (``{name: (shm name, dtype, shape)}``:
+    ``A``'s CSC arrays, the blocked CSR's flat arrays prefixed ``blk_``
+    and the output ``ahat``), derives its generators from the shipped
+    plan, then serves one task per message until ``shutdown`` or pipe
+    closure.  A ``reload`` rebinds it to a new plan over the same input
+    (remapping replaced segments, typically the output); a task that
+    carries an RNG spec rebinds only the generator, which is how a warm
+    fleet serves a new seed.  Injected process faults arrive as plain
+    dicts with the task and are applied mechanically.
     """
     import dataclasses
 
@@ -188,52 +193,34 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
     from ..sparse.csc import CSCMatrix
     from ..utils.timing import Stopwatch
 
-    segs = {}
+    segs, arr = {}, {}
 
-    def arr(name, dtype, shape):
-        return np.ndarray(shape, dtype=dtype, buffer=segs[name].buf)
-
-    def remap(names: dict) -> None:
-        for name, shm_name in names.items():
+    def remap(specs: dict) -> None:
+        for name, (shm_name, dtype, shape) in specs.items():
             old = segs.pop(name, None)
             if old is not None:
                 try:
                     old.close()
                 except OSError:  # pragma: no cover - best effort
                     pass
-            segs[name] = shared_memory.SharedMemory(name=shm_name)
+            seg = segs[name] = shared_memory.SharedMemory(name=shm_name)
+            arr[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
     try:
-        remap(shm_names)
+        remap(segments)
         plan = SketchPlan.from_dict(plan_data)
-        m, n, nnz = problem["m"], problem["n"], problem["nnz"]
-        A = CSCMatrix((m, n), arr("indptr", np.int64, (n + 1,)),
-                      arr("indices", np.int64, (nnz,)),
-                      arr("data", np.float64, (nnz,)), check=False)
+        shape = (plan.problem.m, plan.problem.n)
+        A = CSCMatrix(shape, arr["indptr"], arr["indices"], arr["data"],
+                      check=False)
+        # Zero-copy views over the supervisor's one blocked-CSR conversion
+        # (a warm pool keeps its kernel and b_n, so they never change).
+        block_by_offset = {} if plan.kernel != "algo4" else dict(
+            blocked_csr_from_arrays(shape, **{
+                name[4:]: a for name, a in arr.items()
+                if name.startswith("blk_")}).iter_blocks())
+        rng = plan.rng_factory()(wid)
         watch = Stopwatch()
         algo = default_algo()
-
-        def bind(plan: "SketchPlan", problem: dict):
-            """(Re)derive the per-plan state: output view, generator,
-            and the zero-copy blocked-CSR views for Algorithm 4."""
-            d, n = plan.problem.d, plan.problem.n
-            batch = plan.problem.batch
-            shape = (batch, d, n) if batch > 1 else (d, n)
-            Ahat = arr("ahat", np.float64, shape)
-            rng = plan.rng_factory()(wid)
-            block_by_offset = {}
-            if plan.kernel == "algo4":
-                # Zero-copy views over the supervisor's one shared
-                # conversion — workers never re-run csc_to_blocked_csr.
-                nb, bnnz = problem["n_blocks"], problem["blk_nnz"]
-                block_by_offset = dict(blocked_csr_from_arrays(
-                    (m, n), arr("blk_starts", np.int64, (nb + 1,)),
-                    arr("blk_indptr", np.int64, (nb, m + 1)),
-                    arr("blk_indices", np.int64, (bnnz,)),
-                    arr("blk_data", np.float64, (bnnz,))).iter_blocks())
-            return Ahat, rng, block_by_offset
-
-        Ahat, rng, block_by_offset = bind(plan, problem)
         conn.send(("ready", wid, os.getpid()))
 
         while True:
@@ -244,10 +231,10 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 # A new plan over the same input matrix.  Pipe order
                 # guarantees the reload is applied before any task
                 # the supervisor sends afterwards, so no ack is needed.
-                _tag, plan_data, shm_updates, problem = msg
-                remap(shm_updates)
+                _tag, plan_data, updates = msg
+                remap(updates)
                 plan = SketchPlan.from_dict(plan_data)
-                Ahat, rng, block_by_offset = bind(plan, problem)
+                rng = plan.rng_factory()(wid)
                 continue
             if msg[0] != "tasks":  # pragma: no cover - protocol guard
                 continue
@@ -271,6 +258,7 @@ def _worker_main(wid: int, conn, plan_data: dict, shm_names: dict,
                 samples0 = rng.samples_generated
                 s0 = watch.total("sample")
                 c0 = watch.total("compute")
+                Ahat = arr["ahat"]
                 tile = np.zeros(Ahat.shape[:-2] + (d1, n1))
                 compute_tile(plan.kernel, tile, A, block_by_offset, i, j,
                              n1, rng, watch)
@@ -399,84 +387,58 @@ class ProcessPoolSupervisor:
         self._started = False
         self._tainted = False
         self._ctx = None
-        self._shm_names: dict[str, str] = {}
+        #: Published segments for workers: ``{name: (shm name, dtype,
+        #: shape)}``.
+        self._specs: dict[str, tuple] = {}
         self._binding: dict | None = None
-        self._ahat_shape: tuple[int, int] | None = None
         #: Finished attempts not yet polled: ``(idx, failure, work)``.
         self._done: list[tuple] = []
         self._conversion_seconds = 0.0
 
     # -- shared-memory plumbing --------------------------------------------
 
-    def _ensure_blocked(self) -> None:
-        """Convert for Algorithm 4 once per pool, not once per worker
-        (a pre-built structure costs nothing); the next run's stats
-        carry the time."""
-        if self.plan.kernel != "algo4" or self.blocked is not None:
-            return
-        from ..sparse.convert import csc_to_blocked_csr
-
-        self.blocked, conv = csc_to_blocked_csr(self.A, self.plan.b_n,
-                                                threads=1)
-        self._conversion_seconds = conv.seconds
-
     def _segment(self, name: str, dtype, shape) -> "np.ndarray":
-        """A fresh shared segment *name* viewed as a *dtype* array."""
+        """A fresh shared segment *name* (replacing one of that name)
+        viewed as a *dtype* array; new segments come zeroed."""
         import numpy as np
         from multiprocessing import shared_memory
 
-        nbytes = max(1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
-        seg = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._release(name)
+        dtype = np.dtype(dtype)
+        seg = shared_memory.SharedMemory(
+            create=True, size=max(1, int(np.prod(shape)) * dtype.itemsize))
         self._segs[name] = seg
-        self._shm_names[name] = seg.name
+        self._specs[name] = (seg.name, dtype.str, tuple(shape))
         return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
 
-    def _create_segments(self) -> None:
-        """Publish A's arrays (and its blocked CSR) and the output buffer."""
-        import numpy as np
+    def _publish_input(self) -> None:
+        """Publish A's arrays and, for Algorithm 4, its blocked CSR,
+        converted once per pool rather than once per worker (the next
+        run's stats carry the time)."""
+        from ..cache.artifacts import blocked_csr_arrays
+        from ..sparse.convert import csc_to_blocked_csr
 
-        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
-                            ("data", np.float64)):
-            src = getattr(self.A, name)
-            self._segment(name, dtype, src.shape)[:] = src
-        if self.blocked is not None:
-            blocked = self.blocked
-            n_blocks, m = blocked.n_blocks, self.A.shape[0]
-            self._segment("blk_starts", np.int64, (n_blocks + 1,))[:] = \
-                blocked.block_starts
-            blk_indptr = self._segment("blk_indptr", np.int64,
-                                       (n_blocks, m + 1))
-            blk_indices = self._segment("blk_indices", np.int64,
-                                        (blocked.nnz,))
-            blk_data = self._segment("blk_data", np.float64, (blocked.nnz,))
-            offset = 0
-            for b, blk in enumerate(blocked.blocks):
-                blk_indptr[b, :] = blk.indptr
-                nnz_b = blk.indices.size
-                blk_indices[offset:offset + nnz_b] = blk.indices
-                blk_data[offset:offset + nnz_b] = blk.data
-                offset += nnz_b
-        self._refresh_output_segment()
+        arrays = {name: getattr(self.A, name)
+                  for name in ("indptr", "indices", "data")}
+        if self.plan.kernel == "algo4":
+            if self.blocked is None:
+                self.blocked, conv = csc_to_blocked_csr(
+                    self.A, self.plan.b_n, threads=1)
+                self._conversion_seconds = conv.seconds
+            arrays.update((f"blk_{name}", a) for name, a in
+                          blocked_csr_arrays(self.blocked).items())
+        for name, src in arrays.items():
+            self._segment(name, src.dtype, src.shape)[...] = src
 
-    def _release_segments(self) -> None:
-        for seg in self._segs.values():
+    def _release(self, name: str) -> None:
+        seg = self._segs.pop(name, None)
+        self._specs.pop(name, None)
+        if seg is not None:
             try:
                 seg.close()
                 seg.unlink()
             except (OSError, FileNotFoundError):  # pragma: no cover
                 pass
-        self._segs.clear()
-        self._shm_names = {}
-        self._ahat_shape = None
-
-    def _problem(self) -> dict:
-        """The input's shape record workers map shared memory with."""
-        problem = {"m": self.A.shape[0], "n": self.A.shape[1],
-                   "nnz": int(self.A.nnz)}
-        if self.blocked is not None:
-            problem["n_blocks"] = int(self.blocked.n_blocks)
-            problem["blk_nnz"] = int(self.blocked.nnz)
-        return problem
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -489,8 +451,7 @@ class ProcessPoolSupervisor:
         plan_data = self.plan.to_dict()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, plan_data, self._shm_names,
-                  self._problem()),
+            args=(wid, child_conn, plan_data, self._specs),
             daemon=True, name=f"repro-worker-{wid}")
         proc.start()
         child_conn.close()
@@ -701,55 +662,47 @@ class ProcessPoolSupervisor:
             return self
         self._ctx = multiprocessing.get_context(
             pool_start_method(self.pool.start_method))
-        self._ensure_blocked()
-        self._create_segments()
+        self._publish_input()
+        self._rebind()
         for _ in range(self._fleet_want()):
             self._spawn_worker()
-        self._binding = _binding(self.plan)
         self._started = True
         return self
 
     def close(self) -> None:
         """Shut down the fleet and release shared memory (idempotent)."""
         self._shutdown_workers()
-        self._release_segments()
+        for name in list(self._segs):
+            self._release(name)
         self._started = False
         self._ctx = None
 
-    def _refresh_output_segment(self) -> dict[str, str]:
-        """Make the shared output buffer match the current plan's shape.
+    def _rebind(self) -> None:
+        """Bind the fleet to the current plan.
 
-        Returns the segment remappings workers must apply (empty when
-        the existing buffer is reused — it is zeroed in place)."""
+        The shared output is recreated only when its shape changes, and
+        never cleared: every tile is written whole, by a worker or by an
+        in-process attempt that zeroes a handed-in output's tile first.
+        Any change but the seeds sends live workers a ``reload``, which
+        pipe order lands before any later task; a seed-only change rides
+        on each worker's next dispatch.
+        """
         import numpy as np
 
-        d, n = self.plan.problem.d, self.plan.problem.n
-        batch = self.plan.problem.batch
-        shape = (batch, d, n) if batch > 1 else (d, n)
-        if self._ahat_shape == shape:
-            self.Ahat[:] = 0.0
-            return {}
-        old = self._segs.pop("ahat", None)
-        if old is not None:
-            try:
-                old.close()
-                old.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-        self.Ahat = self._segment("ahat", np.float64, shape)
-        self.Ahat[:] = 0.0
-        self._ahat_shape = shape
-        return {"ahat": self._shm_names["ahat"]}
-
-    def _reload_workers(self, shm_updates: dict[str, str]) -> None:
-        """Rebind live workers to the current plan (new output segment,
-        generator recipe, block views).  Pipe ordering guarantees the
-        reload lands before any task sent afterwards."""
-        problem = self._problem()
+        p = self.plan.problem
+        shape = (p.batch, p.d, p.n) if p.batch > 1 else (p.d, p.n)
+        updates = {}
+        if self._specs.get("ahat", (None, None, None))[2] != shape:
+            self.Ahat = self._segment("ahat", np.float64, shape)
+            updates["ahat"] = self._specs["ahat"]
+        binding = _binding(self.plan)
+        if not updates and binding == self._binding:
+            return
+        self._binding = binding
         plan_data = self.plan.to_dict()
         for handle in list(self._workers.values()):
             try:
-                handle.conn.send(("reload", plan_data, shm_updates, problem))
+                handle.conn.send(("reload", plan_data, updates))
                 handle.rng = plan_data["rng"]
             except (OSError, BrokenPipeError):
                 self._lose_worker(handle, "crashed")
@@ -823,11 +776,7 @@ class ProcessPoolSupervisor:
         if injector is not None:
             self.injector = injector
 
-        shm_updates = self._refresh_output_segment()
-        binding = _binding(self.plan)
-        if shm_updates or binding != self._binding:
-            self._reload_workers(shm_updates)
-            self._binding = binding
+        self._rebind()
         # Grow the fleet for a bigger plan (fresh members, not respawns).
         want = self._fleet_want()
         while len(self._workers) < want:

@@ -13,7 +13,9 @@ bit-for-bit, not just checksummed):
   drift;
 * :mod:`repro.persist.verify` — ABFT-style audit recomputing sampled
   tiles of the stored sketch through the kernel backends, with
-  quarantine-and-repair.
+  quarantine-and-repair;
+* :mod:`repro.persist.shards` — what a blocked run persists: one
+  lineage per column stripe, row-block completion and cadence, resume.
 """
 
 from .checksum import available_algos, checksum_bytes, default_algo
@@ -30,7 +32,7 @@ from .snapshot import (
     run_fingerprint,
     write_snapshot,
 )
-from .verify import TileAudit, VerifyReport, verify_snapshot
+from .verify import TileAudit, VerifyReport, verify_checkpoints, verify_snapshot
 
 __all__ = [
     "available_algos",
@@ -52,4 +54,5 @@ __all__ = [
     "TileAudit",
     "VerifyReport",
     "verify_snapshot",
+    "verify_checkpoints",
 ]

@@ -13,7 +13,8 @@ tolerance check that needs no second copy of anything.
 :func:`verify_snapshot` samples ``k`` (row-block x column-block) tiles,
 replays them, and quarantines any row block whose tile disagrees; with
 ``repair=True`` the quarantined row blocks are recomputed whole and a
-new snapshot is written through the normal atomic protocol.
+new snapshot is written through the normal atomic protocol;
+:func:`verify_checkpoints` audits every lineage under a directory.
 
 Replay exactness: a streaming snapshot carries its batch log (the
 ``(offset, rows)`` of every absorbed batch).  For one output tile the
@@ -22,7 +23,9 @@ auditor rebuilds each batch as a row window of ``A``, runs the same
 block kernel on the same backend, and accumulates in the same order, so
 agreement is exact (bit-identical), not approximate.  Blocked-mode
 snapshots replay each tile as the executor computed it (one kernel call,
-pre-``post_scale``).  Entry-mode snapshots (``absorb_entries``) are not
+pre-``post_scale``), a sharded run's stripe against its columns of ``A``
+(generators key on the row offset and the sparse row, never on the
+column).  Entry-mode snapshots (``absorb_entries``) are not
 coordinate-replayable and get checksum-only verification.
 """
 
@@ -36,9 +39,10 @@ import numpy as np
 from ..errors import CheckpointError, ShapeError
 from ..sparse.csc import CSCMatrix
 from .resume import latest_verified_snapshot
-from .snapshot import CheckpointManager, Snapshot, load_snapshot
+from .snapshot import CheckpointManager, Snapshot, list_snapshots, load_snapshot
 
-__all__ = ["TileAudit", "VerifyReport", "verify_snapshot"]
+__all__ = ["TileAudit", "VerifyReport", "verify_snapshot",
+           "verify_checkpoints"]
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,9 @@ class _Replayer:
         from ..utils.validation import check_choice
 
         fp = snap.fingerprint
+        if "shard_col_start" in fp:
+            A = A.col_block(int(fp["shard_col_start"]),
+                            int(fp["shard_col_stop"]))
         if A.shape[1] != int(fp["n"]):
             raise ShapeError(
                 f"A has {A.shape[1]} columns, snapshot fingerprint says "
@@ -324,3 +331,19 @@ def verify_snapshot(source: str | Path | Snapshot,
         manager = CheckpointManager(snap.path.parent)
         report.repaired_path = str(manager.save(new_blocks, fp, state))
     return report
+
+
+def verify_checkpoints(directory: str | Path, A: CSCMatrix | None = None,
+                       **audit) -> list[VerifyReport]:
+    """Audit each lineage under *directory* with :func:`verify_snapshot`.
+
+    The directory's own snapshots, if any, come first, then each stripe
+    lineage of a sharded run (:func:`repro.persist.shards.stripe_lineages`).
+    """
+    from .shards import stripe_lineages
+
+    path = Path(directory)
+    lineages = [p for _c0, _c1, p in stripe_lineages(path)]
+    if not lineages or list_snapshots(path):
+        lineages.insert(0, path)
+    return [verify_snapshot(p, A, **audit) for p in lineages]

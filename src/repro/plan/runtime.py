@@ -11,7 +11,8 @@ with lifecycle events on its :class:`~repro.plan.EventBus`:
 ``engine``
     The block scheduler (:class:`~repro.parallel.executor.PlanExecutionEngine`,
     any thread count): per-task retries, deadlines, guardrails,
-    degradation, durable checkpoints.
+    degradation, and durable checkpoints through
+    :class:`~repro.persist.shards.StripeCheckpoints`.
 ``serial``
     The same scheduler pinned to its serial rung: one thread whatever
     ``plan.threads`` says, no checkpoints, and stats that name the bare
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -61,7 +61,6 @@ from .events import (
     SHARD_START,
     EventBus,
 )
-from .policy import PersistencePolicy
 from .spec import ShardPlan, SketchPlan, compute_shards
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,16 +107,12 @@ class Stripes:
     """
 
     def __init__(self, plan: SketchPlan, bus: EventBus,
-                 shards: tuple[ShardPlan, ...] = (),
-                 checkpoint_base: Path | None = None,
-                 seeded: dict[int, dict] | None = None) -> None:
+                 shards: tuple[ShardPlan, ...] = ()) -> None:
         self.plan = plan
         self.bus = bus
         self.shards = tuple(shards)
         self.bounds = (tuple((s.col_start, s.col_stop) for s in self.shards)
                        or ((0, plan.problem.n),))
-        self._base = checkpoint_base
-        self._seeded = seeded or {}
         self.merge_seconds = 0.0
         self.merge_words = 0
         self.resumed = 0
@@ -134,18 +129,6 @@ class Stripes:
         rows = -(-p.problem.d // p.b_d)
         return slice(c0 // p.b_n * rows, -(-c1 // p.b_n) * rows)
 
-    def persistence(self, k: int) -> PersistencePolicy:
-        """Stripe *k*'s checkpoint policy: the plan's own when unsharded,
-        else the same knobs over the stripe's lineage directory."""
-        from ..persist.shards import stripe_dir
-
-        policy = self.plan.persistence
-        if not self.sharded or not policy.enabled:
-            return policy
-        return PersistencePolicy(
-            checkpoint_dir=str(stripe_dir(self._base, *self.bounds[k])),
-            every=policy.every, keep=policy.keep, resume=policy.resume)
-
     def start(self, k: int) -> None:
         """Announce that stripe *k*'s task group begins."""
         if self.sharded:
@@ -156,11 +139,12 @@ class Stripes:
                           strategy=self.plan.partition.strategy)
 
     def commit(self, k: int, merge: Callable[[int, int], None],
-               resumed: object = None) -> None:
+               resumed: dict | None = None) -> None:
         """The barrier closing stripe *k*: run and time its *merge* (the
         driver's last pass over the stripe's output columns, called as
-        ``merge(c0, c1)``), account it, and announce it.  *resumed* is
-        the snapshot the stripe restored from, if any."""
+        ``merge(c0, c1)``), account it, and announce it.  *resumed*
+        describes the rows the stripe restored, if any
+        (:meth:`repro.persist.shards.StripeCheckpoints.enter`)."""
         c0, c1 = self.bounds[k]
         with Timer() as timer:
             merge(c0, c1)
@@ -173,10 +157,7 @@ class Stripes:
                       seconds=timer.elapsed, words=words)
         if resumed:
             self.resumed += 1
-            info = self._seeded.get(k, {})
-            self.bus.emit(SHARD_RESUMED, shard=k, rows=info.get("rows"),
-                          repartitioned=bool(info.get("repartitioned")),
-                          source=str(resumed))
+            self.bus.emit(SHARD_RESUMED, shard=k, **resumed)
 
     def record(self, stats: KernelStats) -> None:
         """Stamp the run's partition accounting onto its stats."""
@@ -186,7 +167,7 @@ class Stripes:
         stats.extra["partition_strategy"] = self.plan.partition.strategy
         stats.extra["merge_seconds"] = self.merge_seconds
         stats.extra["merge_words"] = self.merge_words
-        if self._base is not None:
+        if self.plan.persistence.enabled:
             stats.extra["shards_resumed"] = self.resumed
 
 
@@ -358,7 +339,7 @@ class Runtime:
                     f"one of: {', '.join(sorted(_DRIVERS))}"
                 ) from None
         self.bus.emit(PLAN_COMPILED, plan=plan, driver=driver_name)
-        stripes = self._stripes(plan, A, factory)
+        stripes = self._stripes(plan, A)
         Ahat, stats = driver(self, plan, A, factory, blocked, injector,
                              stripes)
         stripes.record(stats)
@@ -390,30 +371,15 @@ class Runtime:
 
     # -- sharded execution ---------------------------------------------------
 
-    def _stripes(self, plan: SketchPlan, A: "CSCMatrix",
-                 factory) -> Stripes:
-        """Resolve the plan's partition into the run's column stripes.
-
-        The partition request resolves to contiguous, ``b_n``-aligned
-        column stripes (:func:`~repro.plan.compute_shards`); an
-        unsharded plan is one full-width stripe.  A resumed,
-        checkpointed run first re-partitions prior stripe lineages onto
-        the new stripes (:func:`repro.persist.shards.repartition_checkpoints`).
-        """
+    def _stripes(self, plan: SketchPlan, A: "CSCMatrix") -> Stripes:
+        """Resolve the plan's partition into the run's column stripes:
+        contiguous, ``b_n``-aligned (:func:`~repro.plan.compute_shards`),
+        or one full-width stripe for an unsharded plan."""
         if plan.partition is None:
             return Stripes(plan, self.bus)
-        shards = compute_shards(plan.partition, n=plan.problem.n,
-                                b_n=plan.b_n, col_nnz=A.col_nnz())
-        base = None
-        seeded: dict[int, dict] = {}
-        if plan.persistence.enabled:
-            base = Path(plan.persistence.to_dict()["checkpoint_dir"])
-            if plan.persistence.resume:
-                from ..persist.shards import repartition_checkpoints
-
-                seeded = repartition_checkpoints(plan, shards, factory(0),
-                                                 base)
-        return Stripes(plan, self.bus, shards, base, seeded)
+        return Stripes(plan, self.bus, compute_shards(
+            plan.partition, n=plan.problem.n, b_n=plan.b_n,
+            col_nnz=A.col_nnz()))
 
     # -- artifact-cache plumbing --------------------------------------------
 
