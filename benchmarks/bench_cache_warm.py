@@ -21,9 +21,14 @@ consumers:
 Neither path rewrites the baseline; re-record it deliberately with
 ``python benchmarks/bench_cache_warm.py --record``.
 
-Every timed run constructs a fresh :class:`ArtifactCache` so the warm
-legs exercise the disk path (checksum verification included), not the
-in-process memo.
+Every timed cold and warm run constructs a fresh :class:`ArtifactCache`
+so the warm legs exercise the disk path (checksum verification
+included), not the in-process memo.  A last, in-process leg then makes
+the calls ``sketch()`` makes through a new :class:`CachePolicy` each
+time, on the populated directory: every cache ``ensure`` opens for a
+policy shares the directory's process memo, so every ``blocked_csr`` hit
+after the leg's first must come from memory, with a bit-identical
+sketch.  The leg prints its per-call time; it has no timing gate.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from _harness import REPEATS, drift, emit_report, record_or_gate, shape_check
 
 from repro.cache import ArtifactCache, CachePolicy
 from repro.core import SketchConfig
-from repro.plan import Planner, Runtime
+from repro.plan import CACHE_HIT, CACHE_MISS, Planner, Runtime
 from repro.sparse import random_sparse
 
 from summarize_reports import gate_tolerance
@@ -56,12 +61,14 @@ CACHE_M, CACHE_N, CACHE_DENSITY = int(_DIMS[0]), int(_DIMS[1]), float(_DIMS[2])
 GAMMA = 3.0
 
 
+CFG = SketchConfig(gamma=GAMMA, kernel="algo4", rng_kind="philox", seed=0)
+
+
 def _one_run(A, cache_dir: Path) -> dict:
     """One full compile+execute against *cache_dir*; fresh cache object."""
-    cfg = SketchConfig(gamma=GAMMA, kernel="algo4", rng_kind="philox", seed=0)
     cache = ArtifactCache(CachePolicy(cache_dir=str(cache_dir)))
     t0 = time.perf_counter()
-    plan = Planner(tune="measure").compile(A, cfg, cache=cache)
+    plan = Planner(tune="measure").compile(A, CFG, cache=cache)
     result = Runtime().run(plan, A, cache=cache)
     seconds = time.perf_counter() - t0
     return {
@@ -75,6 +82,31 @@ def _one_run(A, cache_dir: Path) -> dict:
         "blocked_csr_source": result.stats.extra.get("blocked_csr_source"),
         "conversion_seconds": result.stats.conversion_seconds,
     }
+
+
+def _in_process_leg(A, cache_dir: Path, calls: int) -> dict:
+    """*calls* compile+execute runs, each through a new policy on
+    *cache_dir* (so through the directory's process memo): their median
+    time, their sketches, and how each ``blocked_csr`` lookup went (a
+    hit's source, or ``"miss"``)."""
+    seconds, sketches, lookups = [], [], []
+
+    def note(event) -> None:
+        if event.payload["artifact"] == "blocked_csr":
+            lookups.append(event.payload.get("source", "miss"))
+
+    for _ in range(calls):
+        runtime = Runtime()
+        runtime.bus.subscribe_observer(CACHE_HIT, note)
+        runtime.bus.subscribe_observer(CACHE_MISS, note)
+        policy = CachePolicy(cache_dir=str(cache_dir))
+        t0 = time.perf_counter()
+        plan = Planner(tune="measure").compile(A, CFG, cache=policy)
+        result = runtime.run(plan, A, cache=policy)
+        seconds.append(time.perf_counter() - t0)
+        sketches.append(result.sketch)
+    return {"seconds": statistics.median(seconds), "sketches": sketches,
+            "lookups": lookups}
 
 
 def measure_cache_warm(repeats: int = REPEATS) -> dict:
@@ -93,6 +125,7 @@ def measure_cache_warm(repeats: int = REPEATS) -> dict:
         same_plan = all(w["plan_digest"] == cold["plan_digest"]
                         for w in warms)
         warm_seconds = statistics.median(w["seconds"] for w in warms)
+        leg = _in_process_leg(A, workdir, max(2, repeats))
         return {
             "matrix": f"synthetic({CACHE_M}x{CACHE_N}, rho={CACHE_DENSITY})",
             "d": int(np.ceil(GAMMA * CACHE_N)),
@@ -110,6 +143,10 @@ def measure_cache_warm(repeats: int = REPEATS) -> dict:
             "warm_blocked_csr_source": warms[0]["blocked_csr_source"],
             "sketch_identical": identical,
             "plan_digest_stable": same_plan,
+            "in_process_seconds": leg["seconds"],
+            "in_process_lookups": leg["lookups"],
+            "in_process_identical": all(
+                np.array_equal(s, cold["sketch"]) for s in leg["sketches"]),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -139,6 +176,14 @@ def structural_failures(payload: dict,
         failures.append(
             f"warm run billed {payload['warm_conversion_seconds']:.4f}s of "
             f"conversion time; expected none")
+    lookups = payload["in_process_lookups"]
+    if len(lookups) < 2 or any(s != "memory" for s in lookups[1:]):
+        failures.append(
+            f"in-process leg: blocked_csr lookups went {lookups}; every "
+            f"one after the first must hit the process memo")
+    if not payload["in_process_identical"]:
+        failures.append("in-process leg: a sketch differs from the cold "
+                        "sketch (MUST be bit-identical)")
     if payload["warm_speedup"] < min_speedup:
         failures.append(
             f"warm speedup {payload['warm_speedup']:.2f}x below the "
@@ -163,6 +208,10 @@ def _report_rows(payload: dict) -> list[list]:
          f"{payload['warm_speedup']:.2f}x",
          payload["warm_tune_misses"] + payload["warm_blocked_misses"],
          payload["warm_blocked_csr_source"]],
+        ["in-process", round(payload["in_process_seconds"], 4),
+         f"{payload['cold_seconds'] / payload['in_process_seconds']:.2f}x",
+         payload["in_process_lookups"].count("miss"),
+         "/".join(payload["in_process_lookups"])],
     ]
 
 

@@ -5,7 +5,15 @@ autotune results, kernel choices, the blocked-CSR conversion — behind
 one API.  Entries live twice:
 
 * **in memory** — deserialized objects keyed ``(artifact, key)``, so
-  repeat ``sketch()`` calls inside one process pay a dict probe;
+  repeat lookups pay a dict probe.  Every cache that
+  :meth:`ArtifactCache.ensure` opens for a policy shares one memo per
+  cache directory for the life of the process, so repeat ``sketch()``
+  calls over a fixed ``A`` reuse the same verified objects; a directly
+  constructed cache keeps its own.  A memo holds only objects decoded
+  from bytes that passed their checksums (or just computed), under
+  content-addressed keys, and is bounded by the policy's ``max_bytes``:
+  each object is charged its entry's payload bytes and the least
+  recently used are dropped first;
 * **on disk** — one directory per entry, written with the same
   crash-safe protocol as :mod:`repro.persist.snapshot` (write + fsync
   every payload, write + fsync a manifest naming sizes and checksums,
@@ -23,6 +31,11 @@ change an answer.
 Eviction is least-recently-used over entry directories: every disk hit
 touches the entry's manifest mtime, and after each store the oldest
 entries are dropped until the policy's ``max_bytes`` budget holds.
+
+Damage done to an entry after this process verified and memoized it is
+not seen by this process's later lookups (they never reread the disk);
+it is caught by the next process to read the entry, or by
+:meth:`ArtifactCache.verify` (``repro cache verify``).
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ import os
 import shutil
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -83,6 +97,77 @@ def _write_file_sync(path: Path, data: bytes) -> None:
         os.fsync(fh.fileno())
 
 
+class _Memo:
+    """Verified objects by ``(artifact, key)``, least recently used first,
+    each charged its entry's payload bytes."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._items: OrderedDict[tuple[str, str], tuple[object, int]] = \
+            OrderedDict()
+        self.nbytes = 0
+
+    def get(self, mkey: tuple[str, str]):
+        with self._lock:
+            item = self._items.get(mkey)
+            if item is None:
+                return None
+            self._items.move_to_end(mkey)
+            return item[0]
+
+    def put(self, mkey: tuple[str, str], obj: object, nbytes: int,
+            max_bytes: int) -> None:
+        """Store *obj* (unless it alone exceeds *max_bytes*), then drop
+        the least recently used objects until the bound holds."""
+        with self._lock:
+            self._discard(mkey)
+            if nbytes > max_bytes:
+                return
+            self._items[mkey] = (obj, nbytes)
+            self.nbytes += nbytes
+            while self.nbytes > max_bytes:
+                _mkey, (_obj, n) = self._items.popitem(last=False)
+                self.nbytes -= n
+
+    def pop(self, mkey: tuple[str, str]) -> None:
+        with self._lock:
+            self._discard(mkey)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self.nbytes = 0
+
+    def _discard(self, mkey: tuple[str, str]) -> None:
+        item = self._items.pop(mkey, None)
+        if item is not None:
+            self.nbytes -= item[1]
+
+
+#: The process-wide memos of :meth:`ArtifactCache.ensure`, one per
+#: resolved cache directory.
+_SHARED_MEMOS: dict[str, _Memo] = {}
+_SHARED_MEMOS_LOCK = threading.Lock()
+
+
+def _shared_memo(cache_dir: str) -> _Memo:
+    root = str(Path(cache_dir).resolve())
+    with _SHARED_MEMOS_LOCK:
+        memo = _SHARED_MEMOS.get(root)
+        if memo is None:
+            # Each memo is bounded, their number is not: drop the memos
+            # of directories that are gone (a temporary cache per call)
+            # before adding one.
+            for gone in [d for d in _SHARED_MEMOS if not os.path.isdir(d)]:
+                del _SHARED_MEMOS[gone]
+            memo = _SHARED_MEMOS[root] = _Memo()
+        return memo
+
+
+def _payload_bytes(payloads: dict) -> int:
+    return sum(len(data) for data in payloads.values())
+
+
 class ArtifactCache:
     """Content-addressed cache over one :class:`~repro.cache.CachePolicy`.
 
@@ -118,7 +203,7 @@ class ArtifactCache:
         self.injector = injector
         self.root = Path(policy.cache_dir)
         self._lock = threading.Lock()
-        self._memo: dict[tuple[str, str], object] = {}
+        self._memo = _Memo()
         self.hits: dict[str, int] = {}
         self.misses: dict[str, int] = {}
         self.evictions: dict[str, int] = {}
@@ -135,6 +220,8 @@ class ArtifactCache:
         A disabled policy (or ``None``) maps to ``None``; an existing
         cache is returned as-is (adopting *bus* if it has none yet, so
         planner-phase and runtime-phase events land on the same bus).
+        An enabled policy opens a new cache (its own bus, injector and
+        counters) over the process-wide memo of its directory.
         """
         if cache is None:
             return None
@@ -145,7 +232,9 @@ class ArtifactCache:
         if isinstance(cache, CachePolicy):
             if not cache.enabled:
                 return None
-            return cls(cache, bus=bus, injector=injector)
+            opened = cls(cache, bus=bus, injector=injector)
+            opened._memo = _shared_memo(cache.cache_dir)
+            return opened
         raise ConfigError(
             f"cache must be a CachePolicy, ArtifactCache, or None, got "
             f"{type(cache).__name__}"
@@ -214,8 +303,12 @@ class ArtifactCache:
                     mtime = manifest.stat().st_mtime
                 except OSError:
                     mtime = 0.0
+                try:
+                    files = list(entry.iterdir())
+                except OSError:  # racing deletion (a concurrent store)
+                    continue
                 nbytes = 0
-                for f in entry.iterdir():
+                for f in files:
                     try:
                         nbytes += f.stat().st_size
                     except OSError:  # pragma: no cover - racing deletion
@@ -283,8 +376,7 @@ class ArtifactCache:
         miss with the entry quarantined, never an exception.
         """
         mkey = (str(artifact), str(key))
-        with self._lock:
-            obj = self._memo.get(mkey)
+        obj = self._memo.get(mkey)
         if obj is not None:
             self._hit(artifact, key, source="memory")
             return obj
@@ -311,8 +403,8 @@ class ArtifactCache:
                 os.utime(path / ENTRY_MANIFEST_NAME)
             except OSError:  # pragma: no cover - racing deletion
                 pass
-        with self._lock:
-            self._memo[mkey] = obj
+        self._memo.put(mkey, obj, _payload_bytes(entry.payloads),
+                       self.policy.max_bytes)
         self._hit(artifact, key, source="disk")
         return obj
 
@@ -337,8 +429,9 @@ class ArtifactCache:
                 raise ConfigError(f"invalid payload name {name!r}")
         entry = CacheEntry(artifact=artifact, key=key, meta=meta,
                            payloads=payloads)
+        self._memo.put((artifact, key), obj if obj is not None else entry,
+                       _payload_bytes(payloads), self.policy.max_bytes)
         with self._lock:
-            self._memo[(artifact, key)] = obj if obj is not None else entry
             self._put_seq += 1
             seq = self._put_seq
         if self.policy.readonly:
@@ -346,7 +439,10 @@ class ArtifactCache:
 
         final = self._entry_dir(artifact, key)
         final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.parent / f"{_TMP_PREFIX}{key}-{os.getpid()}"
+        # Unique per process and thread: two threads storing one key
+        # must not share (and delete) each other's scratch directory.
+        tmp = final.parent / (f"{_TMP_PREFIX}{key}-{os.getpid()}-"
+                              f"{threading.get_ident()}")
         shutil.rmtree(tmp, ignore_errors=True)
         tmp.mkdir()
         algo = default_algo()
@@ -408,8 +504,7 @@ class ArtifactCache:
             if total <= self.policy.max_bytes:
                 break
             shutil.rmtree(path, ignore_errors=True)
-            with self._lock:
-                self._memo.pop((artifact, key), None)
+            self._memo.pop((artifact, key))
             total -= nbytes
             self._evicted(artifact, key, nbytes)
 
@@ -447,8 +542,7 @@ class ArtifactCache:
         for _artifact, _key, path, _nbytes, _mtime in self._iter_entries():
             shutil.rmtree(path, ignore_errors=True)
             removed += 1
-        with self._lock:
-            self._memo.clear()
+        self._memo.clear()
         return removed
 
     def verify(self) -> dict:
@@ -466,8 +560,7 @@ class ArtifactCache:
             if entry is None:
                 corrupt.append(f"{artifact}/{key}")
                 self._quarantine(path, why)
-                with self._lock:
-                    self._memo.pop((artifact, key), None)
+                self._memo.pop((artifact, key))
             else:
                 ok += 1
         return {"checked": checked, "ok": ok, "corrupt": corrupt}

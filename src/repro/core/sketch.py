@@ -123,8 +123,10 @@ class SketchOperator:
         :class:`~repro.cache.CachePolicy`), planning decisions and the
         Algorithm 4 blocked-CSR conversion are reused across runs over
         the same ``A`` — the "fixed A, many
-        sketches" hot path.  Outputs are bit-identical with or without
-        the cache.
+        sketches" hot path.  A policy opens a cache over the process
+        memo of its directory, so repeat calls reuse the verified
+        objects (and their blocks' apply patterns) without rereading the
+        disk.  Outputs are bit-identical with or without the cache.
         """
         from ..plan.runtime import Runtime
 
@@ -231,8 +233,11 @@ def sketch(A: CSCMatrix, gamma: float | None = None, d: int | None = None,
         An :class:`~repro.cache.ArtifactCache` or
         :class:`~repro.cache.CachePolicy`: reuse planning decisions,
         autotune results, and the blocked-CSR conversion across
-        repeated sketches of the same matrix.  Bit-identical outputs
-        either way.
+        repeated sketches of the same matrix.  Calls given a policy
+        (equal ones or the same one) share the process memo of its
+        directory, bounded by its ``max_bytes``, so a repeat call pays
+        no disk read; the first call in a process reads and verifies
+        the disk entries.  Bit-identical outputs either way.
     """
     cfg = config if config is not None else SketchConfig()
     if persistence is not None and persistence.enabled and quality_check:

@@ -82,20 +82,17 @@ def algo4_block_reference(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
 #: cache-sized.
 PANEL_ROWS = 256
 
-#: Each block's chunked pattern, built on first use, dropped with the block.
-_PATTERNS: "weakref.WeakKeyDictionary[CSRMatrix, list]" = \
+#: Each block's non-empty rows and chunked pattern, built on first use,
+#: dropped with the block.
+_PATTERNS: "weakref.WeakKeyDictionary[CSRMatrix, tuple]" = \
     weakref.WeakKeyDictionary()
 
 
-def panel_pattern(A_blk: CSRMatrix) -> list:
-    """``[(t0, t1, (Pp, Pi, Px)), ...]``: the block's CSC in panel-row chunks.
-
-    Chunk ``[t0, t1)`` holds rows ``js[t0:t1]`` (``js`` the non-empty rows)
-    renumbered from 0.  Columns keep ascending ``j`` and the chunks ascend:
-    the order of :func:`algo4_block_reference`.  Built in O(nnz), once.
-    """
-    pattern = _PATTERNS.get(A_blk)
-    if pattern is None:
+def _block_pattern(A_blk: CSRMatrix) -> tuple[np.ndarray, list]:
+    """``(js, panel_pattern(A_blk))``, with ``js`` the block's non-empty
+    rows: both built once per block."""
+    cached = _PATTERNS.get(A_blk)
+    if cached is None:
         js = A_blk.nonempty_rows()
         n1 = A_blk.shape[1]
         # Empty rows hold no entries: row js[t] ends where js[t + 1] starts.
@@ -108,8 +105,18 @@ def panel_pattern(A_blk: CSRMatrix) -> list:
             pattern.append((t0, t1, csr_tocsc(
                 t1 - t0, n1, starts[t0:t1 + 1] - lo, A_blk.indices[lo:hi],
                 A_blk.data[lo:hi])))
-        _PATTERNS[A_blk] = pattern
-    return pattern
+        cached = _PATTERNS[A_blk] = (js, pattern)
+    return cached
+
+
+def panel_pattern(A_blk: CSRMatrix) -> list:
+    """``[(t0, t1, (Pp, Pi, Px)), ...]``: the block's CSC in panel-row chunks.
+
+    Chunk ``[t0, t1)`` holds rows ``js[t0:t1]`` (``js`` the non-empty rows)
+    renumbered from 0.  Columns keep ascending ``j`` and the chunks ascend:
+    the order of :func:`algo4_block_reference`.  Built in O(nnz), once.
+    """
+    return _block_pattern(A_blk)[1]
 
 
 def apply_panel(out_t: np.ndarray, V_t: np.ndarray, pattern: list) -> None:
@@ -142,7 +149,7 @@ def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
     d1 = block_rows(Ahat_sub, A_blk.shape[1], rng)
     sw = watch if watch is not None else Stopwatch()
 
-    js = A_blk.nonempty_rows()
+    js, pattern = _block_pattern(A_blk)
     if js.size == 0:
         return
     with sw.bucket("sample"):  # ([k,] d1, #non-empty rows)
@@ -150,4 +157,4 @@ def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
              else rng.column_block_batch(r, d1, js))
     with sw.bucket("compute"):
         apply_panel(np.moveaxis(Ahat_sub, -1, 0), np.moveaxis(V, -1, 0),
-                    panel_pattern(A_blk))
+                    pattern)

@@ -15,9 +15,9 @@ with lifecycle events on its :class:`~repro.plan.EventBus`:
     :class:`~repro.persist.shards.StripeCheckpoints`.
 ``serial``
     The same scheduler pinned to its serial rung: one thread whatever
-    ``plan.threads`` says, no checkpoints, and stats that name the bare
-    kernel.  ``"auto"`` resolves to it for plans that need no per-task
-    machinery.
+    ``plan.threads`` says, the same durable checkpoints, and stats that
+    name the bare kernel.  ``"auto"`` resolves to it for plans that need
+    no per-task machinery.
 ``pregen``
     The materialize-``S``-then-GEMM baseline (no row-block structure,
     so no checkpointing).
@@ -292,7 +292,10 @@ class Runtime:
             :class:`~repro.cache.CachePolicy`) for the "fixed A, many
             sketches" hot path: the Algorithm 4 blocked-CSR conversion
             of *A* is fetched from (or stored into) the cache keyed by
-            the matrix content and ``b_n``.  Cached and cold runs produce
+            the matrix content and ``b_n``.  A policy opens a cache over
+            the process memo of its directory (bounded by the policy's
+            ``max_bytes``), so repeat runs reuse the verified conversion
+            without rereading the disk.  Cached and cold runs produce
             bit-identical sketches; a corrupt cache entry is quarantined
             and recomputed, never trusted.
         """
@@ -322,12 +325,11 @@ class Runtime:
                 and plan.kernel == "algo4":
             blocked, cached_conversion_seconds, blocked_source = \
                 self._blocked_input(plan, A, blocked, cache)
-        if driver_name in ("serial", "process") \
-                and plan.persistence.enabled:
+        if driver_name == "process" and plan.persistence.enabled:
             raise ConfigError(
-                f"the {driver_name} driver cannot honour a persistence "
-                f"policy; use driver='engine' (or 'auto') for checkpointed "
-                f"runs"
+                "the process driver cannot honour a persistence policy; "
+                "use driver='engine' or 'serial' (or 'auto') for "
+                "checkpointed runs"
             )
         driver = self._local_drivers.get(driver_name)
         if driver is None:

@@ -78,11 +78,14 @@ class CSCMatrix:
                 raise FormatError(f"row indices out of range [0, {m})")
             # Vectorized within-column monotonicity: row indices must be
             # strictly increasing except exactly at column boundaries.
-            nondec = np.flatnonzero(np.diff(self.indices) <= 0) + 1
+            # ok[p] covers the step from entry p to entry p + 1.
+            ok = np.diff(self.indices) > 0
             starts = self.indptr[1:-1]
-            bad = np.setdiff1d(nondec, starts, assume_unique=False)
+            ok[starts[(starts > 0) & (starts < nnz)] - 1] = True
+            bad = np.flatnonzero(~ok)
             if bad.size:
-                col = int(np.searchsorted(self.indptr, bad[0], "right")) - 1
+                col = int(np.searchsorted(self.indptr, bad[0] + 1,
+                                          "right")) - 1
                 raise FormatError(
                     f"row indices in column {col} must be strictly increasing"
                 )

@@ -6,6 +6,10 @@ recompute and a WARNING, never an exception and never a wrong answer.
 """
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,29 +118,87 @@ class TestInjectedDamage:
         assert fresh.fetch("tune", "second") is None
 
 
+#: One ``sketch()`` of the ``A`` fixture in a fresh interpreter, through a
+#: cache at argv[1], saving the sketch to argv[2]; ``repro.cache`` log
+#: records go to stderr.
+_CHILD_SKETCH = """
+import logging, sys
+import numpy as np
+from repro.cache import CachePolicy
+from repro.core import SketchConfig, sketch
+from repro.sparse import random_sparse
+
+logging.basicConfig(level=logging.WARNING, format="%(name)s %(message)s")
+A = random_sparse(120, 40, 0.08, seed=31)
+cfg = SketchConfig(gamma=2.0, seed=3, kernel="algo4")
+result = sketch(A, config=cfg, cache=CachePolicy(cache_dir=sys.argv[1]))
+np.save(sys.argv[2], result.sketch)
+"""
+
+
+def _sketch_in_new_process(cache_dir, out):
+    """The child's sketch and its ``repro.cache`` log lines."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_SKETCH, str(cache_dir), str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True)
+    log = [line for line in proc.stderr.splitlines()
+           if line.startswith("repro.cache ")]
+    return np.load(out), log
+
+
+def _flip_blocked_payloads(cache_dir):
+    """Flip one payload bit in every cached blocked-CSR entry."""
+    victims = list((cache_dir / "blocked_csr").glob("*/data.npy"))
+    assert victims
+    for victim in victims:
+        raw = bytearray(victim.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        victim.write_bytes(bytes(raw))
+
+
 class TestEndToEndFallback:
-    def test_sketch_after_corruption_is_bit_identical(self, tmp_path, A,
-                                                      caplog):
+    def test_sketch_after_corruption_is_bit_identical(self, tmp_path, A):
         """A damaged blocked-CSR entry must not change the sketch: the
-        warm run falls back to a recompute and matches the cold run."""
+        warm run falls back to a recompute and matches the cold run.  The
+        warm and healed runs are new processes, the first to read the
+        entry after the damage (this process keeps the entry it verified
+        in its memo)."""
+        from repro.core import SketchConfig, sketch
+
+        cache_dir = tmp_path / "cache"
+        cfg = SketchConfig(gamma=2.0, seed=3, kernel="algo4")
+        cold = sketch(A, config=cfg,
+                      cache=CachePolicy(cache_dir=str(cache_dir)))
+        _flip_blocked_payloads(cache_dir)
+        warm, log = _sketch_in_new_process(cache_dir, tmp_path / "warm.npy")
+        assert any("corrupt" in line for line in log)
+        np.testing.assert_array_equal(warm, cold.sketch)
+        # The fallback healed the entry: the next run hits cleanly.
+        healed, log = _sketch_in_new_process(cache_dir,
+                                             tmp_path / "healed.npy")
+        assert not any("corrupt" in line for line in log)
+        np.testing.assert_array_equal(healed, cold.sketch)
+
+    def test_damage_after_verification_keeps_this_process_right(
+            self, tmp_path, A, caplog):
+        """Within one process a warm call is served the object verified
+        before the damage, so it still returns the cold bits; the damage
+        waits for the next reader, here the offline audit."""
         from repro.core import SketchConfig, sketch
 
         cfg = SketchConfig(gamma=2.0, seed=3, kernel="algo4")
         cold = sketch(A, config=cfg,
                       cache=CachePolicy(cache_dir=str(tmp_path)))
-        # Flip one payload bit in every cached blocked-CSR entry.
-        victims = list((tmp_path / "blocked_csr").glob("*/data.npy"))
-        assert victims
-        for victim in victims:
-            raw = bytearray(victim.read_bytes())
-            raw[len(raw) // 2] ^= 0x01
-            victim.write_bytes(bytes(raw))
-        with caplog.at_level(logging.WARNING, logger="repro.cache"):
-            warm = sketch(A, config=cfg,
-                          cache=CachePolicy(cache_dir=str(tmp_path)))
-        assert any("corrupt" in rec.message for rec in caplog.records)
+        _flip_blocked_payloads(tmp_path)
+        warm = sketch(A, config=cfg,
+                      cache=CachePolicy(cache_dir=str(tmp_path)))
         np.testing.assert_array_equal(warm.sketch, cold.sketch)
-        # The fallback healed the entry: the next run hits cleanly.
-        healed = sketch(A, config=cfg,
-                        cache=CachePolicy(cache_dir=str(tmp_path)))
-        np.testing.assert_array_equal(healed.sketch, cold.sketch)
+        assert warm.stats.extra["blocked_csr_source"] == "cache"
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            report = ArtifactCache(CachePolicy(cache_dir=str(tmp_path))
+                                   ).verify()
+        assert [c.split("/")[0] for c in report["corrupt"]] \
+            == ["blocked_csr"]
+        assert any("corrupt" in rec.message for rec in caplog.records)

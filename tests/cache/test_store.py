@@ -199,3 +199,20 @@ class TestMaintenance:
         record["version"] = 999
         manifest.write_text(json.dumps(record))
         assert make_cache(tmp_path).fetch("tune", "k") is None
+
+
+class TestConcurrentStores:
+    def test_threads_storing_the_same_keys(self, tmp_path, run_threads):
+        """Threads of one process storing the same keys at once: no store
+        raises, and every key is then on disk, whole."""
+
+        def worker():
+            for i in range(100):
+                make_cache(tmp_path).insert(
+                    "tune", f"k{i}", payloads={"x.bin": b"v" * 100})
+
+        assert run_threads(worker) == []
+        fresh = make_cache(tmp_path)
+        for i in range(100):
+            entry = fresh.fetch("tune", f"k{i}")
+            assert entry is not None and entry.payloads["x.bin"] == b"v" * 100

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ShapeError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.plan import InjectedCrashError
 from repro.parallel import ResilienceConfig
 from repro.plan import (
     BLOCK_DONE,
@@ -87,12 +88,25 @@ class TestValidation:
         with pytest.raises(ShapeError, match="compiled for"):
             Runtime().run(plan, B)
 
-    def test_serial_driver_rejects_persistence(self, A, tmp_path):
-        plan = make_plan(A, driver="serial",
-                         persistence=PersistencePolicy(
-                             checkpoint_dir=str(tmp_path)))
-        with pytest.raises(ConfigError, match="serial driver"):
-            Runtime().run(plan, A)
+    def test_serial_driver_checkpoints_and_resumes(self, A, tmp_path):
+        """The serial driver is the engine's serial rung: it checkpoints,
+        a crash at a snapshot write leaves the earlier snapshot to resume
+        from, and the resumed run is bit-identical to an uninterrupted
+        one."""
+        ref = Runtime().run(make_plan(A, driver="serial"), A).sketch
+        crash = FaultInjector(FaultPlan([
+            FaultSpec(kind="torn_write", task=(2, 0))]))
+        plan = make_plan(A, driver="serial", persistence=PersistencePolicy(
+            checkpoint_dir=str(tmp_path)))
+        with pytest.raises(InjectedCrashError):
+            Runtime().run(plan, A, injector=crash)
+        assert crash.events_by_kind() == {"torn_write": 1}
+        resumed = Runtime().run(
+            make_plan(A, driver="serial", persistence=PersistencePolicy(
+                checkpoint_dir=str(tmp_path), resume=True)), A)
+        np.testing.assert_array_equal(resumed.sketch, ref)
+        assert resumed.stats.extra["resumed_from"] is not None
+        assert resumed.stats.kernel == "algo3"
 
     def test_unknown_driver_lists_registry(self, A):
         plan = make_plan(A)

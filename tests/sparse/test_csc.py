@@ -47,6 +47,22 @@ class TestValidation:
             CSCMatrix((3, 1), np.array([0, 2]), np.array([1, 1]),
                       np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("indptr, indices, col", [
+        # a descent inside the middle column; the boundaries descend too
+        ([0, 2, 4, 6], [1, 3, 2, 0, 0, 1], 1),
+        # a duplicate in the last column
+        ([0, 2, 3, 5], [0, 2, 1, 3, 3], 2),
+        # an empty column just before the bad one: column 2, not 1
+        ([0, 2, 2, 4, 5], [0, 1, 3, 2, 0], 2),
+        # the bad column just before an empty one
+        ([0, 1, 3, 3, 4], [2, 3, 1, 0], 1),
+    ])
+    def test_first_bad_column_is_named(self, indptr, indices, col):
+        with pytest.raises(FormatError, match=(
+                f"row indices in column {col} must be strictly increasing")):
+            CSCMatrix((4, len(indptr) - 1), np.array(indptr),
+                      np.array(indices), np.ones(len(indices)))
+
 
 class TestAccessors:
     def test_nnz_density(self):
