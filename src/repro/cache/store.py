@@ -29,8 +29,9 @@ and the cache heals itself.  A corrupt cache can cost time; it can never
 change an answer.
 
 Eviction is least-recently-used over entry directories: every disk hit
-touches the entry's manifest mtime, and after each store the oldest
-entries are dropped until the policy's ``max_bytes`` budget holds.
+(and a memory hit, at most once per ``_TOUCH_INTERVAL``) touches the
+entry's manifest mtime, and after each store the oldest entries are
+dropped until the policy's ``max_bytes`` budget holds.
 
 Damage done to an entry after this process verified and memoized it is
 not seen by this process's later lookups (they never reread the disk);
@@ -68,6 +69,10 @@ _TMP_PREFIX = ".cache-tmp-"
 
 _LOG = logging.getLogger("repro.cache")
 
+#: Seconds between two memory hits' touches of one entry: a hot entry
+#: stays young for the disk LRU without a syscall per lookup.
+_TOUCH_INTERVAL = 30.0
+
 
 @dataclass
 class CacheEntry:
@@ -103,17 +108,23 @@ class _Memo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._items: OrderedDict[tuple[str, str], tuple[object, int]] = \
-            OrderedDict()
+        #: ``[object, payload bytes, monotonic instant of the last touch]``
+        self._items: OrderedDict[tuple[str, str], list] = OrderedDict()
         self.nbytes = 0
 
-    def get(self, mkey: tuple[str, str]):
+    def get(self, mkey: tuple[str, str]) -> tuple[object, bool]:
+        """The object under *mkey* (``None`` if absent), and whether its
+        entry is due a disk touch (``True`` restarts the interval)."""
         with self._lock:
             item = self._items.get(mkey)
             if item is None:
-                return None
+                return None, False
             self._items.move_to_end(mkey)
-            return item[0]
+            now = time.monotonic()
+            due = now - item[2] >= _TOUCH_INTERVAL
+            if due:
+                item[2] = now
+            return item[0], due
 
     def put(self, mkey: tuple[str, str], obj: object, nbytes: int,
             max_bytes: int) -> None:
@@ -123,11 +134,10 @@ class _Memo:
             self._discard(mkey)
             if nbytes > max_bytes:
                 return
-            self._items[mkey] = (obj, nbytes)
+            self._items[mkey] = [obj, nbytes, time.monotonic()]
             self.nbytes += nbytes
             while self.nbytes > max_bytes:
-                _mkey, (_obj, n) = self._items.popitem(last=False)
-                self.nbytes -= n
+                self.nbytes -= self._items.popitem(last=False)[1][1]
 
     def pop(self, mkey: tuple[str, str]) -> None:
         with self._lock:
@@ -371,13 +381,16 @@ class ArtifactCache:
 
         On a disk hit the entry is verified (sizes + checksums), handed
         to *deserialize* (when given), memoized, and its recency
-        refreshed for LRU.  Corruption anywhere — torn payload, failed
-        checksum, a *deserialize* that raises — downgrades to a loud
-        miss with the entry quarantined, never an exception.
+        refreshed for LRU (on a memory hit, once per interval).
+        Corruption anywhere — torn payload, failed checksum, a
+        *deserialize* that raises — downgrades to a loud miss with the
+        entry quarantined, never an exception.
         """
         mkey = (str(artifact), str(key))
-        obj = self._memo.get(mkey)
+        obj, due = self._memo.get(mkey)
         if obj is not None:
+            if due:
+                self._touch(self._entry_dir(artifact, key))
             self._hit(artifact, key, source="memory")
             return obj
         path = self._entry_dir(artifact, key)
@@ -398,15 +411,19 @@ class ArtifactCache:
                 return None
         else:
             obj = entry
-        if not self.policy.readonly:
-            try:
-                os.utime(path / ENTRY_MANIFEST_NAME)
-            except OSError:  # pragma: no cover - racing deletion
-                pass
+        self._touch(path)
         self._memo.put(mkey, obj, _payload_bytes(entry.payloads),
                        self.policy.max_bytes)
         self._hit(artifact, key, source="disk")
         return obj
+
+    def _touch(self, path: Path) -> None:
+        """Refresh an entry's recency for the disk LRU."""
+        if not self.policy.readonly:
+            try:
+                os.utime(path / ENTRY_MANIFEST_NAME)
+            except OSError:  # racing deletion
+                pass
 
     # -- write path ----------------------------------------------------------
 

@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads for the execution engine")
     g_exec.add_argument("--driver", default="auto",
                         choices=["auto", "serial", "engine", "process"],
-                        help="execution driver (auto = serial or engine "
-                             "as the plan requires; process = the "
+                        help="execution driver (auto = engine when "
+                             "--threads > 1, else serial; process = the "
                              "crash-tolerant supervised worker pool)")
     g_exec.add_argument("--workers", type=int, default=None,
                         help="worker processes for --driver process "

@@ -114,9 +114,8 @@ class SketchOperator:
         With a *persistence* policy, the run writes durable snapshots of
         completed row blocks and can restore the newest verified-good
         one before computing the rest (see :mod:`repro.persist` and
-        :class:`~repro.plan.PersistencePolicy`).  Checkpointing routes
-        through the execution engine (any thread count) and is
-        unavailable for the ``pregen`` kernel, which has no row-block
+        :class:`~repro.plan.PersistencePolicy`).  Every driver
+        checkpoints except ``pregen``, whose kernel has no row-block
         barriers.
 
         With a *cache* (:class:`~repro.cache.ArtifactCache` or

@@ -71,11 +71,6 @@ class PredictedRun:
     gflops: float
     bound: str  # "compute" or "memory"
 
-    @property
-    def parallel_efficiency_base(self) -> float:
-        """Seconds x threads (for efficiency ratios against the 1-thread run)."""
-        return self.seconds * self.threads
-
 
 def predict_time(traffic: TrafficEstimate, machine: MachineModel,
                  threads: int, h: float,

@@ -4,11 +4,11 @@
 :class:`repro.plan.Runtime` and, pinned to its serial rung, the
 ``"serial"`` driver every plain ``sketch()`` call runs on; its
 :meth:`~PlanExecutionEngine.run_tasks` schedules the ``"process"``
-driver's runs too.  Each block task writes a
-disjoint tile of ``Ahat``, and generators key their output on ``(seed,
-block row offset, sparse row)``, never on the thread or process that
-computes it, so a task may run, retry or replay anywhere with the same
-bits (paper Section IV-C; ``tests/plan/test_contract.py``).
+driver's runs too, so all three honour the same policies.  Each block
+task writes a disjoint tile of ``Ahat``, and generators key their output
+on ``(seed, block row offset, sparse row)``, never on the thread or
+process that computes it, so a task may run, retry or replay anywhere
+with the same bits (paper Section IV-C; ``tests/plan/test_contract.py``).
 
 The scheduler owns the ready queue, the commit claim and count, the
 charge for a failed attempt (failure note, budget, deterministic
@@ -18,7 +18,8 @@ totals behind the run's one :class:`~repro.kernels.KernelStats`; it only
 schedules.  What a checkpointing run persists (stripe lineages,
 row-block completion, cadence, resume) belongs to
 :class:`~repro.persist.shards.StripeCheckpoints`, which the scheduler
-tells of each stripe and each commit.  One loop, ``_drive``, walks a
+tells of each stripe and each commit, whichever rung (a worker process
+included) computed the tile.  One loop, ``_drive``, walks a
 ladder of rungs, each a set of slots:
 
 * **processes** (process plans only): a

@@ -168,18 +168,20 @@ class WorkerPoolConfig:
 # -- worker process ---------------------------------------------------------
 
 
-def _worker_main(wid: int, conn, plan_data: dict, segments: dict) -> None:
+def _worker_main(wid: int, conn, plan_data: dict, segments: dict,
+                 supervisor: int) -> None:
     """Entry point of one worker process.
 
     Maps the published *segments* (``{name: (shm name, dtype, shape)}``:
     ``A``'s CSC arrays, the blocked CSR's flat arrays prefixed ``blk_``
     and the output ``ahat``), derives its generators from the shipped
-    plan, then serves one task per message until ``shutdown`` or pipe
-    closure.  A ``reload`` rebinds it to a new plan over the same input
-    (remapping replaced segments, typically the output); a task that
-    carries an RNG spec rebinds only the generator, which is how a warm
-    fleet serves a new seed.  Injected process faults arrive as plain
-    dicts with the task and are applied mechanically.
+    plan, then serves one task per message until ``shutdown``, pipe
+    closure, or the death of its *supervisor* (a PID).  A ``reload``
+    rebinds it to a new plan over the same input (remapping replaced
+    segments, typically the output); a task that carries an RNG spec
+    rebinds only the generator, which is how a warm fleet serves a new
+    seed.  Injected process faults arrive as plain dicts with the task
+    and are applied mechanically.
     """
     import dataclasses
 
@@ -221,9 +223,13 @@ def _worker_main(wid: int, conn, plan_data: dict, segments: dict) -> None:
         rng = plan.rng_factory()(wid)
         watch = Stopwatch()
         algo = default_algo()
-        conn.send(("ready", wid, os.getpid()))
 
         while True:
+            # Forked workers hold the supervisor's pipe ends, so its
+            # death is no EOF: leave once reparented.
+            while not conn.poll(1.0):
+                if os.getppid() != supervisor:
+                    return
             msg = conn.recv()
             if msg[0] == "shutdown":
                 break
@@ -451,7 +457,7 @@ class ProcessPoolSupervisor:
         plan_data = self.plan.to_dict()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, child_conn, plan_data, self._specs),
+            args=(wid, child_conn, plan_data, self._specs, os.getpid()),
             daemon=True, name=f"repro-worker-{wid}")
         proc.start()
         child_conn.close()
@@ -588,7 +594,6 @@ class ProcessPoolSupervisor:
                     _tag, kind, message = msg
                     self._done.append((handle.task[0], (kind, message), None))
                     handle.task = None
-                # "ready" needs no body: last_seen is refreshed.
         except (EOFError, OSError):
             self._lose_worker(handle, "crashed")
 
@@ -784,7 +789,7 @@ class ProcessPoolSupervisor:
 
         engine = PlanExecutionEngine(self.plan, self.A, self.rng_factory,
                                      bus=self.bus, blocked=self.blocked,
-                                     fleet=self)
+                                     injector=self.injector, fleet=self)
         # Each run reports its own health, counting the warm fleet that
         # serves it.
         self.health = engine.health

@@ -5,28 +5,17 @@ One engine behind every public entry point.  ``sketch()`` /
 :class:`~repro.core.StreamingSketch` (per absorbed batch) compile a
 :class:`~repro.plan.SketchPlan` and delegate here, as does any caller
 holding a plan; the runtime resolves the plan to one of its *drivers*
-and brackets the execution
-with lifecycle events on its :class:`~repro.plan.EventBus`:
-
-``engine``
-    The block scheduler (:class:`~repro.parallel.executor.PlanExecutionEngine`,
-    any thread count): per-task retries, deadlines, guardrails,
-    degradation, and durable checkpoints through
-    :class:`~repro.persist.shards.StripeCheckpoints`.
-``serial``
-    The same scheduler pinned to its serial rung: one thread whatever
-    ``plan.threads`` says, the same durable checkpoints, and stats that
-    name the bare kernel.  ``"auto"`` resolves to it for plans that need
-    no per-task machinery.
-``pregen``
-    The materialize-``S``-then-GEMM baseline (no row-block structure,
-    so no checkpointing).
-``process``
-    The crash-tolerant multi-process pool
-    (:mod:`repro.parallel.procpool`): N supervised worker processes as
-    the first rung of the engine's scheduler, shared-memory tiles with
-    claimed-before-commit verification, liveness, deterministic
-    requeue, and the process → thread → serial degradation ladder.
+and brackets the execution with lifecycle events on its
+:class:`~repro.plan.EventBus`.  Three drivers are the one block
+scheduler, :class:`~repro.parallel.executor.PlanExecutionEngine`:
+``engine`` on ``plan.threads`` threads, ``serial`` pinned to its serial
+rung (stats name the bare kernel), and ``process`` with the supervised
+worker processes of :mod:`repro.parallel.procpool` as its first rung.
+All three honour every policy of a plan (resilience, fault hooks,
+durable checkpoints through
+:class:`~repro.persist.shards.StripeCheckpoints`), so the choice moves
+no bit.  ``pregen`` materializes ``S`` for one GEMM (no row blocks, so
+no checkpoints).
 
 Lifecycle events: ``plan_compiled`` at entry, ``block_start`` /
 ``block_done`` around kernel invocations, ``checkpoint_written`` after
@@ -54,7 +43,6 @@ from ..kernels.stats import KernelStats
 from ..utils.timing import Timer
 from .events import (
     DONE,
-    FAULT_HOOK_EVENTS,
     PLAN_COMPILED,
     SHARD_MERGED,
     SHARD_RESUMED,
@@ -244,25 +232,20 @@ class Runtime:
 
     # -- driver resolution ---------------------------------------------------
 
-    def resolve_driver(self, plan: SketchPlan,
-                       injector: "FaultInjector | None" = None) -> str:
+    def resolve_driver(self, plan: SketchPlan) -> str:
         """Which driver this plan executes on.
 
         ``pregen`` plans always use the pregen driver; an explicit
-        ``plan.driver`` wins otherwise; ``"auto"`` selects the engine
-        when anything needs per-task machinery (threads, resilience,
-        persistence, fault hooks) and the serial fast path otherwise —
-        exactly the pre-refactor dispatch in ``SketchOperator.apply``.
+        ``plan.driver`` wins otherwise; ``"auto"`` picks by thread count
+        alone: the engine for ``plan.threads > 1``, else the serial
+        driver.  Both honour the same policies, so ``"auto"`` changes
+        only the stats label and the ``driver`` label on events.
         """
         if plan.kernel == "pregen":
             return "pregen"
         if plan.driver != "auto":
             return plan.driver
-        if (plan.threads > 1 or plan.resilience is not None
-                or plan.persistence.enabled or injector is not None
-                or self.bus.has_subscribers(*FAULT_HOOK_EVENTS)):
-            return "engine"
-        return "serial"
+        return "engine" if plan.threads > 1 else "serial"
 
     # -- execution -----------------------------------------------------------
 
@@ -312,7 +295,7 @@ class Runtime:
             injector.register(self.bus)
         factory = rng_factory if rng_factory is not None \
             else plan.rng_factory()
-        driver_name = self.resolve_driver(plan, injector)
+        driver_name = self.resolve_driver(plan)
         if cache is not None:
             from ..cache.store import ArtifactCache
 
@@ -321,16 +304,9 @@ class Runtime:
         misses_before = 0 if cache is None else cache.miss_total()
         blocked_source = None
         cached_conversion_seconds = 0.0
-        if cache is not None and driver_name != "pregen" \
-                and plan.kernel == "algo4":
+        if cache is not None and plan.kernel == "algo4":
             blocked, cached_conversion_seconds, blocked_source = \
                 self._blocked_input(plan, A, blocked, cache)
-        if driver_name == "process" and plan.persistence.enabled:
-            raise ConfigError(
-                "the process driver cannot honour a persistence policy; "
-                "use driver='engine' or 'serial' (or 'auto') for "
-                "checkpointed runs"
-            )
         driver = self._local_drivers.get(driver_name)
         if driver is None:
             try:

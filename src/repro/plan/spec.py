@@ -439,11 +439,13 @@ class SketchPlan:
         Executor parallelism (the engine hands tasks to threads one per
         free slot, so there is no partition strategy to choose).
     driver:
-        Execution driver: ``"auto"`` (runtime picks serial vs engine
-        from the plan), ``"serial"`` (the engine pinned to one thread),
+        Execution driver: ``"auto"`` (the engine when ``threads > 1``,
+        else serial), ``"serial"`` (the engine pinned to one thread),
         ``"engine"`` (the resilient block executor, any thread count),
         or ``"process"`` (the supervised multi-process pool of
-        :mod:`repro.parallel.procpool`).
+        :mod:`repro.parallel.procpool`).  Every driver but ``pregen``
+        honours the resilience and persistence policies, so the choice
+        moves no bit of the sketch.
     resilience:
         Fault-handling policy, or ``None`` for the engine's bare policy
         (one attempt per task, no fallback, no health report).

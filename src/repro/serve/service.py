@@ -720,8 +720,11 @@ class SketchService:
         pool = self._get_pool(plan, A, matrix_key, blocked)
         if ticket is not None and ticket.chaos_kill_pool():
             self._schedule_pool_kill(pool)
+        # The request's injector, or none: a chaos request's faults must
+        # not outlive it on the warm pool.
+        pool.injector = injector
         try:
-            return pool.execute(plan, factory, injector=injector,
+            return pool.execute(plan, factory,
                                 deadline=ticket.deadline
                                 if ticket is not None else None,
                                 stripes=stripes)

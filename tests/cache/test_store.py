@@ -114,6 +114,48 @@ class TestEviction:
         assert fresh.fetch("tune", "b") is None
 
 
+    def test_memory_hit_refreshes_recency(self, tmp_path, monkeypatch):
+        """A hot entry served from memory must not look as old as its
+        first use to the disk LRU."""
+        import os
+        import time
+
+        from repro.cache import store
+
+        monkeypatch.setattr(store, "_TOUCH_INTERVAL", 0.0)
+        cache = make_cache(tmp_path, max_bytes=4000)
+        cache.insert("tune", "a", payloads={"x.bin": b"a" * 1500})
+        cache.insert("tune", "b", payloads={"x.bin": b"a" * 1500})
+        for i, key in enumerate(("a", "b")):
+            manifest = cache._entry_dir("tune", key) / ENTRY_MANIFEST_NAME
+            when = time.time() - 100 + i
+            os.utime(manifest, (when, when))
+        hits = cache.hit_total()
+        assert cache.fetch("tune", "a") is not None  # from memory
+        assert cache.hit_total() == hits + 1
+        cache.insert("tune", "c", payloads={"x.bin": b"a" * 1500})
+        fresh = make_cache(tmp_path)
+        assert fresh.fetch("tune", "a") is not None
+        assert fresh.fetch("tune", "b") is None
+
+    def test_memory_hits_touch_once_per_interval(self, tmp_path,
+                                                 monkeypatch):
+        import os
+
+        from repro.cache import store
+
+        cache = make_cache(tmp_path)
+        cache.insert("tune", "a", payloads={"x.bin": b"a"})
+        manifest = cache._entry_dir("tune", "a") / ENTRY_MANIFEST_NAME
+        os.utime(manifest, (1000.0, 1000.0))
+        for _ in range(3):  # inside the interval the insert started
+            assert cache.fetch("tune", "a") is not None
+        assert manifest.stat().st_mtime == 1000.0
+        monkeypatch.setattr(store, "_TOUCH_INTERVAL", 0.0)
+        assert cache.fetch("tune", "a") is not None
+        assert manifest.stat().st_mtime > 1000.0
+
+
 class TestReadonly:
     def test_serves_hits_but_never_writes(self, tmp_path):
         make_cache(tmp_path).insert("tune", "k", payloads={"x.bin": b"v"})

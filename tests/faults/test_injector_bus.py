@@ -71,13 +71,15 @@ class TestBusRegistration:
         assert inj.events_by_kind() == {"raise": 1}
 
     def test_injector_alone_selects_guarded_engine(self, A):
-        """An injector with an empty plan still routes to the engine (the
-        hooks are live), and the output stays bit-identical."""
+        """An injector with an empty plan runs on the engine's serial rung
+        (the ``serial`` driver at one thread) with its hooks live and its
+        health reported, and the output stays bit-identical."""
         inj = FaultInjector(FaultPlan())
         rt = Runtime()
-        assert rt.resolve_driver(make_plan(A), inj) == "engine"
+        assert rt.resolve_driver(make_plan(A)) == "serial"
         result = rt.run(make_plan(A), A, injector=inj)
         np.testing.assert_array_equal(result.sketch, reference(A))
+        assert result.stats.health is not None
 
     def test_rng_substitution_flows_through_rng_request(self, A):
         """The rng fault works purely by mutating the ``rng_request``

@@ -132,7 +132,7 @@ class TestReconciliationWithFaults:
             FaultSpec(kind="raise", task=(0, 0), max_hits=1)]))
         plan = make_plan(A, resilience=ResilienceConfig(max_retries=2))
         obs, result = observed_run(plan, A, injector=inj)
-        assert_reconciled(obs, result, "engine")
+        assert_reconciled(obs, result, "serial")
         assert counter_value(obs, "retries_total",
                              kind="InjectedFaultError") >= 1.0
         assert obs.profile(result).retries >= 1
@@ -143,7 +143,7 @@ class TestReconciliationWithFaults:
         plan = make_plan(A, persistence=PersistencePolicy(
             checkpoint_dir=str(tmp_path), every=1))
         obs, result = observed_run(plan, A)
-        assert_reconciled(obs, result, "engine")
+        assert_reconciled(obs, result, "serial")
         written = counter_value(obs, "checkpoints_total")
         assert written >= 1.0
         prof = obs.profile(result)

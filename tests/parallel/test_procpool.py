@@ -18,6 +18,7 @@ import pytest
 from repro.core import SketchConfig
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.plan import InjectedCrashError
 from repro.parallel import WorkerPoolConfig, backoff_seconds, pool_start_method
 from repro.plan import DEGRADED, PersistencePolicy, Planner, Runtime, SketchPlan
 from repro.sparse import random_sparse
@@ -117,13 +118,30 @@ class TestPlanIntegration:
         text = make_plan(A, pool=FAST_POOL).explain()
         assert "workers=2" in text and "heartbeat=1" in text
 
-    def test_process_driver_rejects_persistence(self, A, tmp_path):
-        cfg = SketchConfig(kernel="algo3", b_d=B_D, b_n=B_N)
-        plan = Planner().compile(
-            A, cfg, d=D, driver="process",
-            persistence=PersistencePolicy(checkpoint_dir=str(tmp_path)))
-        with pytest.raises(ConfigError, match="persistence"):
-            Runtime().run(plan, A)
+    @pytest.mark.parametrize("kernel", ["algo3", "algo4"])
+    def test_process_driver_checkpoints_and_resumes(self, A, reference,
+                                                    tmp_path, kernel):
+        """Process tiles reach the scheduler's one commit, so they are
+        checkpointed like any other: a ``torn_write`` at snapshot 2
+        crashes the run, and the resume is bit-identical."""
+        cfg = SketchConfig(kernel=kernel, rng_kind="philox", seed=9,
+                           b_d=B_D, b_n=B_N)
+
+        def plan(**policy):
+            return Planner().compile(
+                A, cfg, d=D, driver="process", pool=FAST_POOL,
+                persistence=PersistencePolicy(
+                    checkpoint_dir=str(tmp_path), every=1, **policy))
+
+        crash = FaultInjector(FaultPlan([
+            FaultSpec(kind="torn_write", task=(2, 0))]))
+        with pytest.raises(InjectedCrashError):
+            Runtime().run(plan(), A, injector=crash)
+        assert crash.events_by_kind() == {"torn_write": 1}
+        resumed = Runtime().run(plan(resume=True), A)
+        np.testing.assert_array_equal(resumed.sketch, reference[kernel])
+        assert resumed.stats.extra["resumed_from"] is not None
+        assert resumed.stats.kernel == f"{kernel}-procpool"
 
 
 class TestCleanRuns:

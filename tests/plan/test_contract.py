@@ -13,6 +13,11 @@ and adds a fault that the drawn driver is expected to survive:
 ``kill_worker`` and ``corrupt_tile`` on the process driver, and a
 ``bitflip`` in every payload of a warm cache.  A hung worker and a
 poison task that ends on the degradation ladder are explicit examples.
+
+An unbatched case may also crash (batched plans refuse persistence): it
+checkpoints after every row block, a ``torn_write`` at snapshot ``s``
+kills the run, and a resume on a freshly drawn driver and partition must
+still match the reference.
 """
 
 import tempfile
@@ -20,15 +25,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ArtifactCache, CachePolicy
 from repro.core import SketchConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.plan import InjectedCrashError
 from repro.kernels import sketch_spmm
 from repro.parallel import ResilienceConfig, WorkerPoolConfig
-from repro.plan import PartitionSpec, Planner, Runtime
+from repro.plan import PartitionSpec, PersistencePolicy, Planner, Runtime
 from repro.rng import make_rng
 from repro.sparse import random_sparse
 
@@ -38,6 +45,11 @@ TASKS = [(i, j) for i in range(0, D, B_D) for j in range(0, 24, B_N)]
 BATCH_SEEDS = (5, 17, 29)
 
 DRIVERS = ("serial", "engine-1", "engine-2", "process-2")
+PARTITIONS = ("none", "even", "nnz_balanced")
+# A tear at snapshot s >= 2 leaves snapshot s - 1 to resume from (a
+# lineage with no verifiable snapshot is refused, never recomputed);
+# every=1 writes one snapshot per row block and stripe.
+CRASHES = (0,) + tuple(range(2, D // B_D + 1))
 FAULTS = {
     "serial": ("none",),
     "engine-1": ("none", "raise", "rng"),
@@ -58,6 +70,9 @@ class Case:
     distribution: str = "uniform"
     seed: int = 0
     partition: str = "none"
+    crash: int = 0                # the snapshot whose write tears (0: none)
+    resume_driver: str = "serial"
+    resume_partition: str = "none"
 
 
 @st.composite
@@ -65,10 +80,12 @@ def cases(draw) -> Case:
     driver = draw(st.sampled_from(DRIVERS))
     cache = draw(st.sampled_from(("none", "cold", "warm")))
     faults = FAULTS[driver] + (("bitflip",) if cache == "warm" else ())
+    batch = draw(st.sampled_from((1, 3)))
+    crash = draw(st.sampled_from(CRASHES)) if batch == 1 else 0
     return Case(
         driver=driver,
         kernel=draw(st.sampled_from(("algo3", "algo4"))),
-        batch=draw(st.sampled_from((1, 3))),
+        batch=batch,
         cache=cache,
         fault=draw(st.sampled_from(faults)),
         task=draw(st.sampled_from(TASKS)),
@@ -76,7 +93,12 @@ def cases(draw) -> Case:
         distribution=draw(st.sampled_from(
             ("uniform", "gaussian", "rademacher"))),
         seed=draw(st.integers(0, 2**31 - 1)),
-        partition=draw(st.sampled_from(("none", "even", "nnz_balanced"))),
+        partition=draw(st.sampled_from(PARTITIONS)),
+        crash=crash,
+        resume_driver=(draw(st.sampled_from(DRIVERS)) if crash
+                       else "serial"),
+        resume_partition=(draw(st.sampled_from(PARTITIONS)) if crash
+                          else "none"),
     )
 
 
@@ -98,19 +120,23 @@ def _pool(case: Case):
 
 
 def _injector(case: Case):
-    if case.fault in ("none", "bitflip"):
-        return None
+    specs = []
     if case.fault == "poison":
-        spec = FaultSpec(kind="kill_worker", task=case.task, max_hits=None)
+        specs.append(FaultSpec(kind="kill_worker", task=case.task,
+                               max_hits=None))
     elif case.fault == "hang_worker":
-        spec = FaultSpec(kind="hang_worker", task=case.task,
-                         sleep_seconds=10.0)
-    else:
-        spec = FaultSpec(kind=case.fault, task=case.task)
-    return FaultInjector(FaultPlan([spec]))
+        specs.append(FaultSpec(kind="hang_worker", task=case.task,
+                               sleep_seconds=10.0))
+    elif case.fault not in ("none", "bitflip"):
+        specs.append(FaultSpec(kind=case.fault, task=case.task))
+    if case.crash:
+        # Storage faults address (snapshot seq, block index).
+        specs.append(FaultSpec(kind="torn_write", task=(case.crash, 0)))
+    return FaultInjector(FaultPlan(specs)) if specs else None
 
 
-def _run(case: Case, cache_dir: Path | None):
+def _run(case: Case, cache_dir: Path | None,
+         persistence: PersistencePolicy | None = None):
     driver, _, threads = case.driver.partition("-")
     cfg = SketchConfig(kernel=case.kernel, rng_kind=case.rng_kind,
                        seed=case.seed, distribution=case.distribution,
@@ -125,7 +151,7 @@ def _run(case: Case, cache_dir: Path | None):
                  else PartitionSpec(shards=2, strategy=case.partition))
     plan = Planner().compile(A, cfg, d=D, driver=driver, pool=_pool(case),
                              batch_seeds=seeds, cache=cache,
-                             partition=partition)
+                             partition=partition, persistence=persistence)
     return Runtime().run(plan, A, injector=_injector(case), cache=cache)
 
 
@@ -150,15 +176,28 @@ def _flip_payloads(cache_dir: Path) -> None:
 def _check(case: Case) -> None:
     want = _reference(case)
     with tempfile.TemporaryDirectory() as tmp:
-        cache_dir = None if case.cache == "none" else Path(tmp)
+        cache_dir = None if case.cache == "none" else Path(tmp, "cache")
         if case.cache == "warm":
             # The warm-up run fills the cache (and must be exact itself).
-            first = _run(replace(case, cache="cold", fault="none"),
+            first = _run(replace(case, cache="cold", fault="none", crash=0),
                          cache_dir)
             assert np.array_equal(first.sketch, want)
             if case.fault == "bitflip":
                 _flip_payloads(cache_dir)
-        result = _run(case, cache_dir)
+        if case.crash:
+            ckpt = str(Path(tmp, "ckpt"))
+            with pytest.raises(InjectedCrashError):
+                _run(case, cache_dir, PersistencePolicy(checkpoint_dir=ckpt,
+                                                        every=1))
+            result = _run(
+                replace(case, driver=case.resume_driver, fault="none",
+                        crash=0, partition=case.resume_partition),
+                cache_dir, PersistencePolicy(checkpoint_dir=ckpt, every=1,
+                                             resume=True))
+            if case.resume_partition == case.partition:
+                assert result.stats.extra["resumed_from"] is not None
+        else:
+            result = _run(case, cache_dir)
     got = result.sketch
     assert got.shape == want.shape
     if case.batch > 1:
@@ -176,5 +215,11 @@ def _check(case: Case) -> None:
 @given(case=cases())
 @example(case=Case("process-2", "algo3", 1, "none", "hang_worker", (8, 6)))
 @example(case=Case("process-2", "algo4", 3, "cold", "poison", (16, 12)))
+@example(case=Case("process-2", "algo4", 1, "warm", "kill_worker", (16, 6),
+                   crash=2, resume_driver="engine-2",
+                   resume_partition="nnz_balanced"))
+@example(case=Case("engine-2", "algo3", 1, "none", "raise", (8, 18),
+                   partition="even", crash=3, resume_driver="process-2",
+                   resume_partition="even"))
 def test_every_driver_matches_the_reference(case):
     _check(case)

@@ -50,23 +50,41 @@ class TestDriverResolution:
     def test_threads_select_engine(self, A):
         assert Runtime().resolve_driver(make_plan(A, threads=4)) == "engine"
 
+    # Every driver honours every policy, so a policy no longer moves the
+    # choice: at one thread the serial driver (the engine pinned to its
+    # serial rung) runs it, at two the engine.
+    BY_THREADS = ((1, "serial"), (2, "engine"))
+
     def test_resilience_selects_engine(self, A):
-        plan = make_plan(A, resilience=ResilienceConfig())
-        assert Runtime().resolve_driver(plan) == "engine"
+        for threads, driver in self.BY_THREADS:
+            plan = make_plan(A, threads=threads,
+                             resilience=ResilienceConfig())
+            assert Runtime().resolve_driver(plan) == driver
 
     def test_persistence_selects_engine(self, A, tmp_path):
-        plan = make_plan(A, persistence=PersistencePolicy(
-            checkpoint_dir=str(tmp_path)))
-        assert Runtime().resolve_driver(plan) == "engine"
+        for threads, driver in self.BY_THREADS:
+            plan = make_plan(A, threads=threads, persistence=PersistencePolicy(
+                checkpoint_dir=str(tmp_path)))
+            assert Runtime().resolve_driver(plan) == driver
 
     def test_injector_selects_engine(self, A):
-        injector = FaultInjector(FaultPlan())
-        assert Runtime().resolve_driver(make_plan(A), injector) == "engine"
+        """An injector's hooks are live on either driver, and its run
+        reports its health."""
+        for threads, driver in self.BY_THREADS:
+            rt = Runtime()
+            seen = []
+            rt.bus.subscribe(PLAN_COMPILED,
+                             lambda e: seen.append(e["driver"]))
+            result = rt.run(make_plan(A, threads=threads), A,
+                            injector=FaultInjector(FaultPlan()))
+            assert seen == [driver]
+            assert result.stats.health is not None
 
     def test_fault_hook_subscriber_selects_engine(self, A):
-        rt = Runtime()
-        rt.bus.subscribe(RNG_REQUEST, lambda e: None)
-        assert rt.resolve_driver(make_plan(A)) == "engine"
+        for threads, driver in self.BY_THREADS:
+            rt = Runtime()
+            rt.bus.subscribe(RNG_REQUEST, lambda e: None)
+            assert rt.resolve_driver(make_plan(A, threads=threads)) == driver
 
     def test_pregen_always_pregen(self, A):
         plan = make_plan(A, kernel="pregen", threads=4)

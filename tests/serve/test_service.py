@@ -250,6 +250,21 @@ class TestCrashRecovery:
         pool = next(iter(service._pools.values()))
         assert len(pool.worker_pids()) == 2
 
+    def test_chaos_faults_do_not_outlive_their_request(self, service):
+        # A poison tile is quarantined on the first request's ladder; the
+        # next request on the same warm pool must not see its fault.
+        body = {"matrix": MATRIX, "output": "array",
+                "config": {"d": 12, "seed": 4, "driver": "process",
+                           "workers": 2}}
+        first = service.handle({**body, "chaos": {"faults": [
+            {"kind": "corrupt_tile", "task": [0, 0], "max_hits": None}]}})
+        second = service.handle(body)
+        for doc in (first, second):
+            assert doc["status"] == "ok"
+            assert np.array_equal(decode(doc), serial_reference())
+        assert first["health"]["degraded_to_thread"]
+        assert second["health"]["clean"]
+
     def test_injected_kill_worker_still_served(self, service):
         doc = service.handle({
             "matrix": MATRIX,
