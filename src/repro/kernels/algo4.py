@@ -26,6 +26,18 @@ the row's column pattern, and the auxiliary blocked-CSR structure.
   :func:`algo4_block_reference`, in its order: the result is
   bit-identical.  A ``(k, d1, n1)`` stack with a batched generator makes
   the same calls once for the whole stack, ``k * d1`` vectors wide.
+* :class:`PanelMemo` — what a loop running the tasks in plan order
+  (column blocks outermost) hands :func:`algo4_block` so a row block's
+  panel outlives its column block.  The paper samples
+  ``S[r:r+d1, j]`` afresh in every column block where row ``j`` is
+  non-empty; with the memo a column block samples only the rows its
+  predecessor in the same row block did not, and copies the others out
+  of that panel.  Every family makes ``S[i, j]`` a function of the
+  generator and ``(r, d1, j)`` alone, so the bits do not change.  The
+  engine's serial rung and :func:`~repro.kernels.blocking.sketch_spmm`
+  use one; the thread and process rungs sample once per block, as the
+  paper does, so their counts do not depend on which slot ran which
+  task.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ from ..sparse.csr import CSRMatrix
 from ..utils.timing import Stopwatch
 from ._spmm import block_rows, csr_matvecs, csr_tocsc
 
-__all__ = ["algo4_block_reference", "algo4_block"]
+__all__ = ["algo4_block_reference", "algo4_block", "PanelMemo",
+           "MEMO_ENTRIES"]
 
 
 def _check_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix) -> tuple[int, int]:
@@ -81,6 +94,12 @@ def algo4_block_reference(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
 #: column pointers by the block's size): the rows a call reads stay
 #: cache-sized.
 PANEL_ROWS = 256
+
+#: Entries (every sketch of a stack counted) a :class:`PanelMemo` keeps
+#: over all its row blocks, 32 MiB of float64: a panel that would pass
+#: it is sampled and applied but not kept.  Half of it kept only two of
+#: four row blocks of a k = 8 stack at ``make batch-smoke``'s shape.
+MEMO_ENTRIES = 1 << 22
 
 #: Each block's non-empty rows and chunked pattern, built on first use,
 #: dropped with the block.
@@ -134,17 +153,78 @@ def apply_panel(out_t: np.ndarray, V_t: np.ndarray, pattern: list) -> None:
         np.copyto(out_t, Y)
 
 
+def _sample(rng, r: int, d1: int, js: np.ndarray,
+            stacked: bool) -> np.ndarray:
+    """The ``(len(js), [k,] d1)`` panel of rows *js*, as sampled."""
+    V = (rng.column_block_stack(r, d1, js) if stacked
+         else rng.column_block_batch(r, d1, js))
+    return np.moveaxis(V, -1, 0)
+
+
+class PanelMemo:
+    """The panel each row block sampled last, for one plan-order loop.
+
+    Keyed by the generator object (held weakly), then by the row block
+    ``(r, d1)``: a retry's fresh generator, or a fault wrapper around
+    one, never reads another generator's rows.  Each entry is the rows
+    ``js`` and the panel array itself, not a copy; the entries together
+    hold at most :data:`MEMO_ENTRIES`.
+    """
+
+    def __init__(self) -> None:
+        self._kept: "weakref.WeakKeyDictionary[object, dict]" = \
+            weakref.WeakKeyDictionary()
+
+    def kept(self, rng) -> dict:
+        """``{(r, d1): (js, panel)}``: what is kept for *rng*."""
+        return dict(self._kept.get(rng, {}))
+
+    def held(self) -> int:
+        """Entries kept, over every generator and row block."""
+        return sum(V_t.size for book in self._kept.values()
+                   for _js, V_t in book.values())
+
+    def panel(self, rng, r: int, d1: int, js: np.ndarray,
+              stacked: bool) -> np.ndarray:
+        """Rows *js* (ascending) of row block ``(r, d1)``'s panel:
+        copied where the last panel of that row block has them, sampled
+        where it does not."""
+        book = self._kept.setdefault(rng, {})
+        last = book.pop((r, d1), None)
+        if last is None:
+            V_t = _sample(rng, r, d1, js, stacked)
+        else:
+            prev, P = last
+            pos = np.minimum(np.searchsorted(prev, js), prev.size - 1)
+            hit = prev[pos] == js
+            if not hit.any():
+                V_t = _sample(rng, r, d1, js, stacked)
+            elif hit.all():
+                V_t = P if js.size == prev.size else P[pos]
+            else:
+                fresh = _sample(rng, r, d1, js[~hit], stacked)
+                V_t = np.empty((js.size,) + fresh.shape[1:], fresh.dtype)
+                V_t[hit] = P[pos[hit]]
+                V_t[~hit] = fresh
+        if V_t.size + self.held() <= MEMO_ENTRIES:
+            book[(r, d1)] = (js, V_t)
+        return V_t
+
+
 def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
-                rng, watch: Stopwatch | None = None) -> None:
+                rng, watch: Stopwatch | None = None,
+                memo: PanelMemo | None = None) -> None:
     """Vectorized Algorithm 4: one panel per block, one compiled apply.
 
     *Ahat_sub* is a ``(d1, n1)`` block with a
     :class:`~repro.rng.base.SketchingRNG`, or a ``(k, d1, n1)`` stack with
     a :class:`~repro.rng.batched.BatchedSketchRNG`: one traversal of the
-    block then serves every sketch.  The RNG is called once with every
-    non-empty row of the block — ``samples_generated`` therefore counts
-    exactly ``d1 * (#non-empty rows)`` per sketch, the quantity Section
-    III-B's analysis bounds.
+    block then serves every sketch.  Without a *memo* the RNG is called
+    once with every non-empty row of the block, so ``samples_generated``
+    grows by ``d1 * (#non-empty rows)`` per sketch, the paper's count
+    that Section III-B's analysis bounds.  With one it grows by ``d1``
+    per sketch and row missing from the panel *memo* kept for this row
+    block, and never by more.
     """
     d1 = block_rows(Ahat_sub, A_blk.shape[1], rng)
     sw = watch if watch is not None else Stopwatch()
@@ -152,9 +232,9 @@ def algo4_block(Ahat_sub: np.ndarray, A_blk: CSRMatrix, r: int,
     js, pattern = _block_pattern(A_blk)
     if js.size == 0:
         return
-    with sw.bucket("sample"):  # ([k,] d1, #non-empty rows)
-        V = (rng.column_block_stack(r, d1, js) if Ahat_sub.ndim == 3
-             else rng.column_block_batch(r, d1, js))
+    stacked = Ahat_sub.ndim == 3
+    with sw.bucket("sample"):  # (#non-empty rows, [k,] d1)
+        V_t = (_sample(rng, r, d1, js, stacked) if memo is None
+               else memo.panel(rng, r, d1, js, stacked))
     with sw.bucket("compute"):
-        apply_panel(np.moveaxis(Ahat_sub, -1, 0), np.moveaxis(V, -1, 0),
-                    pattern)
+        apply_panel(np.moveaxis(Ahat_sub, -1, 0), V_t, pattern)

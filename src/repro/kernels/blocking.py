@@ -36,11 +36,11 @@ from ..utils.flops import spmm_flops
 from ..utils.timing import Stopwatch, Timer
 from ..utils.validation import check_positive_int
 from .algo3 import algo3_block_reference
-from .algo4 import algo4_block_reference
+from .algo4 import PanelMemo, algo4_block_reference
 from .backends import NUMPY
 from .stats import KernelStats
 
-__all__ = ["sketch_spmm", "compute_tile", "iter_block_tasks",
+__all__ = ["sketch_spmm", "compute_tile", "tile_work", "iter_block_tasks",
            "block_task_count", "default_block_sizes", "zeros_in_apply_layout"]
 
 KernelName = Literal["algo3", "algo4"]
@@ -102,13 +102,16 @@ def zeros_in_apply_layout(shape: tuple[int, ...]) -> np.ndarray:
 
 def compute_tile(kernel: KernelName, out: np.ndarray, A: CSCMatrix,
                  blocks: Mapping[int, CSRMatrix], i: int, j: int, n1: int,
-                 rng, watch: Stopwatch | None = None) -> None:
+                 rng, watch: Stopwatch | None = None,
+                 memo: PanelMemo | None = None) -> None:
     """Add task ``(i, j)``'s sketch tile into *out*.
 
     *out* is the ``(d1, n1)`` tile for a single generator or the
     ``(k, d1, n1)`` stack for a batched one.  Algorithm 3 reads the CSC
     column block ``A[:, j:j+n1]``; Algorithm 4 the blocked-CSR block at
-    column offset *j* in *blocks*, which must be ``n1`` wide.
+    column offset *j* in *blocks*, which must be ``n1`` wide, reusing
+    the rows *memo* kept for its row block (a loop that runs the tasks
+    in plan order passes one).
     """
     stacked = out.ndim == 3
     if kernel == "algo3":
@@ -120,7 +123,16 @@ def compute_tile(kernel: KernelName, out: np.ndarray, A: CSCMatrix,
         raise ConfigError(
             "blocked CSR partition does not match the b_n task grid")
     run = NUMPY.algo4_block_batched if stacked else NUMPY.algo4_block
-    run(out, blk, i, rng, watch=watch)
+    run(out, blk, i, rng, watch=watch, memo=memo)
+
+
+def tile_work(watch: Stopwatch, rng, since: dict | None = None) -> dict:
+    """*watch*'s ``sample`` and ``compute`` seconds and *rng*'s
+    ``samples``, less *since* (the same record taken before a tile):
+    the work record ``block_done`` carries and worker processes send."""
+    now = {"sample": watch.total("sample"), "compute": watch.total("compute"),
+           "samples": rng.samples_generated}
+    return now if since is None else {k: now[k] - since[k] for k in now}
 
 
 def sketch_spmm(
@@ -179,7 +191,9 @@ def sketch_spmm(
         the cost record, including the sample/compute split and, for
         Algorithm 4, conversion time.  A batch's ``stats.extra["batch"]``
         records ``k``; ``flops`` and ``samples_generated`` count all
-        ``k`` sketches.
+        ``k`` sketches; the vectorized Algorithm 4 samples only the rows
+        a row block's last non-empty column block did not have
+        (:class:`~repro.kernels.algo4.PanelMemo`).
     """
     d = check_positive_int(d, "d")
     if isinstance(rng, (list, tuple)):
@@ -235,10 +249,12 @@ def sketch_spmm(
                     for j0, blk in blocks.items() for i in range(0, d, b_d)]
         else:
             grid = iter_block_tasks(d, n, b_d, b_n)
+        memo = PanelMemo()
         for i, d1, j, n1 in grid:
             view = Ahat[..., i:i + d1, j:j + n1]
             if not reference:
-                compute_tile(kernel, view, A, blocks, i, j, n1, rng, sw)
+                compute_tile(kernel, view, A, blocks, i, j, n1, rng, sw,
+                             memo)
             elif kernel == "algo4":
                 algo4_block_reference(view, blocks[j], i, rng)
             else:

@@ -50,6 +50,10 @@ def rng_volume_curve(A: CSCMatrix, d: int,
     Monotone non-increasing in ``b_n`` for every matrix (wider blocks can
     only merge rows' occurrences); the *shape* of the decay is the
     pattern signature — flat for Abnormal_C, cliff-like for Abnormal_A.
+    This is the paper's per-block count, which the thread and process
+    rungs sample; the serial rung reuses each row block's panel in its
+    next column block (:class:`~repro.kernels.algo4.PanelMemo`) and
+    samples at most this.
     """
     if d < 1:
         raise ConfigError(f"d must be positive, got {d}")

@@ -99,7 +99,10 @@ def dense_rows_costs(m: int, n: int, d: int, b_n: int,
     """Abnormal_A: every ``period``-th row dense, all others empty.
 
     Non-empty rows per block = number of dense rows = ceil(m / period),
-    independent of ``b_n`` — the best case for Algorithm 4.
+    independent of ``b_n`` — the best case for Algorithm 4.  The volume
+    is the paper's per-block count; the serial rung, reusing each row
+    block's panel in its next column block, samples the dense rows once
+    per row block: ``d * ceil(m / period)``.
     """
     _check(m, n, d, b_n)
     if period < 1:

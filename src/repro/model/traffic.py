@@ -120,7 +120,11 @@ def algo4_traffic(A: CSCMatrix, d: int, b_d: int, b_n: int) -> TrafficEstimate:
     * ``Ahat`` streaming volume is the same as Algorithm 3's, but the
       updates follow each sparse row's column pattern — all of it is
       charged as scattered.
-    * RNG volume is ``d * sum_b nonempty_rows(b)`` — the reuse saving.
+    * RNG volume is ``d * sum_b nonempty_rows(b)`` — the reuse saving,
+      counted as the paper's algorithm samples, every block afresh.  The
+      serial rung samples only the rows its previous column block did
+      not have (:class:`~repro.kernels.algo4.PanelMemo`), so at most
+      this; the thread and process rungs sample exactly this.
     """
     if d < 1 or b_d < 1 or b_n < 1:
         raise ConfigError("d, b_d, b_n must be positive")

@@ -7,6 +7,8 @@ a tree of :class:`Span` records:
 * ``plan_compiled`` opens the root ``run`` span; ``done`` closes it;
 * ``block_start``/``block_done`` bracket one ``block`` span per task
   (re-emitted starts from straggler re-execution reuse the open span);
+  its attrs carry the tile's ``sample_seconds``, ``compute_seconds`` and
+  ``samples`` (the sketch entries generated for it);
 * ``checkpoint_written`` records a ``checkpoint`` span whose duration is
   the measured write latency carried in the event payload;
 * ``worker_spawned``/``worker_lost`` bracket one ``worker`` span per
@@ -172,6 +174,9 @@ class Tracer:
                                    "kernel": event.get("kernel")})
                 self.spans.append(span)
             span.end = now
+            for name in ("sample_seconds", "compute_seconds", "samples"):
+                if name in event.payload:
+                    span.attrs[name] = event.payload[name]
 
     def _on_checkpoint(self, event) -> None:
         with self._lock:

@@ -33,6 +33,9 @@ ladder of rungs, each a set of slots:
   is re-executed in the scheduler's thread (first commit wins);
 * **serial** (one thread, or ``serial_fallback``): one slot, the
   scheduler's own thread, with ``task_timeout`` enforced after the fact.
+  Its tasks run in plan order, so Algorithm 4 reuses each row block's
+  last panel (:attr:`PlanExecutionEngine.panels`); the other rungs
+  sample every block, so no count depends on which slot ran a task.
 
 The engine's own accumulator is born zeroed in the kernels' apply layout
 (:func:`~repro.kernels.blocking.zeros_in_apply_layout`), so its tile is
@@ -67,10 +70,12 @@ from ..errors import (
     TaskTimeoutError,
 )
 from ..faults.plan import InjectedCrashError
+from ..kernels.algo4 import PanelMemo
 from ..kernels.backends import NUMPY
 from ..kernels.blocking import (
     compute_tile,
     iter_block_tasks,
+    tile_work,
     zeros_in_apply_layout,
 )
 from ..kernels.stats import KernelStats
@@ -225,6 +230,8 @@ class PlanExecutionEngine:
         self._all_rngs: list[SketchingRNG] = []
         self._all_watches: list[Stopwatch] = [Stopwatch()]
         self._remote_samples = 0
+        #: The serial rung's Algorithm 4 panels, kept for the whole run.
+        self.panels = PanelMemo()
 
         # Scheduler state: the task list being run, the commit claims
         # (a straggler's speculative duplicate races its original), and
@@ -331,10 +338,14 @@ class PlanExecutionEngine:
         mx = float(seg.max()) if seg.size else 0.0
         return self.resilience.guardrail_bound_factor * self._entry_bound * mx
 
-    def _commit(self, idx: int, target: np.ndarray | None = None,
-                work: dict | None = None) -> None:
-        """Claim task *idx* and count it: *target* is an attempt's private
-        tile to copy in, *work* a worker process's time and samples."""
+    def _commit(self, idx: int, work: dict,
+                target: np.ndarray | None = None,
+                remote: bool = False) -> None:
+        """Claim task *idx* and count it.  *work* is the tile's
+        ``sample`` and ``compute`` seconds and its ``samples``, which
+        ``block_done`` carries; a *remote* tile's (a worker process
+        computed it) joins the run's totals here.  *target* is an
+        attempt's private tile to copy in."""
         i, d1, j, n1 = self._tasks[idx]
         with self._claim_lock:
             if idx in self._claimed:
@@ -343,22 +354,23 @@ class PlanExecutionEngine:
             if target is not None:
                 self._view(self._tasks[idx])[...] = target
             self.health.completed += 1
-            if work is not None:
+            if remote:
                 self._all_watches[0].add("sample", work["sample"])
                 self._all_watches[0].add("compute", work["compute"])
                 self._remote_samples += work["samples"]
         if self._track_blocks:
-            times = ({} if work is None else
-                     {"sample_seconds": work["sample"],
-                      "compute_seconds": work["compute"]})
             self.bus.emit(BLOCK_DONE, task=(i, j), i=i, d1=d1, j=j, n1=n1,
-                          kernel=self.kernel, **times)
+                          kernel=self.kernel,
+                          sample_seconds=work["sample"],
+                          compute_seconds=work["compute"],
+                          samples=work["samples"])
         if self.checkpoints is not None:
             self.checkpoints.commit(i)
 
-    def _attempt(self, idx: int, kernel: str, attempt: int,
-                 context: str) -> "tuple[str, str] | None":
-        """Run one attempt at task *idx* in the calling thread.
+    def _attempt(self, idx: int, kernel: str, attempt: int, context: str,
+                 memo: PanelMemo | None = None) -> "tuple[str, str] | None":
+        """Run one attempt at task *idx* in the calling thread, with the
+        serial rung's *memo*.
 
         Returns ``None`` once the tile is committed (or a duplicate beat
         it), else the failure ``(kind, message)`` for the scheduler to
@@ -387,15 +399,18 @@ class PlanExecutionEngine:
                 rng = self.bus.emit(RNG_REQUEST, task=key, kernel=kernel,
                                     context=context, attempt=attempt,
                                     rng=rng)["rng"]
+            before = tile_work(watch, rng)
             compute_tile(kernel, target, self.A, self._block_by_offset,
-                         i, j, n1, rng, watch)
+                         i, j, n1, rng, watch,
+                         **({} if memo is None else {"memo": memo}))
+            work = tile_work(watch, rng, before)
             if self._hooked:
                 self.bus.emit(BLOCK_COMPUTED, task=key, kernel=kernel,
                               context=context, attempt=attempt, block=target)
             violation = (validate_block(target, self._bound_for(task))
                          if cfg.guardrail is not None else None)
             if violation is None:
-                self._commit(idx, target if scratch else None)
+                self._commit(idx, work, target if scratch else None)
                 if idx in self._violated and cfg.guardrail == "recompute":
                     with self._ctx_lock:
                         self.health.corrupted_blocks_repaired += 1
@@ -411,7 +426,7 @@ class PlanExecutionEngine:
                     f"(guardrail policy 'raise')")
             if cfg.guardrail == "mask":
                 target[:] = 0.0
-                self._commit(idx, target if scratch else None)
+                self._commit(idx, work, target if scratch else None)
                 with self._ctx_lock:
                     self.health.masked_blocks += 1
                     self.health.record(
@@ -569,7 +584,7 @@ class PlanExecutionEngine:
             timeout = max(0.0, min(wake) - now) if wake else None
             for idx, failure, work in rung.poll(timeout):
                 if failure is None and work is not None:
-                    self._commit(idx, work=work)
+                    self._commit(idx, work, remote=True)
                 if failure is None or idx in self._claimed:
                     continue
                 delay = self._charge(rung.context, idx, *failure)
@@ -740,7 +755,8 @@ class _Serial:
                  attempt: int) -> None:
         engine = self.engine
         started = time.monotonic()
-        failure = engine._attempt(idx, kernel, attempt, self.context)
+        failure = engine._attempt(idx, kernel, attempt, self.context,
+                                  engine.panels)
         elapsed = time.monotonic() - started
         limit = engine.resilience.task_timeout
         if failure is None and limit is not None and elapsed > limit:

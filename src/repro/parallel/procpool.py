@@ -189,7 +189,7 @@ def _worker_main(wid: int, conn, plan_data: dict, segments: dict,
     from multiprocessing import shared_memory
 
     from ..cache.artifacts import blocked_csr_from_arrays
-    from ..kernels.blocking import compute_tile
+    from ..kernels.blocking import compute_tile, tile_work
     from ..persist.checksum import checksum_bytes, default_algo
     from ..plan.spec import RngSpec, SketchPlan
     from ..sparse.csc import CSCMatrix
@@ -261,9 +261,7 @@ def _worker_main(wid: int, conn, plan_data: dict, segments: dict,
                     # not this sleep, decides our fate.
                     time.sleep(max(f["sleep_seconds"] for f in faults
                                    if f["kind"] == "hang_worker"))
-                samples0 = rng.samples_generated
-                s0 = watch.total("sample")
-                c0 = watch.total("compute")
+                before = tile_work(watch, rng)
                 Ahat = arr["ahat"]
                 tile = np.zeros(Ahat.shape[:-2] + (d1, n1))
                 compute_tile(plan.kernel, tile, A, block_by_offset, i, j,
@@ -276,11 +274,8 @@ def _worker_main(wid: int, conn, plan_data: dict, segments: dict,
                     # Corrupt the shared tile after checksumming — the
                     # supervisor must reject this commit.
                     Ahat[..., i + d1 // 2, j + n1 // 2] = np.nan
-                conn.send(("commit", algo, digest, {
-                    "sample": watch.total("sample") - s0,
-                    "compute": watch.total("compute") - c0,
-                    "samples": rng.samples_generated - samples0,
-                }))
+                conn.send(("commit", algo, digest,
+                           tile_work(watch, rng, before)))
             except Exception as exc:  # noqa: BLE001 - fault boundary
                 conn.send(("error", type(exc).__name__, str(exc)))
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover

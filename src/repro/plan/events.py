@@ -74,6 +74,9 @@ __all__ = [
 ]
 
 #: Lifecycle events every run emits (in roughly this order).
+#: ``block_done``'s payload carries the task's ``i``, ``d1``, ``j``,
+#: ``n1``, ``kernel``, and the tile's ``sample_seconds``,
+#: ``compute_seconds`` and ``samples`` (sketch entries generated).
 PLAN_COMPILED = "plan_compiled"
 BLOCK_START = "block_start"
 BLOCK_DONE = "block_done"

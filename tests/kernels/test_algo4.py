@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 import repro.rng.base as rng_base
+from repro.core import SketchConfig
 from repro.errors import ShapeError
-from repro.kernels import (algo3_block_reference, algo4_block,
-                           algo4_block_reference)
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.kernels import (algo3_block_reference, algo4, algo4_block,
+                           algo4_block_reference, sketch_spmm)
+from repro.kernels.algo4 import PanelMemo
+from repro.parallel import ResilienceConfig, WorkerPoolConfig
+from repro.parallel.executor import PlanExecutionEngine
 from repro.persist.checksum import checksum_bytes
+from repro.plan import EventBus, PartitionSpec, Planner, Runtime
 from repro.rng import PhiloxSketchRNG, XoshiroSketchRNG, make_batched_rng, make_rng
 from repro.sparse import (CSCMatrix, CSRMatrix, abnormal_a, csc_to_blocked_csr,
                           random_sparse)
@@ -285,3 +291,164 @@ def test_block_digest_golden(case, family, dist):
     stack = np.stack([init, init])
     algo4_block(stack, blk, r, make_batched_rng(family, (42, 43), dist))
     assert _crc32(stack[0]) == golden
+
+
+# -- the panel memo: a row block's panel reused across column blocks ---------
+
+def _memo_count(A, d, b_n, k=1):
+    """``Σ_j Σ_i d1 * k * |js_j \\ js_prev|``: ``js_prev`` the rows of the
+    last non-empty column block (the sum over row blocks gives ``d``)."""
+    B, _ = csc_to_blocked_csr(A, b_n)
+    prev, total = set(), 0
+    for blk in B.blocks:
+        js = set(blk.nonempty_rows().tolist())
+        if js:
+            total += len(js - prev)
+            prev = js
+    return d * k * total
+
+
+def _paper_count(A, d, b_n, k=1):
+    """The paper's count: every block samples all its non-empty rows."""
+    B, _ = csc_to_blocked_csr(A, b_n)
+    return d * k * sum(blk.nonempty_rows().size for blk in B.blocks)
+
+
+def _patterned() -> CSCMatrix:
+    """Column blocks of width 2 meeting each memo path in turn: all rows
+    new, a subset, a superset, disjoint, empty, then a partial overlap
+    with the last non-empty block."""
+    dense = np.zeros((8, 12))
+    for b, rows in enumerate([(0, 1, 2), (1, 2), (0, 1, 2, 3), (5,), (),
+                              (4, 5, 6)]):
+        for row in rows:
+            dense[row, 2 * b + row % 2] = 1.0 + row + b
+    return CSCMatrix.from_dense(dense)
+
+
+#: name -> (A, d, b_d, b_n), with b_d < d and b_n < n.
+_MEMO_CASES = {
+    "abnormal_a": (abnormal_a(200, 40, period=10, seed=2), 12, 5, 9),
+    "random_sparse": (random_sparse(120, 36, 0.1, seed=1803), 12, 5, 9),
+    "patterned": (_patterned(), 7, 3, 2),
+}
+
+
+class TestPanelMemo:
+    @pytest.mark.parametrize("dist", DISTS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+    def test_bit_identical_to_reference(self, case, family, dist):
+        A, d, b_d, b_n = _MEMO_CASES[case]
+        seeds = (42, 7)
+        refs = [sketch_spmm(A, d, make_rng(family, s, dist), kernel="algo4",
+                            b_d=b_d, b_n=b_n, reference=True)[0]
+                for s in seeds]
+        got, stats = sketch_spmm(A, d, make_rng(family, seeds[0], dist),
+                                 kernel="algo4", b_d=b_d, b_n=b_n)
+        assert np.array_equal(got, refs[0])
+        assert stats.samples_generated == _memo_count(A, d, b_n)
+        stack, stats = sketch_spmm(A, d, make_batched_rng(family, seeds, dist),
+                                   kernel="algo4", b_d=b_d, b_n=b_n)
+        for t, ref in enumerate(refs):
+            assert np.array_equal(stack[t], ref), t
+        assert stats.samples_generated == _memo_count(A, d, b_n, k=2)
+
+    @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+    def test_count_never_exceeds_the_papers(self, case):
+        A, d, _b_d, b_n = _MEMO_CASES[case]
+        assert _memo_count(A, d, b_n) <= _paper_count(A, d, b_n)
+        _, stats = sketch_spmm(A, d, make_rng("philox", 0), kernel="algo4",
+                               b_d=d, b_n=A.shape[1])  # one column block
+        assert stats.samples_generated == _paper_count(A, d, A.shape[1])
+
+    def test_full_reuse_hands_back_the_kept_panel(self):
+        A, d, b_d, b_n = _MEMO_CASES["abnormal_a"]
+        B, _ = csc_to_blocked_csr(A, b_n)
+        memo, rng = PanelMemo(), make_rng("philox", 3)
+        out = np.zeros((b_d, b_n))
+        algo4_block(out, B.blocks[0], 0, rng, memo=memo)
+        (js, panel), = memo.kept(rng).values()
+        algo4_block(out, B.blocks[1], 0, rng, memo=memo)
+        assert memo.kept(rng)[(0, b_d)][1] is panel
+        assert rng.samples_generated == b_d * js.size
+        # Another generator, or another row block, samples its own.
+        other = make_rng("philox", 3)
+        algo4_block(out, B.blocks[1], 0, other, memo=memo)
+        algo4_block(out[:4], B.blocks[1], 5, rng, memo=memo)
+        assert other.samples_generated == b_d * js.size
+        assert rng.samples_generated == (b_d + 4) * js.size
+
+    def test_panel_over_the_cap_is_not_kept(self, monkeypatch):
+        A, d, b_d, b_n = _MEMO_CASES["abnormal_a"]
+        B, _ = csc_to_blocked_csr(A, b_n)
+        rows = B.blocks[0].nonempty_rows().size
+        monkeypatch.setattr(algo4, "MEMO_ENTRIES", b_d * rows - 1)
+        memo, rng = PanelMemo(), make_rng("philox", 3)
+        out = np.zeros((b_d, b_n))
+        algo4_block(out, B.blocks[0], 0, rng, memo=memo)
+        algo4_block(out, B.blocks[1], 0, rng, memo=memo)
+        assert memo.held() == 0
+        assert rng.samples_generated == 2 * b_d * rows
+        # A cap that fits one row block's panel but not two.
+        monkeypatch.setattr(algo4, "MEMO_ENTRIES", b_d * rows)
+        algo4_block(out, B.blocks[0], 0, rng, memo=memo)
+        algo4_block(out, B.blocks[0], 5, rng, memo=memo)
+        assert memo.held() == b_d * rows
+        got, stats = sketch_spmm(A, d, make_rng("philox", 3),
+                                 kernel="algo4", b_d=b_d, b_n=b_n)
+        ref, _ = sketch_spmm(A, d, make_rng("philox", 3), kernel="algo4",
+                             b_d=b_d, b_n=b_n, reference=True)
+        assert np.array_equal(got, ref)
+        assert _memo_count(A, d, b_n) < stats.samples_generated \
+            < _paper_count(A, d, b_n)
+
+
+def _serial_plan(A, d, b_d, b_n, **kw):
+    cfg = SketchConfig(kernel="algo4", rng_kind="philox", seed=3, b_d=b_d,
+                       b_n=b_n, resilience=kw.pop("resilience", None))
+    return Planner().compile(A, cfg, d=d, driver=kw.pop("driver", "serial"),
+                             **kw)
+
+
+class TestPanelMemoOnTheEngine:
+    def test_corrupted_rng_leaves_the_base_generators_panels_clean(self):
+        A, d, b_d, b_n = _MEMO_CASES["abnormal_a"]
+        plan = _serial_plan(A, d, b_d, b_n, resilience=ResilienceConfig(
+            max_retries=2, guardrail="recompute"))
+        clean = Runtime().run(plan, A)
+        bus = EventBus()
+        FaultInjector(FaultPlan([FaultSpec(kind="rng", task=(5, 18))])
+                      ).register(bus)
+        engine = PlanExecutionEngine(plan, A, plan.rng_factory(), bus=bus,
+                                     serial=True)
+        got, stats = engine.execute()
+        assert stats.health.corrupted_blocks_repaired == 1
+        assert np.array_equal(got, clean.sketch)
+        fresh = plan.rng_factory()(0)
+        kept = 0
+        for rng in engine._all_rngs:
+            for (r, d1), (js, panel) in engine.panels.kept(rng).items():
+                assert np.array_equal(panel,
+                                      fresh.column_block_batch(r, d1, js).T)
+                kept += panel.size
+        assert kept == engine.panels.held() > 0
+
+    def test_striped_serial_run_counts_as_an_unsharded_one(self):
+        A, d, b_d, b_n = _MEMO_CASES["random_sparse"]
+        ref = Runtime().run(_serial_plan(A, d, b_d, b_n), A)
+        res = Runtime().run(_serial_plan(
+            A, d, b_d, b_n, partition=PartitionSpec(shards=3)), A)
+        assert res.stats.extra["shards"] == 3
+        assert np.array_equal(res.sketch, ref.sketch)
+        assert res.stats.samples_generated == ref.stats.samples_generated \
+            == _memo_count(A, d, b_n)
+
+    def test_process_run_samples_every_block(self):
+        A, d, b_d, b_n = _MEMO_CASES["abnormal_a"]
+        res = Runtime().run(_serial_plan(
+            A, d, b_d, b_n, driver="process",
+            pool=WorkerPoolConfig(workers=2)), A)
+        ref = Runtime().run(_serial_plan(A, d, b_d, b_n), A)
+        assert np.array_equal(res.sketch, ref.sketch)
+        assert res.stats.samples_generated == _paper_count(A, d, b_n)

@@ -22,15 +22,32 @@ class TestRngVolumeCurve:
         assert curve[0][1] == 15 * A.nnz
 
     def test_matches_kernel_counter(self):
-        from repro.kernels import sketch_spmm
+        from repro.kernels import algo4_block, sketch_spmm
         from repro.rng import PhiloxSketchRNG
+        from repro.sparse import csc_to_blocked_csr
 
         A = random_sparse(120, 36, 0.1, seed=1803)
         d, b_n = 12, 9
         (_, vol), = rng_volume_curve(A, d, [b_n])
+        # The model is the paper's per-block algorithm: one algo4_block
+        # call per block, each with a fresh generator.
+        B, _ = csc_to_blocked_csr(A, b_n)
+        per_block = []
+        for blk in B.blocks:
+            rng = PhiloxSketchRNG(0)
+            algo4_block(np.zeros((d, blk.shape[1])), blk, 0, rng)
+            per_block.append(rng.samples_generated)
+        assert sum(per_block) == vol
+        # A plan-order run reuses each panel's rows in the next block.
         _, stats = sketch_spmm(A, d, PhiloxSketchRNG(0), kernel="algo4",
                                b_d=d, b_n=b_n)
-        assert stats.samples_generated == vol
+        prev, new_rows = set(), 0
+        for blk in B.blocks:
+            js = set(blk.nonempty_rows().tolist())
+            new_rows += len(js - prev)
+            prev = js or prev
+        assert stats.samples_generated == d * new_rows
+        assert stats.samples_generated <= vol
 
     def test_pattern_signatures(self):
         """Abnormal_A's curve collapses immediately; Abnormal_C's stays flat

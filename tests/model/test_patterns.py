@@ -5,11 +5,13 @@ Every closed-form expectation is validated against *exact* counts on
 matrices from the corresponding generator.
 """
 
+from math import ceil
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.kernels import sketch_spmm
+from repro.kernels import algo4_block, sketch_spmm
 from repro.model import (
     banded_costs,
     count_nonempty_rows_per_block,
@@ -18,7 +20,32 @@ from repro.model import (
     uniform_costs,
 )
 from repro.rng import PhiloxSketchRNG
-from repro.sparse import abnormal_a, abnormal_c, banded_sparse, random_sparse
+from repro.sparse import (abnormal_a, abnormal_c, banded_sparse,
+                          csc_to_blocked_csr, random_sparse)
+
+
+def _per_block_samples(A, d, b_n):
+    """The paper's per-block algorithm, which the model describes: one
+    ``algo4_block`` call per block, each with a fresh generator."""
+    B, _ = csc_to_blocked_csr(A, b_n)
+    total = 0
+    for blk in B.blocks:
+        rng = PhiloxSketchRNG(0)
+        algo4_block(np.zeros((d, blk.shape[1])), blk, 0, rng)
+        total += rng.samples_generated
+    return total
+
+
+def _plan_order_samples(A, d, b_n):
+    """``d * Σ_j |js_j \\ js_prev|``: a plan-order run samples only the
+    rows the last non-empty block did not have."""
+    B, _ = csc_to_blocked_csr(A, b_n)
+    prev, total = set(), 0
+    for blk in B.blocks:
+        js = set(blk.nonempty_rows().tolist())
+        total += len(js - prev)
+        prev = js or prev
+    return d * total
 
 
 class TestUniformCosts:
@@ -60,9 +87,13 @@ class TestDenseRowsCosts:
         m, n, period, b_n, d = 200, 40, 10, 8, 12
         A = abnormal_a(m, n, period=period, seed=2)
         costs = dense_rows_costs(m, n, d, b_n, period)
-        rng = PhiloxSketchRNG(0)
-        _, stats = sketch_spmm(A, d, rng, kernel="algo4", b_d=d, b_n=b_n)
-        assert stats.samples_generated == costs.rng_entries
+        assert _per_block_samples(A, d, b_n) == costs.rng_entries
+        # A plan-order run samples the dense rows once, not per block.
+        _, stats = sketch_spmm(A, d, PhiloxSketchRNG(0), kernel="algo4",
+                               b_d=d, b_n=b_n)
+        assert stats.samples_generated == _plan_order_samples(A, d, b_n) \
+            == d * ceil(m / period)
+        assert stats.samples_generated <= costs.rng_entries
 
     def test_reuse_is_strong(self):
         costs = dense_rows_costs(100_000, 10_000, 30_000, 1200, 1000)
@@ -89,9 +120,11 @@ class TestDenseColsCosts:
         m, n, period, b_n, d = 50, 200, 20, 20, 8
         A = abnormal_c(m, n, period=period, seed=4)
         costs = dense_cols_costs(m, n, d, b_n, period)
+        assert _per_block_samples(A, d, b_n) == costs.rng_entries
         _, stats = sketch_spmm(A, d, PhiloxSketchRNG(0), kernel="algo4",
                                b_d=d, b_n=b_n)
-        assert stats.samples_generated == pytest.approx(costs.rng_entries)
+        assert stats.samples_generated == _plan_order_samples(A, d, b_n)
+        assert stats.samples_generated <= costs.rng_entries
 
     def test_no_reuse_at_wide_blocks(self):
         # b_n >= period: reuse factor hits 1 / (nnz per active block row)

@@ -142,3 +142,49 @@ class TestTracer:
         bus.emit(PLAN_COMPILED, plan=make_plan(), driver="serial")
         assert bus.dropped_events[PLAN_COMPILED] == 1
         assert [s["name"] for s in tracer.to_dict()["spans"]] == ["run"]
+
+
+class TestBlockWork:
+    """``block`` spans carry the tile's time and samples, on every rung."""
+
+    @staticmethod
+    def _blocks(driver, threads=1):
+        from repro.core import SketchConfig
+        from repro.parallel import WorkerPoolConfig
+        from repro.plan import Planner, Runtime
+        from repro.sparse import abnormal_a
+
+        # fixed_a's shape, scaled down: every column block has the same
+        # 20 dense rows.
+        A = abnormal_a(2000, 100, period=100, seed=1)
+        cfg = SketchConfig(kernel="algo4", rng_kind="philox", seed=5,
+                           b_d=150, b_n=20, threads=threads)
+        bus = EventBus()
+        tracer = Tracer().attach(bus)
+        pool = WorkerPoolConfig(workers=2) if driver == "process" else None
+        result = Runtime(bus).run(
+            Planner().compile(A, cfg, d=300, driver=driver, pool=pool), A)
+        spans = [s["attrs"] for s in tracer.to_dict()["spans"]
+                 if s["name"] == "block"]
+        return spans, result.stats
+
+    def test_serial_run_samples_each_row_block_once(self):
+        blocks, stats = self._blocks("serial")
+        assert len(blocks) == 10
+        for attrs in blocks:
+            _i, j = attrs["task"]
+            assert attrs["samples"] == (150 * 20 if j == 0 else 0)
+            assert attrs["sample_seconds"] >= 0.0
+            assert attrs["compute_seconds"] > 0.0
+        assert stats.samples_generated == 300 * 20
+
+    @pytest.mark.parametrize("driver, threads",
+                             [("engine", 2), ("process", 1)])
+    def test_thread_and_process_runs_sample_every_block(self, driver,
+                                                        threads):
+        blocks, stats = self._blocks(driver, threads)
+        assert len(blocks) == 10
+        for attrs in blocks:
+            assert attrs["samples"] == 150 * 20
+            assert attrs["compute_seconds"] > 0.0
+        assert stats.samples_generated == 10 * 150 * 20

@@ -8,11 +8,15 @@ kernel (``sketch_spmm(..., reference=True)``) run on the same seed.
 Hypothesis sweeps driver {serial, engine on 1 or 2 threads, process on
 2 workers} x kernel {algo3, algo4} x batch {1, 3} x cache {none, cold,
 warm} x partition {none, 2 shards ``even``, 2 shards ``nnz_balanced``},
-and adds a fault that the drawn driver is expected to survive:
+on a uniform random matrix, and adds a fault that the drawn driver is
+expected to survive:
 ``raise`` and ``rng`` under a resilience policy on the engine,
 ``kill_worker`` and ``corrupt_tile`` on the process driver, and a
 ``bitflip`` in every payload of a warm cache.  A hung worker and a
-poison task that ends on the degradation ladder are explicit examples.
+poison task that ends on the degradation ladder are explicit examples,
+and so are runs on an Abnormal_A matrix, whose column blocks all share
+their non-empty rows: the serial rung then samples each row block's
+panel once and reuses it in every later column block.
 
 An unbatched case may also crash (batched plans refuse persistence): it
 checkpoints after every row block, a ``torn_write`` at snapshot ``s``
@@ -37,9 +41,11 @@ from repro.kernels import sketch_spmm
 from repro.parallel import ResilienceConfig, WorkerPoolConfig
 from repro.plan import PartitionSpec, PersistencePolicy, Planner, Runtime
 from repro.rng import make_rng
-from repro.sparse import random_sparse
+from repro.sparse import abnormal_a, random_sparse
 
 A = random_sparse(90, 24, 0.12, seed=2024)
+MATRICES = {"random_sparse": A,
+            "abnormal_a": abnormal_a(90, 24, period=6, seed=2024)}
 D, B_D, B_N = 24, 8, 6            # 3 x 4 = 12 block tasks
 TASKS = [(i, j) for i in range(0, D, B_D) for j in range(0, 24, B_N)]
 BATCH_SEEDS = (5, 17, 29)
@@ -73,6 +79,7 @@ class Case:
     crash: int = 0                # the snapshot whose write tears (0: none)
     resume_driver: str = "serial"
     resume_partition: str = "none"
+    matrix: str = "random_sparse"
 
 
 @st.composite
@@ -137,6 +144,7 @@ def _injector(case: Case):
 
 def _run(case: Case, cache_dir: Path | None,
          persistence: PersistencePolicy | None = None):
+    A = MATRICES[case.matrix]
     driver, _, threads = case.driver.partition("-")
     cfg = SketchConfig(kernel=case.kernel, rng_kind=case.rng_kind,
                        seed=case.seed, distribution=case.distribution,
@@ -158,8 +166,8 @@ def _run(case: Case, cache_dir: Path | None,
 def _reference(case: Case) -> np.ndarray:
     seeds = ([case.seed + s for s in BATCH_SEEDS] if case.batch > 1
              else [case.seed])
-    members = [sketch_spmm(A, D, make_rng(case.rng_kind, s,
-                                          case.distribution),
+    members = [sketch_spmm(MATRICES[case.matrix], D,
+                           make_rng(case.rng_kind, s, case.distribution),
                            kernel=case.kernel, b_d=B_D, b_n=B_N,
                            reference=True)[0]
                for s in seeds]
@@ -221,5 +229,10 @@ def _check(case: Case) -> None:
 @example(case=Case("engine-2", "algo3", 1, "none", "raise", (8, 18),
                    partition="even", crash=3, resume_driver="process-2",
                    resume_partition="even"))
+@example(case=Case("serial", "algo4", 3, "cold", "none",
+                   rng_kind="xoshiro", distribution="gaussian",
+                   partition="even", matrix="abnormal_a"))
+@example(case=Case("engine-1", "algo4", 1, "none", "rng", (8, 12),
+                   crash=2, resume_driver="serial", matrix="abnormal_a"))
 def test_every_driver_matches_the_reference(case):
     _check(case)
