@@ -87,17 +87,17 @@ serve-smoke:
 
 # Sharded-execution leg: the partition test suite (sharded output must
 # be bit-identical to unsharded across serial/engine/process drivers and
-# every strategy, including resume across a shard-count change), a CLI
-# smoke run, then the simulator-validation gate — the scaling model's
-# predicted sharded/unsharded ratio must land within tolerance of the
-# measured process-pool ratio (compared against reports/BENCH_shard.json).
+# shard counts, including resume across a shard-count change), a CLI
+# smoke run, then the shard gate — bit-identity, the executed shard
+# count, merge accounting, and the measured process-pool
+# sharded/unsharded ratio against reports/BENCH_shard.json.
 # Hard wall-clock timeouts so a wedged shard merge fails the build
 # instead of hanging it.
 shard-smoke:
 	timeout 300 python -m pytest tests/plan/test_partition.py \
 	  tests/persist/test_shard_resume.py -q
 	timeout 120 python -m repro sketch --random 400 80 0.05 --b-n 16 \
-	  --shards 3 --partition propagation
+	  --shards 3
 	timeout 600 python benchmarks/bench_shard_scaling.py
 
 # Batched multi-sketch leg: the batched-tier test suite (bit-identity of

@@ -262,12 +262,11 @@ def _shard_gate_lines() -> list[str]:
         flag = "  " if clean else "!!"
         return [
             "",
-            "sharded execution (simulator-validation gate baseline):",
-            f"{flag} {p.get('strategy', '?')} x{p.get('shards_requested', '?')}"
+            "sharded execution (gate baseline):",
+            f"{flag} x{p.get('shards_requested', '?')}"
             f"  unsharded {p['unsharded_seconds']:.3f}s -> sharded "
-            f"{p['sharded_seconds']:.3f}s (ratio measured "
-            f"{p['measured_ratio']:.3f} / predicted "
-            f"{p['predicted_ratio']:.3f})  merge={p['merge_seconds']:.4f}s  "
+            f"{p['sharded_seconds']:.3f}s (ratio "
+            f"{p['measured_ratio']:.3f})  merge={p['merge_seconds']:.4f}s  "
             f"bit-identical={'yes' if p.get('sketch_identical') else 'NO'}",
         ]
     except Exception as exc:  # noqa: BLE001

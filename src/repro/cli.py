@@ -106,15 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g_shard = sk.add_argument_group(
         "sharding", "partition the input into column shards that execute "
-        "as consecutive task groups of one run and commit in "
-        "propagation-blocking order (bit-identical to the unsharded run)")
+        "as consecutive task groups of one run, each with its own "
+        "checkpoint lineage (bit-identical to the unsharded run)")
     g_shard.add_argument("--shards", type=int, default=None,
                          help="number of column shards (default: unsharded; "
                               "capped at the plan's column-block count)")
-    g_shard.add_argument("--partition", default="even",
-                         choices=["even", "nnz_balanced", "propagation"],
-                         help="shard-boundary strategy for --shards "
-                              "(default: even)")
 
     g_resil = sk.add_argument_group(
         "resilience", "fault handling (any flag enables retries and the "
@@ -395,8 +391,7 @@ def _cmd_sketch(args) -> dict:
     if args.shards is not None:
         from .plan import PartitionSpec
 
-        partition = PartitionSpec(shards=args.shards,
-                                  strategy=args.partition)
+        partition = PartitionSpec(shards=args.shards)
     plan = Planner().compile(A, cfg, persistence=pol, driver=args.driver,
                              pool=pool, partition=partition, cache=cache)
     if args.plan_json:
@@ -429,7 +424,6 @@ def _cmd_sketch(args) -> dict:
     }
     if st.extra.get("shards"):
         out["shards"] = st.extra["shards"]
-        out["partition_strategy"] = st.extra.get("partition_strategy")
         out["merge_seconds"] = st.extra.get("merge_seconds", 0.0)
         resumed_shards = st.extra.get("shards_resumed", 0)
         if resumed_shards:

@@ -49,7 +49,7 @@ metric                          type      labels
 ``pool_workers_lost_total``     counter   ``reason`` (crashed/hung/shutdown)
 ``pool_respawns_total``         counter   —
 ``pool_requeues_total``         counter   ``reason``
-``shards_total``                counter   ``strategy`` (stripes started)
+``shards_total``                counter   — (stripes started)
 ``shard_merge_seconds``         histogram — (per-stripe merge latency)
 ``shard_merge_words_total``     counter   — (output words stripes commit)
 ``shard_requeues_total``        counter   ``shard`` (requeues while a shard ran)
@@ -208,9 +208,7 @@ class RunObserver:
             "pool_requeues_total",
             "Tasks requeued after a worker loss or failed commit.",
             ("reason",))
-        self._m_shards = r.counter(
-            "shards_total", "Stripes started, by strategy.",
-            ("strategy",))
+        self._m_shards = r.counter("shards_total", "Stripes started.")
         self._m_shard_merge_seconds = r.histogram(
             "shard_merge_seconds", "Per-stripe merge latency.")
         self._m_shard_merge_words = r.counter(
@@ -379,7 +377,7 @@ class RunObserver:
             self._m_shard_requeues.inc(shard=str(shard))
 
     def _on_shard_start(self, event) -> None:
-        self._m_shards.inc(strategy=str(event.get("strategy", "unknown")))
+        self._m_shards.inc()
         with self._lock:
             self._current_shard = event.get("shard")
             self._shards_seen += 1

@@ -15,8 +15,8 @@ a tree of :class:`Span` records:
   supervised process-pool worker (attrs carry the pid, whether the spawn
   was a warm respawn, and the loss reason);
 * ``shard_start``/``shard_merged`` bracket one ``shard`` span per column
-  shard of a partitioned run (attrs carry the column range, strategy,
-  nnz, and — once merged — the stripe-copy seconds and words);
+  shard of a partitioned run (attrs carry the column range and — once
+  merged — the stripe-copy seconds and words);
 * ``retry``, ``degraded``, ``task_requeued``, and ``shard_resumed``
   become zero-duration *annotations* attached to the trace.
 
@@ -213,9 +213,7 @@ class Tracer:
                         attrs={"shard": idx,
                                "shards": event.get("shards"),
                                "col_start": event.get("col_start"),
-                               "col_stop": event.get("col_stop"),
-                               "nnz": event.get("nnz"),
-                               "strategy": event.get("strategy")})
+                               "col_stop": event.get("col_stop")})
             self._open_shards[idx] = span
             self.spans.append(span)
 

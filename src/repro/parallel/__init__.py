@@ -5,9 +5,7 @@ model behind the Table VII reproduction."""
 
 from .bandwidth import (
     PredictedRun,
-    ShardedPrediction,
     bandwidth_at,
-    predict_sharded_time,
     predict_time,
     rng_rate_per_core,
 )
@@ -31,9 +29,7 @@ from .scaling import (
 
 __all__ = [
     "PredictedRun",
-    "ShardedPrediction",
     "bandwidth_at",
-    "predict_sharded_time",
     "predict_time",
     "rng_rate_per_core",
     "ProcessPoolSupervisor",

@@ -29,8 +29,7 @@ from ..model.machine import MachineModel
 from ..model.traffic import TrafficEstimate
 from ..utils.validation import check_positive_int
 
-__all__ = ["bandwidth_at", "rng_rate_per_core", "PredictedRun", "predict_time",
-           "ShardedPrediction", "predict_sharded_time"]
+__all__ = ["bandwidth_at", "rng_rate_per_core", "PredictedRun", "predict_time"]
 
 
 def bandwidth_at(machine: MachineModel, threads: int) -> float:
@@ -125,103 +124,4 @@ def predict_time(traffic: TrafficEstimate, machine: MachineModel,
         memory_seconds=memory_time,
         gflops=traffic.flops / seconds / 1e9,
         bound="compute" if compute_side >= memory_time else "memory",
-    )
-
-
-@dataclass(frozen=True)
-class ShardedPrediction:
-    """Model-predicted profile of a column-sharded, possibly multi-node run.
-
-    ``execute_seconds`` is the shard-execution wall time (nodes run their
-    shards concurrently; shards co-located on a node run serially, which
-    is exactly how one host runs a partitioned plan's stripes), and
-    ``merge_seconds`` is the propagation-blocking stripe-merge sweep that
-    reassembles ``Ahat`` on the root.
-    """
-
-    shards: int
-    nodes: int
-    threads: int
-    seconds: float
-    execute_seconds: float
-    merge_seconds: float
-    merge_words: float
-    gflops: float
-    bound: str  # "compute", "memory", or "merge"
-
-
-def predict_sharded_time(traffic: TrafficEstimate, machine: MachineModel,
-                         threads: int, h: float, *, shards: int,
-                         nodes: int = 1, weights=None,
-                         node_bandwidth_gbs: float | None = None,
-                         serial_seconds: float = 0.0) -> ShardedPrediction:
-    """Predict wall time of a run partitioned into column shards.
-
-    Every traffic component of one full sketch scales linearly with a
-    shard's share of columns/nnz, so a shard with weight ``w`` costs
-    ``w * time(full)``; ``weights`` carries the partition strategy's
-    (possibly uneven) shard sizes and defaults to an even split.
-
-    Shards are placed on ``nodes`` nodes by longest-processing-time
-    first; nodes execute concurrently, shards within a node serially.
-    The merge stage then streams every stripe into the root's output —
-    ``traffic.words_output`` words total (one write-allocate read plus
-    one write per element): stripes produced on the root move at local
-    memory bandwidth, stripes produced elsewhere cross the interconnect
-    at ``node_bandwidth_gbs`` (default: local bandwidth, i.e. the
-    single-host process pool whose workers share memory).  This merge
-    term is the reduction cost a naive strong-scaling estimate omits.
-
-    ``serial_seconds`` (e.g. Algorithm 4's format conversion) is charged
-    per shard pro rata: each shard converts only its own stripe.
-    """
-    shards = check_positive_int(shards, "shards")
-    nodes = check_positive_int(nodes, "nodes")
-    nodes = min(nodes, shards)
-    if weights is None:
-        weights = [1.0] * shards
-    weights = [float(w) for w in weights]
-    if len(weights) != shards:
-        raise ConfigError(
-            f"weights must have one entry per shard: got {len(weights)} "
-            f"for {shards} shard(s)")
-    if any(w < 0 for w in weights) or sum(weights) <= 0:
-        raise ConfigError("shard weights must be non-negative with a "
-                          "positive sum")
-    total_w = float(sum(weights))
-    base = predict_time(traffic, machine, threads, h)
-    costs = [(w / total_w) * (base.seconds + serial_seconds)
-             for w in weights]
-    # Longest-processing-time-first placement: heaviest shard onto the
-    # least-loaded node.  Node 0 is the root that owns the merged output.
-    loads = [0.0] * nodes
-    root_weight = 0.0
-    for i in sorted(range(shards), key=lambda i: -costs[i]):
-        j = min(range(nodes), key=loads.__getitem__)
-        loads[j] += costs[i]
-        if j == 0:
-            root_weight += weights[i] / total_w
-    execute_seconds = max(loads)
-    merge_words = traffic.words_output
-    local_bw = bandwidth_at(machine, 1)  # the merge sweep is one stream
-    link_bw = (node_bandwidth_gbs * 1e9 if node_bandwidth_gbs is not None
-               else local_bw)
-    if link_bw <= 0:
-        raise ConfigError(
-            f"node_bandwidth_gbs must be positive, got {node_bandwidth_gbs}")
-    local_words = merge_words * root_weight
-    remote_words = merge_words - local_words
-    merge_seconds = (local_words * 8.0 / local_bw
-                     + remote_words * 8.0 / min(local_bw, link_bw))
-    seconds = execute_seconds + merge_seconds
-    return ShardedPrediction(
-        shards=shards,
-        nodes=nodes,
-        threads=threads,
-        seconds=seconds,
-        execute_seconds=execute_seconds,
-        merge_seconds=merge_seconds,
-        merge_words=merge_words,
-        gflops=traffic.flops / seconds / 1e9,
-        bound="merge" if merge_seconds > execute_seconds else base.bound,
     )

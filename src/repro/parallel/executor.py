@@ -680,7 +680,7 @@ class PlanExecutionEngine:
 
             self.checkpoints = StripeCheckpoints(
                 self.plan, self.rng_factory(0), stripes, self.bus,
-                injector=self._injector)
+                injector=self._injector, health=self.health)
         ckpt = self.checkpoints
         all_tasks = list(iter_block_tasks(self.d, self.A.shape[1],
                                           self.b_d, self.b_n))

@@ -22,7 +22,7 @@ from ..model.machine import MachineModel
 from ..model.traffic import algo3_traffic, algo4_traffic
 from ..rng.base import SketchingRNG
 from ..sparse.csc import CSCMatrix
-from .bandwidth import predict_sharded_time, predict_time
+from .bandwidth import predict_time
 
 __all__ = ["ScalingPoint", "simulate_strong_scaling", "measure_strong_scaling",
            "parallel_efficiency"]
@@ -50,10 +50,6 @@ def simulate_strong_scaling(
     threads_list: Sequence[int],
     dist: str = "uniform",
     include_conversion: bool = False,
-    shards: int = 1,
-    nodes: int = 1,
-    shard_weights: Sequence[float] | None = None,
-    node_bandwidth_gbs: float | None = None,
 ) -> list[ScalingPoint]:
     """Predict time/GFlops across thread counts under the machine model.
 
@@ -61,13 +57,6 @@ def simulate_strong_scaling(
     bandwidth-bound serial pass over the matrix (its cost is O(m) pointer
     work per block plus an nnz shuffle — memory-intensive, per Section
     III-B).
-
-    ``shards > 1`` predicts the column-sharded execution instead: shard
-    sub-runs placed on ``nodes`` nodes (``shard_weights`` carries an
-    uneven partition; cross-node stripes merge at ``node_bandwidth_gbs``)
-    **plus the stripe-merge reduction** — a cost the unsharded estimator
-    rightly omits but that an earlier sharded estimate silently dropped,
-    making multi-shard speedups look free.
     """
     if kernel not in ("algo3", "algo4"):
         raise ConfigError(f"kernel must be 'algo3' or 'algo4', got {kernel!r}")
@@ -83,13 +72,7 @@ def simulate_strong_scaling(
         serial = conv_words * 8.0 / (machine.bandwidth_gbs * 1e9)
     points = []
     for p in threads_list:
-        if shards > 1:
-            run = predict_sharded_time(
-                traffic, machine, p, h, shards=shards, nodes=nodes,
-                weights=shard_weights, node_bandwidth_gbs=node_bandwidth_gbs,
-                serial_seconds=serial)
-        else:
-            run = predict_time(traffic, machine, p, h, serial_seconds=serial)
+        run = predict_time(traffic, machine, p, h, serial_seconds=serial)
         points.append(ScalingPoint(kernel, p, run.seconds, run.gflops, run.bound))
     return points
 

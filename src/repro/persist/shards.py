@@ -10,6 +10,12 @@ completion and cadence, the snapshot layout (``completed_rows`` state
 over one ``(r, Ahat[r:r+d1, c0:c1])`` payload per row block, shared with
 :func:`repartition_checkpoints`) and resume.  :func:`stripe_lineages`
 lists the lineages under a base directory.
+
+This is what a stripe buys on one host.  Tasks run column-outer, so an
+unsharded lineage completes a row block only in the last column sweep,
+while a stripe completes its row blocks after its own sweep: stripes
+set the checkpoint granularity, and their lineages let a run resume
+under another shard count.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..errors import CheckpointCorruptionError
 from .resume import latest_verified_snapshot
 from .snapshot import (
-    FINGERPRINT_KEYS,
     CheckpointManager,
     Snapshot,
     check_fingerprint,
@@ -32,9 +38,10 @@ from .snapshot import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
+    from ..parallel.resilience import RunHealth
     from ..plan.events import EventBus
     from ..plan.runtime import Stripes
-    from ..plan.spec import ShardPlan, SketchPlan
+    from ..plan.spec import SketchPlan
     from ..rng.base import SketchingRNG
 
 __all__ = ["StripeCheckpoints", "stripe_dir", "stripe_fingerprint",
@@ -64,8 +71,8 @@ def stripe_lineages(base: Path | str) -> list[tuple[int, int, Path]]:
 def stripe_fingerprint(plan: "SketchPlan", rng: "SketchingRNG", c0: int,
                        c1: int, sharded: bool) -> dict:
     """The run identity of the stripe over columns ``[c0, c1)``: the
-    stripe's width, plus its global column range when *sharded*.  Every
-    key is one a resume must match."""
+    stripe's width, plus its global column range when *sharded*.  A
+    resume must match every key but ``b_n`` (:func:`_resumable`)."""
     fp = run_fingerprint(
         mode="blocked", d=plan.problem.d, n=c1 - c0, b_d=plan.b_d,
         b_n=plan.b_n, kernel=plan.kernel, rng_kind=rng.family,
@@ -74,6 +81,26 @@ def stripe_fingerprint(plan: "SketchPlan", rng: "SketchingRNG", c0: int,
         fp["shard_col_start"] = int(c0)
         fp["shard_col_stop"] = int(c1)
     return fp
+
+
+def _resumable(fp: dict) -> tuple[str, ...]:
+    """The keys of *fp* a resume must match.  ``b_n`` is not one: the
+    column blocking moves no bit of a row block's stripe (the planner
+    narrows it for a fleet), and restored rows span whole stripes."""
+    return tuple(k for k in fp if k != "b_n")
+
+
+def _verified(directory: Path, health: "RunHealth | None" = None):
+    """The newest verified snapshot of a lineage, or ``None`` when it has
+    none or every one is damaged: a damaged lineage is recomputed, never
+    trusted, and named in *health*."""
+    try:
+        return latest_verified_snapshot(directory)
+    except CheckpointCorruptionError as exc:
+        if health is not None:
+            health.record(f"checkpoint lineage {directory}: recomputed "
+                          f"({exc})")
+        return None
 
 
 def _completed_rows(snap: Snapshot) -> set[int]:
@@ -99,17 +126,19 @@ class StripeCheckpoints:
     ``torn_write`` fault's crash propagates to its caller.  *rng* comes
     from the run's live factory, so the fingerprint names what ran;
     ``checkpoint_written`` fires on *bus*; *injector* reaches the
-    writer's storage faults (testing only).
+    writer's storage faults (testing only); *health* names each lineage
+    that had no verifiable snapshot.
     """
 
     def __init__(self, plan: "SketchPlan", rng: "SketchingRNG",
                  stripes: "Stripes", bus: "EventBus", *,
-                 injector: "FaultInjector | None" = None) -> None:
+                 injector: "FaultInjector | None" = None,
+                 health: "RunHealth | None" = None) -> None:
         policy = self.policy = plan.persistence
         self.plan, self.stripes, self._rng = plan, stripes, rng
-        self._bus, self._injector = bus, injector
+        self._bus, self._injector, self._health = bus, injector, health
         self._base = Path(policy.to_dict()["checkpoint_dir"])
-        self._seeded = (repartition_checkpoints(plan, stripes.shards, rng,
+        self._seeded = (repartition_checkpoints(plan, stripes.bounds, rng,
                                                 self._base)
                         if stripes.sharded and policy.resume else set())
         self.manager: CheckpointManager | None = None  # the stripe's lineage
@@ -125,8 +154,9 @@ class StripeCheckpoints:
         """Switch to stripe *k*, whose task group *tasks* writes *out*.
 
         A resumed run restores the stripe's completed row blocks into
-        *out*.  Returns the tasks still to run and, when rows were
-        restored, the stripe's ``shard_resumed`` fields.
+        *out*; a lineage with no verifiable snapshot is recomputed.
+        Returns the tasks still to run and, when rows were restored, the
+        stripe's ``shard_resumed`` fields.
         """
         c0, c1 = self._window = self.stripes.bounds[k]
         self._out = out
@@ -137,11 +167,11 @@ class StripeCheckpoints:
                               keep=self.policy.keep, injector=self._injector)
             if self.stripes.sharded
             else self.manager or self.policy.build_manager(self._injector))
-        snap = (latest_verified_snapshot(self.manager.directory)
+        snap = (_verified(self.manager.directory, self._health)
                 if self.policy.resume else None)
         if snap is not None:
             check_fingerprint(snap.fingerprint, self._fp,
-                              keys=tuple(self._fp))
+                              keys=_resumable(self._fp))
         self._done = _completed_rows(snap) if snap else set()
         self._since, resumed = 0, None
         if self._done:
@@ -195,41 +225,36 @@ class StripeCheckpoints:
                        snapshots_written=written, seconds=write.elapsed)
 
 
-def _verified(directory: Path):
-    try:
-        return latest_verified_snapshot(directory)
-    except Exception:  # noqa: BLE001 - damaged lineage: recompute
-        return None
-
-
 def repartition_checkpoints(plan: "SketchPlan",
-                            shards: "tuple[ShardPlan, ...]",
+                            bounds: tuple[tuple[int, int], ...],
                             rng: "SketchingRNG", base: Path) -> set[int]:
     """Seed each stripe's checkpoint lineage from prior verified state.
 
-    A resumed sharded run may use a *different* shard count than the
-    interrupted one.  Stripe lineages are keyed by column range, so
-    this pass re-partitions: for every new stripe without its own
-    usable snapshot, it assembles the stripe's payload from the
-    verified snapshots of overlapping prior stripes (any layout,
-    including the unsharded base-directory lineage treated as one
-    full-width stripe) and writes it as the stripe's first snapshot.
-    A row block counts as completed only when *every* overlapping prior
-    stripe completed it — partial rows are simply recomputed, which is
-    always correct (generators are coordinate-keyed).  Damaged or
-    fingerprint-incompatible prior state is skipped, never trusted: the
-    fallback is a fresh compute, not a wrong resume.
+    A resumed sharded run may use *different* stripe *bounds* than the
+    interrupted one (another shard count, or another ``b_n``).  Stripe
+    lineages are keyed by column range, so this pass re-partitions: for
+    every new stripe without its own usable snapshot, it assembles the
+    stripe's payload from the verified snapshots of overlapping prior
+    stripes (any layout, including the unsharded base-directory lineage
+    treated as one full-width stripe) and writes it as the stripe's
+    first snapshot.  A row block counts as completed only when *every*
+    overlapping prior stripe completed it — partial rows are simply
+    recomputed, which is always correct (generators are
+    coordinate-keyed).  Damaged or fingerprint-incompatible prior state
+    is skipped, never trusted: the fallback is a fresh compute, not a
+    wrong resume.
 
-    Returns the indices of the shards it seeded.
+    Returns the indices of the stripes it seeded.
     """
     # Prior state is re-partitionable when its width matches its range
-    # and every stripe-independent key matches.
+    # and every other resumable key matches.
     ref = stripe_fingerprint(plan, rng, 0, plan.problem.n, sharded=False)
+    keys = [k for k in _resumable(ref) if k != "n"]
 
     def usable(snap, width: int) -> bool:
         fp = snap.fingerprint if snap is not None else {}
-        return fp.get("n") == width and all(
-            fp.get(k) == ref[k] for k in FINGERPRINT_KEYS if k != "n")
+        return fp.get("n") == width and all(fp.get(k) == ref[k]
+                                            for k in keys)
 
     sources = [(o0, o1, snap) for o0, o1, path in stripe_lineages(base)
                if usable(snap := _verified(path), o1 - o0)]
@@ -239,12 +264,11 @@ def repartition_checkpoints(plan: "SketchPlan",
         sources.append((0, plan.problem.n, legacy))
 
     seeded: set[int] = set()
-    for shard in shards:
-        c0, c1 = shard.col_start, shard.col_stop
+    for k, (c0, c1) in enumerate(bounds):
         fp = stripe_fingerprint(plan, rng, c0, c1, sharded=True)
         own = _verified(stripe_dir(base, c0, c1))
-        if own is not None and all(own.fingerprint.get(k) == v
-                                   for k, v in fp.items()):
+        if own is not None and all(own.fingerprint.get(key) == fp[key]
+                                   for key in _resumable(fp)):
             continue
         overlaps = sorted(
             ((o0, o1, snap) for o0, o1, snap in sources
@@ -261,7 +285,7 @@ def repartition_checkpoints(plan: "SketchPlan",
             _completed_rows(snap) for _o0, _o1, snap in overlaps)))
         if not row_list:
             continue
-        arr = np.zeros((plan.problem.d, shard.ncols), dtype=np.float64)
+        arr = np.zeros((plan.problem.d, c1 - c0), dtype=np.float64)
         for o0, o1, snap in overlaps:
             old = snap.load_array(verify=False)  # verified at discovery
             a0, a1 = max(c0, o0), min(c1, o1)
@@ -269,5 +293,5 @@ def repartition_checkpoints(plan: "SketchPlan",
         _save_rows(CheckpointManager(stripe_dir(base, c0, c1),
                                      keep=plan.persistence.keep),
                    arr, row_list, fp, plan.b_d)
-        seeded.add(shard.index)
+        seeded.add(k)
     return seeded

@@ -45,13 +45,11 @@ from .events import (
 )
 from .policy import PersistencePolicy
 from .spec import (
-    PARTITION_STRATEGIES,
     PLAN_FORMAT_VERSION,
     PartitionSpec,
     PlanDecision,
     ProblemSpec,
     RngSpec,
-    ShardPlan,
     SketchPlan,
     compute_shards,
     resilience_from_dict,
@@ -84,12 +82,10 @@ __all__ = [
     "FAULT_HOOK_EVENTS",
     "PersistencePolicy",
     "PLAN_FORMAT_VERSION",
-    "PARTITION_STRATEGIES",
     "ProblemSpec",
     "RngSpec",
     "PlanDecision",
     "PartitionSpec",
-    "ShardPlan",
     "compute_shards",
     "SketchPlan",
     "resilience_to_dict",

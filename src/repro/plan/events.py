@@ -109,9 +109,9 @@ CACHE_EVICTED = "cache_evicted"
 
 #: Sharded-execution events (partitioned plans only): ``shard_start``
 #: when the runtime begins one shard's task group (payload ``shard``,
-#: ``shards``, ``col_start``, ``col_stop``, ``nnz``, ``strategy``),
-#: ``shard_merged`` after its partial result is folded into the final
-#: sketch in propagation-blocking order (payload ``shard``,
+#: ``shards``, ``col_start``, ``col_stop``), ``shard_merged`` after its
+#: partial result is folded into the final sketch, in ascending column
+#: order (payload ``shard``,
 #: ``col_start``, ``col_stop``, ``seconds`` — the measured merge cost —
 #: and ``words`` — output words propagated), and ``shard_resumed`` when
 #: a shard restored verified checkpoint state (payload ``shard``,

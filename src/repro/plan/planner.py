@@ -111,10 +111,9 @@ class Planner:
         ``config.b_n`` pins it, ``b_n`` narrows (``b_d`` never moves,
         so the sketch keeps every bit).  *partition* requests sharded
         execution: a :class:`~repro.plan.PartitionSpec` (or a bare shard
-        count, which selects the ``even`` strategy) that the runtime
-        resolves into column stripes run as consecutive task groups of
-        the one driver run; every strategy produces a
-        sketch bit-identical to the unsharded run.  *batch_seeds* (a
+        count) that the runtime resolves into column stripes run as
+        consecutive task groups of the one driver run, with a sketch
+        bit-identical to the unsharded run's.  *batch_seeds* (a
         sequence of per-sketch seeds) compiles a *batched* plan: the run
         produces a ``(len(batch_seeds), d, n)`` stack whose slice ``[t]``
         is bit-identical to the single-sketch plan seeded with
@@ -277,14 +276,14 @@ class Planner:
         else:
             cfg_seed = cfg.seed
 
-        # Partition: normalize a bare shard count, record the strategy.
+        # Partition: normalize a bare shard count.
         if isinstance(partition, int):
             partition = PartitionSpec(shards=partition)
         if partition is not None and partition.shards > 1:
             n_blocks = (n + b_n - 1) // b_n
             decisions.append(PlanDecision(
                 field="partition",
-                value=f"{partition.shards} x {partition.strategy}",
+                value=f"{partition.shards} stripes",
                 reason=("column stripes cut at b_n boundaries; "
                         "bit-identical to unsharded (RNG entries keyed on "
                         "(row block, sparse row), never the column offset)"),

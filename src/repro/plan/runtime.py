@@ -49,7 +49,7 @@ from .events import (
     SHARD_START,
     EventBus,
 )
-from .spec import ShardPlan, SketchPlan, compute_shards
+from .spec import SketchPlan, compute_shards
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cache.policy import CachePolicy
@@ -81,33 +81,30 @@ class Stripes:
 
     Every driver runs one column-outer task list over the whole input;
     stripe ``k`` is the contiguous run of tasks whose column offset lies
-    in ``bounds[k]``, closed by :meth:`commit`.  An unsharded run is one
-    full-width stripe with no shard identity: its barrier emits no event
-    and records no extra.
+    in ``bounds[k]`` (``(c0, c1)``, from
+    :func:`~repro.plan.compute_shards`), closed by :meth:`commit`.  An
+    unsharded run is one full-width stripe with no shard identity: its
+    barrier emits no event and records no extra.
 
     Stripes are ``b_n``-aligned and both generator families key entries
     on ``(row-block offset, sparse row index)``, never the column
-    offset, so the stripe order moves no bit of the sketch.  Stripes
-    commit in ascending column order (the propagation-blocking sweep of
-    Gu et al.); the measured cost of each barrier's merge is surfaced as
-    ``merge_seconds`` / ``merge_words`` in the run's stats and on each
-    ``shard_merged`` event.
+    offset, so the stripe order moves no bit of the sketch.  What a
+    stripe buys is a checkpoint lineage that completes its row blocks
+    after its own sweep (:mod:`repro.persist.shards`).  The measured
+    cost of each barrier's merge is surfaced as ``merge_seconds`` /
+    ``merge_words`` in the run's stats and on each ``shard_merged``
+    event.
     """
 
     def __init__(self, plan: SketchPlan, bus: EventBus,
-                 shards: tuple[ShardPlan, ...] = ()) -> None:
+                 bounds: tuple[tuple[int, int], ...] = ()) -> None:
         self.plan = plan
         self.bus = bus
-        self.shards = tuple(shards)
-        self.bounds = (tuple((s.col_start, s.col_stop) for s in self.shards)
-                       or ((0, plan.problem.n),))
+        self.sharded = bool(bounds)
+        self.bounds = tuple(bounds) or ((0, plan.problem.n),)
         self.merge_seconds = 0.0
         self.merge_words = 0
         self.resumed = 0
-
-    @property
-    def sharded(self) -> bool:
-        return bool(self.shards)
 
     def tasks(self, k: int) -> slice:
         """Stripe *k*'s run of the column-outer task list
@@ -120,11 +117,9 @@ class Stripes:
     def start(self, k: int) -> None:
         """Announce that stripe *k*'s task group begins."""
         if self.sharded:
-            shard = self.shards[k]
-            self.bus.emit(SHARD_START, shard=k, shards=len(self.shards),
-                          col_start=shard.col_start,
-                          col_stop=shard.col_stop, nnz=shard.nnz,
-                          strategy=self.plan.partition.strategy)
+            c0, c1 = self.bounds[k]
+            self.bus.emit(SHARD_START, shard=k, shards=len(self.bounds),
+                          col_start=c0, col_stop=c1)
 
     def commit(self, k: int, merge: Callable[[int, int], None],
                resumed: dict | None = None) -> None:
@@ -151,8 +146,7 @@ class Stripes:
         """Stamp the run's partition accounting onto its stats."""
         if not self.sharded:
             return
-        stats.extra["shards"] = len(self.shards)
-        stats.extra["partition_strategy"] = self.plan.partition.strategy
+        stats.extra["shards"] = len(self.bounds)
         stats.extra["merge_seconds"] = self.merge_seconds
         stats.extra["merge_words"] = self.merge_words
         if self.plan.persistence.enabled:
@@ -317,7 +311,9 @@ class Runtime:
                     f"one of: {', '.join(sorted(_DRIVERS))}"
                 ) from None
         self.bus.emit(PLAN_COMPILED, plan=plan, driver=driver_name)
-        stripes = self._stripes(plan, A)
+        stripes = Stripes(plan, self.bus, () if plan.partition is None
+                          else compute_shards(plan.partition,
+                                              n=plan.problem.n, b_n=plan.b_n))
         Ahat, stats = driver(self, plan, A, factory, blocked, injector,
                              stripes)
         stripes.record(stats)
@@ -346,18 +342,6 @@ class Runtime:
         self.bus.emit(DONE, plan=plan, stats=stats, driver=driver_name)
         return SketchResult(sketch=Ahat, stats=stats,
                             kernel_used=plan.kernel, scale=s, plan=plan)
-
-    # -- sharded execution ---------------------------------------------------
-
-    def _stripes(self, plan: SketchPlan, A: "CSCMatrix") -> Stripes:
-        """Resolve the plan's partition into the run's column stripes:
-        contiguous, ``b_n``-aligned (:func:`~repro.plan.compute_shards`),
-        or one full-width stripe for an unsharded plan."""
-        if plan.partition is None:
-            return Stripes(plan, self.bus)
-        return Stripes(plan, self.bus, compute_shards(
-            plan.partition, n=plan.problem.n, b_n=plan.b_n,
-            col_nnz=A.col_nnz()))
 
     # -- artifact-cache plumbing --------------------------------------------
 

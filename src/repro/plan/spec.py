@@ -35,12 +35,10 @@ from .policy import PersistencePolicy
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
-    "PARTITION_STRATEGIES",
     "ProblemSpec",
     "RngSpec",
     "PlanDecision",
     "PartitionSpec",
-    "ShardPlan",
     "SketchPlan",
     "compute_shards",
     "resilience_to_dict",
@@ -51,29 +49,6 @@ PLAN_FORMAT_VERSION = 1
 
 _PLAN_KERNELS = ("algo3", "algo4", "pregen")
 _DRIVERS = ("auto", "serial", "engine", "process")
-
-#: Column-partition strategies for sharded execution.  All three produce
-#: contiguous, ``b_n``-aligned column stripes (the invariant that makes
-#: sharded output bit-identical to unsharded: both RNG families key
-#: entries on ``(row-block offset, sparse row index)``, never on the
-#: column offset, so any b_n-aligned column split realizes exactly the
-#: same entries) — they differ in how the stripe boundaries are chosen:
-#:
-#: ``even``
-#:     Equal number of column *blocks* per shard.
-#: ``nnz_balanced``
-#:     Contiguous split balancing stored nonzeros per shard — the
-#:     sparsity-aware distribution of Hong et al. (arXiv 2408.14558),
-#:     which balances kernel work when column mass is skewed.
-#: ``propagation``
-#:     Contiguous split balancing *merged output words* (columns) per
-#:     shard — propagation blocking (Gu et al., arXiv 2002.11302): the
-#:     merge stage is bandwidth-bound, so shards are sized by the words
-#:     each one propagates into the final sketch, and partial results
-#:     are always merged in ascending column order (the
-#:     propagation-blocking sweep: sequential writes through the
-#:     output).
-PARTITION_STRATEGIES = ("even", "nnz_balanced", "propagation")
 
 
 # -- resilience serialization ------------------------------------------------
@@ -270,151 +245,49 @@ class PlanDecision:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How a plan's column space is sharded across task groups.
+    """How many column stripes a plan's run commits in.
 
-    Attributes
-    ----------
-    shards:
-        Requested shard count (the runtime caps it at the number of
-        column blocks, so tiny problems never get empty shards).
-    strategy:
-        One of :data:`PARTITION_STRATEGIES`.
+    The runtime resolves it with :func:`compute_shards`; the shard count
+    is capped at the number of column blocks, so tiny problems never get
+    empty stripes.
     """
 
     shards: int
-    strategy: str = "even"
 
     def __post_init__(self) -> None:
         check_positive_int(self.shards, "shards")
-        check_choice(self.strategy, "partition strategy",
-                     PARTITION_STRATEGIES)
 
     def to_dict(self) -> dict:
-        return {"shards": int(self.shards), "strategy": self.strategy}
+        # The one stripe rule left; recorded so plan digests stay put.
+        return {"shards": int(self.shards), "strategy": "even"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PartitionSpec":
-        return cls(shards=int(data.get("shards", 1)),
-                   strategy=data.get("strategy", "even"))
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """One shard's identity inside a partitioned run.
-
-    A shard owns the contiguous, ``b_n``-aligned global column range
-    ``[col_start, col_stop)`` of the input (and therefore the same
-    column stripe of the output sketch).  The driver runs the stripe's
-    block tasks as one contiguous group of the run's task list; the
-    range also names the stripe's checkpoint lineage.
-    """
-
-    index: int          # shard ordinal, 0-based
-    shards: int         # total shard count in this partition
-    col_start: int      # inclusive global column offset
-    col_stop: int       # exclusive global column offset
-    nnz: int | None = None  # stored entries inside the stripe, when known
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.shards, "shards")
-        if not 0 <= self.index < self.shards:
+        strategy = data.get("strategy", "even")
+        if strategy != "even":
             raise ConfigError(
-                f"shard index {self.index} out of range for "
-                f"{self.shards} shard(s)")
-        if not 0 <= self.col_start < self.col_stop:
-            raise ConfigError(
-                f"shard column range [{self.col_start}, {self.col_stop}) "
-                f"is empty or negative")
-
-    @property
-    def ncols(self) -> int:
-        """Stripe width in columns."""
-        return self.col_stop - self.col_start
+                f"partition strategy must be 'even' (stripes hold equal "
+                f"column-block counts), got {strategy!r}")
+        return cls(shards=int(data.get("shards", 1)))
 
 
-def compute_shards(spec: "PartitionSpec", *, n: int, b_n: int,
-                   col_nnz=None) -> tuple["ShardPlan", ...]:
-    """Resolve a :class:`PartitionSpec` into concrete column stripes.
+def compute_shards(spec: PartitionSpec, *, n: int,
+                   b_n: int) -> tuple[tuple[int, int], ...]:
+    """The column stripes of a partitioned plan, as ``(c0, c1)`` bounds.
 
-    Every strategy cuts at column-block boundaries (multiples of *b_n*),
-    so within-shard blocking coincides exactly with the unsharded
-    blocking and the sharded run realizes identical RNG entries.  The
-    requested shard count is capped at the number of column blocks.
-
-    Parameters
-    ----------
-    n, b_n:
-        Global column count and the plan's column blocking.
-    col_nnz:
-        Per-column stored-entry counts (``A.col_nnz()``); required for
-        the ``nnz_balanced`` strategy, used to annotate shard ``nnz``
-        for the others when provided.
+    Stripe ``k`` of ``K`` ends at column block ``ceil((k + 1) B / K)`` of
+    the ``B`` blocks, so every stripe holds ``floor(B / K)`` or
+    ``ceil(B / K)`` blocks.  Cuts fall on multiples of *b_n*, so
+    within-stripe blocking is the unsharded blocking and a sharded run
+    realizes the same entries of ``S``.
     """
     check_positive_int(n, "n")
     check_positive_int(b_n, "b_n")
-    n_blocks = (n + b_n - 1) // b_n
+    n_blocks = -(-n // b_n)
     shards = min(spec.shards, n_blocks)
-    block_cols = [min(b_n, n - b * b_n) for b in range(n_blocks)]
-    block_nnz = None
-    if col_nnz is not None:
-        counts = [int(c) for c in col_nnz]
-        if len(counts) != n:
-            raise ConfigError(
-                f"col_nnz has {len(counts)} entries, expected n={n}")
-        block_nnz = [sum(counts[b * b_n:b * b_n + block_cols[b]])
-                     for b in range(n_blocks)]
-    if spec.strategy == "even":
-        weights = [1] * n_blocks
-    elif spec.strategy == "propagation":
-        # Balance the words each shard propagates into the output: the
-        # merge sweep is bandwidth-bound, so weight = stripe columns.
-        weights = block_cols
-    else:  # nnz_balanced
-        if block_nnz is None:
-            raise ConfigError(
-                "the 'nnz_balanced' partition strategy requires per-column "
-                "nonzero counts (pass col_nnz=A.col_nnz())")
-        # Guard the all-empty degenerate case: fall back to even blocks.
-        weights = block_nnz if sum(block_nnz) > 0 else [1] * n_blocks
-    total = float(sum(weights))
-    plans = []
-    block = 0
-    acc = 0.0
-    for s in range(shards):
-        start_block = block
-        if s == shards - 1:
-            # The final shard owns every remaining block unconditionally.
-            # The quantile loop below stops as soon as the cumulative
-            # weight reaches the total, which strands trailing
-            # zero-weight blocks (e.g. empty trailing columns under
-            # ``nnz_balanced``) outside every stripe — the stripes must
-            # cover [0, n) exactly regardless of the weight profile.
-            block = n_blocks
-        else:
-            target = total * (s + 1) / shards
-            # Take blocks until the cumulative weight reaches this
-            # shard's quantile, but always leave one block per remaining
-            # shard.
-            while block < n_blocks - (shards - s - 1):
-                acc += weights[block]
-                block += 1
-                if acc >= target - 1e-9 and block > start_block:
-                    break
-            if block == start_block:  # forced minimum of one block
-                acc += weights[block]
-                block += 1
-        c0 = start_block * b_n
-        c1 = min(n, block * b_n)
-        nnz = (None if block_nnz is None
-               else sum(block_nnz[start_block:block]))
-        plans.append(ShardPlan(index=s, shards=shards, col_start=c0,
-                               col_stop=c1, nnz=nnz))
-    if plans[-1].col_stop != n:
-        raise ConfigError(
-            f"internal error: shard stripes cover "
-            f"[0, {plans[-1].col_stop}) but n={n}; please report this "
-            f"(spec={spec!r}, b_n={b_n})")
-    return tuple(plans)
+    ends = [-(-(s + 1) * n_blocks // shards) for s in range(shards)]
+    return tuple((b0 * b_n, min(n, b1 * b_n))
+                 for b0, b1 in zip([0] + ends, ends))
 
 
 # -- the plan ---------------------------------------------------------------
@@ -721,9 +594,7 @@ class SketchPlan:
                 f"max_requeues={self.pool.max_requeues}, "
                 f"max_respawns={self.pool.max_respawns}")
         if self.partition is not None:
-            lines.append(
-                f"  partition   : shards={self.partition.shards}, "
-                f"strategy={self.partition.strategy}")
+            lines.append(f"  partition   : shards={self.partition.shards}")
         if self.decisions:
             lines.append("decisions:")
             for dec in self.decisions:

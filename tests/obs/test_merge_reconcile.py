@@ -37,8 +37,7 @@ def sharded_run(A, seed=11, observe=False):
     obs = RunObserver(trace=False).attach(rt.bus) if observe else None
     merged = []
     rt.bus.subscribe(SHARD_MERGED, lambda e: merged.append(e.payload))
-    plan = Planner().compile(A, cfg, partition=PartitionSpec(
-        shards=SHARDS, strategy="propagation"))
+    plan = Planner().compile(A, cfg, partition=PartitionSpec(shards=SHARDS))
     result = rt.run(plan, A)
     return result, merged, obs
 

@@ -21,8 +21,7 @@ def _run_sharded(observer_kwargs=None):
                        seed=11, b_d=16, b_n=16)
     rt = Runtime()
     obs = RunObserver(**(observer_kwargs or {})).attach(rt.bus)
-    plan = Planner().compile(A, cfg, partition=PartitionSpec(
-        shards=4, strategy="propagation"))
+    plan = Planner().compile(A, cfg, partition=PartitionSpec(shards=4))
     result = rt.run(plan, A)
     assert rt.bus.dropped_total() == 0
     return obs, result
@@ -34,8 +33,7 @@ class TestShardMetrics:
         snap = obs.metrics_dict()
         by_name = {f["name"]: f for f in snap["metrics"]}
         shards = by_name["repro_shards_total"]["samples"]
-        assert shards == [{"labels": {"strategy": "propagation"},
-                           "value": 4.0}]
+        assert shards == [{"labels": {}, "value": 4.0}]
         merge = by_name["repro_shard_merge_seconds"]["samples"][0]
         assert merge["count"] == 4
         assert merge["sum"] >= 0.0
@@ -47,8 +45,7 @@ class TestShardMetrics:
     def test_requeues_labeled_by_active_shard(self):
         bus = EventBus()
         obs = RunObserver(trace=False).attach(bus)
-        bus.emit(SHARD_START, shard=2, shards=4, col_start=32, col_stop=48,
-                 nnz=10, strategy="even")
+        bus.emit(SHARD_START, shard=2, shards=4, col_start=32, col_stop=48)
         bus.emit(TASK_REQUEUED, reason="worker_crashed", task=(0, 0))
         bus.emit(SHARD_MERGED, shard=2, col_start=32, col_stop=48,
                  seconds=0.001, words=100)
@@ -84,7 +81,8 @@ class TestShardSpans:
         assert len(spans) == 4
         for s in spans:
             assert s.end is not None
-            assert s.attrs["strategy"] == "propagation"
+            assert set(s.attrs) >= {"shard", "shards", "col_start",
+                                    "col_stop"}
             assert s.attrs["merge_seconds"] >= 0.0
             assert s.attrs["merge_words"] > 0
             assert "unfinished" not in s.attrs
@@ -107,8 +105,7 @@ class TestShardSpans:
 
         bus = EventBus()
         obs = RunObserver().attach(bus)
-        bus.emit(SHARD_START, shard=0, shards=2, col_start=0, col_stop=48,
-                 nnz=5, strategy="even")
+        bus.emit(SHARD_START, shard=0, shards=2, col_start=0, col_stop=48)
         bus.emit(DONE, stats=None)
         spans = [s for s in obs.tracer.spans if s.name == "shard"]
         assert len(spans) == 1

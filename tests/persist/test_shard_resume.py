@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import SketchConfig
+from repro.parallel import WorkerPoolConfig
 from repro.plan import (
     SHARD_RESUMED,
     PartitionSpec,
@@ -53,7 +54,7 @@ def stall(event):
 rt.bus.subscribe(SHARD_MERGED, stall)
 plan = Planner().compile(
     A, cfg, persistence=PersistencePolicy(checkpoint_dir=ckdir, every=1),
-    partition=PartitionSpec(shards=4, strategy="even"))
+    partition=PartitionSpec(shards=4))
 rt.run(plan, A)
 """
 
@@ -106,7 +107,7 @@ def test_sigkill_then_resume_with_fewer_shards_bit_identical(tmp_path):
         A, _cfg(),
         persistence=PersistencePolicy(checkpoint_dir=str(tmp_path), every=1,
                                       resume=True),
-        partition=PartitionSpec(shards=2, strategy="even"))
+        partition=PartitionSpec(shards=2))
     res = rt.run(plan, A)
 
     ref = Runtime().run(Planner().compile(A, _cfg()), A)
@@ -129,7 +130,7 @@ def test_clean_resume_with_different_shard_count(tmp_path):
     first = Runtime().run(Planner().compile(
         A, _cfg(),
         persistence=PersistencePolicy(checkpoint_dir=str(tmp_path), every=1),
-        partition=PartitionSpec(shards=4, strategy="even")), A)
+        partition=PartitionSpec(shards=4)), A)
 
     rt = Runtime()
     resumed_events = []
@@ -138,7 +139,7 @@ def test_clean_resume_with_different_shard_count(tmp_path):
         A, _cfg(),
         persistence=PersistencePolicy(checkpoint_dir=str(tmp_path), every=1,
                                       resume=True),
-        partition=PartitionSpec(shards=2, strategy="even"))
+        partition=PartitionSpec(shards=2))
     res = rt.run(plan, A)
     np.testing.assert_array_equal(res.sketch, first.sketch)
     assert len(resumed_events) == 2
@@ -162,8 +163,34 @@ def test_legacy_unsharded_checkpoints_seed_a_sharded_resume(tmp_path):
         A, _cfg(),
         persistence=PersistencePolicy(checkpoint_dir=str(tmp_path), every=1,
                                       resume=True),
-        partition=PartitionSpec(shards=3, strategy="propagation"))
+        partition=PartitionSpec(shards=3))
     res = rt.run(plan, A)
     np.testing.assert_array_equal(res.sketch, first.sketch)
     assert len(resumed_events) == 3
     assert all(e.get("repartitioned") for e in resumed_events)
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_a_process_lineage_resumes_on_the_serial_driver(tmp_path, shards):
+    """The planner narrows an unpinned ``b_n`` for a worker fleet.  The
+    column blocking moves no bit, so a checkpointed process run resumes
+    on the serial driver, whose ``b_n`` is wider, with every row
+    restored."""
+    A = random_sparse(200, 60, 0.05, seed=13)
+    cfg = SketchConfig(kernel="algo4", rng_kind="philox", seed=7)
+
+    def plan(driver, **policy):
+        return Planner().compile(
+            A, cfg, driver=driver, partition=shards,
+            pool=WorkerPoolConfig(workers=2) if driver == "process" else None,
+            persistence=PersistencePolicy(checkpoint_dir=str(tmp_path),
+                                          every=1, **policy))
+
+    fleet = plan("process")
+    Runtime().run(fleet, A)
+    serial = plan("serial", resume=True)
+    assert serial.b_n != fleet.b_n
+    res = Runtime().run(serial, A)
+    assert res.stats.extra["resumed_from"] is not None
+    ref = Runtime().run(Planner().compile(A, cfg, driver="serial"), A)
+    np.testing.assert_array_equal(res.sketch, ref.sketch)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import SketchConfig
 from repro.kernels import iter_block_tasks
+from repro.parallel import RunHealth
 from repro.persist import latest_verified_snapshot
 from repro.persist.shards import StripeCheckpoints, stripe_dir
 from repro.plan import (
@@ -35,7 +36,8 @@ def A():
     return random_sparse(60, 30, 0.1, seed=3)
 
 
-def owner(A, tmp_path, *, every=1, resume=False, partition=None):
+def owner(A, tmp_path, *, every=1, resume=False, partition=None,
+          health=None):
     plan = Planner().compile(
         A, SketchConfig(kernel="algo3", seed=5, b_d=B_D, b_n=B_N), d=D,
         driver="engine", partition=partition,
@@ -47,8 +49,8 @@ def owner(A, tmp_path, *, every=1, resume=False, partition=None):
     shards = () if partition is None else compute_shards(
         partition, n=A.shape[1], b_n=B_N)
     stripes = Stripes(plan, bus, shards)
-    return StripeCheckpoints(plan, plan.rng_factory()(0), stripes, bus), \
-        stripes, saves
+    return StripeCheckpoints(plan, plan.rng_factory()(0), stripes, bus,
+                             health=health), stripes, saves
 
 
 def tasks():
@@ -121,9 +123,26 @@ def test_resume_returns_exactly_the_unfinished_rows(A, tmp_path):
     assert not fresh[4:8].any()
 
 
+def test_a_lineage_with_no_verifiable_snapshot_is_recomputed(A, tmp_path):
+    ck, _stripes, _saves = owner(A, tmp_path)
+    ck.enter(0, tasks(), accumulator())
+    for i, _d1, _j, _n1 in tasks():
+        ck.commit(i)
+    for payload in tmp_path.glob("snapshot-*/block-*.npy"):
+        payload.write_bytes(payload.read_bytes()[:10])  # tear every one
+
+    health = RunHealth()
+    again, _stripes, _saves = owner(A, tmp_path, resume=True, health=health)
+    left, resumed = again.enter(0, tasks(), np.zeros((D, 30), order="F"))
+    assert left == tasks() and resumed is None
+    assert len(health.decisions) == 1
+    assert str(tmp_path) in health.decisions[0]
+    assert "recomputed" in health.decisions[0]
+
+
 def test_each_stripe_has_its_own_lineage(A, tmp_path):
     ck, stripes, saves = owner(
-        A, tmp_path, partition=PartitionSpec(shards=3, strategy="even"))
+        A, tmp_path, partition=PartitionSpec(shards=3))
     out = accumulator()
     for k, (c0, c1) in enumerate(stripes.bounds):
         group = tasks()[stripes.tasks(k)]

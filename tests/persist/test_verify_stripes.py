@@ -29,7 +29,7 @@ def sharded_run(A, base, kernel="algo4"):
     plan = Planner().compile(
         A, SketchConfig(kernel=kernel, seed=4, b_d=8, b_n=8), d=24,
         persistence=PersistencePolicy(checkpoint_dir=str(base)),
-        partition=PartitionSpec(shards=3, strategy="even"))
+        partition=PartitionSpec(shards=3))
     Runtime().run(plan, A)
 
 

@@ -1,6 +1,11 @@
-"""The partition stage: spec mechanics, shard computation, and the hard
+"""The partition stage: spec mechanics, stripe computation, and the hard
 acceptance bit — sharded execution is bit-identical to unsharded for
-every strategy, shard count, and driver."""
+every shard count and driver.
+
+One stripe rule is left (``even``).  A stored partition record may still
+name a retired rule (``nnz_balanced``, ``propagation``); the ``record``
+axis below feeds each name through a stored plan: ``even`` loads and
+runs, a retired name is refused on load, never re-cut silently."""
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from repro.core import SketchConfig
 from repro.errors import ConfigError
 from repro.parallel import WorkerPoolConfig
 from repro.plan import (
-    PARTITION_STRATEGIES,
     SHARD_MERGED,
     SHARD_START,
     WORKER_SPAWNED,
@@ -35,16 +39,44 @@ def _cfg(**kw):
     return SketchConfig(**base)
 
 
+#: The partition strategies a stored plan record may name; only the
+#: first is still a rule.
+RECORDS = ("even", "nnz_balanced", "propagation")
+
+
+def _stored(plan: SketchPlan, record: str) -> SketchPlan:
+    """*plan* as stored under a partition record naming *record*;
+    raises :class:`ConfigError` for a retired rule."""
+    data = plan.to_dict()
+    data["partition"]["strategy"] = record
+    return SketchPlan.from_dict(data)
+
+
+def _sharded_matches(A, cfg, shards: int, record: str) -> None:
+    ref = Runtime().run(Planner().compile(A, cfg), A)
+    plan = Planner().compile(A, cfg, partition=PartitionSpec(shards=shards))
+    if record != "even":
+        with pytest.raises(ConfigError, match=record):
+            _stored(plan, record)
+        return
+    res = Runtime().run(_stored(plan, record), A)
+    assert res.stats.extra["shards"] == shards
+    np.testing.assert_array_equal(res.sketch, ref.sketch)
+
+
 class TestPartitionSpec:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PartitionSpec(shards=0)
-        with pytest.raises(ConfigError):
-            PartitionSpec(shards=2, strategy="zigzag")
+        with pytest.raises(ConfigError, match="zigzag"):
+            PartitionSpec.from_dict({"shards": 2, "strategy": "zigzag"})
 
     def test_plan_round_trip_with_partition(self, A):
         plan = Planner().compile(A, _cfg(), partition=PartitionSpec(
-            shards=3, strategy="propagation"))
+            shards=3))
+        # The one rule is recorded as a constant, so stored digests hold.
+        assert plan.to_dict()["partition"] == {"shards": 3,
+                                               "strategy": "even"}
         back = SketchPlan.from_dict(plan.to_dict())
         assert back.partition == plan.partition
         assert back.digest() == plan.digest()
@@ -70,59 +102,43 @@ class TestPartitionSpec:
 
     def test_int_shorthand(self, A):
         plan = Planner().compile(A, _cfg(), partition=3)
-        assert plan.partition == PartitionSpec(shards=3, strategy="even")
+        assert plan.partition == PartitionSpec(shards=3)
 
 
 class TestComputeShards:
     def test_boundaries_tile_and_align(self):
-        for strategy in PARTITION_STRATEGIES:
-            col_nnz = list(range(96))
-            shards = compute_shards(
-                PartitionSpec(shards=5, strategy=strategy),
-                n=96, b_n=16, col_nnz=col_nnz)
-            assert shards[0].col_start == 0
-            assert shards[-1].col_stop == 96
-            for a, b in zip(shards, shards[1:]):
-                assert a.col_stop == b.col_start
-            for s in shards:
-                assert s.col_start % 16 == 0
+        stripes = compute_shards(PartitionSpec(shards=5), n=96, b_n=16)
+        assert stripes[0][0] == 0
+        assert stripes[-1][1] == 96
+        for a, b in zip(stripes, stripes[1:]):
+            assert a[1] == b[0]
+        for c0, _c1 in stripes:
+            assert c0 % 16 == 0
 
     def test_capped_at_block_count(self):
-        shards = compute_shards(PartitionSpec(shards=10), n=48, b_n=16)
-        assert len(shards) == 3
+        stripes = compute_shards(PartitionSpec(shards=10), n=48, b_n=16)
+        assert len(stripes) == 3
 
-    def test_nnz_balanced_requires_col_nnz(self):
-        with pytest.raises(ConfigError):
-            compute_shards(PartitionSpec(shards=2, strategy="nnz_balanced"),
-                           n=32, b_n=16)
-
-    def test_nnz_balanced_splits_at_the_mass(self):
-        # All the nnz in the first block: it becomes its own shard.
-        col_nnz = [100] * 16 + [1] * 48
-        shards = compute_shards(
-            PartitionSpec(shards=2, strategy="nnz_balanced"),
-            n=64, b_n=16, col_nnz=col_nnz)
-        assert shards[0].col_stop == 16
+    def test_boundaries_pinned(self):
+        """Lineage directories are named by column range, so the cuts
+        of stored checkpoints must not move."""
+        assert compute_shards(PartitionSpec(shards=4), n=96, b_n=16) == (
+            (0, 32), (32, 48), (48, 80), (80, 96))
+        assert compute_shards(PartitionSpec(shards=3), n=24, b_n=6) == (
+            (0, 12), (12, 18), (18, 24))
+        assert compute_shards(PartitionSpec(shards=2), n=30, b_n=16) == (
+            (0, 16), (16, 30))
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("record", RECORDS)
     @pytest.mark.parametrize("shards", [2, 5])
-    def test_serial_sharded_equals_unsharded(self, A, strategy, shards):
-        ref = Runtime().run(Planner().compile(A, _cfg()), A)
-        plan = Planner().compile(A, _cfg(), partition=PartitionSpec(
-            shards=shards, strategy=strategy))
-        res = Runtime().run(plan, A)
-        np.testing.assert_array_equal(res.sketch, ref.sketch)
+    def test_serial_sharded_equals_unsharded(self, A, record, shards):
+        _sharded_matches(A, _cfg(), shards, record)
 
-    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
-    def test_engine_sharded_equals_unsharded(self, A, strategy):
-        cfg = _cfg(threads=2)
-        ref = Runtime().run(Planner().compile(A, cfg), A)
-        plan = Planner().compile(A, cfg, partition=PartitionSpec(
-            shards=3, strategy=strategy))
-        res = Runtime().run(plan, A)
-        np.testing.assert_array_equal(res.sketch, ref.sketch)
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_engine_sharded_equals_unsharded(self, A, record):
+        _sharded_matches(A, _cfg(threads=2), 3, record)
 
     def test_process_sharded_equals_unsharded(self, A):
         pool = WorkerPoolConfig(workers=2)
@@ -136,8 +152,7 @@ class TestBitIdentity:
     def test_algo3_sharded_equals_unsharded(self, A):
         cfg = _cfg(kernel="algo3")
         ref = Runtime().run(Planner().compile(A, cfg), A)
-        plan = Planner().compile(
-            A, cfg, partition=PartitionSpec(shards=4, strategy="even"))
+        plan = Planner().compile(A, cfg, partition=PartitionSpec(shards=4))
         res = Runtime().run(plan, A)
         np.testing.assert_array_equal(res.sketch, ref.sketch)
 
@@ -156,25 +171,26 @@ class TestShardEventsAndStats:
         rt.bus.subscribe_observer(SHARD_START, starts.append)
         rt.bus.subscribe_observer(SHARD_MERGED, merges.append)
         plan = Planner().compile(A, _cfg(), partition=PartitionSpec(
-            shards=4, strategy="propagation"))
+            shards=4))
         rt.run(plan, A)
         assert len(starts) == 4 and len(merges) == 4
         assert [e.get("shard") for e in starts] == [0, 1, 2, 3]
-        # Propagation-blocking merge order: ascending column ranges.
+        # Stripes merge in ascending column order.
         stops = [e.get("col_stop") for e in merges]
         assert stops == sorted(stops)
-        assert all(e.get("strategy") == "propagation" for e in starts)
+        assert [(e.get("col_start"), e.get("col_stop")) for e in starts] \
+            == list(compute_shards(PartitionSpec(shards=4), n=96, b_n=16))
         assert all(e.get("seconds") >= 0.0 for e in merges)
         assert all(e.get("words") > 0 for e in merges)
         assert rt.bus.dropped_total() == 0
 
     def test_stats_carry_merge_accounting(self, A):
         plan = Planner().compile(A, _cfg(), partition=PartitionSpec(
-            shards=3, strategy="nnz_balanced"))
+            shards=3))
         res = Runtime().run(plan, A)
         extra = res.stats.extra
         assert extra["shards"] == 3
-        assert extra["partition_strategy"] == "nnz_balanced"
+        assert "partition_strategy" not in extra
         assert extra["merge_seconds"] >= 0.0
         d = res.sketch.shape[0]
         assert extra["merge_words"] == d * A.shape[1]

@@ -1,11 +1,13 @@
-"""Pinned records that name the kernel backend.
+"""Pinned records that name the kernel backend and the stripe rule.
 
 Plans, cache keys and checkpoint fingerprints all record
-``"backend": "numpy"``.  Whatever form the backend setting takes, these
-records must not move: a moved plan digest orphans stored plans, a moved
-cache key turns every warm cache cold, and a moved fingerprint refuses
-every stored checkpoint.  The values below are literal, so the test
-reads the same before and after any change to how the backend is chosen.
+``"backend": "numpy"``, and a sharded plan records its partition's
+``"strategy": "even"``.  Whatever form these settings take, the records
+must not move: a moved plan digest orphans stored plans, a moved cache
+key turns every warm cache cold, and a moved fingerprint refuses every
+stored checkpoint.  The values below are literal, so the test reads the
+same before and after any change to how the backend or the stripes are
+chosen.
 """
 
 import json
@@ -17,6 +19,7 @@ from repro import Planner, SketchConfig
 from repro.cache import ArtifactCache, CachePolicy
 from repro.core.streaming import StreamingSketch
 from repro.model import LAPTOP
+from repro.plan import PartitionSpec
 from repro.rng import make_rng
 from repro.sparse import random_sparse
 
@@ -26,6 +29,8 @@ HOST = {"system": "Linux", "machine": "x86_64"}
 
 PLAN_DIGEST = (
     "ad9d5aae1b098f948bb3a65765a56a51ba98a9a53f076f2c8b235cfbf3ab4306")
+SHARDED_PLAN_DIGEST = (
+    "6e1e9e23d394586352bf1ba1580d4cf9032dc69223b82417067dc41e6f61225c")
 TUNE_KEY = (
     "07fb12a1e6d9171699b00770e3ce5d91cc7c5884fe4a6e1d6671d55adc363d41")
 CHOICE_KEY = (
@@ -74,6 +79,13 @@ class TestPlanRecord:
     def test_digest_is_pinned(self):
         plan = Planner(LAPTOP).compile(_matrix(), _config(), d=90)
         assert plan.digest() == PLAN_DIGEST
+
+    def test_sharded_digest_is_pinned(self):
+        plan = Planner(LAPTOP).compile(_matrix(), _config(), d=90,
+                                       partition=PartitionSpec(shards=2))
+        assert plan.to_dict()["partition"] == {"shards": 2,
+                                               "strategy": "even"}
+        assert plan.digest() == SHARDED_PLAN_DIGEST
 
     def test_fingerprint_is_pinned(self):
         plan = Planner(LAPTOP).compile(_matrix(), _config(), d=90)

@@ -1,82 +1,82 @@
 """Property sweep of :func:`repro.plan.compute_shards`.
 
-The shard computation is the foundation of every partition guarantee:
+The stripe computation is the foundation of every partition guarantee:
 each stripe must be non-empty, cut at column-block boundaries (so the
-within-shard blocking realizes identical RNG entries to the unsharded
-run), and together the stripes must cover ``[0, n)`` exactly once, in
-order, for *every* (n, b_n, shards, strategy) combination and any
-nonzero-weight profile — including the degenerate ones (all-empty
-columns, all the mass in one column, trailing empty columns) that once
-stranded zero-weight trailing blocks outside every stripe.
-"""
+within-stripe blocking realizes identical RNG entries to the unsharded
+run), hold ``floor(B / K)`` or ``ceil(B / K)`` of the ``B`` column
+blocks for ``K`` stripes, and together the stripes must cover ``[0, n)`` exactly once, in
+order, for *every* (n, b_n, shards) combination.
 
-import random
+The ``record`` axis is the partition strategy a stored plan names: the
+one rule left (``even``) loads and is swept; a retired rule
+(``nnz_balanced``, ``propagation``) is refused on load, whatever the
+shape, never re-cut silently.
+"""
 
 import pytest
 
-from repro.plan import PARTITION_STRATEGIES, PartitionSpec, compute_shards
+from repro.errors import ConfigError
+from repro.plan import PartitionSpec, compute_shards
 
 NS = (1, 5, 7, 12, 64, 100)
 B_NS = (1, 3, 4, 7, 64, 128)
 SHARD_COUNTS = (1, 2, 3, 7, 50)
 
 
-def _nnz_patterns(n: int):
-    """Weight profiles chosen to stress the quantile cuts."""
-    rng = random.Random(n)
-    patterns = {
-        "uniform": [3] * n,
-        "all_empty": [0] * n,
-        "front_loaded": [100 if i < max(1, n // 8) else 0 for i in range(n)],
-        # Trailing zero-weight columns: the profile that used to strand
-        # blocks past the last quantile outside every stripe.
-        "trailing_empty": [5 if i < max(1, n // 2) else 0 for i in range(n)],
-        "one_hot": [1000 if i == n // 2 else 0 for i in range(n)],
-        "random": [rng.randrange(0, 9) for _ in range(n)],
-    }
-    return patterns.items()
+def _load(requested: int, record: str):
+    """The stripes of a stored partition record, or ``None`` when the
+    record names a retired rule (which must be refused)."""
+    data = {"shards": requested, "strategy": record}
+    if record != "even":
+        with pytest.raises(ConfigError, match=record):
+            PartitionSpec.from_dict(data)
+        return None
+    return PartitionSpec.from_dict(data)
 
 
-def _check_stripes(shards, *, n: int, b_n: int, requested: int):
+def _check_stripes(stripes, *, n: int, b_n: int, requested: int):
     n_blocks = (n + b_n - 1) // b_n
-    assert len(shards) == min(requested, n_blocks)
+    assert len(stripes) == min(requested, n_blocks)
+    widths = set()
     cursor = 0
-    for i, shard in enumerate(shards):
-        assert shard.index == i
-        assert shard.shards == len(shards)
+    for c0, c1 in stripes:
         # Non-empty, contiguous, in column order.
-        assert shard.col_start == cursor
-        assert shard.col_stop > shard.col_start
+        assert c0 == cursor
+        assert c1 > c0
         # Block aligned: starts on a b_n multiple; stops on one or at n.
-        assert shard.col_start % b_n == 0
-        assert shard.col_stop % b_n == 0 or shard.col_stop == n
-        cursor = shard.col_stop
+        assert c0 % b_n == 0
+        assert c1 % b_n == 0 or c1 == n
+        widths.add(-(-c1 // b_n) - c0 // b_n)
+        cursor = c1
     # Exactly-once coverage of [0, n).
     assert cursor == n
+    # Block counts are level to within one block.
+    assert max(widths) - min(widths) <= 1
 
 
-@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+@pytest.mark.parametrize("record", ("even", "nnz_balanced", "propagation"))
 @pytest.mark.parametrize("requested", SHARD_COUNTS)
 @pytest.mark.parametrize("b_n", B_NS)
 @pytest.mark.parametrize("n", NS)
-def test_stripes_cover_exactly_once(n, b_n, requested, strategy):
-    spec = PartitionSpec(shards=requested, strategy=strategy)
-    for label, col_nnz in _nnz_patterns(n):
-        shards = compute_shards(spec, n=n, b_n=b_n, col_nnz=col_nnz)
-        _check_stripes(shards, n=n, b_n=b_n, requested=requested)
-        # nnz annotations must partition the total exactly.
-        assert all(s.nnz is not None for s in shards), label
-        assert sum(s.nnz for s in shards) == sum(col_nnz), label
-        for s in shards:
-            assert s.nnz == sum(col_nnz[s.col_start:s.col_stop]), label
+def test_stripes_cover_exactly_once(n, b_n, requested, record):
+    spec = _load(requested, record)
+    if spec is not None:
+        _check_stripes(compute_shards(spec, n=n, b_n=b_n), n=n, b_n=b_n,
+                       requested=requested)
 
 
-@pytest.mark.parametrize("strategy", ("even", "propagation"))
+@pytest.mark.parametrize("record", ("even", "propagation"))
 @pytest.mark.parametrize("n,b_n,requested", [
     (1, 1, 1), (5, 3, 2), (100, 7, 7), (64, 64, 50), (12, 4, 3),
 ])
-def test_stripes_without_col_nnz(n, b_n, requested, strategy):
-    spec = PartitionSpec(shards=requested, strategy=strategy)
-    shards = compute_shards(spec, n=n, b_n=b_n)
-    _check_stripes(shards, n=n, b_n=b_n, requested=requested)
-    assert all(s.nnz is None for s in shards)
+def test_stripes_without_col_nnz(n, b_n, requested, record):
+    """The stripes depend on the shape alone: equal inputs cut equal
+    stripes, and the first stripe is a widest one."""
+    spec = _load(requested, record)
+    if spec is None:
+        return
+    stripes = compute_shards(spec, n=n, b_n=b_n)
+    assert stripes == compute_shards(PartitionSpec(requested), n=n, b_n=b_n)
+    _check_stripes(stripes, n=n, b_n=b_n, requested=requested)
+    blocks = [-(-c1 // b_n) - c0 // b_n for c0, c1 in stripes]
+    assert blocks[0] == max(blocks)
